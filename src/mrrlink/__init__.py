@@ -5,9 +5,10 @@ The double-pass channel (interrogator beam up, modulated retroreflection
 back) is the product of deterministic losses, two independent fading
 passes, a pointing factor driven by the ground tracker's angular jitter,
 and the retroreflector's orientation-dependent reflection coefficient.
-The package provides closed-form channel/SNR statistics in both fading
-regimes, a reproducible Monte-Carlo engine that serves as their oracle,
-and a sweep/optimization layer reproducing the reference figures.
+The package provides closed-form channel statistics in both fading
+regimes, with the SNR statistics derived once through the square-law
+map, a reproducible Monte-Carlo engine that serves as their oracle, and
+a sweep/optimization layer reproducing the reference figures.
 """
 
 __version__ = "0.1.0"
@@ -15,6 +16,7 @@ __version__ = "0.1.0"
 from .channel import (
     LinkConfig,
     Regime,
+    SquareLawModel,
     TurbulenceStats,
     beamwidth,
     beer_lambert,
@@ -60,28 +62,20 @@ from .mrr import (
     sample_hmrr,
     sector_table,
 )
-from .specfun import MeijerGSpec, bessel_k, erf, erfc, interp_table, meijer_g, q_function
+from .specfun import MeijerGSpec, bessel_k, interp_table, meijer_g, q_function
 from .strong import (
     StrongModelConstants,
     ber_strong,
     cdf_h_strong,
     cdf_h_strong_simple,
-    cdf_snr_strong,
-    cdf_snr_strong_simple,
-    outage_strong,
     pdf_h_strong,
     pdf_h_strong_simple,
-    pdf_snr_strong,
-    pdf_snr_strong_simple,
     strong_constants,
 )
 from .weak import (
     WeakModelConstants,
     ber_weak,
     cdf_h_weak,
-    cdf_snr_weak,
-    outage_weak,
     pdf_h_weak,
-    pdf_snr_weak,
     weak_constants,
 )

@@ -1,6 +1,7 @@
 """Physical-layer building blocks of the double-pass retroreflector link.
 
-Geometry, turbulence statistics, deterministic losses and the SNR map.
+Geometry, turbulence statistics, deterministic losses, the SNR map and
+the SNR statistics every fading model derives through it.
 All quantities are SI: meters, radians, watts, linear SNR.  Angles that
 tables index in degrees are converted at the table boundary, not here.
 """
@@ -33,6 +34,7 @@ __all__ = [
     "h_constant",
     "upsilon_1",
     "snr_from_h",
+    "SquareLawModel",
     "equilateral_aperture",
 ]
 
@@ -283,3 +285,33 @@ def snr_from_h(cfg: LinkConfig, h):
         raise ValueError("channel coefficient must be non-negative")
     out = upsilon_1(cfg) * h ** 2
     return float(out) if out.ndim == 0 else out
+
+
+class SquareLawModel:
+    """SNR statistics of a channel model under gamma = upsilon_1 h^2.
+
+    A model supplies `pdf_h`, `cdf_h` and `upsilon_1`; the SNR density,
+    the SNR CDF and the outage probability are those statistics carried
+    through the square-law map, the same in every fading regime.
+    """
+
+    def pdf_snr(self, gamma):
+        """SNR density f_h(sqrt(gamma/upsilon_1)) / (2 sqrt(upsilon_1 gamma))."""
+        g = np.atleast_1d(np.asarray(gamma, dtype=float))
+        out = np.zeros_like(g)
+        pos = g > 0
+        out[pos] = (self.pdf_h(np.sqrt(g[pos] / self.upsilon_1))
+                    / (2.0 * np.sqrt(self.upsilon_1 * g[pos])))
+        return float(out[0]) if np.ndim(gamma) == 0 else out
+
+    def cdf_snr(self, gamma):
+        """SNR CDF, equal to cdf_h(sqrt(gamma/upsilon_1))."""
+        return self.cdf_h(np.sqrt(np.maximum(gamma, 0.0) / self.upsilon_1))
+
+    def outage(self, gamma_th: float) -> float:
+        """Probability that the instantaneous SNR falls below gamma_th."""
+        if gamma_th < 0:
+            raise ValueError("gamma_th must be non-negative")
+        if gamma_th == 0:
+            return 0.0
+        return float(self.cdf_snr(gamma_th))

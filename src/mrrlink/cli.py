@@ -73,7 +73,7 @@ def cmd_run(args) -> int:
         metrics=tuple(exp["metrics"]),
         engines=tuple(exp["engines"]),
         output_path=args.out or exp.get("out"),
-        seed=args.seed if args.seed else exp.get("seed", 0),
+        seed=exp.get("seed", 0) if args.seed is None else args.seed,
         n_samples=_samples(args) or exp.get("samples", 1_000_000),
         regime=exp.get("regime"),
         bins=exp.get("bins", 80),
@@ -193,7 +193,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("run", help="run a sweep described by a config file")
     p.add_argument("spec_file")
     _add_common(p)
-    p.set_defaults(fn=cmd_run)
+    p.set_defaults(fn=cmd_run, seed=None)   # unset --seed defers to the config
 
     p = sub.add_parser("recipe", help="run a named figure recipe")
     p.add_argument("name", nargs="?", default="")

@@ -1,6 +1,12 @@
 """Config-driven experiment runs: sweeps, the divergence optimizer and
 the tracking-jitter/beamwidth outage map.
 
+`_constants_for` is the one place that decides the fading regime: it
+returns the weak or strong model constants, and every analytic metric is
+then a call through that model's `pdf_h`/`cdf_h`/`pdf_snr`/`cdf_snr`/
+`outage`/`ber`.  The Monte-Carlo side draws its fading from the same
+turbulence statistics.
+
 Grid points are independent and may be computed by a worker pool; rows
 are always emitted in grid order and all randomness is seed-keyed, so
 output files are byte-identical for any worker count.
@@ -16,29 +22,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .channel import LinkConfig, Regime, turbulence_stats
+from .channel import LinkConfig, Regime, beamwidth, h_constant, turbulence_stats
 from .errors import NonPositiveBreakpointError
 from .montecarlo import SimPlan, draw_channel, mc_ber, mc_outage
 from .mrr import mrr_moments, sector_table
-from .strong import (
-    ber_strong,
-    cdf_h_strong,
-    cdf_snr_strong,
-    outage_strong,
-    pdf_h_strong,
-    pdf_snr_strong,
-    strong_constants,
-)
-from .weak import (
-    WeakModelConstants,
-    ber_weak,
-    cdf_h_weak,
-    cdf_snr_weak,
-    outage_weak,
-    pdf_h_weak,
-    pdf_snr_weak,
-    weak_constants,
-)
+from .strong import strong_constants
+from .weak import weak_constants
 
 __all__ = [
     "ExperimentSpec",
@@ -53,7 +42,10 @@ __all__ = [
     "ENGINES",
 ]
 
-SWEEP_AXES = ("Pt", "theta_div", "sigma_theta_e", "sigma_theta_o", "Z", "A_r", "Cn2", "w_z")
+# Sweep axis -> LinkConfig field; "w_z" sets theta_div = w_z / Z instead.
+_AXIS_FIELDS = {"Pt": "P_t", "theta_div": "theta_div", "sigma_theta_e": "sigma_theta_e",
+                "sigma_theta_o": "sigma_theta_o", "Z": "Z", "A_r": "A_r", "Cn2": "cn2_0"}
+SWEEP_AXES = (*_AXIS_FIELDS, "w_z")
 METRICS = ("pdf_h", "cdf_h", "pdf_snr", "cdf_snr", "outage", "ber")
 ENGINES = ("analytic", "montecarlo")
 
@@ -95,6 +87,8 @@ class ExperimentSpec:
             raise ValueError(f"metrics must be a non-empty subset of {METRICS}")
         if not self.engines or any(e not in ENGINES for e in self.engines):
             raise ValueError(f"engines must be a non-empty subset of {ENGINES}")
+        if self.regime not in (None, "weak", "strong"):
+            raise ValueError(f"regime must be 'weak', 'strong' or unset, got {self.regime!r}")
 
 
 @dataclass
@@ -110,26 +104,15 @@ class ExperimentResult:
 
 
 def apply_axis(cfg: LinkConfig, axis: str, value: float) -> LinkConfig:
-    if axis == "Pt":
-        return cfg.with_(P_t=value)
-    if axis == "theta_div":
-        return cfg.with_(theta_div=value)
-    if axis == "sigma_theta_e":
-        return cfg.with_(sigma_theta_e=value)
-    if axis == "sigma_theta_o":
-        return cfg.with_(sigma_theta_o=value)
-    if axis == "Z":
-        return cfg.with_(Z=value)
-    if axis == "A_r":
-        return cfg.with_(A_r=value)
-    if axis == "Cn2":
-        return cfg.with_(cn2_0=value)
     if axis == "w_z":
         return cfg.with_(theta_div=value / cfg.Z)
-    raise ValueError(f"unknown sweep axis {axis!r}")
+    if axis not in _AXIS_FIELDS:
+        raise ValueError(f"unknown sweep axis {axis!r}")
+    return cfg.with_(**{_AXIS_FIELDS[axis]: value})
 
 
 def _constants_for(cfg: LinkConfig, regime: str | None):
+    """Model constants of the fading regime, and the statistics that chose it."""
     stats = turbulence_stats(cfg, regime=regime)
     if stats.regime is Regime.WEAK_TO_MODERATE:
         moments = mrr_moments(cfg.sigma_theta_o)
@@ -138,44 +121,39 @@ def _constants_for(cfg: LinkConfig, regime: str | None):
     return strong_constants(cfg, stats, sectors), stats
 
 
-def _analytic_scalar(k, metric: str, cfg: LinkConfig, spec: ExperimentSpec) -> float:
-    weak = isinstance(k, WeakModelConstants)
-    if metric == "outage":
-        return outage_weak(k, cfg.gamma_th) if weak else outage_strong(k, cfg.gamma_th)
-    if metric == "ber":
-        if weak:
-            return ber_weak(k, M=spec.ber_terms, gamma_max=spec.ber_gamma_max)
-        return ber_strong(k)
-    raise ValueError(metric)
-
-
-_PDF_FNS = {
-    (True, "pdf_h"): pdf_h_weak, (True, "cdf_h"): cdf_h_weak,
-    (True, "pdf_snr"): pdf_snr_weak, (True, "cdf_snr"): cdf_snr_weak,
-    (False, "pdf_h"): pdf_h_strong, (False, "cdf_h"): cdf_h_strong,
-    (False, "pdf_snr"): pdf_snr_strong, (False, "cdf_snr"): cdf_snr_strong,
-}
-
-
 def _grid_point_rows(spec: ExperimentSpec, value: float):
     """All output rows for one grid value.  Pure function of its inputs."""
     cfg = apply_axis(spec.base, spec.sweep_axis, value)
+    where = f"{spec.sweep_axis}={value:g}"
     rows: list[dict] = []
     flags: list[str] = []
     errors: list[str] = []
     scalar_metrics = [m for m in spec.metrics if m in ("outage", "ber")]
     dist_metrics = [m for m in spec.metrics if m not in ("outage", "ber")]
 
-    k = None
+    k = stats = None
     if "analytic" in spec.engines:
         try:
-            k, _ = _constants_for(cfg, spec.regime)
+            k, stats = _constants_for(cfg, spec.regime)
         except (NonPositiveBreakpointError, ValueError) as exc:
-            errors.append(f"{spec.sweep_axis}={value:g}: analytic constants failed: {exc}")
+            errors.append(f"{where}: analytic constants failed: {exc}")
 
-    mc_samples = None
+    def analytic(metric, *args):
+        """The model's value of one metric, or None with the failure recorded."""
+        if k is None:
+            return None
+        try:
+            return getattr(k, metric)(*args)
+        except Exception as exc:  # recorded, run continues
+            errors.append(f"{where}: analytic {metric} failed: {exc}")
+            return None
+
+    plan = mc_samples = None
     if "montecarlo" in spec.engines:
-        plan = SimPlan(cfg, n_samples=spec.n_samples, seed=spec.seed)
+        # the simulated fading follows the regime of the analytic side
+        if stats is None:
+            stats = turbulence_stats(cfg, regime=spec.regime)
+        plan = SimPlan(cfg, n_samples=spec.n_samples, seed=spec.seed, stats=stats)
         if dist_metrics:
             mc_samples = draw_channel(plan)
 
@@ -187,15 +165,12 @@ def _grid_point_rows(spec: ExperimentSpec, value: float):
         })
 
     for metric in scalar_metrics:
-        a_val = mc_est = None
-        if k is not None:
-            try:
-                a_val = _analytic_scalar(k, metric, cfg, spec)
-            except Exception as exc:  # recorded, run continues
-                errors.append(f"{spec.sweep_axis}={value:g}: analytic {metric} failed: {exc}")
-        if "montecarlo" in spec.engines:
-            plan = SimPlan(cfg, n_samples=spec.n_samples, seed=spec.seed)
-            mc_est = (mc_outage(plan, cfg.gamma_th) if metric == "outage" else mc_ber(plan))
+        if metric == "outage":
+            a_val = analytic("outage", cfg.gamma_th)
+            mc_est = mc_outage(plan, cfg.gamma_th) if plan is not None else None
+        else:
+            a_val = analytic("ber", spec.ber_terms, spec.ber_gamma_max)
+            mc_est = mc_ber(plan) if plan is not None else None
         flag = ""
         if a_val is not None and mc_est is not None:
             floor = _OUTAGE_FLOOR if metric == "outage" else _BER_FLOOR
@@ -204,55 +179,47 @@ def _grid_point_rows(spec: ExperimentSpec, value: float):
                 hi = max(mc_est.ci_high, mc_est.value * (1 + _REL_TOL))
                 if not (lo <= a_val <= hi):
                     flag = "tolerance"
-                    flags.append(f"{spec.sweep_axis}={value:g} {metric}: "
+                    flags.append(f"{where} {metric}: "
                                  f"analytic {a_val:.3e} outside [{lo:.3e}, {hi:.3e}]")
         if a_val is not None:
             add(metric, "analytic", math.nan, a_val, flag=flag)
         if mc_est is not None:
             add(metric, "montecarlo", math.nan, mc_est.value, mc_est.ci_low, mc_est.ci_high)
 
-    if dist_metrics:
-        h_mc = g_mc = None
+    for metric in dist_metrics:
+        samples = None
         if mc_samples is not None:
-            h_mc, g_mc = mc_samples
-        for metric in dist_metrics:
-            samples = None
-            if mc_samples is not None:
-                samples = h_mc if metric.endswith("_h") else g_mc
-            if samples is not None:
-                edges = np.linspace(0.0, float(samples.max()) * 1.001, spec.bins + 1)
-            elif k is not None:
-                # support guess from the analytic model scale
-                top = 20.0 / k.C3 if isinstance(k, WeakModelConstants) else \
-                    20.0 * 2.0 * k.A_r * k.h_c / (math.pi * k.w_z ** 2)
-                if metric.endswith("_snr"):
-                    top = k.upsilon_1 * top ** 2
-                edges = np.linspace(0.0, top, spec.bins + 1)
+            samples = mc_samples[0] if metric.endswith("_h") else mc_samples[1]
+            edges = np.linspace(0.0, float(samples.max()) * 1.001, spec.bins + 1)
+        elif k is not None:
+            # support guess: 20 times the peak gain of the deterministic channel
+            top = 20.0 * 2.0 * cfg.A_r * h_constant(cfg) / (math.pi * beamwidth(cfg) ** 2)
+            if metric.endswith("_snr"):
+                top = k.upsilon_1 * top ** 2
+            edges = np.linspace(0.0, top, spec.bins + 1)
+        else:
+            continue
+        centers = 0.5 * (edges[:-1] + edges[1:])
+        ana_vals = analytic(metric, centers)
+        if ana_vals is not None:
+            for x, v in zip(centers, ana_vals):
+                add(metric, "analytic", float(x), float(v))
+        mc_vals = None
+        if samples is not None:
+            if metric.startswith("pdf"):
+                counts, _ = np.histogram(samples, bins=edges)
+                mc_vals = counts / len(samples) / np.diff(edges)
             else:
-                continue
-            centers = 0.5 * (edges[:-1] + edges[1:])
-            ana_vals = None
-            if k is not None:
-                fn = _PDF_FNS[(isinstance(k, WeakModelConstants), metric)]
-                ana_vals = np.asarray(fn(centers, k))
-                for x, v in zip(centers, ana_vals):
-                    add(metric, "analytic", float(x), float(v))
-            mc_vals = None
-            if samples is not None:
-                if metric.startswith("pdf"):
-                    counts, _ = np.histogram(samples, bins=edges)
-                    mc_vals = counts / len(samples) / np.diff(edges)
-                else:
-                    mc_vals = (np.searchsorted(np.sort(samples), centers, side="right")
-                               / len(samples))
-                for x, v in zip(centers, mc_vals):
-                    add(metric, "montecarlo", float(x), float(v))
-            if ana_vals is not None and mc_vals is not None and metric.startswith("cdf"):
-                # bin centers already carry both curves; compare there
-                ks = float(np.abs(ana_vals - mc_vals).max())
-                if ks > _KS_TOL:
-                    flags.append(f"{spec.sweep_axis}={value:g} {metric}: KS={ks:.3f} > {_KS_TOL}")
-                    rows[-1]["flag"] = "tolerance"
+                mc_vals = (np.searchsorted(np.sort(samples), centers, side="right")
+                           / len(samples))
+            for x, v in zip(centers, mc_vals):
+                add(metric, "montecarlo", float(x), float(v))
+        if ana_vals is not None and mc_vals is not None and metric.startswith("cdf"):
+            # bin centers already carry both curves; compare there
+            ks = float(np.abs(ana_vals - mc_vals).max())
+            if ks > _KS_TOL:
+                flags.append(f"{where} {metric}: KS={ks:.3f} > {_KS_TOL}")
+                rows[-1]["flag"] = "tolerance"
     return rows, flags, errors
 
 
@@ -334,6 +301,12 @@ def golden_section(f, a: float, b: float, tol: float) -> tuple[float, float]:
     return x, f(x)
 
 
+def _design_metric(cfg: LinkConfig, metric: str, regime: str | None) -> float:
+    """Analytic outage, or the converged-series BER, of one configuration."""
+    k, _ = _constants_for(cfg, regime)
+    return k.outage(cfg.gamma_th) if metric == "outage" else k.ber(M=60, gamma_max=40.0)
+
+
 @dataclass(frozen=True)
 class OptResult:
     theta_opt: float
@@ -359,13 +332,7 @@ def optimize_divergence(cfg: LinkConfig, objective: str = "outage",
 
     def f(theta):
         c = cfg.with_(theta_div=theta)
-        k, _ = _constants_for(c, regime)
-        if objective == "outage":
-            val = (outage_weak(k, c.gamma_th) if isinstance(k, WeakModelConstants)
-                   else outage_strong(k, c.gamma_th))
-        else:
-            val = (ber_weak(k, M=60, gamma_max=40.0) if isinstance(k, WeakModelConstants)
-                   else ber_strong(k))
+        val = _design_metric(c, objective, regime)
         # log objective: outage/BER span many decades
         return math.log(max(val, 1e-300))
 
@@ -392,11 +359,5 @@ def heatmap(cfg: LinkConfig, sigma_e_grid, wz_grid, metric: str = "outage",
     for i, se in enumerate(sigma_e_grid):
         for j, wz in enumerate(wz_grid):
             c = cfg.with_(sigma_theta_e=float(se), theta_div=float(wz) / cfg.Z)
-            k, _ = _constants_for(c, regime)
-            if metric == "outage":
-                out[i, j] = (outage_weak(k, c.gamma_th) if isinstance(k, WeakModelConstants)
-                             else outage_strong(k, c.gamma_th))
-            else:
-                out[i, j] = (ber_weak(k, M=60, gamma_max=40.0)
-                             if isinstance(k, WeakModelConstants) else ber_strong(k))
+            out[i, j] = _design_metric(c, metric, regime)
     return out

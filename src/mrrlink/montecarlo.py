@@ -7,6 +7,8 @@ for any chunking of blocks across workers.  Per sample the engine uses
 a fixed layout of nine uniforms (three mirror tilts, two tracking
 angles, up to four fading variates) mapped through inverse CDFs, so the
 same seed produces the same geometry draws under either fading model.
+The reflection-coefficient sampler `mrr.sample_hmrr` draws from the same
+block generator, `block_uniforms`.
 """
 
 from __future__ import annotations
@@ -72,16 +74,12 @@ class PointingModel(Enum):
 
 @dataclass(frozen=True)
 class SimPlan:
-    """One reproducible simulation run.
-
-    `chunk` only sizes worker tasks; the statistics depend on (cfg,
-    n_samples, seed, fading, pointing) alone.
-    """
+    """One reproducible simulation run: the statistics depend on (cfg,
+    n_samples, seed, fading, pointing) alone."""
 
     cfg: LinkConfig
     n_samples: int = 1_000_000
     seed: int = 0
-    chunk: int = BLOCK
     fading: FadingModel | None = None
     pointing: PointingModel = PointingModel.EXACT_SINE
     stats: TurbulenceStats | None = None
@@ -89,8 +87,6 @@ class SimPlan:
     def __post_init__(self):
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
-        if self.chunk < 1:
-            raise ValueError("chunk must be >= 1")
 
     def resolved(self) -> "SimPlan":
         """Fill in turbulence statistics and the fading model from the config."""
@@ -99,7 +95,7 @@ class SimPlan:
         if fading is None:
             fading = (FadingModel.LOG_NORMAL if stats.regime is Regime.WEAK_TO_MODERATE
                       else FadingModel.GAMMA_GAMMA)
-        return SimPlan(self.cfg, self.n_samples, self.seed, self.chunk, fading,
+        return SimPlan(self.cfg, self.n_samples, self.seed, fading,
                        self.pointing, stats)
 
 
@@ -140,13 +136,16 @@ class EmpiricalDistribution:
                 fh.write(f"{left:.12g},{right:.12g},{c}\n")
 
 
-def _block_uniforms(seed: int, index: int) -> np.ndarray:
+def block_uniforms(seed: int, index: int, cols: int) -> np.ndarray:
+    """BLOCK rows of `cols` uniforms from the Philox stream keyed by
+    (seed, block index), so any scheduling of blocks reproduces them."""
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, index], dtype=np.uint64)
     gen = np.random.Generator(np.random.Philox(key=key))
-    return gen.random((BLOCK, _UNIFORM_SLOTS))
+    return gen.random((BLOCK, cols))
 
 
-def _normals(u: np.ndarray) -> np.ndarray:
+def normals(u: np.ndarray) -> np.ndarray:
+    """Standard normals by inversion; the clip keeps ndtri off +-inf."""
     return sp.ndtri(np.clip(u, 1e-17, 1.0 - 1e-17))
 
 
@@ -157,7 +156,7 @@ def _fading_pair(plan: SimPlan, u: np.ndarray) -> np.ndarray:
         s_l2 = stats.sigma_L2
         if s_l2 == 0.0:
             return np.ones(len(u))
-        x = _normals(u[:, :2])
+        x = normals(u[:, :2])
         return np.exp((2.0 * math.sqrt(s_l2)) * x.sum(axis=1) - 4.0 * s_l2)
     a, b = stats.alpha, stats.beta
     uc = np.clip(u, 1e-16, 1.0 - 1e-16)
@@ -176,14 +175,11 @@ def sample_channel(plan: SimPlan) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     a0 = 2.0 * cfg.A_r / (math.pi * w_z ** 2)
     u1 = upsilon_1(cfg)
     scale = POINTING_DISPLACEMENT_FACTOR * cfg.Z
-    n_blocks = (plan.n_samples + BLOCK - 1) // BLOCK
-    for b in range(n_blocks):
-        u = _block_uniforms(plan.seed, b)
-        take = min(BLOCK, plan.n_samples - b * BLOCK)
-        u = u[:take]
-        theta_m = cfg.sigma_theta_o * _normals(u[:, 0:3])
+    for b, pos in enumerate(range(0, plan.n_samples, BLOCK)):
+        u = block_uniforms(plan.seed, b, _UNIFORM_SLOTS)[:plan.n_samples - pos]
+        theta_m = cfg.sigma_theta_o * normals(u[:, 0:3])
         h_mrr = np.prod(np.maximum(0.0, 1.0 - np.tan(np.abs(theta_m))), axis=1)
-        theta_e = cfg.sigma_theta_e * _normals(u[:, 3:5])
+        theta_e = cfg.sigma_theta_e * normals(u[:, 3:5])
         if plan.pointing is PointingModel.EXACT_SINE:
             d = scale * np.sin(theta_e)
         else:

@@ -18,9 +18,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as sp
 
 from .errors import InsufficientSamplesError, NonPositiveBreakpointError
+from .montecarlo import BLOCK, block_uniforms, normals
 from .specfun import interp_table
 
 __all__ = [
@@ -58,10 +58,6 @@ _SEC_B = np.array(
         [1.26, 0.40, 0.23, 0.15, 0.11, 0.08],
     ]
 )
-
-# Samples per deterministic RNG substream; fixed so that results do not
-# depend on scheduling or worker count (see montecarlo module).
-_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -139,18 +135,6 @@ def hmrr_component(theta):
     return float(out) if out.ndim == 0 else out
 
 
-def _block_normals(seed: int, index: int, rows: int, cols: int) -> np.ndarray:
-    """Deterministic (seed, block-index)-keyed standard normals.
-
-    Counter-based generator keyed per block, so any scheduling of blocks
-    across workers reproduces the same stream.
-    """
-    bg = np.random.Philox(key=np.array([seed & 0xFFFFFFFFFFFFFFFF, index], dtype=np.uint64))
-    u = np.random.Generator(bg).random((rows, cols))
-    # Open-interval guard: ndtri(0) = -inf
-    return sp.ndtri(np.clip(u, 1e-17, 1.0 - 1e-17))
-
-
 def sample_hmrr(sigma_theta_o: float, n: int, seed: int = 0) -> np.ndarray:
     """Draw n reflection coefficients for jitter SD sigma_theta_o (radians).
 
@@ -162,15 +146,9 @@ def sample_hmrr(sigma_theta_o: float, n: int, seed: int = 0) -> np.ndarray:
     if sigma_theta_o == 0.0:
         return np.ones(n)
     out = np.empty(n)
-    pos = 0
-    block = 0
-    while pos < n:
-        take = min(_BLOCK, n - pos)
-        z = _block_normals(seed, block, _BLOCK, 3)[:take]
-        theta = sigma_theta_o * z
-        out[pos:pos + take] = np.prod(np.maximum(0.0, 1.0 - np.tan(np.abs(theta))), axis=1)
-        pos += take
-        block += 1
+    for block, pos in enumerate(range(0, n, BLOCK)):
+        theta = sigma_theta_o * normals(block_uniforms(seed, block, 3)[:n - pos])
+        out[pos:pos + BLOCK] = np.prod(np.maximum(0.0, 1.0 - np.tan(np.abs(theta))), axis=1)
     return out
 
 

@@ -1,15 +1,16 @@
 """Special-function kernels used by the analytical channel models.
 
 Everything here is a pure function of its arguments.  The elementary
-kernels (Q-function, erf/erfc, modified Bessel K) wrap the well-tested
-scipy implementations; the Meijer G-function is evaluated by direct
-numerical Mellin-Barnes integration because the orders needed by the
-channel statistics (up to G^{10,2}_{4,11} with repeated parameters) are
+kernels (Q-function, log Q, log erfc, modified Bessel K) wrap the
+well-tested scipy implementations; the Meijer G-function is evaluated by
+direct numerical Mellin-Barnes integration because the orders needed by
+the channel statistics (up to G^{10,2}_{4,11} with repeated parameters) are
 outside what series-based evaluators handle reliably.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -22,9 +23,7 @@ from .errors import InvalidOrderError, MismatchedLengthsError, NonConvergentErro
 __all__ = [
     "q_function",
     "log_q",
-    "erf",
-    "erfc",
-    "gamma",
+    "log_erfc",
     "bessel_k",
     "MeijerGSpec",
     "meijer_g",
@@ -47,16 +46,11 @@ def log_q(x):
     return sp.log_ndtr(-np.asarray(x, dtype=float))
 
 
-def erf(x):
-    return sp.erf(x)
-
-
-def erfc(x):
-    return sp.erfc(x)
-
-
-def gamma(x):
-    return sp.gamma(x)
+def log_erfc(x: float) -> float:
+    """log erfc(x) for any real x, overflow-free."""
+    if x >= 0.0:
+        return math.log(sp.erfcx(x)) - x * x
+    return math.log(2.0 - sp.erfcx(-x) * math.exp(-x * x))
 
 
 def bessel_k(nu: float, x):

@@ -4,7 +4,9 @@ Both fading passes are Gamma-Gamma; with the power-law pointing factor
 their product has a Meijer-G density, and convolving it with the
 sectorized reflection density gives the channel statistics as sums of
 Meijer-G differences over sectors.  The bit error rate closes the loop
-with one more Mellin convolution against the Q-function kernel.
+with one more Mellin convolution against the Q-function kernel.  The SNR
+statistics and outage follow from the channel statistics through
+`channel.SquareLawModel`.
 """
 
 from __future__ import annotations
@@ -15,7 +17,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as sp
 
-from .channel import LinkConfig, Regime, TurbulenceStats, beamwidth, h_constant, upsilon_1
+from .channel import (
+    LinkConfig,
+    Regime,
+    SquareLawModel,
+    TurbulenceStats,
+    beamwidth,
+    h_constant,
+    upsilon_1,
+)
 from .errors import NonConvergentError, NonPositiveBreakpointError, RegimeMismatchError
 from .mrr import SectorModel
 from .specfun import meijer_g_cached, q_function
@@ -25,19 +35,14 @@ __all__ = [
     "strong_constants",
     "pdf_h_strong",
     "cdf_h_strong",
-    "pdf_snr_strong",
-    "cdf_snr_strong",
     "pdf_h_strong_simple",
     "cdf_h_strong_simple",
-    "pdf_snr_strong_simple",
-    "cdf_snr_strong_simple",
-    "outage_strong",
     "ber_strong",
 ]
 
 
 @dataclass(frozen=True)
-class StrongModelConstants:
+class StrongModelConstants(SquareLawModel):
     """Constant bundle of the strong-turbulence channel statistics.
 
     Bn_prime/Bn_dprime are the per-sector argument scales built from the
@@ -63,6 +68,17 @@ class StrongModelConstants:
         if self.B_s <= 0:
             raise ValueError("B_s must be positive")
 
+    def pdf_h(self, h):
+        return pdf_h_strong(h, self)
+
+    def cdf_h(self, h):
+        return cdf_h_strong(h, self)
+
+    def ber(self, M: int | None = None, gamma_max: float | None = None) -> float:
+        """OOK bit error rate; the closed form takes no series settings,
+        so M and gamma_max (the weak series' truncation) are ignored."""
+        return ber_strong(self)
+
 
 def strong_constants(cfg: LinkConfig, stats: TurbulenceStats,
                      sectors: SectorModel) -> StrongModelConstants:
@@ -85,76 +101,48 @@ def strong_constants(cfg: LinkConfig, stats: TurbulenceStats,
                                 sectors, B_s, Bn_prime, Bn_dprime)
 
 
-def _pdf_params(k: StrongModelConstants):
-    a = (k.K, 1.0)
-    b = (0.0, k.alpha - 1.0, k.beta - 1.0, k.K - 1.0, k.alpha - 1.0, k.beta - 1.0)
-    return a, b
+def _b_shapes(k: StrongModelConstants) -> tuple:
+    """Meijer-G b-parameters shared by every density and CDF form."""
+    return (k.alpha - 1.0, k.beta - 1.0, k.K - 1.0, k.alpha - 1.0, k.beta - 1.0)
 
 
-def _cdf_params(k: StrongModelConstants):
-    a = (0.0, k.K, 1.0)
-    b = (0.0, k.alpha - 1.0, k.beta - 1.0, k.K - 1.0, k.alpha - 1.0, k.beta - 1.0, -1.0)
-    return a, b
-
-
-def _sector_sum(k: StrongModelConstants, m: int, n: int, a, b, x: float) -> float:
+def _sector_sum(k: StrongModelConstants, m: int, n: int, a, b, arg) -> float:
+    """sum_n B_n [G(arg(B_n')) - G(arg(B_n''))] for G^{m,n} with parameters a, b."""
     total = 0.0
     for bn, c1, c2 in zip(k.sectors.B, k.Bn_prime, k.Bn_dprime):
-        total += bn * (meijer_g_cached(m, n, a, b, c1 * x)
-                       - meijer_g_cached(m, n, a, b, c2 * x))
+        total += bn * (meijer_g_cached(m, n, a, b, arg(c1))
+                       - meijer_g_cached(m, n, a, b, arg(c2)))
     return total
+
+
+def _pointwise(fn, x):
+    """fn at every positive entry of x, zero elsewhere; scalar in, scalar out."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.zeros_like(xs)
+    for i, v in enumerate(xs):
+        if v > 0:
+            out[i] = fn(v)
+    return float(out[0]) if np.ndim(x) == 0 else out
 
 
 def pdf_h_strong(h, k: StrongModelConstants):
     """Channel density: B_s sum_n B_n [G^{6,0}_{2,6}(B_n' h) - G^{6,0}_{2,6}(B_n'' h)]."""
-    a, b = _pdf_params(k)
-    scalar = np.ndim(h) == 0
-    hs = np.atleast_1d(np.asarray(h, dtype=float))
-    out = np.zeros_like(hs)
-    for i, x in enumerate(hs):
-        if x > 0:
-            out[i] = k.B_s * _sector_sum(k, 6, 0, a, b, x)
-    return float(out[0]) if scalar else out
+    a, b = (k.K, 1.0), (0.0, *_b_shapes(k))
+    return _pointwise(lambda x: k.B_s * _sector_sum(k, 6, 0, a, b, lambda c: c * x), h)
 
 
 def cdf_h_strong(h, k: StrongModelConstants):
     """Channel CDF: B_s h sum_n B_n [G^{6,1}_{3,7}(B_n' h) - G^{6,1}_{3,7}(B_n'' h)]."""
-    a, b = _cdf_params(k)
-    scalar = np.ndim(h) == 0
-    hs = np.atleast_1d(np.asarray(h, dtype=float))
-    out = np.zeros_like(hs)
-    for i, x in enumerate(hs):
-        if x > 0:
-            out[i] = min(1.0, max(0.0, k.B_s * x * _sector_sum(k, 6, 1, a, b, x)))
-    return float(out[0]) if scalar else out
+    a, b = (0.0, k.K, 1.0), (0.0, *_b_shapes(k), -1.0)
+    return _pointwise(lambda x: min(1.0, max(0.0, k.B_s * x * _sector_sum(
+        k, 6, 1, a, b, lambda c: c * x))), h)
 
 
-def pdf_snr_strong(gamma, k: StrongModelConstants):
-    """SNR density, the channel density carried through gamma = upsilon_1 h^2."""
-    scalar = np.ndim(gamma) == 0
-    gs = np.atleast_1d(np.asarray(gamma, dtype=float))
-    out = np.zeros_like(gs)
-    a, b = _pdf_params(k)
-    for i, g in enumerate(gs):
-        if g > 0:
-            u = math.sqrt(g / k.upsilon_1)
-            out[i] = k.B_s / (2.0 * math.sqrt(k.upsilon_1 * g)) * _sector_sum(k, 6, 0, a, b, u)
-    return float(out[0]) if scalar else out
-
-
-def cdf_snr_strong(gamma, k: StrongModelConstants):
-    """SNR CDF, equal to cdf_h_strong(sqrt(gamma/upsilon_1))."""
-    scalar = np.ndim(gamma) == 0
-    gs = np.atleast_1d(np.asarray(gamma, dtype=float))
-    u = np.sqrt(np.maximum(gs, 0.0) / k.upsilon_1)
-    out = cdf_h_strong(u, k)
-    out = np.atleast_1d(out)
-    return float(out[0]) if scalar else out
-
-
-def _simple_scale(k: StrongModelConstants, h_c_reinstated: bool) -> float:
+def _simple_scale(k: StrongModelConstants, h_c_reinstated: bool) -> tuple[float, float]:
+    """Argument scale and prefactor of the single-term simplified forms."""
     area = k.A_r * (k.h_c if h_c_reinstated else 1.0)
-    return math.pi * k.w_z ** 2 * k.alpha ** 2 * k.beta ** 2 / (2.0 * area)
+    c = math.pi * k.w_z ** 2 * k.alpha ** 2 * k.beta ** 2 / (2.0 * area)
+    return c, c * k.K / math.exp(2.0 * (sp.gammaln(k.alpha) + sp.gammaln(k.beta)))
 
 
 def pdf_h_strong_simple(h, k: StrongModelConstants, h_c_reinstated: bool = True):
@@ -165,69 +153,17 @@ def pdf_h_strong_simple(h, k: StrongModelConstants, h_c_reinstated: bool = True)
     (default) puts it back, which is the variant that actually limits
     the sectorized density.  Pass False for the bare printed form.
     """
-    c = _simple_scale(k, h_c_reinstated)
-    pref = c * k.K / math.exp(2.0 * (sp.gammaln(k.alpha) + sp.gammaln(k.beta)))
-    a = (k.K,)
-    b = (k.alpha - 1.0, k.beta - 1.0, k.K - 1.0, k.alpha - 1.0, k.beta - 1.0)
-    scalar = np.ndim(h) == 0
-    hs = np.atleast_1d(np.asarray(h, dtype=float))
-    out = np.zeros_like(hs)
-    for i, x in enumerate(hs):
-        if x > 0:
-            out[i] = pref * meijer_g_cached(5, 0, a, b, c * x)
-    return float(out[0]) if scalar else out
+    c, pref = _simple_scale(k, h_c_reinstated)
+    a, b = (k.K,), _b_shapes(k)
+    return _pointwise(lambda x: pref * meijer_g_cached(5, 0, a, b, c * x), h)
 
 
 def cdf_h_strong_simple(h, k: StrongModelConstants, h_c_reinstated: bool = True):
     """Small-jitter channel CDF, single G^{5,1}_{2,6} term."""
-    c = _simple_scale(k, h_c_reinstated)
-    pref = c * k.K / math.exp(2.0 * (sp.gammaln(k.alpha) + sp.gammaln(k.beta)))
-    a = (0.0, k.K)
-    b = (k.alpha - 1.0, k.beta - 1.0, k.K - 1.0, k.alpha - 1.0, k.beta - 1.0, -1.0)
-    scalar = np.ndim(h) == 0
-    hs = np.atleast_1d(np.asarray(h, dtype=float))
-    out = np.zeros_like(hs)
-    for i, x in enumerate(hs):
-        if x > 0:
-            out[i] = min(1.0, max(0.0, pref * x * meijer_g_cached(5, 1, a, b, c * x)))
-    return float(out[0]) if scalar else out
-
-
-def pdf_snr_strong_simple(gamma, k: StrongModelConstants, h_c_reinstated: bool = True):
-    scalar = np.ndim(gamma) == 0
-    gs = np.atleast_1d(np.asarray(gamma, dtype=float))
-    out = np.zeros_like(gs)
-    for i, g in enumerate(gs):
-        if g > 0:
-            u = math.sqrt(g / k.upsilon_1)
-            out[i] = (pdf_h_strong_simple(u, k, h_c_reinstated)
-                      / (2.0 * math.sqrt(k.upsilon_1 * g)) * 1.0)
-    return float(out[0]) if scalar else out
-
-
-def cdf_snr_strong_simple(gamma, k: StrongModelConstants, h_c_reinstated: bool = True):
-    scalar = np.ndim(gamma) == 0
-    gs = np.atleast_1d(np.asarray(gamma, dtype=float))
-    u = np.sqrt(np.maximum(gs, 0.0) / k.upsilon_1)
-    out = np.atleast_1d(cdf_h_strong_simple(u, k, h_c_reinstated))
-    return float(out[0]) if scalar else out
-
-
-def outage_strong(k: StrongModelConstants, gamma_th: float) -> float:
-    """Probability that the instantaneous SNR falls below gamma_th."""
-    if gamma_th < 0:
-        raise ValueError("gamma_th must be non-negative")
-    if gamma_th == 0:
-        return 0.0
-    return float(cdf_snr_strong(gamma_th, k))
-
-
-def _ber_params(k: StrongModelConstants):
-    a, b, K = k.alpha, k.beta, k.K
-    a_list = (0.5, 0.0, (K + 1.0) / 2.0, 1.0)
-    b_list = (0.0, (a - 1) / 2, (a - 1) / 2, a / 2, a / 2,
-              (b - 1) / 2, (b - 1) / 2, b / 2, b / 2, (K - 1) / 2, -0.5)
-    return a_list, b_list
+    c, pref = _simple_scale(k, h_c_reinstated)
+    a, b = (0.0, k.K), (*_b_shapes(k), -1.0)
+    return _pointwise(
+        lambda x: min(1.0, max(0.0, pref * x * meijer_g_cached(5, 1, a, b, c * x))), h)
 
 
 def ber_strong(k: StrongModelConstants, with_method: bool = False):
@@ -239,15 +175,15 @@ def ber_strong(k: StrongModelConstants, with_method: bool = False):
     quadrature of the error integral (see tests).  Falls back to
     quadrature when the contour integral fails, tagging the result.
     """
-    a_list, b_list = _ber_params(k)
-    pref = (k.B_s * 2.0 ** (2.0 * k.alpha + 2.0 * k.beta - 10.5)
+    a, b, K = k.alpha, k.beta, k.K
+    a_list = (0.5, 0.0, (K + 1.0) / 2.0, 1.0)
+    b_list = (0.0, (a - 1) / 2, (a - 1) / 2, a / 2, a / 2,
+              (b - 1) / 2, (b - 1) / 2, b / 2, b / 2, (K - 1) / 2, -0.5)
+    pref = (k.B_s * 2.0 ** (2.0 * a + 2.0 * b - 10.5)
             / (math.pi ** 2.5 * math.sqrt(k.upsilon_1)))
+    scale = 128.0 * k.upsilon_1
     try:
-        total = 0.0
-        for bn, c1, c2 in zip(k.sectors.B, k.Bn_prime, k.Bn_dprime):
-            total += bn * (meijer_g_cached(10, 2, a_list, b_list, c1 * c1 / (128.0 * k.upsilon_1))
-                           - meijer_g_cached(10, 2, a_list, b_list, c2 * c2 / (128.0 * k.upsilon_1)))
-        value = pref * total
+        value = pref * _sector_sum(k, 10, 2, a_list, b_list, lambda c: c * c / scale)
         method = "closed-form"
         if not (math.isfinite(value) and value >= 0.0):
             raise NonConvergentError("closed form lost significance")
@@ -258,18 +194,11 @@ def ber_strong(k: StrongModelConstants, with_method: bool = False):
     return (value, method) if with_method else value
 
 
-def _h_grid(k: StrongModelConstants, points: int = 320) -> np.ndarray:
-    """Log grid covering the support of the channel density."""
-    h_hi = k.sectors.V[-1] * 2.0 * k.A_r * k.h_c / (math.pi * k.w_z ** 2) * 20.0
-    h_lo = h_hi * 1e-7
-    return np.exp(np.linspace(math.log(h_lo), math.log(h_hi), points))
-
-
 def _ber_strong_quadrature(k: StrongModelConstants, points: int = 320) -> float:
-    """Quadrature of Q(sqrt(upsilon_1) h) against the channel density.
-
-    The density grid is independent of transmit power, so sweeps reuse it.
-    """
-    h = _h_grid(k, points)
+    """Quadrature of Q(sqrt(upsilon_1) h) against the channel density on a
+    log grid over its support; the grid is independent of transmit power,
+    so sweeps reuse it."""
+    h_hi = k.sectors.V[-1] * 2.0 * k.A_r * k.h_c / (math.pi * k.w_z ** 2) * 20.0
+    h = np.exp(np.linspace(math.log(h_hi * 1e-7), math.log(h_hi), points))
     f = pdf_h_strong(h, k)
     return float(np.trapezoid(q_function(np.sqrt(k.upsilon_1) * h) * f, h))

@@ -3,8 +3,9 @@
 The composed random part of the channel (two log-normal fading passes
 times the moment-matched log-normal reflection coefficient) is itself
 log-normal, and the pointing factor follows a power law; the resulting
-channel density, CDF, SNR statistics, outage and OOK bit error rate all
-reduce to Q-function/erfc expressions collected here.
+channel density, CDF and OOK bit error rate reduce to Q-function/erfc
+expressions collected here.  The SNR statistics and outage follow from
+the channel statistics through `channel.SquareLawModel`.
 """
 
 from __future__ import annotations
@@ -16,18 +17,23 @@ import numpy as np
 from scipy import special as sp
 from scipy.integrate import quad
 
-from .channel import LinkConfig, Regime, TurbulenceStats, beamwidth, h_constant, upsilon_1
+from .channel import (
+    LinkConfig,
+    Regime,
+    SquareLawModel,
+    TurbulenceStats,
+    beamwidth,
+    h_constant,
+    upsilon_1,
+)
 from .errors import DegenerateDistributionError, NumericalOverflowError, RegimeMismatchError
-from .specfun import log_q, q_function
+from .specfun import log_erfc, log_q, q_function
 
 __all__ = [
     "WeakModelConstants",
     "weak_constants",
     "pdf_h_weak",
     "cdf_h_weak",
-    "pdf_snr_weak",
-    "cdf_snr_weak",
-    "outage_weak",
     "ber_weak",
 ]
 
@@ -37,13 +43,14 @@ _MAX_LOG = 700.0
 
 
 @dataclass(frozen=True)
-class WeakModelConstants:
+class WeakModelConstants(SquareLawModel):
     """Derived constant bundle of the weak-turbulence channel density.
 
     C1 is the total log-domain variance, C2 the negated log-domain mean
     of the composed fading, C3 the reciprocal of the peak deterministic
     gain, K the pointing power-law exponent, and C4/C5 the resulting
-    density prefactor and log-offset.  The sign of the K C2 cross term
+    density prefactor and log-offset.  C4 is kept as log_C4, since it
+    overflows for large K.  The sign of the K C2 cross term
     in C4 is fixed by normalization: with exp(-K C2) instead, the
     density integrates to e^{-2 K C2}, not 1 (checked in tests).
     """
@@ -64,11 +71,14 @@ class WeakModelConstants:
         if not (0 < self.h_c <= 1):
             raise ValueError("h_c must lie in (0, 1]")
 
-    @property
-    def C4(self) -> float:
-        """Density prefactor; may overflow to inf for large K, in which
-        case every consumer works from log_C4."""
-        return math.exp(self.log_C4)
+    def pdf_h(self, h):
+        return pdf_h_weak(h, self)
+
+    def cdf_h(self, h):
+        return cdf_h_weak(h, self)
+
+    def ber(self, M: int = 20, gamma_max: float = 4.0) -> float:
+        return ber_weak(self, M=M, gamma_max=gamma_max)
 
 
 def weak_constants(cfg: LinkConfig, moments: tuple[float, float],
@@ -110,7 +120,12 @@ def pdf_h_weak(h, k: WeakModelConstants):
 
 
 def cdf_h_weak(h, k: WeakModelConstants):
-    """Channel CDF, the two-term Q expression integrating the density."""
+    """Channel CDF, the two-term Q expression integrating the density.
+
+    The SNR CDF is this at sqrt(gamma/upsilon_1); the source text's
+    printed SNR form carries a sign typo on the ln(upsilon_1) term of the
+    second Q argument, which the substitution fixes.
+    """
     h = np.asarray(h, dtype=float)
     if h.ndim == 0:
         if h <= 0:
@@ -129,54 +144,15 @@ def cdf_h_weak(h, k: WeakModelConstants):
     return out
 
 
-def pdf_snr_weak(gamma, k: WeakModelConstants):
-    """SNR density under the square-law map gamma = upsilon_1 h^2."""
-    g = np.asarray(gamma, dtype=float)
-    out = np.zeros_like(g)
-    pos = g > 0
-    lg = np.log(g, where=pos, out=np.full_like(g, -np.inf))
-    logf = (k.log_C4 - math.log(2.0) - (k.K / 2.0) * math.log(k.upsilon_1)
-            + (k.K / 2.0 - 1.0) * lg
-            + log_q((lg - math.log(k.upsilon_1) + 2.0 * k.C5) / (2.0 * math.sqrt(k.C1))))
-    np.exp(logf, where=pos, out=out)
-    return float(out) if out.ndim == 0 else out
-
-
-def cdf_snr_weak(gamma, k: WeakModelConstants):
-    """SNR CDF; identical to cdf_h_weak(sqrt(gamma/upsilon_1)).
-
-    Written out through the substituted expression; the source text's
-    printed form carries a sign typo on the ln(upsilon_1) term of the
-    second Q argument, which the substitution fixes.
-    """
-    g = np.asarray(gamma, dtype=float)
-    h = np.sqrt(np.maximum(g, 0.0) / k.upsilon_1)
-    return cdf_h_weak(h, k)
-
-
-def outage_weak(k: WeakModelConstants, gamma_th: float) -> float:
-    """Probability that the instantaneous SNR falls below gamma_th."""
-    if gamma_th < 0:
-        raise ValueError("gamma_th must be non-negative")
-    if gamma_th == 0:
-        return 0.0
-    return float(cdf_snr_weak(gamma_th, k))
-
-
-def _log_erfc(x: float) -> float:
-    """log erfc(x) for any real x, overflow-free."""
-    if x >= 0.0:
-        return math.log(sp.erfcx(x)) - x * x
-    return math.log(2.0 - sp.erfcx(-x) * math.exp(-x * x))
-
-
 def _ber_weak_quadrature(k: WeakModelConstants) -> float:
     """Direct integral of Q(sqrt(gamma)) against the SNR density."""
     ln_knee = math.log(k.upsilon_1) - 2.0 * k.C5
 
     def f(y):
+        # f_gamma(gamma) gamma = f_h(h) h / 2 under gamma = upsilon_1 h^2
         g = math.exp(y)
-        return float(q_function(math.sqrt(g)) * pdf_snr_weak(g, k) * g)
+        h = math.sqrt(g / k.upsilon_1)
+        return float(q_function(math.sqrt(g)) * pdf_h_weak(h, k) * h / 2.0)
 
     total = 0.0
     cuts = [-80.0, -20.0, 0.0, math.log(40.0), max(math.log(60.0), ln_knee + 10.0)]
@@ -210,8 +186,8 @@ def ber_weak(k: WeakModelConstants, M: int = 20, gamma_max: float = 4.0,
         # the exponent bm^2/(4a^2) (= 2 C1 bm^2) is pinned by consistency
         # with the CDF's e^{K^2 C1/2} term and by quadrature.
         x1 = bm / (2.0 * a) - a * L3
-        lt1 = bm * bm / (4.0 * a * a) + _log_erfc(x1)
-        lt2 = bm * L3 + _log_erfc(a * L3)
+        lt1 = bm * bm / (4.0 * a * a) + log_erfc(x1)
+        lt2 = bm * L3 + log_erfc(a * L3)
         m = max(lt1, lt2)
         return m + math.log(math.exp(lt1 - m) + math.exp(lt2 - m))
 

@@ -33,12 +33,11 @@ from mrrlink.specfun import MeijerGSpec, bessel_k, meijer_g, q_function
 from mrrlink.strong import (
     ber_strong,
     cdf_h_strong,
-    outage_strong,
     pdf_h_strong,
     pdf_h_strong_simple,
     strong_constants,
 )
-from mrrlink.weak import ber_weak, cdf_h_weak, cdf_snr_weak, weak_constants
+from mrrlink.weak import ber_weak, cdf_h_weak, weak_constants
 
 DEG = math.pi / 180.0
 DESK_SAMPLES = 1_000_000
@@ -177,7 +176,7 @@ def test_c03_weak_model_validity(fig7_cfg):
         k = weak_constants(cfg, model_moments(cfg.sigma_theta_o), stats)
         h, g = draw_channel(SimPlan(cfg, n_samples=DESK_SAMPLES, seed=int(30 + deg)))
         l1 = _l1_distance(h, lambda x: cdf_h_weak(x, k))
-        ks = _ks_distance(g, lambda x: cdf_snr_weak(x, k))
+        ks = _ks_distance(g, k.cdf_snr)
         case_ok = l1 <= 0.05 and ks <= 0.02
         ok &= case_ok
         details.append(f"{deg:.0f}deg L1={l1:.4f} KS={ks:.4f} {'ok' if case_ok else 'X'}")
@@ -439,8 +438,8 @@ def test_c07a_outage_ordering_in_turbulence():
                           sigma_theta_o=6 * DEG, cn2_0=cn2)
         stats = turbulence_stats(cfg0, regime="strong")
         sectors = sector_table(cfg0.sigma_theta_o)
-        curves.append([outage_strong(strong_constants(cfg0.with_(P_t=dbm(p)), stats, sectors),
-                                     cfg0.gamma_th) for p in powers])
+        curves.append([strong_constants(cfg0.with_(P_t=dbm(p)), stats, sectors)
+                       .outage(cfg0.gamma_th) for p in powers])
     ordered = [all(curves[i][j] < curves[i + 1][j] for i in range(2)) for j in range(len(powers))]
     first_ok = next((powers[j] for j in range(len(powers)) if all(ordered[j:])), None)
     tail = f"everywhere from {first_ok:.0f} dBm up" if first_ok is not None else "nowhere"
@@ -460,8 +459,8 @@ def test_c07b_outage_ordering_in_aperture():
                           sigma_theta_o=6 * DEG, cn2_0=5e-14, A_r=ar)
         stats = turbulence_stats(cfg0, regime="strong")
         sectors = sector_table(cfg0.sigma_theta_o)
-        curves.append([outage_strong(strong_constants(cfg0.with_(P_t=dbm(p)), stats, sectors),
-                                     cfg0.gamma_th) for p in powers])
+        curves.append([strong_constants(cfg0.with_(P_t=dbm(p)), stats, sectors)
+                       .outage(cfg0.gamma_th) for p in powers])
     ok = all(a > b for row_a, row_b in zip(curves, curves[1:])
              for a, b in zip(row_a, row_b))
     report("7b", ok, "aperture ordering strict at all 16 power points: "

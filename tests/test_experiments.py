@@ -73,6 +73,60 @@ class TestRunExperiment:
         assert len(res.errors) == 2
         assert res.rows == []
 
+    def test_unknown_regime_rejected(self):
+        with pytest.raises(ValueError):
+            ExperimentSpec(base_cfg(), "Pt", (0.1,), regime="medium")
+
+    def test_mc_fading_follows_spec_regime(self, monkeypatch):
+        # Cn2 = 5e-14 is just below Rytov variance 1, where the automatic
+        # rule picks log-normal fading; a strong-regime sweep must draw
+        # Gamma-Gamma fading, as its analytic side assumes
+        import mrrlink.experiments as experiments
+        from mrrlink.channel import turbulence_stats
+        from mrrlink.montecarlo import FadingModel, SimPlan, draw_channel
+
+        cfg = base_cfg(sigma_theta_o=2 * DEG, sigma_theta_e=90e-6, cn2_0=5e-14)
+        assert turbulence_stats(cfg).sigma_R2 < 1.0
+        drawn = []
+
+        def recording(plan):
+            drawn.append(draw_channel(plan))
+            return drawn[-1]
+
+        monkeypatch.setattr(experiments, "draw_channel", recording)
+        spec = ExperimentSpec(cfg, "Pt", (cfg.P_t,), metrics=("cdf_h",),
+                              engines=("montecarlo",), regime="strong",
+                              n_samples=20_000, seed=3)
+        run_experiment(spec)
+        want = draw_channel(SimPlan(cfg, n_samples=20_000, seed=3,
+                                    fading=FadingModel.GAMMA_GAMMA))
+        assert np.array_equal(drawn[0][0], want[0])
+        assert np.array_equal(drawn[0][1], want[1])
+
+    def test_distribution_failure_recorded_sweep_continues(self, monkeypatch):
+        import mrrlink.weak as weak
+        from mrrlink.channel import upsilon_1
+        from mrrlink.errors import NonConvergentError
+
+        grid = (0.01, 0.1, 1.0)
+        bad = upsilon_1(apply_axis(base_cfg(), "Pt", grid[1]))
+        real = weak.pdf_h_weak
+
+        def failing(h, k):
+            if k.upsilon_1 == bad:
+                raise NonConvergentError("injected")
+            return real(h, k)
+
+        monkeypatch.setattr(weak, "pdf_h_weak", failing)
+        spec = ExperimentSpec(base_cfg(), "Pt", grid, metrics=("pdf_h", "outage"),
+                              engines=("analytic",), regime="weak", bins=10)
+        res = run_experiment(spec)
+        assert len(res.errors) == 1
+        assert "Pt=0.1" in res.errors[0] and "pdf_h" in res.errors[0]
+        pdf_points = {r["sweep_value"] for r in res.rows if r["metric"] == "pdf_h"}
+        assert pdf_points == {grid[0], grid[2]}
+        assert [r["sweep_value"] for r in res.rows if r["metric"] == "outage"] == list(grid)
+
     def test_csv_deterministic_across_workers(self, tmp_path):
         grid = tuple(10 ** (p / 10) / 1000 for p in (0.0, 15.0, 30.0))
         outs = {}
@@ -113,11 +167,10 @@ class TestOptimizer:
         assert 0.1e-3 < res.theta_opt < 2e-3
         # bracket endpoints must be worse
         from mrrlink.experiments import _constants_for
-        from mrrlink.weak import outage_weak
         for edge in (0.12e-3, 1.9e-3):
             cfg = base_cfg(P_t=0.1).with_(theta_div=edge)
             k, _ = _constants_for(cfg, "weak")
-            assert outage_weak(k, cfg.gamma_th) > res.value
+            assert k.outage(cfg.gamma_th) > res.value
 
     def test_optimum_shifts_with_link_length(self):
         thetas = {}
@@ -143,7 +196,6 @@ class TestOptimizer:
 class TestHeatmap:
     def test_dimensions_and_compositionality(self):
         from mrrlink.experiments import _constants_for
-        from mrrlink.weak import outage_weak
 
         cfg = base_cfg(P_t=10 ** 2.5 / 1000)
         se = np.linspace(50e-6, 400e-6, 3)
@@ -152,7 +204,7 @@ class TestHeatmap:
         assert mat.shape == (3, 4)
         c = cfg.with_(sigma_theta_e=float(se[1]), theta_div=float(wz[2]) / cfg.Z)
         k, _ = _constants_for(c, "weak")
-        assert mat[1, 2] == pytest.approx(outage_weak(k, c.gamma_th), rel=1e-12)
+        assert mat[1, 2] == pytest.approx(k.outage(c.gamma_th), rel=1e-12)
 
     def test_ridge_monotone_in_jitter(self):
         cfg = base_cfg(P_t=10 ** 2.5 / 1000)
@@ -180,6 +232,19 @@ class TestCli:
         assert lines[0].startswith("sweep_axis,")
         assert len(lines) == 4
         assert (tmp_path / "out.csv.json").exists()
+
+    def test_seed_zero_overrides_config_seed(self, tmp_path, capsys):
+        from mrrlink.cli import main
+
+        spec = tmp_path / "sweep.cfg"
+        spec.write_text(
+            "sweep = Pt\ngrid = 0:30:3 dBm\nmetrics = outage\nengines = analytic\n"
+            "regime = weak\nseed = 5\n"
+        )
+        for argv, seed in (([], 5), (["--seed", "0"], 0), (["--seed", "2"], 2)):
+            out = tmp_path / f"out{seed}.csv"
+            assert main(["run", str(spec), "--out", str(out), *argv]) == 0
+            assert json.loads((tmp_path / f"out{seed}.csv.json").read_text())["seed"] == seed
 
     def test_recipe_listing(self, capsys):
         from mrrlink.cli import main

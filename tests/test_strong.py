@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from mrrlink.channel import LinkConfig, turbulence_stats
+from mrrlink.channel import LinkConfig, SquareLawModel, turbulence_stats
 from mrrlink.errors import NonPositiveBreakpointError, RegimeMismatchError
 from mrrlink.mrr import SectorModel, sector_table
 from mrrlink.specfun import q_function
@@ -14,13 +14,8 @@ from mrrlink.strong import (
     ber_strong,
     cdf_h_strong,
     cdf_h_strong_simple,
-    cdf_snr_strong,
-    cdf_snr_strong_simple,
-    outage_strong,
     pdf_h_strong,
     pdf_h_strong_simple,
-    pdf_snr_strong,
-    pdf_snr_strong_simple,
     strong_constants,
 )
 
@@ -110,13 +105,13 @@ class TestSnrStatistics:
     def test_substitution_identity(self, k6):
         for g in np.geomspace(1e-2, 1e5, 10):
             want = cdf_h_strong(math.sqrt(g / k6.upsilon_1), k6)
-            assert cdf_snr_strong(g, k6) == pytest.approx(want, rel=1e-10, abs=1e-300)
+            assert k6.cdf_snr(g) == pytest.approx(want, rel=1e-10, abs=1e-300)
 
     def test_pdf_cdf_consistency(self, k6):
         for g in np.geomspace(1.0, 1e4, 6):
             dg = g * 2e-4
-            fd = (cdf_snr_strong(g + dg, k6) - cdf_snr_strong(g - dg, k6)) / (2 * dg)
-            assert pdf_snr_strong(g, k6) == pytest.approx(fd, rel=1e-3, abs=1e-12)
+            fd = (k6.cdf_snr(g + dg) - k6.cdf_snr(g - dg)) / (2 * dg)
+            assert k6.pdf_snr(g) == pytest.approx(fd, rel=1e-3, abs=1e-12)
 
 
 class TestSimplifiedForms:
@@ -152,32 +147,44 @@ class TestSimplifiedForms:
         assert val == pytest.approx(1.0, abs=5e-3)
 
     def test_snr_simple_substitution(self):
+        # the square-law map carries the simplified forms like any model's
         k, _ = make_constants(1.0)
+
+        class Simple(SquareLawModel):
+            upsilon_1 = k.upsilon_1
+
+            def pdf_h(self, h):
+                return pdf_h_strong_simple(h, k)
+
+            def cdf_h(self, h):
+                return cdf_h_strong_simple(h, k)
+
+        simple = Simple()
         for g in np.geomspace(1.0, 1e4, 5):
             want = cdf_h_strong_simple(math.sqrt(g / k.upsilon_1), k)
-            assert cdf_snr_strong_simple(g, k) == pytest.approx(want, rel=1e-10, abs=1e-300)
+            assert simple.cdf_snr(g) == pytest.approx(want, rel=1e-10, abs=1e-300)
         g = 100.0
         dg = g * 2e-4
-        fd = (cdf_snr_strong_simple(g + dg, k) - cdf_snr_strong_simple(g - dg, k)) / (2 * dg)
-        assert pdf_snr_strong_simple(g, k) == pytest.approx(fd, rel=1e-3)
+        fd = (simple.cdf_snr(g + dg) - simple.cdf_snr(g - dg)) / (2 * dg)
+        assert simple.pdf_snr(g) == pytest.approx(fd, rel=1e-3)
 
 
 class TestOutage:
     def test_zero_threshold(self, k6):
-        assert outage_strong(k6, 0.0) == 0.0
+        assert k6.outage(0.0) == 0.0
 
     def test_increases_with_turbulence(self):
         outs = []
         for cn2 in (1e-14, 5e-14, 1e-13):
             k, cfg = make_constants(6.0, cn2=cn2, P_t=0.3)
-            outs.append(outage_strong(k, cfg.gamma_th))
+            outs.append(k.outage(cfg.gamma_th))
         assert outs[0] < outs[1] < outs[2]
 
     def test_decreases_with_aperture(self):
         outs = []
         for ar in (0.5e-4, 1e-4, 2e-4, 4e-4):
             k, cfg = make_constants(6.0, A_r=ar, P_t=0.3)
-            outs.append(outage_strong(k, cfg.gamma_th))
+            outs.append(k.outage(cfg.gamma_th))
         assert all(b < a for a, b in zip(outs, outs[1:]))
 
 

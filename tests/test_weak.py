@@ -18,10 +18,7 @@ from mrrlink.specfun import q_function
 from mrrlink.weak import (
     ber_weak,
     cdf_h_weak,
-    cdf_snr_weak,
-    outage_weak,
     pdf_h_weak,
-    pdf_snr_weak,
     weak_constants,
 )
 
@@ -110,34 +107,34 @@ class TestSnrStatistics:
     def test_change_of_variables_identity(self, k2):
         for g in np.geomspace(1e-4, 1e4, 25):
             want = cdf_h_weak(math.sqrt(g / k2.upsilon_1), k2)
-            assert cdf_snr_weak(g, k2) == pytest.approx(want, rel=1e-12, abs=1e-300)
+            assert k2.cdf_snr(g) == pytest.approx(want, rel=1e-12, abs=1e-300)
 
     def test_pdf_normalization(self, k2):
-        val, _ = quad(lambda y: pdf_snr_weak(math.exp(y), k2) * math.exp(y),
+        val, _ = quad(lambda y: k2.pdf_snr(math.exp(y)) * math.exp(y),
                       -60.0, math.log(k2.upsilon_1), limit=500)
         assert val == pytest.approx(1.0, abs=1e-4)
 
     def test_pdf_is_cdf_derivative(self, k2):
         for g in np.geomspace(1e-3, 1e3, 12):
             dg = g * 1e-5
-            fd = (cdf_snr_weak(g + dg, k2) - cdf_snr_weak(g - dg, k2)) / (2 * dg)
-            assert pdf_snr_weak(g, k2) == pytest.approx(fd, rel=1e-5, abs=1e-14)
+            fd = (k2.cdf_snr(g + dg) - k2.cdf_snr(g - dg)) / (2 * dg)
+            assert k2.pdf_snr(g) == pytest.approx(fd, rel=1e-5, abs=1e-14)
 
 
 class TestOutage:
     def test_zero_threshold(self, k2):
-        assert outage_weak(k2, 0.0) == 0.0
+        assert k2.outage(0.0) == 0.0
 
     def test_decreasing_in_power(self):
         outs = []
         for p_dbm in np.linspace(0, 30, 7):
             k, cfg = make_constants(2.0, P_t=10 ** (p_dbm / 10) / 1000)
-            outs.append(outage_weak(k, cfg.gamma_th))
+            outs.append(k.outage(cfg.gamma_th))
         assert all(b < a for a, b in zip(outs, outs[1:]))
 
     def test_matches_cdf(self, k2):
         gth = 10 ** 0.5
-        assert outage_weak(k2, gth) == cdf_snr_weak(gth, k2)
+        assert k2.outage(gth) == k2.cdf_snr(gth)
 
 
 def _ber_oracle(k) -> float:
@@ -146,7 +143,7 @@ def _ber_oracle(k) -> float:
 
     def f(y):
         g = math.exp(y)
-        return float(q_function(math.sqrt(g))) * float(pdf_snr_weak(g, k)) * g
+        return float(q_function(math.sqrt(g))) * float(k.pdf_snr(g)) * g
 
     total = 0.0
     cuts = [-90.0, -30.0, -5.0, math.log(40.0), max(math.log(80.0), ln_knee + 12.0)]
