@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .channel import LinkConfig
-from .config import parse_config, parse_link_overrides, require_experiment_keys
+from .config import RawConfig, parse_config, parse_link_overrides, require_experiment_keys
 from .experiments import (
     ExperimentResult,
     ExperimentSpec,
@@ -33,9 +33,16 @@ from .recipes import build_recipe, recipe_names
 PAPER_SCALE = 50_000_000
 
 
+def _sample_count(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=None,
+    p.add_argument("--samples", type=_sample_count, default=None,
                    help="Monte-Carlo samples per grid point (default 1e6)")
     p.add_argument("--paper-scale", action="store_true",
                    help="use the study's 5e7-sample budget")
@@ -45,26 +52,21 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="override a link parameter, e.g. --set 'Pt=20 dBm'")
 
 
-def _samples(args) -> int | None:
+def _samples(args, default: int | None = None) -> int | None:
     if args.paper_scale:
         return PAPER_SCALE
-    return args.samples
+    return default if args.samples is None else args.samples
 
 
-def _base_config(args) -> LinkConfig:
-    cfg = LinkConfig()
-    if args.set:
-        overrides = parse_link_overrides(args.set)
-        if "zeta" in overrides:
-            overrides.setdefault("h_l", None)
-        cfg = cfg.with_(**overrides)
-    return cfg
+def _base_config(args, cfg: LinkConfig | None = None) -> LinkConfig:
+    """`cfg` (default: the default link) with the --set overrides applied last."""
+    return RawConfig(link=parse_link_overrides(args.set)).build_link_config(cfg)
 
 
 def cmd_run(args) -> int:
     raw = parse_config(args.spec_file)
     require_experiment_keys(raw)
-    base = raw.build_link_config(_base_config(args))
+    base = _base_config(args, raw.build_link_config())
     exp = raw.experiment
     spec = ExperimentSpec(
         base=base,
@@ -74,7 +76,7 @@ def cmd_run(args) -> int:
         engines=tuple(exp["engines"]),
         output_path=args.out or exp.get("out"),
         seed=exp.get("seed", 0) if args.seed is None else args.seed,
-        n_samples=_samples(args) or exp.get("samples", 1_000_000),
+        n_samples=_samples(args, exp.get("samples", 1_000_000)),
         regime=exp.get("regime"),
         bins=exp.get("bins", 80),
         ber_terms=exp.get("ber_terms", 20),
@@ -93,7 +95,7 @@ def cmd_recipe(args) -> int:
     if args.name == "fig13":
         from .recipes import build_fig13_rows
 
-        rows = build_fig13_rows(seed=args.seed, n_samples=_samples(args) or 1_000_000)
+        rows = build_fig13_rows(seed=args.seed, n_samples=_samples(args, 1_000_000))
         if args.out:
             write_outputs(rows, args.out, extra_meta={"recipe": "fig13",
                                                       "seed": args.seed})
@@ -152,7 +154,7 @@ def cmd_heatmap(args) -> int:
 
 
 def cmd_mc_tables(args) -> int:
-    n = _samples(args) or 5_000_000
+    n = _samples(args, 5_000_000)
     deg = np.arange(1.0, 12.0)
     mom_path = (args.out or "mrr_tables") + "_moments.csv"
     sec_path = (args.out or "mrr_tables") + "_sectors.csv"
@@ -195,8 +197,8 @@ def main(argv=None) -> int:
     _add_common(p)
     p.set_defaults(fn=cmd_run, seed=None)   # unset --seed defers to the config
 
-    p = sub.add_parser("recipe", help="run a named figure recipe")
-    p.add_argument("name", nargs="?", default="")
+    p = recipe_parser = sub.add_parser("recipe", help="run a named figure recipe")
+    p.add_argument("name", nargs="?", default=None)
     p.add_argument("--list", action="store_true", help="list recipe names")
     _add_common(p)
     p.set_defaults(fn=cmd_recipe)
@@ -226,6 +228,8 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_mc_tables)
 
     args = parser.parse_args(argv)
+    if args.command == "recipe" and not args.list and args.name not in recipe_names():
+        recipe_parser.error(f"give a recipe name, one of: {', '.join(recipe_names())}")
     return args.fn(args)
 
 

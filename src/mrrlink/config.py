@@ -77,15 +77,18 @@ class RawConfig:
     experiment: dict = field(default_factory=dict)
 
     def build_link_config(self, base: LinkConfig | None = None) -> LinkConfig:
+        """`base` with these link values set.  `zeta` and `h_l` exclude
+        each other: giving one clears the other, giving both is an error.
+        `w_z` sets theta_div = w_z / Z at the resulting Z."""
         base = base if base is not None else LinkConfig()
         values = dict(self.link)
         w_z = values.pop("w_z", None)
-        if "zeta" in values and "h_l" not in values:
-            values["h_l"] = None
-        if "h_l" in values and values.get("h_l") is not None and "zeta" in values:
+        if "zeta" in values and "h_l" in values:
             raise ValueError("give only one of zeta or h_l")
         if "zeta" in values:
-            values.setdefault("h_l", None)
+            values["h_l"] = None
+        elif "h_l" in values:
+            values["zeta"] = None
         cfg = base.with_(**values)
         if w_z is not None:
             cfg = cfg.with_(theta_div=w_z / cfg.Z)

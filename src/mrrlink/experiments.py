@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .channel import LinkConfig, Regime, beamwidth, h_constant, turbulence_stats
 from .errors import NonPositiveBreakpointError
-from .montecarlo import SimPlan, draw_channel, mc_ber, mc_outage
+from .montecarlo import SimPlan, draw_channel, empirical_cdf, empirical_pdf, mc_ber, mc_outage
 from .mrr import mrr_moments, sector_table
 from .strong import strong_constants
 from .weak import weak_constants
@@ -89,6 +89,8 @@ class ExperimentSpec:
             raise ValueError(f"engines must be a non-empty subset of {ENGINES}")
         if self.regime not in (None, "weak", "strong"):
             raise ValueError(f"regime must be 'weak', 'strong' or unset, got {self.regime!r}")
+        if self.n_samples < 1 or self.bins < 1:
+            raise ValueError("n_samples and bins must be >= 1")
 
 
 @dataclass
@@ -148,14 +150,15 @@ def _grid_point_rows(spec: ExperimentSpec, value: float):
             errors.append(f"{where}: analytic {metric} failed: {exc}")
             return None
 
-    plan = mc_samples = None
+    mc = None
     if "montecarlo" in spec.engines:
-        # the simulated fading follows the regime of the analytic side
+        # one draw per grid point feeds every MC metric; the simulated
+        # fading follows the regime of the analytic side
         if stats is None:
             stats = turbulence_stats(cfg, regime=spec.regime)
-        plan = SimPlan(cfg, n_samples=spec.n_samples, seed=spec.seed, stats=stats)
-        if dist_metrics:
-            mc_samples = draw_channel(plan)
+        h, gamma = draw_channel(SimPlan(cfg, n_samples=spec.n_samples, seed=spec.seed,
+                                        stats=stats))
+        mc = {"h": h, "snr": gamma}
 
     def add(metric, engine, x, val, lo=math.nan, hi=math.nan, flag=""):
         rows.append({
@@ -167,10 +170,10 @@ def _grid_point_rows(spec: ExperimentSpec, value: float):
     for metric in scalar_metrics:
         if metric == "outage":
             a_val = analytic("outage", cfg.gamma_th)
-            mc_est = mc_outage(plan, cfg.gamma_th) if plan is not None else None
+            mc_est = mc_outage(mc["snr"], cfg.gamma_th) if mc is not None else None
         else:
             a_val = analytic("ber", spec.ber_terms, spec.ber_gamma_max)
-            mc_est = mc_ber(plan) if plan is not None else None
+            mc_est = mc_ber(mc["snr"]) if mc is not None else None
         flag = ""
         if a_val is not None and mc_est is not None:
             floor = _OUTAGE_FLOOR if metric == "outage" else _BER_FLOOR
@@ -188,8 +191,8 @@ def _grid_point_rows(spec: ExperimentSpec, value: float):
 
     for metric in dist_metrics:
         samples = None
-        if mc_samples is not None:
-            samples = mc_samples[0] if metric.endswith("_h") else mc_samples[1]
+        if mc is not None:
+            samples = mc[metric.split("_")[1]]
             edges = np.linspace(0.0, float(samples.max()) * 1.001, spec.bins + 1)
         elif k is not None:
             # support guess: 20 times the peak gain of the deterministic channel
@@ -207,11 +210,9 @@ def _grid_point_rows(spec: ExperimentSpec, value: float):
         mc_vals = None
         if samples is not None:
             if metric.startswith("pdf"):
-                counts, _ = np.histogram(samples, bins=edges)
-                mc_vals = counts / len(samples) / np.diff(edges)
+                mc_vals = empirical_pdf(samples, bins=edges).density()
             else:
-                mc_vals = (np.searchsorted(np.sort(samples), centers, side="right")
-                           / len(samples))
+                mc_vals = empirical_cdf(samples, centers)
             for x, v in zip(centers, mc_vals):
                 add(metric, "montecarlo", float(x), float(v))
         if ana_vals is not None and mc_vals is not None and metric.startswith("cdf"):

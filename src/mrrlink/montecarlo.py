@@ -125,16 +125,6 @@ class EmpiricalDistribution:
         widths = np.diff(self.bin_edges)
         return self.counts / self.n / widths
 
-    def to_csv_rows(self):
-        for left, right, c in zip(self.bin_edges[:-1], self.bin_edges[1:], self.counts):
-            yield left, right, int(c)
-
-    def save_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("bin_left,bin_right,count\n")
-            for left, right, c in self.to_csv_rows():
-                fh.write(f"{left:.12g},{right:.12g},{c}\n")
-
 
 def block_uniforms(seed: int, index: int, cols: int) -> np.ndarray:
     """BLOCK rows of `cols` uniforms from the Philox stream keyed by
@@ -191,12 +181,13 @@ def sample_channel(plan: SimPlan) -> Iterator[tuple[np.ndarray, np.ndarray]]:
 
 
 def draw_channel(plan: SimPlan) -> tuple[np.ndarray, np.ndarray]:
-    """Materialize the full (h, gamma) sample arrays."""
-    hs, gs = [], []
-    for h, g in sample_channel(plan):
-        hs.append(h)
-        gs.append(g)
-    return np.concatenate(hs), np.concatenate(gs)
+    """The full (h, gamma) sample arrays, filled block by block."""
+    h = np.empty(plan.n_samples)
+    gamma = np.empty(plan.n_samples)
+    for pos, (hb, gb) in zip(range(0, plan.n_samples, BLOCK), sample_channel(plan)):
+        h[pos:pos + len(hb)] = hb
+        gamma[pos:pos + len(gb)] = gb
+    return h, gamma
 
 
 def empirical_pdf(samples, bins=80) -> EmpiricalDistribution:
@@ -206,10 +197,10 @@ def empirical_pdf(samples, bins=80) -> EmpiricalDistribution:
     return EmpiricalDistribution(edges, counts, int(counts.sum()))
 
 
-def empirical_cdf(samples) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted samples and the right-continuous ECDF values at them."""
-    xs = np.sort(np.asarray(samples, dtype=float))
-    return xs, np.arange(1, len(xs) + 1) / len(xs)
+def empirical_cdf(samples, x) -> np.ndarray:
+    """Right-continuous ECDF of the samples at x: the fraction <= x."""
+    samples = np.sort(np.asarray(samples, dtype=float))
+    return np.searchsorted(samples, x, side="right") / len(samples)
 
 
 def _wilson_interval(successes: int, n: int) -> tuple[float, float]:
@@ -224,32 +215,29 @@ def _wilson_interval(successes: int, n: int) -> tuple[float, float]:
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def mc_outage(plan: SimPlan, gamma_th: float) -> MCEstimate:
-    """Fraction of samples with SNR below gamma_th, with 95% interval."""
+def mc_outage(gamma, gamma_th: float) -> MCEstimate:
+    """Fraction of SNR samples below gamma_th, with 95% interval."""
     if gamma_th < 0:
         raise ValueError("gamma_th must be non-negative")
-    below = 0
-    total = 0
-    for _, g in sample_channel(plan):
-        below += int(np.count_nonzero(g < gamma_th))
-        total += len(g)
-    lo, hi = _wilson_interval(below, total)
-    return MCEstimate(below / total, lo, hi, total)
+    n = len(gamma)
+    below = int(np.count_nonzero(np.asarray(gamma) < gamma_th))
+    lo, hi = _wilson_interval(below, n)
+    return MCEstimate(below / n, lo, hi, n)
 
 
-def mc_ber(plan: SimPlan) -> MCEstimate:
+def mc_ber(gamma) -> MCEstimate:
     """Sample mean of Q(sqrt(SNR)) -- the OOK bit error rate -- with a
-    95% normal interval.  Block partials are reduced in block order, so
-    the result is identical for any worker count."""
-    partials = []
-    sq_partials = []
-    total = 0
-    for _, g in sample_channel(plan):
-        q = q_function(np.sqrt(g))
-        partials.append(q.sum())
-        sq_partials.append((q * q).sum())
-        total += len(g)
-    mean = sum(partials) / total
-    var = max(sum(sq_partials) / total - mean * mean, 0.0)
-    half = 1.959963984540054 * math.sqrt(var / total)
-    return MCEstimate(mean, max(0.0, mean - half), min(0.5, mean + half), total)
+    95% normal interval.  Q is summed over BLOCK-sized slices, reduced in
+    block order: the arithmetic of accumulating block by block from the
+    sampler, without a second array the size of the samples."""
+    gamma = np.asarray(gamma, dtype=float)
+    n = len(gamma)
+    total = total_sq = 0.0
+    for i in range(0, n, BLOCK):
+        q = q_function(np.sqrt(gamma[i:i + BLOCK]))
+        total += q.sum()
+        total_sq += (q * q).sum()
+    mean = total / n
+    var = max(total_sq / n - mean * mean, 0.0)
+    half = 1.959963984540054 * math.sqrt(var / n)
+    return MCEstimate(mean, max(0.0, mean - half), min(0.5, mean + half), n)

@@ -340,7 +340,8 @@ def test_c05c_ber_vs_simulation():
         cfg = LinkConfig(Z=1000.0, theta_div=0.3e-3, sigma_theta_e=100e-6,
                          sigma_theta_o=2 * DEG, cn2_0=5e-15, P_t=dbm(p))
         k = weak_constants(cfg, model_moments(cfg.sigma_theta_o), turbulence_stats(cfg))
-        est = mc_ber(SimPlan(cfg, n_samples=DESK_SAMPLES, seed=int(70 + p)))
+        _, g = draw_channel(SimPlan(cfg, n_samples=DESK_SAMPLES, seed=int(70 + p)))
+        est = mc_ber(g)
         if est.value < 1e-7:
             details.append(f"weak@{p:.0f}dBm below floor")
             continue
@@ -356,7 +357,8 @@ def test_c05c_ber_vs_simulation():
         stats = turbulence_stats(cfg, regime="strong")
         hm = sample_hmrr(cfg.sigma_theta_o, 2_000_000, seed=int(80 + p))
         k = strong_constants(cfg, stats, fit_sector_model(hm, 8))
-        est = mc_ber(SimPlan(cfg, n_samples=DESK_SAMPLES, seed=int(90 + p), stats=stats))
+        _, g = draw_channel(SimPlan(cfg, n_samples=DESK_SAMPLES, seed=int(90 + p), stats=stats))
+        est = mc_ber(g)
         if est.value < 1e-7:
             details.append(f"strong@{p:.0f}dBm below floor")
             continue

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from mrrlink.config import parse_config, parse_link_overrides, require_experiment_keys
+from mrrlink.config import RawConfig, parse_config, parse_link_overrides, require_experiment_keys
 from mrrlink.errors import MissingRequiredError, UnitMismatchError, UnknownKeyError
 
 
@@ -108,6 +108,15 @@ class TestBuildLinkConfig:
         raw = parse_config("zeta = 3.5e-4")
         cfg = raw.build_link_config()
         assert cfg.h_l is None and cfg.zeta == pytest.approx(3.5e-4)
+
+    def test_zeta_and_h_l_exclusive(self):
+        with pytest.raises(ValueError):
+            parse_config("zeta = 3.5e-4\nh_l = 0.8").build_link_config()
+
+    def test_later_layer_replaces_attenuation(self):
+        cfg = parse_config("zeta = 3.5e-4").build_link_config()
+        cfg = RawConfig(link=parse_link_overrides(["h_l=0.9"])).build_link_config(cfg)
+        assert cfg.h_l == 0.9 and cfg.zeta is None
 
     def test_cli_overrides(self):
         vals = parse_link_overrides(["Pt=20 dBm", "sigma_theta_e=200 urad"])

@@ -77,27 +77,44 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             ExperimentSpec(base_cfg(), "Pt", (0.1,), regime="medium")
 
+    @pytest.mark.parametrize("field", ["n_samples", "bins"])
+    def test_counts_below_one_rejected(self, field):
+        with pytest.raises(ValueError):
+            ExperimentSpec(base_cfg(), "Pt", (0.1,), **{field: 0})
+
     def test_mc_fading_follows_spec_regime(self, monkeypatch):
         # Cn2 = 5e-14 is just below Rytov variance 1, where the automatic
         # rule picks log-normal fading; a strong-regime sweep must draw
-        # Gamma-Gamma fading, as its analytic side assumes
+        # Gamma-Gamma fading, as its analytic side assumes.  One draw
+        # feeds every Monte-Carlo metric of the grid point.
         import mrrlink.experiments as experiments
+        import mrrlink.montecarlo as montecarlo
         from mrrlink.channel import turbulence_stats
         from mrrlink.montecarlo import FadingModel, SimPlan, draw_channel
 
         cfg = base_cfg(sigma_theta_o=2 * DEG, sigma_theta_e=90e-6, cn2_0=5e-14)
         assert turbulence_stats(cfg).sigma_R2 < 1.0
         drawn = []
+        passes = []
+        sample_channel = montecarlo.sample_channel
 
         def recording(plan):
             drawn.append(draw_channel(plan))
             return drawn[-1]
 
+        def counting(plan):
+            passes.append(plan)
+            return sample_channel(plan)
+
         monkeypatch.setattr(experiments, "draw_channel", recording)
-        spec = ExperimentSpec(cfg, "Pt", (cfg.P_t,), metrics=("cdf_h",),
+        monkeypatch.setattr(montecarlo, "sample_channel", counting)
+        spec = ExperimentSpec(cfg, "Pt", (cfg.P_t,), metrics=("outage", "ber", "cdf_h"),
                               engines=("montecarlo",), regime="strong",
                               n_samples=20_000, seed=3)
-        run_experiment(spec)
+        res = run_experiment(spec)
+        assert len(drawn) == 1 and len(passes) == 1
+        assert {r["metric"] for r in res.rows} == {"outage", "ber", "cdf_h"}
+        monkeypatch.undo()
         want = draw_channel(SimPlan(cfg, n_samples=20_000, seed=3,
                                     fading=FadingModel.GAMMA_GAMMA))
         assert np.array_equal(drawn[0][0], want[0])
@@ -271,6 +288,59 @@ class TestCli:
         text = (tmp_path / "tables_moments.csv").read_text().splitlines()
         assert text[0] == "sigma_deg,mu,sd"
         assert len(text) == 12
+
+    @pytest.mark.parametrize("argv", [
+        ["recipe", "fig7", "--samples", "0"],
+        ["recipe", "fig13", "--samples", "-3"],
+        ["mc-tables", "--samples", "0"],
+        ["run", "unread.cfg", "--samples", "0"],
+        ["optimize", "--samples", "0"],
+        ["heatmap", "--samples", "0"],
+    ])
+    def test_samples_below_one_is_usage_error(self, argv, capsys):
+        from mrrlink.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--samples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["samples", "bins"])
+    def test_config_count_below_one_fails_before_sweep(self, tmp_path, monkeypatch, key):
+        import mrrlink.experiments as experiments
+        from mrrlink.cli import main
+
+        monkeypatch.setattr(experiments, "_grid_point_rows", None)   # must not be reached
+        spec = tmp_path / "sweep.cfg"
+        spec.write_text("sweep = Pt\ngrid = 0:30:3 dBm\nmetrics = outage\n"
+                        f"engines = analytic\nregime = weak\n{key} = 0\n")
+        with pytest.raises(ValueError, match=">= 1"):
+            main(["run", str(spec), "--out", str(tmp_path / "out.csv")])
+
+    @pytest.mark.parametrize("argv", [["recipe"], ["recipe", "nosuch"]])
+    def test_recipe_name_missing_or_unknown_is_usage_error(self, argv, capsys):
+        from mrrlink.cli import main
+        from mrrlink.recipes import recipe_names
+
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert all(name in err for name in recipe_names())
+
+    def test_set_overrides_config_file(self, tmp_path, capsys):
+        from mrrlink.cli import main
+
+        spec = tmp_path / "sweep.cfg"
+        spec.write_text("Z = 1000 m\nzeta = 1e-4\nsweep = Pt\ngrid = 0:30:2 dBm\n"
+                        "metrics = outage\nengines = analytic\nregime = weak\n")
+        out = tmp_path / "out.csv"
+        assert main(["run", str(spec), "--out", str(out),
+                     "--set", "Z=500 m", "--set", "h_l=0.9", "--set", "w_z=20 cm"]) == 0
+        base = json.loads((tmp_path / "out.csv.json").read_text())["base_config"]
+        assert base["Z"] == 500.0
+        assert base["theta_div"] == pytest.approx(0.2 / 500.0)
+        assert base["h_l"] == 0.9 and base["zeta"] is None
 
     def test_unknown_config_key_fails_cleanly(self, tmp_path):
         from mrrlink.cli import main

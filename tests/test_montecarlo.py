@@ -102,7 +102,7 @@ class TestComposition:
         for pm in (PointingModel.EXACT_SINE, PointingModel.RAYLEIGH_APPROX):
             cfg = weak_cfg(sigma_theta_e=1e-3, theta_div=2e-3)
             plan = SimPlan(cfg, n_samples=400_000, seed=11, pointing=pm)
-            est = mc_outage(plan, cfg.gamma_th)
+            est = mc_outage(draw_channel(plan)[1], cfg.gamma_th)
             went[pm] = est.value
         a, b = went.values()
         assert abs(a - b) <= 0.01 * max(a, b)
@@ -135,9 +135,10 @@ class TestEmpirical:
         assert s.min() >= 0.2 and s.max() <= 1.0
 
     def test_ecdf(self):
-        xs, F = empirical_cdf([3.0, 1.0, 2.0])
-        assert np.array_equal(xs, [1.0, 2.0, 3.0])
+        F = empirical_cdf([3.0, 1.0, 2.0], [1.0, 2.0, 3.0])
         assert np.allclose(F, [1 / 3, 2 / 3, 1.0])
+        # right-continuous: the jump belongs to the sample value itself
+        assert np.allclose(empirical_cdf([3.0, 1.0, 2.0], [0.5, 1.5, 9.0]), [0.0, 1 / 3, 1.0])
 
     def test_counts_must_sum(self):
         with pytest.raises(ValueError):
@@ -146,22 +147,22 @@ class TestEmpirical:
 
 class TestEstimates:
     def test_outage_trivial_thresholds(self):
-        plan = SimPlan(weak_cfg(), n_samples=20_000, seed=1)
-        assert mc_outage(plan, 0.0).value == 0.0
-        assert mc_outage(plan, math.inf).value == 1.0
+        _, g = draw_channel(SimPlan(weak_cfg(), n_samples=20_000, seed=1))
+        assert mc_outage(g, 0.0).value == 0.0
+        assert mc_outage(g, math.inf).value == 1.0
 
     def test_ber_limits(self):
         cfg = weak_cfg(P_t=1e-9)   # vanishing power: gamma ~ 0, Q(0) = 1/2
-        plan = SimPlan(cfg, n_samples=20_000, seed=1)
-        assert mc_ber(plan).value == pytest.approx(0.5, abs=1e-3)
+        _, g = draw_channel(SimPlan(cfg, n_samples=20_000, seed=1))
+        assert mc_ber(g).value == pytest.approx(0.5, abs=1e-3)
         cfg = weak_cfg(P_t=1.0, sigma_n2=1e-30)  # huge SNR: errors vanish
-        plan = SimPlan(cfg, n_samples=20_000, seed=1)
-        assert mc_ber(plan).value < 1e-12
+        _, g = draw_channel(SimPlan(cfg, n_samples=20_000, seed=1))
+        assert mc_ber(g).value < 1e-12
 
     def test_outage_against_weak_cdf(self):
         cfg = weak_cfg(P_t=0.02)
-        plan = SimPlan(cfg, n_samples=1_000_000, seed=31)
-        est = mc_outage(plan, cfg.gamma_th)
+        _, g = draw_channel(SimPlan(cfg, n_samples=1_000_000, seed=31))
+        est = mc_outage(g, cfg.gamma_th)
         k = weak_constants(cfg, model_moments(cfg.sigma_theta_o), turbulence_stats(cfg))
         want = float(k.cdf_snr(cfg.gamma_th))
         assert est.ci_low * 0.97 <= want <= est.ci_high * 1.03
@@ -172,22 +173,12 @@ class TestEstimates:
         _, g = draw_channel(plan)
         k = weak_constants(cfg, model_moments(cfg.sigma_theta_o), turbulence_stats(cfg))
         xs = np.sort(g)[:: 500]
-        ecdf = np.searchsorted(np.sort(g), xs, side="right") / len(g)
+        ecdf = empirical_cdf(g, xs)
         ks = float(np.abs(np.asarray(k.cdf_snr(xs)) - ecdf).max())
         assert ks <= 0.02
 
 
 class TestExport:
-    def test_histogram_csv(self, tmp_path):
-        s = np.random.default_rng(1).random(5000)
-        d = empirical_pdf(s, bins=8)
-        path = tmp_path / "hist.csv"
-        d.save_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "bin_left,bin_right,count"
-        assert len(lines) == 9
-        assert sum(int(l.split(",")[2]) for l in lines[1:]) == 5000
-
     def test_moment_table_csv_round_trip(self, tmp_path):
         from mrrlink.mrr import MrrMomentTable, mrr_moments
 
@@ -212,8 +203,8 @@ class TestStrongAgreement:
         stats = turbulence_stats(cfg, regime="strong")
         hm = sample_hmrr(cfg.sigma_theta_o, 1_000_000, seed=21)
         k = strong_constants(cfg, stats, fit_sector_model(hm, 8))
-        plan = SimPlan(cfg, n_samples=1_000_000, seed=22, stats=stats)
-        est = mc_outage(plan, cfg.gamma_th)
+        _, g = draw_channel(SimPlan(cfg, n_samples=1_000_000, seed=22, stats=stats))
+        est = mc_outage(g, cfg.gamma_th)
         assert est.value >= 1e-4
         want = k.outage(cfg.gamma_th)
         assert est.ci_low * 0.9 <= want <= est.ci_high * 1.1
