@@ -42,7 +42,6 @@ from .montecarlo import (
     EmpiricalDistribution,
     FadingModel,
     MCEstimate,
-    PointingModel,
     SimPlan,
     draw_channel,
     empirical_cdf,

@@ -38,9 +38,6 @@ __all__ = [
     "equilateral_aperture",
 ]
 
-CN2_WEAK_STRONG_SPLIT = 1e-14  # m^-2/3, boundary of the tabulated ranges
-
-
 class Regime(Enum):
     WEAK_TO_MODERATE = "weak"
     MODERATE_TO_STRONG = "strong"
@@ -164,26 +161,16 @@ def gg_params(sigma_R2: float) -> tuple[float, float]:
     return alpha, beta
 
 
-def turbulence_stats(cfg: LinkConfig, rule: str = "sigma_r2",
-                     regime: Regime | str | None = None) -> TurbulenceStats:
-    """Compute per-pass turbulence statistics and classify the regime.
-
-    rule="sigma_r2": weak iff Rytov variance < 1 (default).
-    rule="cn2": weak iff ground Cn^2 < 1e-14 (the tabulated-range rule).
-    An explicit `regime` overrides either rule.
-    """
+def turbulence_stats(cfg: LinkConfig, regime: Regime | str | None = None) -> TurbulenceStats:
+    """Compute per-pass turbulence statistics and classify the regime:
+    weak iff the Rytov variance is below 1, unless `regime` is given."""
     s_r2 = rytov_variance(cfg)
     s_l2 = s_r2 / 4.0
     alpha, beta = gg_params(s_r2) if s_r2 > 0 else (math.inf, math.inf)
     if regime is not None:
         reg = Regime(regime) if not isinstance(regime, Regime) else regime
-    elif rule == "sigma_r2":
-        reg = Regime.WEAK_TO_MODERATE if s_r2 < 1.0 else Regime.MODERATE_TO_STRONG
-    elif rule == "cn2":
-        reg = (Regime.WEAK_TO_MODERATE if cfg.cn2_0 < CN2_WEAK_STRONG_SPLIT
-               else Regime.MODERATE_TO_STRONG)
     else:
-        raise ValueError(f"unknown regime rule {rule!r}")
+        reg = Regime.WEAK_TO_MODERATE if s_r2 < 1.0 else Regime.MODERATE_TO_STRONG
     return TurbulenceStats(s_r2, s_l2, alpha, beta, reg)
 
 

@@ -20,11 +20,11 @@ from . import __version__
 from .channel import LinkConfig
 from .config import RawConfig, parse_config, parse_link_overrides, require_experiment_keys
 from .experiments import (
-    ExperimentResult,
     ExperimentSpec,
     heatmap,
     optimize_divergence,
     run_experiment,
+    spec_meta,
     write_outputs,
 )
 from .mrr import fit_sector_model, sample_hmrr
@@ -33,7 +33,7 @@ from .recipes import build_recipe, recipe_names
 PAPER_SCALE = 50_000_000
 
 
-def _sample_count(text: str) -> int:
+def _count(text: str) -> int:
     n = int(text)
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
@@ -42,7 +42,7 @@ def _sample_count(text: str) -> int:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=_sample_count, default=None,
+    p.add_argument("--samples", type=_count, default=None,
                    help="Monte-Carlo samples per grid point (default 1e6)")
     p.add_argument("--paper-scale", action="store_true",
                    help="use the study's 5e7-sample budget")
@@ -79,12 +79,10 @@ def cmd_run(args) -> int:
         n_samples=_samples(args, exp.get("samples", 1_000_000)),
         regime=exp.get("regime"),
         bins=exp.get("bins", 80),
-        ber_terms=exp.get("ber_terms", 20),
-        ber_gamma_max=exp.get("ber_gamma_max", 4.0),
         label=exp.get("label", ""),
     )
     result = run_experiment(spec, workers=args.workers)
-    _report(result)
+    _report(result.rows, result.flags, result.errors, spec.output_path)
     return 0 if result.ok else 2
 
 
@@ -95,12 +93,12 @@ def cmd_recipe(args) -> int:
     if args.name == "fig13":
         from .recipes import build_fig13_rows
 
-        rows = build_fig13_rows(seed=args.seed, n_samples=_samples(args, 1_000_000))
+        n = _samples(args, 1_000_000)
+        rows = build_fig13_rows(seed=args.seed, n_samples=n)
         if args.out:
             write_outputs(rows, args.out, extra_meta={"recipe": "fig13",
-                                                      "seed": args.seed})
-            print(f"wrote {args.out}")
-        print(f"rows: {len(rows)}")
+                                                      "seed": args.seed, "n_samples": n})
+        _report(rows, [], [], args.out)
         return 0
     specs = build_recipe(args.name, _base_config(args), seed=args.seed,
                          n_samples=_samples(args))
@@ -110,12 +108,11 @@ def cmd_recipe(args) -> int:
         rows.extend(res.rows)
         flags.extend(f"[{spec.label}] {f}" for f in res.flags)
         errors.extend(f"[{spec.label}] {e}" for e in res.errors)
-    combined = ExperimentResult(specs[0], rows, flags, errors)
     if args.out:
-        write_outputs(combined, args.out,
-                      extra_meta={"recipe": args.name,
-                                  "curves": [s.label for s in specs]})
-    _report(combined)
+        write_outputs(rows, args.out, extra_meta={
+            "recipe": args.name, "curves": [spec_meta(s) for s in specs],
+            "flags": flags, "errors": errors})
+    _report(rows, flags, errors, args.out)
     return 0 if not flags else 2
 
 
@@ -173,14 +170,26 @@ def cmd_mc_tables(args) -> int:
     return 0
 
 
-def _report(result: ExperimentResult) -> None:
-    print(f"rows: {len(result.rows)}")
-    for e in result.errors:
+def _report(rows: list, flags: list, errors: list, path: str | None) -> None:
+    print(f"rows: {len(rows)}")
+    for e in errors:
         print(f"error: {e}", file=sys.stderr)
-    for f in result.flags:
+    for f in flags:
         print(f"flag: {f}", file=sys.stderr)
-    if result.spec.output_path:
-        print(f"wrote {result.spec.output_path}")
+    if path:
+        print(f"wrote {path}")
+
+
+def _usage_problem(args) -> str | None:
+    """What makes an otherwise parsed command line unusable, if anything."""
+    if args.command == "recipe" and not args.list:
+        if args.name not in recipe_names():
+            return f"give a recipe name, one of: {', '.join(recipe_names())}"
+        if args.name == "fig13" and args.set:
+            return "fig13 reads no link parameter; drop --set"
+    if args.command == "optimize" and not 0 < args.bracket[0] < args.bracket[1]:
+        return "--bracket needs 0 < LO_MRAD < HI_MRAD, got {:g} {:g}".format(*args.bracket)
+    return None
 
 
 def main(argv=None) -> int:
@@ -197,7 +206,7 @@ def main(argv=None) -> int:
     _add_common(p)
     p.set_defaults(fn=cmd_run, seed=None)   # unset --seed defers to the config
 
-    p = recipe_parser = sub.add_parser("recipe", help="run a named figure recipe")
+    p = sub.add_parser("recipe", help="run a named figure recipe")
     p.add_argument("name", nargs="?", default=None)
     p.add_argument("--list", action="store_true", help="list recipe names")
     _add_common(p)
@@ -215,10 +224,10 @@ def main(argv=None) -> int:
     p.add_argument("--metric", choices=("outage", "ber"), default="outage")
     p.add_argument("--sigma-e", type=float, nargs=2, default=(50.0, 400.0),
                    metavar=("LO_URAD", "HI_URAD"), dest="sigma_e")
-    p.add_argument("--sigma-e-points", type=int, default=8, dest="sigma_e_points")
+    p.add_argument("--sigma-e-points", type=_count, default=8, dest="sigma_e_points")
     p.add_argument("--w-z", type=float, nargs=2, default=(0.1, 2.0),
                    metavar=("LO_M", "HI_M"), dest="w_z")
-    p.add_argument("--w-z-points", type=int, default=20, dest="w_z_points")
+    p.add_argument("--w-z-points", type=_count, default=20, dest="w_z_points")
     p.add_argument("--regime", choices=("weak", "strong"), default=None)
     _add_common(p)
     p.set_defaults(fn=cmd_heatmap)
@@ -228,8 +237,9 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_mc_tables)
 
     args = parser.parse_args(argv)
-    if args.command == "recipe" and not args.list and args.name not in recipe_names():
-        recipe_parser.error(f"give a recipe name, one of: {', '.join(recipe_names())}")
+    problem = _usage_problem(args)
+    if problem:
+        sub.choices[args.command].error(problem)
     return args.fn(args)
 
 

@@ -61,8 +61,6 @@ EXPERIMENT_KEYS = {
     "samples": int,
     "regime": str,
     "bins": int,
-    "ber_terms": int,
-    "ber_gamma_max": float,
     "label": str,
 }
 

@@ -72,8 +72,6 @@ class ExperimentSpec:
     n_samples: int = 1_000_000
     regime: str | None = None           # "weak" | "strong" | None = auto
     bins: int = 80
-    ber_terms: int = 20
-    ber_gamma_max: float = 4.0
     label: str = ""
 
     def __post_init__(self):
@@ -172,7 +170,7 @@ def _grid_point_rows(spec: ExperimentSpec, value: float):
             a_val = analytic("outage", cfg.gamma_th)
             mc_est = mc_outage(mc["snr"], cfg.gamma_th) if mc is not None else None
         else:
-            a_val = analytic("ber", spec.ber_terms, spec.ber_gamma_max)
+            a_val = analytic("ber")
             mc_est = mc_ber(mc["snr"]) if mc is not None else None
         flag = ""
         if a_val is not None and mc_est is not None:
@@ -253,8 +251,27 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def spec_meta(spec: ExperimentSpec) -> dict:
+    """The resolved setup of one sweep, as its sidecar records it."""
+    return {
+        "base_config": dict(vars(spec.base)),
+        "sweep_axis": spec.sweep_axis,
+        "grid": list(spec.grid),
+        "metrics": list(spec.metrics),
+        "engines": list(spec.engines),
+        "seed": spec.seed,
+        "n_samples": spec.n_samples,
+        "regime": spec.regime,
+        "label": spec.label,
+    }
+
+
 def write_outputs(result, path: str, extra_meta: dict | None = None) -> None:
-    """Deterministic CSV plus a JSON sidecar with the resolved setup."""
+    """Deterministic CSV plus a JSON sidecar with the resolved setup.
+
+    `result` is an ExperimentResult, whose spec, flags and errors the
+    sidecar records, or a bare list of rows described by `extra_meta`.
+    """
     rows = result.rows if hasattr(result, "rows") else result
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(_CSV_COLUMNS) + "\n")
@@ -262,20 +279,8 @@ def write_outputs(result, path: str, extra_meta: dict | None = None) -> None:
             fh.write(",".join(_fmt(row[c]) for c in _CSV_COLUMNS) + "\n")
     meta: dict = {"version": __version__}
     if hasattr(result, "spec"):
-        spec = result.spec
-        meta.update({
-            "base_config": {k: v for k, v in vars(spec.base).items()},
-            "sweep_axis": spec.sweep_axis,
-            "grid": list(spec.grid),
-            "metrics": list(spec.metrics),
-            "engines": list(spec.engines),
-            "seed": spec.seed,
-            "n_samples": spec.n_samples,
-            "regime": spec.regime,
-            "label": spec.label,
-            "flags": list(result.flags),
-            "errors": list(result.errors),
-        })
+        meta.update(spec_meta(result.spec), flags=list(result.flags),
+                    errors=list(result.errors))
     if extra_meta:
         meta.update(extra_meta)
     with open(path + ".json", "w", encoding="utf-8", newline="\n") as fh:
@@ -303,9 +308,9 @@ def golden_section(f, a: float, b: float, tol: float) -> tuple[float, float]:
 
 
 def _design_metric(cfg: LinkConfig, metric: str, regime: str | None) -> float:
-    """Analytic outage, or the converged-series BER, of one configuration."""
+    """Analytic outage or BER of one configuration."""
     k, _ = _constants_for(cfg, regime)
-    return k.outage(cfg.gamma_th) if metric == "outage" else k.ber(M=60, gamma_max=40.0)
+    return k.outage(cfg.gamma_th) if metric == "outage" else k.ber()
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,6 @@ from .specfun import q_function
 
 __all__ = [
     "FadingModel",
-    "PointingModel",
     "SimPlan",
     "EmpiricalDistribution",
     "MCEstimate",
@@ -67,21 +66,15 @@ class FadingModel(Enum):
     GAMMA_GAMMA = "gammagamma"
 
 
-class PointingModel(Enum):
-    EXACT_SINE = "exact-sine"
-    RAYLEIGH_APPROX = "rayleigh"
-
-
 @dataclass(frozen=True)
 class SimPlan:
     """One reproducible simulation run: the statistics depend on (cfg,
-    n_samples, seed, fading, pointing) alone."""
+    n_samples, seed, fading) alone."""
 
     cfg: LinkConfig
     n_samples: int = 1_000_000
     seed: int = 0
     fading: FadingModel | None = None
-    pointing: PointingModel = PointingModel.EXACT_SINE
     stats: TurbulenceStats | None = None
 
     def __post_init__(self):
@@ -95,8 +88,7 @@ class SimPlan:
         if fading is None:
             fading = (FadingModel.LOG_NORMAL if stats.regime is Regime.WEAK_TO_MODERATE
                       else FadingModel.GAMMA_GAMMA)
-        return SimPlan(self.cfg, self.n_samples, self.seed, fading,
-                       self.pointing, stats)
+        return SimPlan(self.cfg, self.n_samples, self.seed, fading, stats)
 
 
 class MCEstimate(NamedTuple):
@@ -169,11 +161,7 @@ def sample_channel(plan: SimPlan) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         u = block_uniforms(plan.seed, b, _UNIFORM_SLOTS)[:plan.n_samples - pos]
         theta_m = cfg.sigma_theta_o * normals(u[:, 0:3])
         h_mrr = np.prod(np.maximum(0.0, 1.0 - np.tan(np.abs(theta_m))), axis=1)
-        theta_e = cfg.sigma_theta_e * normals(u[:, 3:5])
-        if plan.pointing is PointingModel.EXACT_SINE:
-            d = scale * np.sin(theta_e)
-        else:
-            d = scale * theta_e
+        d = scale * np.sin(cfg.sigma_theta_e * normals(u[:, 3:5]))
         h_pu = a0 * np.exp(-2.0 * (d[:, 0] ** 2 + d[:, 1] ** 2) / w_z ** 2)
         h_a = _fading_pair(plan, u[:, 5:9])
         h = (hl * hl * h_pg) * h_a * h_pu * h_mrr

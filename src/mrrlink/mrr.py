@@ -72,12 +72,6 @@ class MrrMomentTable:
         if not (len(self.sigma_deg) == len(self.mu) == len(self.sd)):
             raise ValueError("table columns must have equal length")
 
-    @classmethod
-    def from_csv(cls, path) -> "MrrMomentTable":
-        """Load an override table (columns: sigma_deg, mu, sd)."""
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        return cls(data[:, 0].copy(), data[:, 1].copy(), data[:, 2].copy())
-
 
 TABLE_MOMENTS = MrrMomentTable(_MOM_SIGMA_DEG, _MOM_MU, _MOM_SD)
 
@@ -152,7 +146,7 @@ def sample_hmrr(sigma_theta_o: float, n: int, seed: int = 0) -> np.ndarray:
     return out
 
 
-def mrr_moments(sigma_theta_o: float, table: MrrMomentTable = TABLE_MOMENTS):
+def mrr_moments(sigma_theta_o: float):
     """Tabulated (mu, sd) of the reflection coefficient, interpolated.
 
     sigma_theta_o is in radians; the table is indexed in degrees over
@@ -161,6 +155,7 @@ def mrr_moments(sigma_theta_o: float, table: MrrMomentTable = TABLE_MOMENTS):
     """
     if sigma_theta_o == 0.0:
         return 1.0, 0.0
+    table = TABLE_MOMENTS
     deg = math.degrees(sigma_theta_o)
     lo, hi = table.sigma_deg[0], table.sigma_deg[-1]
     if deg < lo or deg > hi:
@@ -272,15 +267,13 @@ def fit_sector_model(samples, n_sectors: int = 8, mu: float | None = None) -> Se
     return SectorModel(V, B)
 
 
-def sector_table(sigma_theta_o: float, n_sectors: int = 8,
-                 moment_table: MrrMomentTable = TABLE_MOMENTS) -> SectorModel:
-    """Tabulated sector model, interpolated in jitter SD (radians).
+def sector_table(sigma_theta_o: float) -> SectorModel:
+    """Tabulated 8-sector model, interpolated in jitter SD (radians).
 
-    Only N=8 is tabulated; densities are renormalized so the model
-    integrates to one (the printed columns integrate to about 0.75).
+    Other sector counts are fitted from samples (`fit_sector_model`);
+    densities are renormalized so the model integrates to one (the
+    printed columns integrate to about 0.75).
     """
-    if n_sectors != 8:
-        raise ValueError("only the 8-sector table is available; fit from samples instead")
     deg = math.degrees(sigma_theta_o)
     if deg < _SEC_SIGMA_DEG[0] or deg > _SEC_SIGMA_DEG[-1]:
         raise ValueError(
@@ -288,7 +281,7 @@ def sector_table(sigma_theta_o: float, n_sectors: int = 8,
             f"[{_SEC_SIGMA_DEG[0]:g}, {_SEC_SIGMA_DEG[-1]:g}] deg"
         )
     B = np.array([interp_table(_SEC_SIGMA_DEG, row, deg) for row in _SEC_B])
-    mu, _ = mrr_moments(sigma_theta_o, moment_table)
+    mu, _ = mrr_moments(sigma_theta_o)
     V = _uniform_sectors(mu, 8)
     B = B / np.sum(B * np.diff(V))
     return SectorModel(V, B)

@@ -87,7 +87,6 @@ def fig11(base: LinkConfig) -> list[ExperimentSpec]:
         specs.append(ExperimentSpec(
             base=cfg, sweep_axis="Pt", grid=_pt_grid(), metrics=("ber",),
             engines=("analytic",), regime="weak",
-            ber_terms=60, ber_gamma_max=40.0,   # converged series, see README
             label=f"sigma_e={se_urad:g}urad,sigma_o={so_deg:g}deg"))
     return specs
 
@@ -100,8 +99,7 @@ def fig12(base: LinkConfig) -> list[ExperimentSpec]:
                          cn2_0=_CN2_WEAK, sigma_theta_e=100e-6, sigma_theta_o=5.0 * _DEG)
         specs.append(ExperimentSpec(
             base=cfg, sweep_axis="Pt", grid=_pt_grid(), metrics=("ber",),
-            engines=("analytic",), regime="weak",
-            ber_terms=60, ber_gamma_max=40.0, label=f"Z={z:g}m"))
+            engines=("analytic",), regime="weak", label=f"Z={z:g}m"))
     return specs
 
 

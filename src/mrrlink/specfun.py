@@ -11,7 +11,7 @@ outside what series-based evaluators handle reliably.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -28,12 +28,12 @@ __all__ = [
     "MeijerGSpec",
     "meijer_g",
     "interp_table",
-    "EPSILON",
 ]
 
-# Parameter nudge used when repeated Meijer parameters are split for the
-# epsilon-regularized evaluation path (see meijer_g(method="epsilon")).
-EPSILON = 1e-6
+# Target relative accuracy of the Mellin-Barnes quadrature: when the 24-
+# and 48-node panel sums differ by more than ten times this, it refines
+# to 96 nodes.
+_EPS_REL = 1e-11
 
 
 def q_function(x):
@@ -175,29 +175,21 @@ def _contour_abscissa(spec: MeijerGSpec, lnz: float) -> float:
     return c
 
 
-def meijer_g(spec: MeijerGSpec, z: float, eps_rel: float = 1e-11,
-             method: str = "direct") -> float:
+def meijer_g(spec: MeijerGSpec, z: float) -> float:
     """Evaluate G^{m,n}_{p,q}(z | a; b) for real z > 0.
 
-    method="direct" integrates along a saddle-anchored vertical contour;
-    repeated parameters are harmless there because the contour never
-    approaches the poles.  method="epsilon" instead splits repeated
-    parameters by +/-EPSILON and Richardson-extrapolates the split to
-    zero; it exists to cross-check the direct path on the logarithmic
-    (coincident-pole) cases and gives the same answers.
+    Integrates along a saddle-anchored vertical contour; repeated
+    parameters are harmless there because the contour never approaches
+    the poles.
     """
     if z <= 0.0 or not np.isfinite(z):
         raise ValueError("meijer_g requires finite z > 0")
-    if method == "epsilon":
-        return _meijer_g_epsilon(spec, z, eps_rel)
-    if method != "direct":
-        raise ValueError(f"unknown method {method!r}")
     if spec.delta <= 0:
         raise NonConvergentError(
             f"contour integrand does not decay (delta={spec.delta}); "
             "evaluate the reciprocal-argument form instead"
         )
-    return _mellin_barnes(spec, float(z), eps_rel)
+    return _mellin_barnes(spec, float(z))
 
 
 @lru_cache(maxsize=8)
@@ -216,7 +208,7 @@ def _panels(T: float, width: float) -> np.ndarray:
     return np.asarray(edges)
 
 
-def _mellin_barnes(spec: MeijerGSpec, z: float, eps_rel: float) -> float:
+def _mellin_barnes(spec: MeijerGSpec, z: float) -> float:
     lnz = np.log(z)
     c = _contour_abscissa(spec, lnz)
     log_peak = float(np.real(_chi_log(complex(c, 0.0), spec)) + c * lnz)
@@ -241,7 +233,7 @@ def _mellin_barnes(spec: MeijerGSpec, z: float, eps_rel: float) -> float:
     i2 = integrate(48)
     err = abs(i2 - i1)
     total = i2
-    if err > max(eps_rel * 10 * abs(total), 1e-13):
+    if err > max(_EPS_REL * 10 * abs(total), 1e-13):
         i3 = integrate(96)
         err = abs(i3 - i2)
         total = i3
@@ -254,36 +246,6 @@ def _mellin_barnes(spec: MeijerGSpec, z: float, eps_rel: float) -> float:
             f"exceeds tolerance for value {total:.2e}"
         )
     return float(np.exp(log_peak) * total / np.pi)
-
-
-def _split_repeats(values, eps: float):
-    """Spread exactly-repeated entries of `values` symmetrically by eps."""
-    vals = list(values)
-    groups: dict[float, list[int]] = {}
-    for i, v in enumerate(vals):
-        groups.setdefault(v, []).append(i)
-    for v, idx in groups.items():
-        k = len(idx)
-        if k > 1:
-            offsets = (np.arange(k) - (k - 1) / 2.0) * eps
-            for j, off in zip(idx, offsets):
-                vals[j] = v + off
-    return tuple(vals)
-
-
-def _meijer_g_epsilon(spec: MeijerGSpec, z: float, eps_rel: float) -> float:
-    def eval_at(eps):
-        s = replace(
-            spec,
-            a_params=_split_repeats(spec.a_params, eps),
-            b_params=_split_repeats(spec.b_params, eps),
-        )
-        return _mellin_barnes(s, z, eps_rel)
-
-    v1 = eval_at(EPSILON)
-    v2 = eval_at(EPSILON / 2)
-    # Splitting is symmetric, so the leading error is O(eps^2).
-    return (4.0 * v2 - v1) / 3.0
 
 
 @lru_cache(maxsize=4096)

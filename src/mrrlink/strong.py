@@ -74,9 +74,7 @@ class StrongModelConstants(SquareLawModel):
     def cdf_h(self, h):
         return cdf_h_strong(h, self)
 
-    def ber(self, M: int | None = None, gamma_max: float | None = None) -> float:
-        """OOK bit error rate; the closed form takes no series settings,
-        so M and gamma_max (the weak series' truncation) are ignored."""
+    def ber(self) -> float:
         return ber_strong(self)
 
 

@@ -41,6 +41,11 @@ __all__ = [
 # bails out to quadrature.
 _MAX_LOG = 700.0
 
+# Series truncation of the model's BER: converged over the recipes' power
+# range, unlike the stated (20, 4), which drops the SNR integral above 4.
+_CONVERGED_M = 60
+_CONVERGED_GAMMA_MAX = 40.0
+
 
 @dataclass(frozen=True)
 class WeakModelConstants(SquareLawModel):
@@ -77,8 +82,9 @@ class WeakModelConstants(SquareLawModel):
     def cdf_h(self, h):
         return cdf_h_weak(h, self)
 
-    def ber(self, M: int = 20, gamma_max: float = 4.0) -> float:
-        return ber_weak(self, M=M, gamma_max=gamma_max)
+    def ber(self) -> float:
+        """OOK bit error rate from the converged erfc series."""
+        return ber_weak(self, M=_CONVERGED_M, gamma_max=_CONVERGED_GAMMA_MAX)
 
 
 def weak_constants(cfg: LinkConfig, moments: tuple[float, float],

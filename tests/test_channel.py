@@ -216,12 +216,6 @@ class TestRegime:
         strong = turbulence_stats(cfg(cn2_0=1e-13))
         assert strong.regime is Regime.MODERATE_TO_STRONG
 
-    def test_cn2_rule(self):
-        st = turbulence_stats(cfg(cn2_0=1e-14), rule="cn2")
-        assert st.regime is Regime.MODERATE_TO_STRONG
-        st = turbulence_stats(cfg(cn2_0=9.9e-15), rule="cn2")
-        assert st.regime is Regime.WEAK_TO_MODERATE
-
     def test_override(self):
         st = turbulence_stats(cfg(cn2_0=1e-14), regime="strong")
         assert st.regime is Regime.MODERATE_TO_STRONG

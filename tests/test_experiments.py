@@ -342,6 +342,47 @@ class TestCli:
         assert base["theta_div"] == pytest.approx(0.2 / 500.0)
         assert base["h_l"] == 0.9 and base["zeta"] is None
 
+    def test_fig13_rejects_link_overrides(self, capsys):
+        from mrrlink.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["recipe", "fig13", "--samples", "10000", "--set", "Z=500 m"])
+        assert exc.value.code == 2
+        assert "fig13 reads no link parameter" in capsys.readouterr().err
+
+    def test_fig13_sidecar_records_sample_count(self, tmp_path, capsys):
+        from mrrlink.cli import main
+
+        out = tmp_path / "fig13.csv"
+        assert main(["recipe", "fig13", "--samples", "10000", "--seed", "3",
+                     "--workers", "1", "--out", str(out)]) == 0
+        meta = json.loads((tmp_path / "fig13.csv.json").read_text())
+        assert (meta["recipe"], meta["seed"], meta["n_samples"]) == ("fig13", 3, 10_000)
+
+    def test_recipe_sidecar_describes_every_curve(self, tmp_path, capsys):
+        from mrrlink.cli import main
+
+        out = tmp_path / "fig9.csv"
+        assert main(["recipe", "fig9", "--seed", "4", "--out", str(out)]) == 0
+        meta = json.loads((tmp_path / "fig9.csv.json").read_text())
+        curves = meta["curves"]
+        assert [c["base_config"]["cn2_0"] for c in curves] == [1e-14, 5e-14, 1e-13]
+        assert [c["label"] for c in curves] == ["Cn2=1e-14", "Cn2=5e-14", "Cn2=1e-13"]
+        assert all(c["sweep_axis"] == "Pt" and len(c["grid"]) == 16 and c["seed"] == 4
+                   and c["regime"] == "strong" for c in curves)
+        # no single curve's setup stands in for the whole file
+        assert "base_config" not in meta and "label" not in meta
+        assert meta["flags"] == [] and meta["errors"] == []
+
+    @pytest.mark.parametrize("bracket", [("2", "1"), ("0", "1"), ("1", "1")])
+    def test_bad_optimizer_bracket_is_usage_error(self, bracket, capsys):
+        from mrrlink.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["optimize", "--bracket", *bracket])
+        assert exc.value.code == 2
+        assert "--bracket needs 0 < LO_MRAD < HI_MRAD" in capsys.readouterr().err
+
     def test_unknown_config_key_fails_cleanly(self, tmp_path):
         from mrrlink.cli import main
         from mrrlink.errors import UnknownKeyError
@@ -365,3 +406,13 @@ class TestCliHeatmap:
         lines = out.read_text().splitlines()
         assert len(lines) == 3                      # header + 2 jitter rows
         assert len(lines[1].split(",")) == 4        # jitter value + 3 beamwidths
+
+    @pytest.mark.parametrize("flag", ["--sigma-e-points", "--w-z-points"])
+    def test_point_count_below_one_is_usage_error(self, flag, tmp_path, capsys):
+        from mrrlink.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["heatmap", flag, "0", "--out", str(tmp_path / "map.csv")])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "map.csv").exists()

@@ -10,7 +10,6 @@ from mrrlink.montecarlo import (
     BLOCK,
     EmpiricalDistribution,
     FadingModel,
-    PointingModel,
     SimPlan,
     draw_channel,
     empirical_cdf,
@@ -20,7 +19,7 @@ from mrrlink.montecarlo import (
 )
 from mrrlink.mrr import sample_hmrr
 from mrrlink.weak import weak_constants
-from mrrlink.mrr import mrr_moments, model_moments
+from mrrlink.mrr import model_moments
 
 DEG = math.pi / 180.0
 
@@ -97,16 +96,6 @@ class TestComposition:
         const = geometric_loss_gs(cfg) * 2 * cfg.A_r / (math.pi * beamwidth(cfg) ** 2)
         assert h.mean() / const == pytest.approx(1.0, abs=0.015)
 
-    def test_pointing_models_close_at_small_jitter(self):
-        went = {}
-        for pm in (PointingModel.EXACT_SINE, PointingModel.RAYLEIGH_APPROX):
-            cfg = weak_cfg(sigma_theta_e=1e-3, theta_div=2e-3)
-            plan = SimPlan(cfg, n_samples=400_000, seed=11, pointing=pm)
-            est = mc_outage(draw_channel(plan)[1], cfg.gamma_th)
-            went[pm] = est.value
-        a, b = went.values()
-        assert abs(a - b) <= 0.01 * max(a, b)
-
 
 class TestEmpirical:
     def test_single_value(self):
@@ -176,20 +165,6 @@ class TestEstimates:
         ecdf = empirical_cdf(g, xs)
         ks = float(np.abs(np.asarray(k.cdf_snr(xs)) - ecdf).max())
         assert ks <= 0.02
-
-
-class TestExport:
-    def test_moment_table_csv_round_trip(self, tmp_path):
-        from mrrlink.mrr import MrrMomentTable, mrr_moments
-
-        path = tmp_path / "moments.csv"
-        path.write_text("sigma_deg,mu,sd\n1,0.95,0.02\n3,0.85,0.05\n")
-        table = MrrMomentTable.from_csv(path)
-        # the override table drives lookups, including the worked example:
-        # midway between rows -> elementwise midpoint
-        mu, sd = mrr_moments(math.radians(2.0), table)
-        assert mu == pytest.approx(0.90)
-        assert sd == pytest.approx(0.035)
 
 
 class TestStrongAgreement:

@@ -197,7 +197,3 @@ class TestSectorTable:
             sector_table(0.5 * DEG)
         with pytest.raises(ValueError):
             sector_table(11.5 * DEG)
-
-    def test_only_eight_sectors_tabulated(self):
-        with pytest.raises(ValueError):
-            sector_table(5 * DEG, n_sectors=16)

@@ -1,6 +1,7 @@
 """The benchmark's tracer (perfbench/tracer.py) wraps mrrlink functions by
-name at every import site.  Renaming or removing a wrapped function breaks
-`perfbench/run.py --trace 1`; this guard fails first."""
+name at every import site, and its kernel probes (perfbench/probes.py) call
+mrrlink functions directly.  Renaming or removing one of them breaks
+`perfbench/run.py --trace 1`; these guards fail first."""
 
 import importlib.util
 from pathlib import Path
@@ -9,11 +10,11 @@ import mrrlink.experiments as experiments
 import mrrlink.montecarlo as montecarlo
 from mrrlink.channel import LinkConfig
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -21,7 +22,7 @@ def load_tracer():
 
 def test_tracer_installs_and_counts_one_pass_per_point():
     original = montecarlo.draw_channel
-    tracer = load_tracer().Tracer()
+    tracer = load("tracer").Tracer()
     tracer.install()
     try:
         assert montecarlo.draw_channel is not original
@@ -35,3 +36,16 @@ def test_tracer_installs_and_counts_one_pass_per_point():
     metrics = tracer.layer_metrics()
     assert metrics["montecarlo.passes_per_point"] == 1.0
     assert metrics["montecarlo.samples"] == 2 * 5_000
+
+
+def test_probes_reach_their_kernels():
+    probes = load("probes")
+    k, h = probes.pdf_grid80_case()
+    assert len(h) == 80 and k.pdf_h(h[40]) > 0.0
+    probes.specfun._meijer_cached.cache_clear()
+    spec, zs = probes.MEIJER_PROBES["G60_26"]
+    assert probes.specfun.meijer_g(spec, zs[0]) > 0.0
+    plan = probes.SimPlan(LinkConfig(cn2_0=1e-13), n_samples=1_000, seed=0,
+                          fading=probes.FadingModel.GAMMA_GAMMA)
+    h_block, gamma_block = next(probes.sample_channel(plan))
+    assert len(h_block) == len(gamma_block) == 1_000
