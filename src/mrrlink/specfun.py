@@ -6,6 +6,12 @@ well-tested scipy implementations; the Meijer G-function is evaluated by
 direct numerical Mellin-Barnes integration because the orders needed by
 the channel statistics (up to G^{10,2}_{4,11} with repeated parameters) are
 outside what series-based evaluators handle reliably.
+
+`meijer_g` evaluates one G at one argument.  `meijer_g_sum` evaluates a
+weighted sum of one G at scaled arguments, such as the strong-regime
+sector sums, as a single integral for a whole array of arguments:
+arguments in the same unit-width ln bucket share one contour and one
+evaluation of the gamma ratio.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ __all__ = [
     "bessel_k",
     "MeijerGSpec",
     "meijer_g",
+    "meijer_g_sum",
     "interp_table",
 ]
 
@@ -175,6 +182,15 @@ def _contour_abscissa(spec: MeijerGSpec, lnz: float) -> float:
     return c
 
 
+def _require_decay(spec: MeijerGSpec) -> None:
+    """Reject orders whose contour integrand does not decay."""
+    if spec.delta <= 0:
+        raise NonConvergentError(
+            f"contour integrand does not decay (delta={spec.delta}); "
+            "evaluate the reciprocal-argument form instead"
+        )
+
+
 def meijer_g(spec: MeijerGSpec, z: float) -> float:
     """Evaluate G^{m,n}_{p,q}(z | a; b) for real z > 0.
 
@@ -184,11 +200,7 @@ def meijer_g(spec: MeijerGSpec, z: float) -> float:
     """
     if z <= 0.0 or not np.isfinite(z):
         raise ValueError("meijer_g requires finite z > 0")
-    if spec.delta <= 0:
-        raise NonConvergentError(
-            f"contour integrand does not decay (delta={spec.delta}); "
-            "evaluate the reciprocal-argument form instead"
-        )
+    _require_decay(spec)
     return _mellin_barnes(spec, float(z))
 
 
@@ -208,26 +220,53 @@ def _panels(T: float, width: float) -> np.ndarray:
     return np.asarray(edges)
 
 
-def _mellin_barnes(spec: MeijerGSpec, z: float) -> float:
-    lnz = np.log(z)
-    c = _contour_abscissa(spec, lnz)
-    log_peak = float(np.real(_chi_log(complex(c, 0.0), spec)) + c * lnz)
+def _contour_extent(spec: MeijerGSpec, c: float, lnz_max: float):
+    """Decay rate, upper limit T and panel edges of the contour at abscissa c
+    for arguments up to |ln z| = lnz_max."""
     rate = max(spec.delta * np.pi, 0.05)
     # Upper limit: exponential decay at `rate` per unit tau, plus the
     # Gaussian saddle width ~ sqrt(|c|) when the saddle sits far out.
     T = max(30.0, np.log(1e19) / rate, 14.0 * np.sqrt(abs(c) + 4.0))
     # Panel width tracks both the oscillation period and the peak width.
-    width = min(2.0 * np.pi / (abs(lnz) + 1.0), np.sqrt(abs(c) + 1.0), 1.0)
-    edges = _panels(T, width)
+    width = min(2.0 * np.pi / (lnz_max + 1.0), np.sqrt(abs(c) + 1.0), 1.0)
+    return rate, T, _panels(T, width)
+
+
+def _nodes(edges: np.ndarray, n_nodes: int):
+    """Gauss-Legendre abscissae tau on every panel, with the node weights
+    (one row) and panel half-widths (one column) that scale them."""
+    x, w = _gl_nodes(n_nodes)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * np.diff(edges)
+    taus = (mid[:, None] + half[:, None] * x[None, :]).ravel()
+    return taus, w[None, :], half[:, None]
+
+
+def _check_converged(total, err, tail_bound: float) -> None:
+    """Raise NonConvergentError unless every integral (normalised value
+    total, quadrature error err) is finite and within tolerance."""
+    total, err = np.atleast_1d(total), np.atleast_1d(err)
+    if not np.all(np.isfinite(total)):
+        raise NonConvergentError("Mellin-Barnes integral returned non-finite value")
+    bad = np.flatnonzero(err + tail_bound > np.maximum(1e-7 * np.abs(total), 1e-13))
+    if bad.size:
+        raise NonConvergentError(
+            f"Mellin-Barnes integral error {err[bad[0]] + tail_bound:.2e} "
+            f"exceeds tolerance for value {total[bad[0]]:.2e}"
+        )
+
+
+def _mellin_barnes(spec: MeijerGSpec, z: float) -> float:
+    lnz = np.log(z)
+    c = _contour_abscissa(spec, lnz)
+    log_peak = float(np.real(_chi_log(complex(c, 0.0), spec)) + c * lnz)
+    rate, T, edges = _contour_extent(spec, c, abs(lnz))
 
     def integrate(n_nodes: int) -> float:
-        x, w = _gl_nodes(n_nodes)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * np.diff(edges)
-        taus = (mid[:, None] + half[:, None] * x[None, :]).ravel()
+        taus, w, half = _nodes(edges, n_nodes)
         t = c + 1j * taus
         vals = np.exp(_chi_log(t, spec) + t * lnz - log_peak).real
-        return float(np.sum(vals.reshape(len(mid), -1) * w[None, :] * half[:, None]))
+        return float(np.sum(vals.reshape(len(half), -1) * w * half))
 
     i1 = integrate(24)
     i2 = integrate(48)
@@ -237,15 +276,77 @@ def _mellin_barnes(spec: MeijerGSpec, z: float) -> float:
         i3 = integrate(96)
         err = abs(i3 - i2)
         total = i3
-    tail_bound = np.exp(-rate * T) / rate
-    if not np.isfinite(total):
-        raise NonConvergentError("Mellin-Barnes integral returned non-finite value")
-    if err + tail_bound > max(1e-7 * abs(total), 1e-13):
-        raise NonConvergentError(
-            f"Mellin-Barnes integral error {err + tail_bound:.2e} "
-            f"exceeds tolerance for value {total:.2e}"
-        )
+    _check_converged(total, err, np.exp(-rate * T) / rate)
     return float(np.exp(log_peak) * total / np.pi)
+
+
+# Rows of one ln s bucket integrated together; bounds the rows x nodes
+# work arrays whatever the grid size.
+_CHUNK = 128
+
+
+def meijer_g_sum(spec: MeijerGSpec, weights, scales, p: float, s):
+    """sum_n weights_n G(scales_n^p s) for every entry of s > 0.
+
+    Since (scales_n^p s)^t = s^t scales_n^{pt}, the whole sum is one
+    Mellin-Barnes integral of chi(t) s^t D(t) with D(t) = sum_n weights_n
+    scales_n^{pt}, so differences of terms cancel inside the integrand
+    instead of between separately rounded integrals.  Arguments are
+    grouped into unit-width ln s buckets; each bucket places its contour
+    at the saddle of the bucket's fixed centre (a value depends only on
+    its own s, so an array call equals elementwise scalar calls) and
+    evaluates chi and D once per node set.  Every value passes the same
+    refinement and tolerance checks as `meijer_g`.
+    """
+    s_arr = np.asarray(s, dtype=float)
+    flat = s_arr.ravel()
+    if not np.all(np.isfinite(flat) & (flat > 0.0)):
+        raise ValueError("meijer_g_sum requires finite s > 0")
+    _require_decay(spec)
+    w = np.asarray(weights, dtype=float)
+    lsc = p * np.log(np.asarray(scales, dtype=float))
+    lns = np.log(flat)
+    bucket = np.floor(lns)
+    out = np.empty_like(flat)
+    for j in np.unique(bucket):
+        rows = np.flatnonzero(bucket == j)
+        out[rows] = _bucket_sum(spec, w, lsc, float(j), lns[rows])
+    return float(out[0]) if s_arr.ndim == 0 else out.reshape(s_arr.shape)
+
+
+def _bucket_sum(spec: MeijerGSpec, w, lsc, j: float, lns) -> np.ndarray:
+    """meijer_g_sum at every ln s in [j, j + 1), on one shared contour."""
+    lnz_lo, lnz_hi = j + lsc.min(), j + 1.0 + lsc.max()
+    c = _contour_abscissa(spec, 0.5 * (lnz_lo + lnz_hi))
+    chi_c = float(np.real(_chi_log(complex(c, 0.0), spec)))
+    # Normalise by the largest term's integrand at tau = 0.
+    d_max = float(np.max(np.log(np.abs(w)) + c * lsc))
+    rate, T, edges = _contour_extent(spec, c, max(abs(lnz_lo), abs(lnz_hi)))
+
+    def integrate(n_nodes: int, ls) -> np.ndarray:
+        taus, gl, half = _nodes(edges, n_nodes)
+        t = c + 1j * taus
+        d = (np.exp(t[:, None] * lsc[None, :] - d_max) * w).sum(axis=1)
+        vals = np.exp(_chi_log(t, spec) - chi_c) * d
+        vals = (vals.reshape(len(half), -1) * gl * half).ravel()
+        total = np.empty(len(ls))
+        for i in range(0, len(ls), _CHUNK):
+            # Re[vals exp(i tau ln s)], summed row by row
+            phase = ls[i:i + _CHUNK, None] * taus[None, :]
+            total[i:i + _CHUNK] = (np.cos(phase) * vals.real
+                                   - np.sin(phase) * vals.imag).sum(axis=1)
+        return total
+
+    i1 = integrate(24, lns)
+    total = integrate(48, lns)
+    err = np.abs(total - i1)
+    refine = np.flatnonzero(err > np.maximum(_EPS_REL * 10 * np.abs(total), 1e-13))
+    if refine.size:
+        i3 = integrate(96, lns[refine])
+        err[refine] = np.abs(i3 - total[refine])
+        total[refine] = i3
+    _check_converged(total, err, np.exp(-rate * T) / rate)
+    return np.exp(chi_c + c * lns + d_max) * total / np.pi
 
 
 @lru_cache(maxsize=4096)
@@ -254,7 +355,9 @@ def _meijer_cached(m, n, a, b, z):
 
 
 def meijer_g_cached(m: int, n: int, a, b, z: float) -> float:
-    """Memoized meijer_g for the hot analytic-model loops."""
+    """Memoized meijer_g.  No channel model calls it; it stays for the
+    benchmark, whose tracer counts its calls and whose probes clear its
+    cache."""
     return _meijer_cached(int(m), int(n), tuple(a), tuple(b), float(z))
 
 

@@ -4,8 +4,10 @@ Both fading passes are Gamma-Gamma; with the power-law pointing factor
 their product has a Meijer-G density, and convolving it with the
 sectorized reflection density gives the channel statistics as sums of
 Meijer-G differences over sectors.  The bit error rate closes the loop
-with one more Mellin convolution against the Q-function kernel.  The SNR
-statistics and outage follow from the channel statistics through
+with one more Mellin convolution against the Q-function kernel.  Each
+sector sum is evaluated by `specfun.meijer_g_sum` as one integral per
+argument, so the densities and CDFs take arrays.  The SNR statistics and
+outage follow from the channel statistics through
 `channel.SquareLawModel`.
 """
 
@@ -28,7 +30,7 @@ from .channel import (
 )
 from .errors import NonConvergentError, NonPositiveBreakpointError, RegimeMismatchError
 from .mrr import SectorModel
-from .specfun import meijer_g_cached, q_function
+from .specfun import MeijerGSpec, meijer_g_sum, q_function
 
 __all__ = [
     "StrongModelConstants",
@@ -104,36 +106,33 @@ def _b_shapes(k: StrongModelConstants) -> tuple:
     return (k.alpha - 1.0, k.beta - 1.0, k.K - 1.0, k.alpha - 1.0, k.beta - 1.0)
 
 
-def _sector_sum(k: StrongModelConstants, m: int, n: int, a, b, arg) -> float:
-    """sum_n B_n [G(arg(B_n')) - G(arg(B_n''))] for G^{m,n} with parameters a, b."""
-    total = 0.0
-    for bn, c1, c2 in zip(k.sectors.B, k.Bn_prime, k.Bn_dprime):
-        total += bn * (meijer_g_cached(m, n, a, b, arg(c1))
-                       - meijer_g_cached(m, n, a, b, arg(c2)))
-    return total
+def _sector_terms(k: StrongModelConstants) -> tuple[np.ndarray, np.ndarray]:
+    """Weights +-B_n and argument scales B_n', B_n'' of every sector sum."""
+    return (np.concatenate([k.sectors.B, -k.sectors.B]),
+            np.concatenate([k.Bn_prime, k.Bn_dprime]))
 
 
-def _pointwise(fn, x):
-    """fn at every positive entry of x, zero elsewhere; scalar in, scalar out."""
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.zeros_like(xs)
-    for i, v in enumerate(xs):
-        if v > 0:
-            out[i] = fn(v)
-    return float(out[0]) if np.ndim(x) == 0 else out
+def _at_positive(x, fn):
+    """fn (vectorized) at the positive entries of x, zero elsewhere; scalar in,
+    scalar out."""
+    xs = np.asarray(x, dtype=float)
+    out = np.zeros(xs.shape)
+    pos = xs > 0
+    out[pos] = fn(xs[pos])
+    return float(out) if xs.ndim == 0 else out
 
 
 def pdf_h_strong(h, k: StrongModelConstants):
     """Channel density: B_s sum_n B_n [G^{6,0}_{2,6}(B_n' h) - G^{6,0}_{2,6}(B_n'' h)]."""
-    a, b = (k.K, 1.0), (0.0, *_b_shapes(k))
-    return _pointwise(lambda x: k.B_s * _sector_sum(k, 6, 0, a, b, lambda c: c * x), h)
+    spec = MeijerGSpec(6, 0, (k.K, 1.0), (0.0, *_b_shapes(k)))
+    return _at_positive(h, lambda x: k.B_s * meijer_g_sum(spec, *_sector_terms(k), 1, x))
 
 
 def cdf_h_strong(h, k: StrongModelConstants):
     """Channel CDF: B_s h sum_n B_n [G^{6,1}_{3,7}(B_n' h) - G^{6,1}_{3,7}(B_n'' h)]."""
-    a, b = (0.0, k.K, 1.0), (0.0, *_b_shapes(k), -1.0)
-    return _pointwise(lambda x: min(1.0, max(0.0, k.B_s * x * _sector_sum(
-        k, 6, 1, a, b, lambda c: c * x))), h)
+    spec = MeijerGSpec(6, 1, (0.0, k.K, 1.0), (0.0, *_b_shapes(k), -1.0))
+    return _at_positive(h, lambda x: np.clip(
+        k.B_s * x * meijer_g_sum(spec, *_sector_terms(k), 1, x), 0.0, 1.0))
 
 
 def _simple_scale(k: StrongModelConstants, h_c_reinstated: bool) -> tuple[float, float]:
@@ -152,16 +151,16 @@ def pdf_h_strong_simple(h, k: StrongModelConstants, h_c_reinstated: bool = True)
     the sectorized density.  Pass False for the bare printed form.
     """
     c, pref = _simple_scale(k, h_c_reinstated)
-    a, b = (k.K,), _b_shapes(k)
-    return _pointwise(lambda x: pref * meijer_g_cached(5, 0, a, b, c * x), h)
+    spec = MeijerGSpec(5, 0, (k.K,), _b_shapes(k))
+    return _at_positive(h, lambda x: pref * meijer_g_sum(spec, (1.0,), (c,), 1, x))
 
 
 def cdf_h_strong_simple(h, k: StrongModelConstants, h_c_reinstated: bool = True):
     """Small-jitter channel CDF, single G^{5,1}_{2,6} term."""
     c, pref = _simple_scale(k, h_c_reinstated)
-    a, b = (0.0, k.K), (*_b_shapes(k), -1.0)
-    return _pointwise(
-        lambda x: min(1.0, max(0.0, pref * x * meijer_g_cached(5, 1, a, b, c * x))), h)
+    spec = MeijerGSpec(5, 1, (0.0, k.K), (*_b_shapes(k), -1.0))
+    return _at_positive(h, lambda x: np.clip(
+        pref * x * meijer_g_sum(spec, (1.0,), (c,), 1, x), 0.0, 1.0))
 
 
 def ber_strong(k: StrongModelConstants, with_method: bool = False):
@@ -174,14 +173,13 @@ def ber_strong(k: StrongModelConstants, with_method: bool = False):
     quadrature when the contour integral fails, tagging the result.
     """
     a, b, K = k.alpha, k.beta, k.K
-    a_list = (0.5, 0.0, (K + 1.0) / 2.0, 1.0)
-    b_list = (0.0, (a - 1) / 2, (a - 1) / 2, a / 2, a / 2,
-              (b - 1) / 2, (b - 1) / 2, b / 2, b / 2, (K - 1) / 2, -0.5)
+    spec = MeijerGSpec(10, 2, (0.5, 0.0, (K + 1.0) / 2.0, 1.0),
+                       (0.0, (a - 1) / 2, (a - 1) / 2, a / 2, a / 2,
+                        (b - 1) / 2, (b - 1) / 2, b / 2, b / 2, (K - 1) / 2, -0.5))
     pref = (k.B_s * 2.0 ** (2.0 * a + 2.0 * b - 10.5)
             / (math.pi ** 2.5 * math.sqrt(k.upsilon_1)))
-    scale = 128.0 * k.upsilon_1
     try:
-        value = pref * _sector_sum(k, 10, 2, a_list, b_list, lambda c: c * c / scale)
+        value = pref * meijer_g_sum(spec, *_sector_terms(k), 2, 1.0 / (128.0 * k.upsilon_1))
         method = "closed-form"
         if not (math.isfinite(value) and value >= 0.0):
             raise NonConvergentError("closed form lost significance")

@@ -144,6 +144,30 @@ class TestRunExperiment:
         assert pdf_points == {grid[0], grid[2]}
         assert [r["sweep_value"] for r in res.rows if r["metric"] == "outage"] == list(grid)
 
+    def test_strong_density_failure_recorded_per_point(self, monkeypatch):
+        import mrrlink.strong as strong
+        from mrrlink.errors import NonConvergentError
+
+        real = strong.meijer_g_sum
+
+        def failing(spec, weights, scales, p, s):
+            if (spec.m, spec.n) == (6, 0):  # the density's order only
+                raise NonConvergentError("injected")
+            return real(spec, weights, scales, p, s)
+
+        monkeypatch.setattr(strong, "meijer_g_sum", failing)
+        grid = (0.01, 0.1, 1.0)
+        spec = ExperimentSpec(base_cfg(cn2_0=5e-14), "Pt", grid,
+                              metrics=("pdf_h", "cdf_h", "outage"),
+                              engines=("analytic",), regime="strong", bins=10)
+        res = run_experiment(spec)
+        assert len(res.errors) == len(grid)
+        for value, error in zip(grid, res.errors):
+            assert f"Pt={value:g}" in error and "pdf_h" in error and "injected" in error
+        assert not [r for r in res.rows if r["metric"] == "pdf_h"]
+        assert [r["sweep_value"] for r in res.rows if r["metric"] == "outage"] == list(grid)
+        assert len([r for r in res.rows if r["metric"] == "cdf_h"]) == 10 * len(grid)
+
     def test_csv_deterministic_across_workers(self, tmp_path):
         grid = tuple(10 ** (p / 10) / 1000 for p in (0.0, 15.0, 30.0))
         outs = {}

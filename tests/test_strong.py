@@ -271,14 +271,14 @@ class TestFallback:
     def test_ber_falls_back_when_contour_fails(self, k6, monkeypatch):
         import mrrlink.strong as strong_mod
         from mrrlink.errors import NonConvergentError
-        from mrrlink.specfun import meijer_g_cached as real
+        from mrrlink.specfun import meijer_g_sum as real
 
-        def boom(m, n, a, b, z):
-            if m == 10:  # only the error-rate kernel fails; densities stay up
+        def boom(spec, weights, scales, p, s):
+            if spec.m == 10:  # only the error-rate kernel fails; densities stay up
                 raise NonConvergentError("forced")
-            return real(m, n, a, b, z)
+            return real(spec, weights, scales, p, s)
 
-        monkeypatch.setattr(strong_mod, "meijer_g_cached", boom)
+        monkeypatch.setattr(strong_mod, "meijer_g_sum", boom)
         val, method = ber_strong(k6, with_method=True)
         assert method == "quadrature-fallback"
         assert 0.0 < val <= 0.5
