@@ -24,10 +24,9 @@ from .channel import (
     geometric_loss_gs,
     gg_params,
     h_constant,
+    pointing_exponent,
     pointing_loss_approx,
-    pointing_loss_exact,
     rytov_variance,
-    snr_from_h,
     turbulence_stats,
     upsilon_1,
 )
@@ -39,7 +38,6 @@ from .experiments import (
     run_experiment,
 )
 from .montecarlo import (
-    EmpiricalDistribution,
     FadingModel,
     MCEstimate,
     SimPlan,
@@ -61,7 +59,7 @@ from .mrr import (
     sample_hmrr,
     sector_table,
 )
-from .specfun import MeijerGSpec, bessel_k, interp_table, meijer_g, q_function
+from .specfun import MeijerGSpec, interp_table, meijer_g, q_function
 from .strong import (
     StrongModelConstants,
     ber_strong,

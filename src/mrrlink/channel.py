@@ -14,9 +14,10 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
-from scipy.integrate import dblquad, quad
+from scipy.integrate import quad
 
-from .errors import DegenerateGeometryError, NonConvergentError
+from .errors import DegenerateGeometryError
+from .specfun import at_positive
 
 __all__ = [
     "LinkConfig",
@@ -29,13 +30,11 @@ __all__ = [
     "beer_lambert",
     "beamwidth",
     "pointing_loss_approx",
-    "pointing_loss_exact",
+    "pointing_exponent",
     "geometric_loss_gs",
     "h_constant",
     "upsilon_1",
-    "snr_from_h",
     "SquareLawModel",
-    "equilateral_aperture",
 ]
 
 class Regime(Enum):
@@ -198,54 +197,12 @@ def pointing_loss_approx(cfg: LinkConfig, d_px, d_py):
     return float(out) if out.ndim == 0 else out
 
 
-def equilateral_aperture(area: float):
-    """Vertices of an equilateral triangle of given area, centroid at the
-    origin, one vertex on +y (orientation is immaterial in the plane-wave
-    limit used everywhere else)."""
-    side = math.sqrt(4.0 * area / math.sqrt(3.0))
-    r_top = side / math.sqrt(3.0)
-    return np.array(
-        [
-            [0.0, r_top],
-            [-side / 2.0, -side / (2.0 * math.sqrt(3.0))],
-            [side / 2.0, -side / (2.0 * math.sqrt(3.0))],
-        ]
-    )
-
-
-def pointing_loss_exact(cfg: LinkConfig, d_px: float, d_py: float,
-                        triangle=None) -> float:
-    """Gaussian beam power collected by the displaced triangular aperture.
-
-    2-D adaptive quadrature of the beam profile over the aperture; the
-    default aperture is an equilateral triangle of area A_r.
-    """
-    w_z = beamwidth(cfg)
-    tri = equilateral_aperture(cfg.A_r) if triangle is None else np.asarray(triangle, float)
-    if tri.shape != (3, 2):
-        raise ValueError("triangle must be three (x, y) vertices")
-    ys = tri[:, 1]
-    y_lo, y_hi = ys.min(), ys.max()
-
-    # x-extent of the triangle at height y (convex, so min/max over edges)
-    def x_limits(y):
-        xs = []
-        for i in range(3):
-            (x0, y0), (x1, y1) = tri[i], tri[(i + 1) % 3]
-            if (y0 - y) * (y1 - y) <= 0 and y0 != y1:
-                xs.append(x0 + (y - y0) * (x1 - x0) / (y1 - y0))
-        return (min(xs), max(xs)) if xs else (0.0, 0.0)
-
-    amp = 2.0 / (math.pi * w_z ** 2)
-
-    def f(x, y):
-        return amp * math.exp(-2.0 * ((x - d_px) ** 2 + (y - d_py) ** 2) / w_z ** 2)
-
-    val, err = dblquad(f, y_lo, y_hi, lambda y: x_limits(y)[0], lambda y: x_limits(y)[1],
-                       epsabs=1e-10, epsrel=1e-9)
-    if not np.isfinite(val) or err > max(1e-8, 1e-6 * abs(val)):
-        raise NonConvergentError(f"aperture quadrature error {err:.2e} too large")
-    return val
+def pointing_exponent(cfg: LinkConfig) -> float:
+    """Power-law exponent K = w_z^2 / (Z^2 sigma_theta_e^2) of the pointing
+    factor, whose CDF is (h / a0)^K; it needs tracking jitter."""
+    if cfg.sigma_theta_e == 0:
+        raise ValueError("the closed forms need tracking jitter sigma_theta_e > 0")
+    return beamwidth(cfg) ** 2 / (cfg.Z ** 2 * cfg.sigma_theta_e ** 2)
 
 
 def geometric_loss_gs(cfg: LinkConfig) -> float:
@@ -265,15 +222,6 @@ def upsilon_1(cfg: LinkConfig) -> float:
     return 2.0 * cfg.R_pd ** 2 * cfg.P_t ** 2 / cfg.sigma_n2
 
 
-def snr_from_h(cfg: LinkConfig, h):
-    """Instantaneous electrical SNR for channel coefficient h >= 0."""
-    h = np.asarray(h, dtype=float)
-    if np.any(h < 0):
-        raise ValueError("channel coefficient must be non-negative")
-    out = upsilon_1(cfg) * h ** 2
-    return float(out) if out.ndim == 0 else out
-
-
 class SquareLawModel:
     """SNR statistics of a channel model under gamma = upsilon_1 h^2.
 
@@ -284,12 +232,8 @@ class SquareLawModel:
 
     def pdf_snr(self, gamma):
         """SNR density f_h(sqrt(gamma/upsilon_1)) / (2 sqrt(upsilon_1 gamma))."""
-        g = np.atleast_1d(np.asarray(gamma, dtype=float))
-        out = np.zeros_like(g)
-        pos = g > 0
-        out[pos] = (self.pdf_h(np.sqrt(g[pos] / self.upsilon_1))
-                    / (2.0 * np.sqrt(self.upsilon_1 * g[pos])))
-        return float(out[0]) if np.ndim(gamma) == 0 else out
+        return at_positive(gamma, lambda g: self.pdf_h(np.sqrt(g / self.upsilon_1))
+                           / (2.0 * np.sqrt(self.upsilon_1 * g)))
 
     def cdf_snr(self, gamma):
         """SNR CDF, equal to cdf_h(sqrt(gamma/upsilon_1))."""

@@ -189,6 +189,12 @@ def _usage_problem(args) -> str | None:
             return "fig13 reads no link parameter; drop --set"
     if args.command == "optimize" and not 0 < args.bracket[0] < args.bracket[1]:
         return "--bracket needs 0 < LO_MRAD < HI_MRAD, got {:g} {:g}".format(*args.bracket)
+    if args.command == "heatmap":
+        for flag, span in (("--sigma-e", args.sigma_e), ("--w-z", args.w_z)):
+            if min(span) <= 0:
+                return f"{flag} needs positive LO and HI, got {span[0]:g} {span[1]:g}"
+    if args.command in ("optimize", "heatmap") and _base_config(args).sigma_theta_e == 0:
+        return "the closed forms need tracking jitter; --set sigma_theta_e above 0"
     return None
 
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .channel import LinkConfig
 from .errors import MissingRequiredError, UnitMismatchError, UnknownKeyError
 
@@ -146,8 +148,6 @@ def _parse_grid(text: str, line_no: int) -> tuple:
         else:
             scale = _unit_scale(tok)
     body = "".join(parts)
-    import numpy as np
-
     if ":" in body:
         pieces = body.split(":")
         if len(pieces) != 3:
@@ -169,13 +169,9 @@ def _parse_grid(text: str, line_no: int) -> tuple:
 
 
 def _unit_scale(token: str) -> float | None:
-    for table in (_ANGLE, _LENGTH, _AREA):
+    for table in _DIMENSIONS.values():
         if token in table:
             return table[token]
-    if token in ("W",):
-        return 1.0
-    if token in ("mW",):
-        return 1e-3
     return None
 
 

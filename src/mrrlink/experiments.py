@@ -208,7 +208,7 @@ def _grid_point_rows(spec: ExperimentSpec, value: float):
         mc_vals = None
         if samples is not None:
             if metric.startswith("pdf"):
-                mc_vals = empirical_pdf(samples, bins=edges).density()
+                mc_vals, _ = empirical_pdf(samples, bins=edges)
             else:
                 mc_vals = empirical_cdf(samples, centers)
             for x, v in zip(centers, mc_vals):

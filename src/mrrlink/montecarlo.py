@@ -25,9 +25,9 @@ from .channel import (
     LinkConfig,
     Regime,
     TurbulenceStats,
-    beamwidth,
     beer_lambert,
     geometric_loss_gs,
+    pointing_loss_approx,
     turbulence_stats,
     upsilon_1,
 )
@@ -36,7 +36,6 @@ from .specfun import q_function
 __all__ = [
     "FadingModel",
     "SimPlan",
-    "EmpiricalDistribution",
     "MCEstimate",
     "sample_channel",
     "draw_channel",
@@ -98,26 +97,6 @@ class MCEstimate(NamedTuple):
     n: int
 
 
-@dataclass(frozen=True)
-class EmpiricalDistribution:
-    """Histogram estimate with its bin metadata."""
-
-    bin_edges: np.ndarray
-    counts: np.ndarray
-    n: int
-
-    def __post_init__(self):
-        if len(self.bin_edges) != len(self.counts) + 1:
-            raise ValueError("need one more edge than bins")
-        if int(np.sum(self.counts)) != self.n:
-            raise ValueError("counts must sum to n")
-
-    def density(self) -> np.ndarray:
-        """Per-bin density estimate; integrates to one over the bins."""
-        widths = np.diff(self.bin_edges)
-        return self.counts / self.n / widths
-
-
 def block_uniforms(seed: int, index: int, cols: int) -> np.ndarray:
     """BLOCK rows of `cols` uniforms from the Philox stream keyed by
     (seed, block index), so any scheduling of blocks reproduces them."""
@@ -151,10 +130,8 @@ def sample_channel(plan: SimPlan) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield blocks of (h, gamma) samples of the composed channel."""
     plan = plan.resolved()
     cfg = plan.cfg
-    w_z = beamwidth(cfg)
     hl = beer_lambert(cfg)
     h_pg = geometric_loss_gs(cfg)
-    a0 = 2.0 * cfg.A_r / (math.pi * w_z ** 2)
     u1 = upsilon_1(cfg)
     scale = POINTING_DISPLACEMENT_FACTOR * cfg.Z
     for b, pos in enumerate(range(0, plan.n_samples, BLOCK)):
@@ -162,7 +139,7 @@ def sample_channel(plan: SimPlan) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         theta_m = cfg.sigma_theta_o * normals(u[:, 0:3])
         h_mrr = np.prod(np.maximum(0.0, 1.0 - np.tan(np.abs(theta_m))), axis=1)
         d = scale * np.sin(cfg.sigma_theta_e * normals(u[:, 3:5]))
-        h_pu = a0 * np.exp(-2.0 * (d[:, 0] ** 2 + d[:, 1] ** 2) / w_z ** 2)
+        h_pu = pointing_loss_approx(cfg, d[:, 0], d[:, 1])
         h_a = _fading_pair(plan, u[:, 5:9])
         h = (hl * hl * h_pg) * h_a * h_pu * h_mrr
         yield h, u1 * h * h
@@ -178,11 +155,11 @@ def draw_channel(plan: SimPlan) -> tuple[np.ndarray, np.ndarray]:
     return h, gamma
 
 
-def empirical_pdf(samples, bins=80) -> EmpiricalDistribution:
-    """Histogram of the samples; `bins` as in numpy.histogram."""
-    samples = np.asarray(samples, dtype=float)
-    counts, edges = np.histogram(samples, bins=bins)
-    return EmpiricalDistribution(edges, counts, int(counts.sum()))
+def empirical_pdf(samples, bins=80) -> tuple[np.ndarray, np.ndarray]:
+    """Histogram density of the samples, which integrates to one over the
+    bins, and the bin edges; `bins` as in numpy.histogram."""
+    counts, edges = np.histogram(np.asarray(samples, dtype=float), bins=bins)
+    return counts / counts.sum() / np.diff(edges), edges
 
 
 def empirical_cdf(samples, x) -> np.ndarray:

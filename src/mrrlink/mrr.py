@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InsufficientSamplesError, NonPositiveBreakpointError
 from .montecarlo import BLOCK, block_uniforms, normals
-from .specfun import interp_table
+from .specfun import at_positive, interp_table
 
 __all__ = [
     "MrrMomentTable",
@@ -30,7 +30,6 @@ __all__ = [
     "sample_hmrr",
     "mrr_moments",
     "model_moments",
-    "lognormal_hmrr_params",
     "lognormal_hmrr_pdf",
     "fit_sector_model",
     "sector_table",
@@ -102,10 +101,6 @@ class SectorModel:
         mass = float(np.sum(B * np.diff(V)))
         if abs(mass - 1.0) > 0.02:
             raise ValueError(f"sector densities integrate to {mass:.4f}, not 1")
-
-    @property
-    def n_sectors(self) -> int:
-        return len(self.B)
 
     def pdf(self, h):
         h = np.asarray(h, dtype=float)
@@ -198,31 +193,15 @@ def model_moments(sigma_theta_o: float) -> tuple[float, float]:
     return mu, math.sqrt(max(var, 0.0))
 
 
-def lognormal_hmrr_params(mu: float, sd: float) -> tuple[float, float]:
-    """Location/scale of the moment-matched log-normal reflection density."""
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    s2 = math.log1p(sd ** 2 / mu ** 2)
-    loc = math.log(mu ** 2 / math.sqrt(mu ** 2 + sd ** 2))
-    return loc, math.sqrt(s2)
-
-
 def lognormal_hmrr_pdf(h, mu: float, sd: float):
     """Moment-matched log-normal density; its first two moments equal
     (mu, sd^2) exactly."""
-    loc, scale = lognormal_hmrr_params(mu, sd)
-    h = np.asarray(h, dtype=float)
-    out = np.zeros_like(h)
-    pos = h > 0
-    hp = h[pos] if h.ndim else (h if h > 0 else None)
-    if h.ndim == 0:
-        if h <= 0:
-            return 0.0
-        return float(np.exp(-((np.log(h) - loc) ** 2) / (2 * scale ** 2))
-                     / (h * scale * math.sqrt(2 * math.pi)))
-    out[pos] = (np.exp(-((np.log(hp) - loc) ** 2) / (2 * scale ** 2))
-                / (hp * scale * math.sqrt(2 * math.pi)))
-    return out
+    if mu <= 0:
+        raise ValueError("mu must be positive")
+    loc = math.log(mu ** 2 / math.sqrt(mu ** 2 + sd ** 2))
+    scale = math.sqrt(math.log1p(sd ** 2 / mu ** 2))
+    return at_positive(h, lambda x: np.exp(-((np.log(x) - loc) ** 2) / (2 * scale ** 2))
+                       / (x * scale * math.sqrt(2 * math.pi)))
 
 
 def _uniform_sectors(mu: float, n_sectors: int) -> np.ndarray:
@@ -241,12 +220,12 @@ def _uniform_sectors(mu: float, n_sectors: int) -> np.ndarray:
     return lo + (1.0 - lo) / n_sectors * np.arange(n_sectors + 1)
 
 
-def fit_sector_model(samples, n_sectors: int = 8, mu: float | None = None) -> SectorModel:
+def fit_sector_model(samples, n_sectors: int = 8) -> SectorModel:
     """Fit the piecewise-constant density from reflection-coefficient samples.
 
-    Breakpoints are uniform over [2 mu - 1, 1] with mu defaulting to the
-    sample mean; densities are sector fractions over sector width,
-    renormalized to integrate to one over the window.
+    Breakpoints are uniform over [2 mu - 1, 1] with mu the sample mean;
+    densities are sector fractions over sector width, renormalized to
+    integrate to one over the window.
     """
     samples = np.asarray(samples, dtype=float)
     if n_sectors < 2:
@@ -255,9 +234,7 @@ def fit_sector_model(samples, n_sectors: int = 8, mu: float | None = None) -> Se
         raise InsufficientSamplesError(
             f"{samples.size} samples; need at least 1e4 for a stable fit"
         )
-    if mu is None:
-        mu = float(samples.mean())
-    V = _uniform_sectors(mu, n_sectors)
+    V = _uniform_sectors(float(samples.mean()), n_sectors)
     counts, _ = np.histogram(samples, bins=V)
     total = counts.sum()
     if total == 0:

@@ -8,11 +8,14 @@ ours, not the study's.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from .channel import LinkConfig
 from .experiments import ExperimentSpec
+from .montecarlo import empirical_pdf
+from .mrr import lognormal_hmrr_pdf, sample_hmrr
 
 __all__ = ["RECIPES", "build_recipe", "recipe_names"]
 
@@ -137,17 +140,11 @@ def build_fig13_rows(seed: int = 0, n_samples: int = 1_000_000) -> list[dict]:
     standard row schema (engine montecarlo = histogram, analytic =
     log-normal density).
     """
-    import numpy as np
-
-    from .montecarlo import empirical_pdf
-    from .mrr import lognormal_hmrr_pdf, sample_hmrr
-
     rows = []
     for deg in (1.0, 5.0, 10.0):
         s = sample_hmrr(deg * _DEG, n_samples, seed=seed)
-        dist = empirical_pdf(s, bins=60)
-        centers = 0.5 * (dist.bin_edges[:-1] + dist.bin_edges[1:])
-        dens = dist.density()
+        dens, edges = empirical_pdf(s, bins=60)
+        centers = 0.5 * (edges[:-1] + edges[1:])
         mu, sd = float(s.mean()), float(s.std())
         ana = lognormal_hmrr_pdf(centers, mu, sd)
         label = f"sigma_o={deg:g}deg"
@@ -188,6 +185,5 @@ def build_recipe(name: str, base: LinkConfig | None = None,
         kwargs = {"seed": seed}
         if n_samples is not None:
             kwargs["n_samples"] = n_samples
-        from dataclasses import replace
         out.append(replace(s, **kwargs))
     return out

@@ -1,8 +1,8 @@
 """Special-function kernels used by the analytical channel models.
 
 Everything here is a pure function of its arguments.  The elementary
-kernels (Q-function, log Q, log erfc, modified Bessel K) wrap the
-well-tested scipy implementations; the Meijer G-function is evaluated by
+kernels (Q-function, log Q, log erfc) wrap the well-tested scipy
+implementations; the Meijer G-function is evaluated by
 direct numerical Mellin-Barnes integration because the orders needed by
 the channel statistics (up to G^{10,2}_{4,11} with repeated parameters) are
 outside what series-based evaluators handle reliably.
@@ -30,7 +30,7 @@ __all__ = [
     "q_function",
     "log_q",
     "log_erfc",
-    "bessel_k",
+    "at_positive",
     "MeijerGSpec",
     "meijer_g",
     "meijer_g_sum",
@@ -60,16 +60,15 @@ def log_erfc(x: float) -> float:
     return math.log(2.0 - sp.erfcx(-x) * math.exp(-x * x))
 
 
-def bessel_k(nu: float, x):
-    """Modified Bessel function of the second kind K_nu(x), x > 0.
-
-    Even in nu; positive and decreasing in x.
-    """
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise ValueError("bessel_k requires x > 0")
-    out = sp.kv(nu, x)
-    return float(out) if out.ndim == 0 else out
+def at_positive(x, fn):
+    """fn (vectorized) at the positive entries of x and 0 where x <= 0 or
+    is NaN, the support rule of every channel density; a scalar in gives
+    a float out."""
+    xs = np.asarray(x, dtype=float)
+    out = np.zeros(xs.shape)
+    pos = xs > 0
+    out[pos] = fn(xs[pos])
+    return float(out) if xs.ndim == 0 else out
 
 
 @dataclass(frozen=True)

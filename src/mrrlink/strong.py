@@ -26,11 +26,12 @@ from .channel import (
     TurbulenceStats,
     beamwidth,
     h_constant,
+    pointing_exponent,
     upsilon_1,
 )
 from .errors import NonConvergentError, NonPositiveBreakpointError, RegimeMismatchError
 from .mrr import SectorModel
-from .specfun import MeijerGSpec, meijer_g_sum, q_function
+from .specfun import MeijerGSpec, at_positive, meijer_g_sum, q_function
 
 __all__ = [
     "StrongModelConstants",
@@ -91,7 +92,7 @@ def strong_constants(cfg: LinkConfig, stats: TurbulenceStats,
         )
     w_z = beamwidth(cfg)
     h_c = h_constant(cfg)
-    K = w_z ** 2 / (cfg.Z ** 2 * cfg.sigma_theta_e ** 2)
+    K = pointing_exponent(cfg)
     a, b = stats.alpha, stats.beta
     scale = math.pi * w_z ** 2 * a ** 2 * b ** 2 / (2.0 * cfg.A_r * h_c)
     B_s = K * scale / math.exp(2.0 * (sp.gammaln(a) + sp.gammaln(b)))
@@ -112,26 +113,16 @@ def _sector_terms(k: StrongModelConstants) -> tuple[np.ndarray, np.ndarray]:
             np.concatenate([k.Bn_prime, k.Bn_dprime]))
 
 
-def _at_positive(x, fn):
-    """fn (vectorized) at the positive entries of x, zero elsewhere; scalar in,
-    scalar out."""
-    xs = np.asarray(x, dtype=float)
-    out = np.zeros(xs.shape)
-    pos = xs > 0
-    out[pos] = fn(xs[pos])
-    return float(out) if xs.ndim == 0 else out
-
-
 def pdf_h_strong(h, k: StrongModelConstants):
     """Channel density: B_s sum_n B_n [G^{6,0}_{2,6}(B_n' h) - G^{6,0}_{2,6}(B_n'' h)]."""
     spec = MeijerGSpec(6, 0, (k.K, 1.0), (0.0, *_b_shapes(k)))
-    return _at_positive(h, lambda x: k.B_s * meijer_g_sum(spec, *_sector_terms(k), 1, x))
+    return at_positive(h, lambda x: k.B_s * meijer_g_sum(spec, *_sector_terms(k), 1, x))
 
 
 def cdf_h_strong(h, k: StrongModelConstants):
     """Channel CDF: B_s h sum_n B_n [G^{6,1}_{3,7}(B_n' h) - G^{6,1}_{3,7}(B_n'' h)]."""
     spec = MeijerGSpec(6, 1, (0.0, k.K, 1.0), (0.0, *_b_shapes(k), -1.0))
-    return _at_positive(h, lambda x: np.clip(
+    return at_positive(h, lambda x: np.clip(
         k.B_s * x * meijer_g_sum(spec, *_sector_terms(k), 1, x), 0.0, 1.0))
 
 
@@ -152,14 +143,14 @@ def pdf_h_strong_simple(h, k: StrongModelConstants, h_c_reinstated: bool = True)
     """
     c, pref = _simple_scale(k, h_c_reinstated)
     spec = MeijerGSpec(5, 0, (k.K,), _b_shapes(k))
-    return _at_positive(h, lambda x: pref * meijer_g_sum(spec, (1.0,), (c,), 1, x))
+    return at_positive(h, lambda x: pref * meijer_g_sum(spec, (1.0,), (c,), 1, x))
 
 
 def cdf_h_strong_simple(h, k: StrongModelConstants, h_c_reinstated: bool = True):
     """Small-jitter channel CDF, single G^{5,1}_{2,6} term."""
     c, pref = _simple_scale(k, h_c_reinstated)
     spec = MeijerGSpec(5, 1, (0.0, k.K), (*_b_shapes(k), -1.0))
-    return _at_positive(h, lambda x: np.clip(
+    return at_positive(h, lambda x: np.clip(
         pref * x * meijer_g_sum(spec, (1.0,), (c,), 1, x), 0.0, 1.0))
 
 
@@ -190,11 +181,15 @@ def ber_strong(k: StrongModelConstants, with_method: bool = False):
     return (value, method) if with_method else value
 
 
-def _ber_strong_quadrature(k: StrongModelConstants, points: int = 320) -> float:
+# Log-grid nodes of the BER quadrature fallback.
+_BER_QUAD_POINTS = 320
+
+
+def _ber_strong_quadrature(k: StrongModelConstants) -> float:
     """Quadrature of Q(sqrt(upsilon_1) h) against the channel density on a
     log grid over its support; the grid is independent of transmit power,
     so sweeps reuse it."""
     h_hi = k.sectors.V[-1] * 2.0 * k.A_r * k.h_c / (math.pi * k.w_z ** 2) * 20.0
-    h = np.exp(np.linspace(math.log(h_hi * 1e-7), math.log(h_hi), points))
+    h = np.exp(np.linspace(math.log(h_hi * 1e-7), math.log(h_hi), _BER_QUAD_POINTS))
     f = pdf_h_strong(h, k)
     return float(np.trapezoid(q_function(np.sqrt(k.upsilon_1) * h) * f, h))

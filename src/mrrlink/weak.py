@@ -24,10 +24,11 @@ from .channel import (
     TurbulenceStats,
     beamwidth,
     h_constant,
+    pointing_exponent,
     upsilon_1,
 )
 from .errors import DegenerateDistributionError, NumericalOverflowError, RegimeMismatchError
-from .specfun import log_erfc, log_q, q_function
+from .specfun import at_positive, log_erfc, log_q, q_function
 
 __all__ = [
     "WeakModelConstants",
@@ -103,7 +104,7 @@ def weak_constants(cfg: LinkConfig, moments: tuple[float, float],
         )
     w_z = beamwidth(cfg)
     h_c = h_constant(cfg)
-    K = w_z ** 2 / (cfg.Z ** 2 * cfg.sigma_theta_e ** 2)
+    K = pointing_exponent(cfg)
     C1 = math.log1p(sd ** 2 / mu ** 2) + 8.0 * s_l2
     C2 = math.log(math.sqrt(mu ** 2 + sd ** 2) / mu ** 2) + 4.0 * s_l2
     C3 = math.pi * w_z ** 2 / (2.0 * cfg.A_r * h_c)
@@ -114,15 +115,13 @@ def weak_constants(cfg: LinkConfig, moments: tuple[float, float],
 
 def pdf_h_weak(h, k: WeakModelConstants):
     """Channel density C4 h^{K-1} Q((ln h + C5)/sqrt(C1)), h > 0."""
-    h = np.asarray(h, dtype=float)
-    out = np.zeros_like(h)
-    pos = h > 0
-    lh = np.log(h, where=pos, out=np.full_like(h, -np.inf))
-    # log-space: the power-law factor overflows long before the Q tail kicks in
-    logf = (k.log_C4 + (k.K - 1.0) * lh
-            + log_q((lh + k.C5) / math.sqrt(k.C1)))
-    np.exp(logf, where=pos, out=out)
-    return float(out) if out.ndim == 0 else out
+
+    def density(x):
+        lh = np.log(x)
+        # log-space: the power-law factor overflows long before the Q tail kicks in
+        return np.exp(k.log_C4 + (k.K - 1.0) * lh + log_q((lh + k.C5) / math.sqrt(k.C1)))
+
+    return at_positive(h, density)
 
 
 def cdf_h_weak(h, k: WeakModelConstants):
@@ -132,22 +131,17 @@ def cdf_h_weak(h, k: WeakModelConstants):
     printed SNR form carries a sign typo on the ln(upsilon_1) term of the
     second Q argument, which the substitution fixes.
     """
-    h = np.asarray(h, dtype=float)
-    if h.ndim == 0:
-        if h <= 0:
-            return 0.0
-        return float(cdf_h_weak(h[None], k)[0])
-    out = np.zeros_like(h)
-    pos = h > 0
-    lh = np.log(h[pos])
-    sq = math.sqrt(k.C1)
-    lt1 = k.K * (lh + k.C5) + log_q((lh + k.C5) / sq)
-    lt2 = k.K ** 2 * k.C1 / 2.0 + log_q((k.K * k.C1 - lh - k.C5) / sq)
-    m = np.maximum(lt1, lt2)
-    log_pref = k.log_C4 - math.log(k.K) - k.K * k.C5
-    val = np.exp(log_pref + m) * (np.exp(lt1 - m) + np.exp(lt2 - m))
-    out[pos] = np.minimum(val, 1.0)
-    return out
+
+    def cdf(x):
+        lh = np.log(x)
+        sq = math.sqrt(k.C1)
+        lt1 = k.K * (lh + k.C5) + log_q((lh + k.C5) / sq)
+        lt2 = k.K ** 2 * k.C1 / 2.0 + log_q((k.K * k.C1 - lh - k.C5) / sq)
+        m = np.maximum(lt1, lt2)
+        log_pref = k.log_C4 - math.log(k.K) - k.K * k.C5
+        return np.minimum(np.exp(log_pref + m) * (np.exp(lt1 - m) + np.exp(lt2 - m)), 1.0)
+
+    return at_positive(h, cdf)
 
 
 def _ber_weak_quadrature(k: WeakModelConstants) -> float:

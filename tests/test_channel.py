@@ -8,21 +8,21 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import dblquad
 
 from mrrlink.channel import (
     LinkConfig,
     Regime,
+    SquareLawModel,
     beamwidth,
     beer_lambert,
     cn2_profile,
-    equilateral_aperture,
     geometric_loss_gs,
     gg_params,
     h_constant,
+    pointing_exponent,
     pointing_loss_approx,
-    pointing_loss_exact,
     rytov_variance,
-    snr_from_h,
     turbulence_stats,
     upsilon_1,
 )
@@ -36,6 +36,52 @@ TRIANGLE_4CM2_W01 = 0.0250775128712      # fine-grid Riemann sum, d=0
 
 def cfg(**kw) -> LinkConfig:
     return LinkConfig(**kw)
+
+
+def equilateral_aperture(area: float):
+    """Vertices of an equilateral triangle of given area, centroid at the
+    origin, one vertex on +y."""
+    side = math.sqrt(4.0 * area / math.sqrt(3.0))
+    low = -side / (2.0 * math.sqrt(3.0))
+    return np.array([[0.0, side / math.sqrt(3.0)], [-side / 2.0, low], [side / 2.0, low]])
+
+
+def pointing_loss_exact(c: LinkConfig, d_px: float, d_py: float) -> float:
+    """Oracle for the plane-wave pointing loss: the Gaussian beam power
+    collected by the displaced equilateral aperture of area A_r, by 2-D
+    adaptive quadrature of the beam profile over the triangle."""
+    w_z = beamwidth(c)
+    tri = equilateral_aperture(c.A_r)
+
+    def x_limits(y):
+        # x-extent of the (convex) triangle at height y
+        xs = [x0 + (y - y0) * (x1 - x0) / (y1 - y0)
+              for (x0, y0), (x1, y1) in zip(tri, np.roll(tri, -1, axis=0))
+              if (y0 - y) * (y1 - y) <= 0 and y0 != y1]
+        return min(xs), max(xs)
+
+    def f(x, y):
+        return 2.0 / (math.pi * w_z ** 2) * math.exp(
+            -2.0 * ((x - d_px) ** 2 + (y - d_py) ** 2) / w_z ** 2)
+
+    val, err = dblquad(f, tri[:, 1].min(), tri[:, 1].max(),
+                       lambda y: x_limits(y)[0], lambda y: x_limits(y)[1],
+                       epsabs=1e-10, epsrel=1e-9)
+    assert err <= max(1e-8, 1e-6 * abs(val))
+    return val
+
+
+class UniformChannel(SquareLawModel):
+    """A channel uniform on (0, 1), carried through the square-law map."""
+
+    def __init__(self, c: LinkConfig):
+        self.upsilon_1 = upsilon_1(c)
+
+    def pdf_h(self, h):
+        return np.where((h > 0) & (h < 1), 1.0, 0.0)
+
+    def cdf_h(self, h):
+        return np.clip(h, 0.0, 1.0)
 
 
 class TestCn2Profile:
@@ -181,32 +227,50 @@ class TestPointing:
         with pytest.warns(UserWarning):
             cfg(A_r=4e-4, theta_div=0.1e-3, Z=1000.0)
 
+    def test_exponent(self):
+        # K = w_z^2 / (Z^2 sigma_e^2) = 0.4^2 / (1000^2 (100e-6)^2)
+        c = cfg(theta_div=0.4e-3, Z=1000.0, sigma_theta_e=100e-6)
+        assert pointing_exponent(c) == pytest.approx(16.0, rel=1e-12)
+
+    def test_exponent_needs_tracking_jitter(self):
+        with pytest.raises(ValueError, match="sigma_theta_e > 0"):
+            pointing_exponent(cfg(sigma_theta_e=0.0))
+
 
 class TestSnr:
+    """The square-law map gamma = upsilon_1 h^2 of SquareLawModel."""
+
     def test_zero_channel(self):
-        assert snr_from_h(cfg(), 0.0) == 0.0
+        m = UniformChannel(cfg())
+        assert m.pdf_snr(0.0) == 0.0 and isinstance(m.pdf_snr(0.0), float)
+        assert m.cdf_snr(0.0) == 0.0
+        assert m.outage(0.0) == 0.0
 
     def test_unit_channel_is_upsilon1(self):
         c = cfg()
-        assert snr_from_h(c, 1.0) == pytest.approx(upsilon_1(c), rel=1e-14)
+        m = UniformChannel(c)
+        assert m.cdf_snr(upsilon_1(c)) == 1.0
+        assert m.cdf_snr(upsilon_1(c) / 4.0) == pytest.approx(0.5, rel=1e-14)
 
     def test_table_style_arithmetic(self):
-        # sigma_n2 read as 10^-1.1 mA^2; gamma = upsilon_1 * h^2 exactly
+        # sigma_n2 read as 10^-1.1 mA^2
         c = cfg(P_t=0.1, R_pd=0.8, sigma_n2=10 ** -1.1 * 1e-6)
         assert upsilon_1(c) == pytest.approx(161142.45271, rel=1e-9)
-        assert snr_from_h(c, 1e-4) == pytest.approx(upsilon_1(c) * 1e-8, rel=1e-12)
 
     def test_monotone_in_h_and_power(self):
+        # uniform h: f_gamma(gamma) = 1 / (2 sqrt(upsilon_1 gamma)) on (0, upsilon_1)
         c = cfg()
-        hs = np.linspace(1e-6, 1e-3, 20)
-        vals = snr_from_h(c, hs)
-        assert np.all(np.diff(vals) > 0)
-        p_vals = [snr_from_h(cfg(P_t=p), 1e-4) for p in np.linspace(0.01, 1.0, 10)]
-        assert all(b > a for a, b in zip(p_vals, p_vals[1:]))
+        m = UniformChannel(c)
+        g = np.linspace(0.01, 0.99, 20) * upsilon_1(c)
+        assert np.allclose(m.pdf_snr(g), 0.5 / np.sqrt(upsilon_1(c) * g), rtol=1e-14)
+        outages = [UniformChannel(cfg(P_t=p)).outage(10.0) for p in np.linspace(0.01, 1.0, 10)]
+        assert all(b < a for a, b in zip(outages, outages[1:]))
 
     def test_negative_h_rejected(self):
+        m = UniformChannel(cfg())
+        assert np.array_equal(m.pdf_snr(np.array([-1.0, np.nan, 0.0])), np.zeros(3))
         with pytest.raises(ValueError):
-            snr_from_h(cfg(), -1e-3)
+            m.outage(-1e-3)
 
 
 class TestRegime:

@@ -168,6 +168,17 @@ class TestRunExperiment:
         assert [r["sweep_value"] for r in res.rows if r["metric"] == "outage"] == list(grid)
         assert len([r for r in res.rows if r["metric"] == "cdf_h"]) == 10 * len(grid)
 
+    @pytest.mark.parametrize("regime,cn2", [("weak", 5e-15), ("strong", 5e-14)])
+    def test_zero_tracking_jitter_recorded_mc_rows_kept(self, regime, cn2):
+        spec = ExperimentSpec(base_cfg(cn2_0=cn2), "sigma_theta_e", (0.0, 100e-6),
+                              metrics=("outage",), engines=("analytic", "montecarlo"),
+                              regime=regime, n_samples=20_000)
+        res = run_experiment(spec)
+        assert len(res.errors) == 1
+        assert "sigma_theta_e=0" in res.errors[0] and "sigma_theta_e > 0" in res.errors[0]
+        points = {(r["sweep_value"], r["engine"]) for r in res.rows}
+        assert points == {(0.0, "montecarlo"), (100e-6, "analytic"), (100e-6, "montecarlo")}
+
     def test_csv_deterministic_across_workers(self, tmp_path):
         grid = tuple(10 ** (p / 10) / 1000 for p in (0.0, 15.0, 30.0))
         outs = {}
@@ -233,6 +244,10 @@ class TestOptimizer:
         tight = optimize_divergence(base_cfg(sigma_theta_e=50e-6), regime="weak")
         assert tight.theta_opt < loose.theta_opt
 
+    def test_zero_tracking_jitter_rejected(self):
+        with pytest.raises(ValueError, match="sigma_theta_e > 0"):
+            optimize_divergence(base_cfg(sigma_theta_e=0.0), regime="weak")
+
 
 class TestHeatmap:
     def test_dimensions_and_compositionality(self):
@@ -254,6 +269,10 @@ class TestHeatmap:
         mat = heatmap(cfg, se, wz, metric="outage", regime="weak")
         argmins = wz[np.argmin(mat, axis=1)]
         assert all(b >= a - 1e-12 for a, b in zip(argmins, argmins[1:]))
+
+    def test_zero_tracking_jitter_rejected(self):
+        with pytest.raises(ValueError, match="sigma_theta_e > 0"):
+            heatmap(base_cfg(), [0.0, 100e-6], [0.4], regime="weak")
 
 
 class TestCli:
@@ -440,3 +459,24 @@ class TestCliHeatmap:
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
         assert not (tmp_path / "map.csv").exists()
+
+    @pytest.mark.parametrize("flag,span", [("--sigma-e", ("0", "400")),
+                                           ("--w-z", ("0", "2")), ("--w-z", ("-1", "2"))])
+    def test_non_positive_range_is_usage_error(self, flag, span, tmp_path, capsys):
+        from mrrlink.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["heatmap", flag, *span, "--out", str(tmp_path / "map.csv")])
+        assert exc.value.code == 2
+        assert f"{flag} needs positive LO and HI" in capsys.readouterr().err
+        assert not (tmp_path / "map.csv").exists()
+
+    @pytest.mark.parametrize("command", ["optimize", "heatmap"])
+    def test_zero_tracking_jitter_is_usage_error(self, command, tmp_path, capsys):
+        from mrrlink.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--set", "sigma_theta_e=0 urad", "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "tracking jitter" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

@@ -140,11 +140,12 @@ class TestLognormalPdf:
 
 class TestSectorModel:
     def test_flat_density(self):
+        # uniform on [0.5, 1]: mean 0.75 puts the window at [0.5, 1], density 2
         rng = np.random.Generator(np.random.Philox(2))
-        s = rng.random(200_000)
-        model = fit_sector_model(s, 4, mu=0.5)
-        assert np.allclose(model.V, [0.0, 0.25, 0.5, 0.75, 1.0])
-        assert np.allclose(model.B, 1.0, atol=0.02)
+        s = 0.5 + 0.5 * rng.random(200_000)
+        model = fit_sector_model(s, 4)
+        assert np.allclose(model.V, [0.5, 0.625, 0.75, 0.875, 1.0], atol=2e-3)
+        assert np.allclose(model.B, 2.0, atol=0.04)
 
     def test_mass_normalized(self):
         s = sample_hmrr(5 * DEG, 300_000, seed=4)

@@ -49,3 +49,24 @@ def test_probes_reach_their_kernels():
                           fading=probes.FadingModel.GAMMA_GAMMA)
     h_block, gamma_block = next(probes.sample_channel(plan))
     assert len(h_block) == len(gamma_block) == 1_000
+
+
+def test_exported_names_resolve():
+    """Each name in a module's `__all__` exists (the tracer reads
+    `strong.__all__`/`weak.__all__` by getattr), and each name the package
+    re-exports is listed in the `__all__` of the module defining it."""
+    import importlib
+    import inspect
+    import pkgutil
+
+    import mrrlink
+
+    for info in pkgutil.iter_modules(mrrlink.__path__):
+        module = importlib.import_module(f"mrrlink.{info.name}")
+        missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        assert not missing, f"mrrlink.{info.name}.__all__ lists missing names {missing}"
+    for name, value in vars(mrrlink).items():
+        if name.startswith("_") or inspect.ismodule(value):
+            continue
+        home = importlib.import_module(value.__module__)
+        assert name in home.__all__, f"mrrlink.{name} is not in {value.__module__}.__all__"
