@@ -10,6 +10,7 @@ raised during the run.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -18,7 +19,8 @@ import numpy as np
 
 from . import __version__
 from .channel import LinkConfig
-from .config import RawConfig, parse_config, parse_link_overrides, require_experiment_keys
+from .config import LINK_KEYS, RawConfig, parse_config, require_experiment_keys
+from .errors import ConfigError
 from .experiments import (
     ExperimentSpec,
     heatmap,
@@ -28,9 +30,7 @@ from .experiments import (
     write_outputs,
 )
 from .mrr import fit_sector_model, sample_hmrr
-from .recipes import build_recipe, recipe_names
-
-PAPER_SCALE = 50_000_000
+from .recipes import build_fig13_rows, build_recipe, recipe_names
 
 
 def _count(text: str) -> int:
@@ -40,49 +40,22 @@ def _count(text: str) -> int:
     return n
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, samples: bool, link: bool) -> None:
+    """--seed, --out, --workers; --samples and --set where the command uses them."""
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=_count, default=None,
-                   help="Monte-Carlo samples per grid point (default 1e6)")
-    p.add_argument("--paper-scale", action="store_true",
-                   help="use the study's 5e7-sample budget")
-    p.add_argument("--out", default=None, help="output CSV path")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                   help="override a link parameter, e.g. --set 'Pt=20 dBm'")
-
-
-def _samples(args, default: int | None = None) -> int | None:
-    if args.paper_scale:
-        return PAPER_SCALE
-    return default if args.samples is None else args.samples
-
-
-def _base_config(args, cfg: LinkConfig | None = None) -> LinkConfig:
-    """`cfg` (default: the default link) with the --set overrides applied last."""
-    return RawConfig(link=parse_link_overrides(args.set)).build_link_config(cfg)
+    p.add_argument("--out", default=None, help="output path")
+    p.add_argument("--workers", type=_count, default=1)
+    if samples:
+        p.add_argument("--samples", type=_count, default=None,
+                       help="Monte-Carlo samples per grid point (default 1e6; mc-tables 5e6)")
+    if link:
+        p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                       help="override a link parameter, e.g. --set 'Pt=20 dBm'")
 
 
 def cmd_run(args) -> int:
-    raw = parse_config(args.spec_file)
-    require_experiment_keys(raw)
-    base = _base_config(args, raw.build_link_config())
-    exp = raw.experiment
-    spec = ExperimentSpec(
-        base=base,
-        sweep_axis=exp["sweep"],
-        grid=tuple(exp["grid"]),
-        metrics=tuple(exp["metrics"]),
-        engines=tuple(exp["engines"]),
-        output_path=args.out or exp.get("out"),
-        seed=exp.get("seed", 0) if args.seed is None else args.seed,
-        n_samples=_samples(args, exp.get("samples", 1_000_000)),
-        regime=exp.get("regime"),
-        bins=exp.get("bins", 80),
-        label=exp.get("label", ""),
-    )
-    result = run_experiment(spec, workers=args.workers)
-    _report(result.rows, result.flags, result.errors, spec.output_path)
+    result = run_experiment(args.specs[0], workers=args.workers)
+    _report(result.rows, result.flags, result.errors, result.spec.output_path)
     return 0 if result.ok else 2
 
 
@@ -91,34 +64,29 @@ def cmd_recipe(args) -> int:
         print("\n".join(recipe_names()))
         return 0
     if args.name == "fig13":
-        from .recipes import build_fig13_rows
-
-        n = _samples(args, 1_000_000)
+        n = args.samples or 1_000_000
         rows = build_fig13_rows(seed=args.seed, n_samples=n)
         if args.out:
             write_outputs(rows, args.out, extra_meta={"recipe": "fig13",
                                                       "seed": args.seed, "n_samples": n})
         _report(rows, [], [], args.out)
         return 0
-    specs = build_recipe(args.name, _base_config(args), seed=args.seed,
-                         n_samples=_samples(args))
     rows, flags, errors = [], [], []
-    for spec in specs:
+    for spec in args.specs:
         res = run_experiment(spec, workers=args.workers)
         rows.extend(res.rows)
         flags.extend(f"[{spec.label}] {f}" for f in res.flags)
         errors.extend(f"[{spec.label}] {e}" for e in res.errors)
     if args.out:
         write_outputs(rows, args.out, extra_meta={
-            "recipe": args.name, "curves": [spec_meta(s) for s in specs],
+            "recipe": args.name, "curves": [spec_meta(s) for s in args.specs],
             "flags": flags, "errors": errors})
     _report(rows, flags, errors, args.out)
     return 0 if not flags else 2
 
 
 def cmd_optimize(args) -> int:
-    cfg = _base_config(args)
-    res = optimize_divergence(cfg, objective=args.objective,
+    res = optimize_divergence(args.link, objective=args.objective,
                               bracket=(args.bracket[0] * 1e-3, args.bracket[1] * 1e-3),
                               regime=args.regime)
     out = {
@@ -137,10 +105,9 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_heatmap(args) -> int:
-    cfg = _base_config(args)
     se_grid = np.linspace(args.sigma_e[0] * 1e-6, args.sigma_e[1] * 1e-6, args.sigma_e_points)
     wz_grid = np.linspace(args.w_z[0], args.w_z[1], args.w_z_points)
-    mat = heatmap(cfg, se_grid, wz_grid, metric=args.metric, regime=args.regime)
+    mat = heatmap(args.link, se_grid, wz_grid, metric=args.metric, regime=args.regime)
     path = args.out or "heatmap.csv"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("sigma_theta_e_urad\\w_z_m," + ",".join(f"{w:.12g}" for w in wz_grid) + "\n")
@@ -151,7 +118,7 @@ def cmd_heatmap(args) -> int:
 
 
 def cmd_mc_tables(args) -> int:
-    n = _samples(args, 5_000_000)
+    n = args.samples
     deg = np.arange(1.0, 12.0)
     mom_path = (args.out or "mrr_tables") + "_moments.csv"
     sec_path = (args.out or "mrr_tables") + "_sectors.csv"
@@ -180,22 +147,87 @@ def _report(rows: list, flags: list, errors: list, path: str | None) -> None:
         print(f"wrote {path}")
 
 
+def _field(target: str) -> str:
+    """The LinkConfig field a config target sets; `w_z` sets theta_div."""
+    return "theta_div" if target == "w_z" else target
+
+
 def _usage_problem(args) -> str | None:
-    """What makes an otherwise parsed command line unusable, if anything."""
-    if args.command == "recipe" and not args.list:
+    """What makes an otherwise parsed command line unusable, if anything.
+
+    On the way it builds `args.link` (the default or config-file link with
+    every --set applied) and, for `run` and `recipe`, the `args.specs` to
+    sweep.  Faults inside a config file raise.
+    """
+    if args.command == "recipe":
+        if args.list:
+            return None
         if args.name not in recipe_names():
             return f"give a recipe name, one of: {', '.join(recipe_names())}"
-        if args.name == "fig13" and args.set:
-            return "fig13 reads no link parameter; drop --set"
+        if args.name == "fig13":
+            return "fig13 reads no link parameter; drop --set" if args.set else None
     if args.command == "optimize" and not 0 < args.bracket[0] < args.bracket[1]:
         return "--bracket needs 0 < LO_MRAD < HI_MRAD, got {:g} {:g}".format(*args.bracket)
     if args.command == "heatmap":
         for flag, span in (("--sigma-e", args.sigma_e), ("--w-z", args.w_z)):
             if min(span) <= 0:
                 return f"{flag} needs positive LO and HI, got {span[0]:g} {span[1]:g}"
-    if args.command in ("optimize", "heatmap") and _base_config(args).sigma_theta_e == 0:
+    if args.command == "mc-tables":
+        return None
+    base = None
+    if args.command == "run":
+        try:
+            with open(args.spec_file, encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as e:
+            return f"cannot read {args.spec_file}: {e.strerror}"
+        args.config = parse_config(text)
+        require_experiment_keys(args.config)
+        base = args.config.build_link_config()
+
+    values, fields = {}, []
+    for pair in args.set:
+        try:
+            raw = parse_config(pair)
+        except ConfigError as e:
+            return f"--set {pair!r}: {e.reason}"
+        if raw.experiment or not raw.link:
+            return f"--set {pair!r}: only link parameters can be set"
+        values.update(raw.link)
+        fields.append((pair, {_field(t) for t in raw.link}))
+    try:
+        args.link = RawConfig(link=values).build_link_config(base)
+        if args.command == "recipe":
+            args.specs = build_recipe(args.name, args.link, seed=args.seed,
+                                      n_samples=args.samples)
+    except ValueError as e:
+        return ", ".join(f"--set {pair!r}" for pair in args.set) + f": {e}"
+    if args.command == "run":
+        given = {"output_path": args.out, "seed": args.seed, "n_samples": args.samples}
+        args.specs = [ExperimentSpec(base=args.link, **{
+            **args.config.experiment, **{k: v for k, v in given.items() if v is not None}})]
+
+    owner = _owned_fields(args)
+    for pair, set_fields in fields:
+        for f in sorted(set_fields & owner.keys()):
+            return f"--set {pair!r} has no effect: {owner[f]}"
+    if args.command == "optimize" and args.link.sigma_theta_e == 0:
         return "the closed forms need tracking jitter; --set sigma_theta_e above 0"
     return None
+
+
+def _owned_fields(args) -> dict[str, str]:
+    """Link fields the command sets itself, each with the reason."""
+    if args.command == "optimize":
+        return {"theta_div": "optimize searches theta_div over --bracket"}
+    if args.command == "heatmap":
+        return {"sigma_theta_e": "heatmap takes the tracking jitter from --sigma-e",
+                "theta_div": "heatmap takes the beam width from --w-z"}
+    owned = {_field(LINK_KEYS[s.sweep_axis][0]) for s in args.specs}
+    owned |= {f.name for f in dataclasses.fields(LinkConfig) for s in args.specs
+              if getattr(s.base, f.name) != getattr(args.link, f.name)}
+    who = f"recipe {args.name}" if args.command == "recipe" else "the config's sweep"
+    return {f: f"{who} sets {f}" for f in owned}
 
 
 def main(argv=None) -> int:
@@ -209,13 +241,13 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("run", help="run a sweep described by a config file")
     p.add_argument("spec_file")
-    _add_common(p)
+    _add_common(p, samples=True, link=True)
     p.set_defaults(fn=cmd_run, seed=None)   # unset --seed defers to the config
 
     p = sub.add_parser("recipe", help="run a named figure recipe")
     p.add_argument("name", nargs="?", default=None)
     p.add_argument("--list", action="store_true", help="list recipe names")
-    _add_common(p)
+    _add_common(p, samples=True, link=True)
     p.set_defaults(fn=cmd_recipe)
 
     p = sub.add_parser("optimize", help="optimal divergence angle")
@@ -223,7 +255,7 @@ def main(argv=None) -> int:
     p.add_argument("--bracket", type=float, nargs=2, default=(0.1, 2.0),
                    metavar=("LO_MRAD", "HI_MRAD"))
     p.add_argument("--regime", choices=("weak", "strong"), default=None)
-    _add_common(p)
+    _add_common(p, samples=False, link=True)
     p.set_defaults(fn=cmd_optimize)
 
     p = sub.add_parser("heatmap", help="outage over tracking jitter x beamwidth")
@@ -235,12 +267,12 @@ def main(argv=None) -> int:
                    metavar=("LO_M", "HI_M"), dest="w_z")
     p.add_argument("--w-z-points", type=_count, default=20, dest="w_z_points")
     p.add_argument("--regime", choices=("weak", "strong"), default=None)
-    _add_common(p)
+    _add_common(p, samples=False, link=True)
     p.set_defaults(fn=cmd_heatmap)
 
     p = sub.add_parser("mc-tables", help="regenerate reflection-moment/sector tables")
-    _add_common(p)
-    p.set_defaults(fn=cmd_mc_tables)
+    _add_common(p, samples=True, link=False)
+    p.set_defaults(fn=cmd_mc_tables, samples=5_000_000)
 
     args = parser.parse_args(argv)
     problem = _usage_problem(args)

@@ -2,8 +2,9 @@
 
 One `key = value` per line, `#` starts a comment.  Values may carry a
 unit suffix (angle: rad/mrad/urad/deg; length: m/cm/mm/km/nm; area:
-m2/cm2; power: W/mW/dBm; ratio: dB), converted to SI on parse.  Errors
-carry the offending line number.
+m2/cm2; power: W/mW/dBm; ratio: dB), converted to SI on parse.  A grid's
+unit is read in the dimension of the `sweep` axis.  Errors carry the
+offending line number.
 """
 
 from __future__ import annotations
@@ -16,17 +17,15 @@ import numpy as np
 from .channel import LinkConfig
 from .errors import MissingRequiredError, UnitMismatchError, UnknownKeyError
 
-__all__ = ["parse_config", "parse_link_overrides", "RawConfig"]
+__all__ = ["parse_config", "RawConfig"]
 
-_ANGLE = {"rad": 1.0, "mrad": 1e-3, "urad": 1e-6, "deg": math.pi / 180.0}
-_LENGTH = {"m": 1.0, "cm": 1e-2, "mm": 1e-3, "km": 1e3, "nm": 1e-9}
-_AREA = {"m2": 1.0, "cm2": 1e-4}
-
-_DIMENSIONS = {
-    "angle": _ANGLE,
-    "length": _LENGTH,
-    "area": _AREA,
-    "power": {"W": 1.0, "mW": 1e-3},   # dBm handled separately
+# dimension -> unit -> SI scale factor, or the conversion itself
+_UNITS = {
+    "angle": {"rad": 1.0, "mrad": 1e-3, "urad": 1e-6, "deg": math.pi / 180.0},
+    "length": {"m": 1.0, "cm": 1e-2, "mm": 1e-3, "km": 1e3, "nm": 1e-9},
+    "area": {"m2": 1.0, "cm2": 1e-4},
+    "power": {"W": 1.0, "mW": 1e-3, "dBm": lambda v: 10.0 ** (v / 10.0) / 1000.0},
+    "ratio": {"dB": lambda v: 10.0 ** (v / 10.0)},
     "none": {},
 }
 
@@ -43,7 +42,6 @@ LINK_KEYS = {
     "sigma_theta_o": ("sigma_theta_o", "angle"),
     "zeta": ("zeta", "none"),
     "h_l": ("h_l", "none"),
-    "cn2_0": ("cn2_0", "none"),
     "Cn2": ("cn2_0", "none"),
     "wind_v": ("wind_v", "none"),
     "Pt": ("P_t", "power"),
@@ -53,25 +51,23 @@ LINK_KEYS = {
     "w_z": ("w_z", "length"),           # convenience: sets theta_div = w_z / Z
 }
 
+# config key -> (ExperimentSpec field, value kind)
 EXPERIMENT_KEYS = {
-    "sweep": str,
-    "grid": "grid",
-    "metrics": "list",
-    "engines": "list",
-    "out": str,
-    "seed": int,
-    "samples": int,
-    "regime": str,
-    "bins": int,
-    "label": str,
+    "sweep": ("sweep_axis", str),
+    "grid": ("grid", "grid"),
+    "metrics": ("metrics", "list"),
+    "engines": ("engines", "list"),
+    "out": ("output_path", str),
+    "seed": ("seed", int),
+    "samples": ("n_samples", int),
+    "regime": ("regime", str),
+    "bins": ("bins", int),
+    "label": ("label", str),
 }
-
-_REQUIRED = ("sweep", "grid", "metrics", "engines")
-
 
 @dataclass
 class RawConfig:
-    """Parsed config: SI link values plus experiment directives."""
+    """Parsed config: LinkConfig and ExperimentSpec field values, in SI."""
 
     link: dict = field(default_factory=dict)
     experiment: dict = field(default_factory=dict)
@@ -102,93 +98,45 @@ def _parse_number(token: str, line_no: int) -> float:
         raise UnitMismatchError(f"cannot parse number {token!r}", line_no) from None
 
 
-def _convert(key: str, dimension: str, parts: list[str], line_no: int) -> float:
-    value = _parse_number(parts[0], line_no)
-    unit = parts[1] if len(parts) > 1 else None
-    if len(parts) > 2:
-        raise UnitMismatchError(f"too many tokens in value for {key!r}", line_no)
-    if dimension == "power":
-        if unit == "dBm":
-            return 10.0 ** (value / 10.0) / 1000.0
-        if unit is None:
-            return value
-        if unit in _DIMENSIONS["power"]:
-            return value * _DIMENSIONS["power"][unit]
-        raise UnitMismatchError(f"unit {unit!r} is not a power unit (key {key!r})", line_no)
-    if dimension == "ratio":
-        if unit == "dB":
-            return 10.0 ** (value / 10.0)
-        if unit is None:
-            return value
-        raise UnitMismatchError(f"unit {unit!r} is not a ratio unit (key {key!r})", line_no)
-    if dimension == "none":
-        if unit is not None:
-            raise UnitMismatchError(f"key {key!r} takes a bare number, got unit {unit!r}", line_no)
-        return value
-    table = _DIMENSIONS[dimension]
+def _to_si(value: float, unit: str | None, dimension: str, what: str, line_no: int) -> float:
     if unit is None:
         return value
-    if unit not in table:
-        raise UnitMismatchError(f"unit {unit!r} is not a {dimension} unit (key {key!r})", line_no)
-    return value * table[unit]
+    to_si = _UNITS[dimension].get(unit)
+    if to_si is None:
+        takes = "a bare number" if dimension == "none" else f"{dimension} units"
+        raise UnitMismatchError(f"{what} takes {takes}, got {unit!r}", line_no)
+    return to_si(value) if callable(to_si) else value * to_si
 
 
-def _parse_grid(text: str, line_no: int) -> tuple:
+def _parse_grid(text: str, line_no: int) -> tuple[np.ndarray, str | None]:
+    """`start:stop:count` or `v1, v2, ...`, then optional `lin`/`log` and unit words."""
     parts = text.split()
-    scale = 1.0
-    spacing = "lin"
-    dbm = False
-    while parts and (parts[-1] in ("log", "lin", "dBm")
-                     or _unit_scale(parts[-1]) is not None):
-        tok = parts.pop()
-        if tok in ("log", "lin"):
-            spacing = tok
-        elif tok == "dBm":
-            dbm = True
+    spacing, unit = "lin", None
+    while parts and parts[-1][0].isalpha():
+        word = parts.pop()
+        if word in ("lin", "log"):
+            spacing = word
+        elif unit is None:
+            unit = word
         else:
-            scale = _unit_scale(tok)
+            raise UnitMismatchError("grid takes at most one unit", line_no)
     body = "".join(parts)
-    if ":" in body:
-        pieces = body.split(":")
-        if len(pieces) != 3:
-            raise UnitMismatchError("grid range must be start:stop:count", line_no)
-        start = _parse_number(pieces[0], line_no)
-        stop = _parse_number(pieces[1], line_no)
-        count = int(_parse_number(pieces[2], line_no))
-        if count < 1:
-            raise UnitMismatchError("grid count must be >= 1", line_no)
-        if spacing == "log":
-            vals = np.geomspace(start, stop, count)
-        else:
-            vals = np.linspace(start, stop, count)
-    else:
-        vals = np.array([_parse_number(v, line_no) for v in body.split(",") if v])
-    if dbm:
-        return tuple(10.0 ** (float(v) / 10.0) / 1000.0 for v in vals)
-    return tuple(float(v) * scale for v in vals)
+    if ":" not in body:
+        return np.array([_parse_number(v, line_no) for v in body.split(",") if v]), unit
+    pieces = body.split(":")
+    if len(pieces) != 3:
+        raise UnitMismatchError("grid range must be start:stop:count", line_no)
+    start, stop, count = (_parse_number(p, line_no) for p in pieces)
+    if count < 1:
+        raise UnitMismatchError("grid count must be >= 1", line_no)
+    space = np.geomspace if spacing == "log" else np.linspace
+    return space(start, stop, int(count)), unit
 
 
-def _unit_scale(token: str) -> float | None:
-    for table in _DIMENSIONS.values():
-        if token in table:
-            return table[token]
-    return None
-
-
-def parse_config(source) -> RawConfig:
-    """Parse a config file path or literal text into a RawConfig."""
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        try:
-            with open(source, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except (OSError, ValueError):
-            if isinstance(source, str) and "=" in source:
-                text = source
-            else:
-                raise
+def parse_config(text: str) -> RawConfig:
+    """Parse config text (file contents or `--set` pairs) into a RawConfig."""
     raw = RawConfig()
+    grid = None
     for line_no, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -201,41 +149,40 @@ def parse_config(source) -> RawConfig:
             raise MissingRequiredError(f"key {key!r} has no value", line_no)
         if key in LINK_KEYS:
             target, dimension = LINK_KEYS[key]
-            raw.link[target] = _convert(key, dimension, value.split(), line_no)
-        elif key in EXPERIMENT_KEYS:
-            kind = EXPERIMENT_KEYS[key]
-            if kind == "grid":
-                raw.experiment[key] = _parse_grid(value, line_no)
-            elif kind == "list":
-                raw.experiment[key] = tuple(v.strip() for v in value.split(",") if v.strip())
-            elif kind is str:
-                raw.experiment[key] = value
-            else:
-                try:
-                    raw.experiment[key] = kind(value)
-                except ValueError:
-                    raise UnitMismatchError(
-                        f"key {key!r} expects {kind.__name__}, got {value!r}", line_no
-                    ) from None
-        else:
+            number, *unit = value.split()
+            if len(unit) > 1:
+                raise UnitMismatchError(f"too many tokens in value for {key!r}", line_no)
+            raw.link[target] = _to_si(_parse_number(number, line_no), unit[0] if unit else None,
+                                      dimension, f"key {key!r}", line_no)
+            continue
+        if key not in EXPERIMENT_KEYS:
             raise UnknownKeyError(f"unknown key {key!r}", line_no)
+        target, kind = EXPERIMENT_KEYS[key]
+        if kind == "grid":
+            grid = (*_parse_grid(value, line_no), line_no)
+        elif kind == "list":
+            raw.experiment[target] = tuple(v.strip() for v in value.split(",") if v.strip())
+        else:
+            try:
+                raw.experiment[target] = kind(value)
+            except ValueError:
+                raise UnitMismatchError(
+                    f"key {key!r} expects {kind.__name__}, got {value!r}", line_no
+                ) from None
+    if grid is not None:
+        values, unit, line_no = grid
+        axis = raw.experiment.get("sweep_axis")
+        if unit is not None and axis not in LINK_KEYS:
+            raise UnitMismatchError(f"grid unit {unit!r} needs a link-parameter sweep axis, "
+                                    f"got sweep = {axis}", line_no)
+        dimension = LINK_KEYS[axis][1] if unit is not None else "none"
+        raw.experiment["grid"] = tuple(
+            _to_si(float(v), unit, dimension, f"sweep axis {axis!r}", line_no) for v in values)
     return raw
 
 
 def require_experiment_keys(raw: RawConfig) -> None:
-    missing = [k for k in _REQUIRED if k not in raw.experiment]
+    missing = [k for k in ("sweep", "grid", "metrics", "engines")
+               if EXPERIMENT_KEYS[k][0] not in raw.experiment]
     if missing:
         raise MissingRequiredError(f"missing required keys: {', '.join(missing)}")
-
-
-def parse_link_overrides(pairs: list[str]) -> dict:
-    """Parse CLI `key=value[ unit]` overrides into LinkConfig field values."""
-    out = {}
-    for i, pair in enumerate(pairs, start=1):
-        key, _, value = pair.partition("=")
-        key, value = key.strip(), value.strip()
-        if key not in LINK_KEYS:
-            raise UnknownKeyError(f"unknown key {key!r}", i)
-        target, dimension = LINK_KEYS[key]
-        out[target] = _convert(key, dimension, value.split(), i)
-    return out

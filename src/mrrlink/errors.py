@@ -46,9 +46,8 @@ class ConfigError(MrrLinkError):
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+        self.reason = message
+        super().__init__(message if line is None else f"line {line}: {message}")
 
 
 class UnknownKeyError(ConfigError):

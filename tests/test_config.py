@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from mrrlink.config import RawConfig, parse_config, parse_link_overrides, require_experiment_keys
+from mrrlink.config import parse_config, require_experiment_keys
 from mrrlink.errors import MissingRequiredError, UnitMismatchError, UnknownKeyError
 
 
@@ -65,6 +65,11 @@ class TestErrors:
         with pytest.raises(MissingRequiredError):
             require_experiment_keys(raw)
 
+    def test_cn2_takes_one_key(self):
+        assert parse_config("Cn2 = 1e-14").link == {"cn2_0": 1e-14}
+        with pytest.raises(UnknownKeyError):
+            parse_config("cn2_0 = 1e-14")
+
     def test_comments_and_blank_lines(self):
         raw = parse_config("# a comment\n\nZ = 900  # trailing\n")
         assert raw.link["Z"] == 900.0
@@ -80,8 +85,16 @@ class TestGrid:
         assert raw.experiment["grid"] == (1e-14, 5e-14, 1e-13)
 
     def test_units_apply_to_grid(self):
-        raw = parse_config("grid = 0.1:2:3 mrad")
+        raw = parse_config("sweep = theta_div\ngrid = 0.1:2:3 mrad")
         assert raw.experiment["grid"] == pytest.approx((1e-4, 1.05e-3, 2e-3))
+
+    def test_unit_must_fit_sweep_axis(self):
+        with pytest.raises(UnitMismatchError) as e:
+            parse_config("sweep = Pt\ngrid = 1:30:3 mrad")
+        assert e.value.line == 2 and "power" in str(e.value)
+        with pytest.raises(UnitMismatchError) as e:
+            parse_config("grid = 0.1:2:3 mrad\nmetrics = outage")
+        assert e.value.line == 1
 
     def test_log_spacing(self):
         raw = parse_config("grid = 1:100:3 log")
@@ -115,10 +128,10 @@ class TestBuildLinkConfig:
 
     def test_later_layer_replaces_attenuation(self):
         cfg = parse_config("zeta = 3.5e-4").build_link_config()
-        cfg = RawConfig(link=parse_link_overrides(["h_l=0.9"])).build_link_config(cfg)
+        cfg = parse_config("h_l=0.9").build_link_config(cfg)
         assert cfg.h_l == 0.9 and cfg.zeta is None
 
     def test_cli_overrides(self):
-        vals = parse_link_overrides(["Pt=20 dBm", "sigma_theta_e=200 urad"])
+        vals = parse_config("Pt=20 dBm\nsigma_theta_e=200 urad").link
         assert vals["P_t"] == pytest.approx(0.1)
         assert vals["sigma_theta_e"] == pytest.approx(2e-4)

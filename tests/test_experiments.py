@@ -436,6 +436,79 @@ class TestCli:
             main(["run", str(spec)])
 
 
+class TestCliInput:
+    @staticmethod
+    def usage_error(argv, tmp_path, capsys) -> str:
+        """Run `argv`; assert it is a usage error that wrote nothing; return stderr."""
+        from mrrlink.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert not list(tmp_path.glob("out*"))
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["optimize", "--set", "foo=1"],
+        ["optimize", "--set", "sigma_theta_e=-1 urad"],
+        ["recipe", "fig9", "--set", "h_l=2"],
+        ["heatmap", "--set", "Z=abc"],
+        ["optimize", "--set", "seed=3"],
+    ])
+    def test_bad_set_is_usage_error(self, argv, tmp_path, capsys):
+        err = self.usage_error(argv, tmp_path, capsys)
+        assert f"--set {argv[-1]!r}" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["heatmap", "--set", "sigma_theta_e=200 urad"],
+        ["heatmap", "--set", "theta_div=1 mrad"],
+        ["heatmap", "--set", "w_z=1 m"],
+        ["optimize", "--set", "theta_div=1 mrad"],
+        ["optimize", "--set", "w_z=30 cm"],
+        ["recipe", "fig9", "--set", "Z=900 m"],
+        ["recipe", "fig15", "--set", "w_z=1 m"],
+    ])
+    def test_overwritten_set_is_usage_error(self, argv, tmp_path, capsys):
+        err = self.usage_error(argv, tmp_path, capsys)
+        assert f"--set {argv[-1]!r} has no effect" in err
+
+    def test_run_set_of_sweep_axis_is_usage_error(self, tmp_path, capsys):
+        spec = tmp_path / "sweep.cfg"
+        spec.write_text("sweep = Pt\ngrid = 0:30:3 dBm\nmetrics = outage\n"
+                        "engines = analytic\nregime = weak\n")
+        err = self.usage_error(["run", str(spec), "--set", "Pt=20 dBm"], tmp_path, capsys)
+        assert "has no effect: the config's sweep sets P_t" in err
+
+    def test_recipe_refuses_only_what_it_fixes(self, tmp_path, capsys):
+        from mrrlink.cli import main
+
+        out = tmp_path / "fig9.csv"
+        assert main(["recipe", "fig9", "--set", "sigma_n2=2e-13", "--out", str(out)]) == 0
+        curves = json.loads((tmp_path / "fig9.csv.json").read_text())["curves"]
+        assert [c["base_config"]["sigma_n2"] for c in curves] == [2e-13] * 3
+        err = self.usage_error(["recipe", "fig9", "--set", "Cn2=1e-14"], tmp_path, capsys)
+        assert "recipe fig9 sets cn2_0" in err
+
+    def test_missing_spec_file_is_usage_error(self, tmp_path, capsys):
+        err = self.usage_error(["run", str(tmp_path / "missing.cfg")], tmp_path, capsys)
+        assert "cannot read" in err
+
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_worker_count_below_one_is_usage_error(self, count, tmp_path, capsys):
+        err = self.usage_error(["recipe", "fig9", "--workers", count], tmp_path, capsys)
+        assert "--workers" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["optimize", "--samples", "10"],
+        ["heatmap", "--sigma-e-points", "1", "--w-z-points", "1", "--samples", "10"],
+        ["mc-tables", "--samples", "10000", "--set", "Z=500 m"],
+        ["recipe", "fig9", "--paper-scale"],
+    ])
+    def test_flag_the_command_ignores_is_usage_error(self, argv, tmp_path, capsys):
+        err = self.usage_error(argv, tmp_path, capsys)
+        assert "unrecognized arguments" in err
+
+
 class TestCliHeatmap:
     def test_heatmap_command_writes_matrix(self, tmp_path, capsys):
         from mrrlink.cli import main
