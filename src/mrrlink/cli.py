@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: run a config-file sweep, run a named figure recipe,
+Subcommands: run a config-file sweep (a one-curve recipe) or a named figure recipe,
 optimize the divergence angle, compute the jitter/beamwidth outage map,
 and regenerate the reflection-coefficient tables from simulation.
 Exit status is 0 only when no analytic-vs-simulation tolerance flag was
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .channel import LinkConfig
-from .config import LINK_KEYS, RawConfig, parse_config, require_experiment_keys
+from .config import LINK_KEYS, RawConfig, config_entries, parse_config, require_experiment_keys
 from .errors import ConfigError
 from .experiments import (
     ExperimentSpec,
@@ -53,36 +53,28 @@ def _add_common(p: argparse.ArgumentParser, samples: bool, link: bool) -> None:
                        help="override a link parameter, e.g. --set 'Pt=20 dBm'")
 
 
-def cmd_run(args) -> int:
-    result = run_experiment(args.specs[0], workers=args.workers)
-    _report(result.rows, result.flags, result.errors, result.spec.output_path)
-    return 0 if result.ok else 2
+def cmd_sweep(args) -> int:
+    """Sweep `args.specs`, one curve for `run`, into one CSV and sidecar."""
+    rows, flags, errors = [], [], []
+    for spec in args.specs:
+        res = run_experiment(spec, workers=args.workers)
+        tag = f"[{spec.label}] " if spec.label else ""
+        rows.extend(res.rows)
+        flags.extend(tag + f for f in res.flags)
+        errors.extend(tag + e for e in res.errors)
+    return _finish(args, rows, {"recipe": args.name, "flags": flags, "errors": errors,
+                                "curves": [spec_meta(s) for s in args.specs]})
 
 
 def cmd_recipe(args) -> int:
     if args.list:
         print("\n".join(recipe_names()))
         return 0
-    if args.name == "fig13":
-        n = args.samples or 1_000_000
-        rows = build_fig13_rows(seed=args.seed, n_samples=n)
-        if args.out:
-            write_outputs(rows, args.out, extra_meta={"recipe": "fig13",
-                                                      "seed": args.seed, "n_samples": n})
-        _report(rows, [], [], args.out)
-        return 0
-    rows, flags, errors = [], [], []
-    for spec in args.specs:
-        res = run_experiment(spec, workers=args.workers)
-        rows.extend(res.rows)
-        flags.extend(f"[{spec.label}] {f}" for f in res.flags)
-        errors.extend(f"[{spec.label}] {e}" for e in res.errors)
-    if args.out:
-        write_outputs(rows, args.out, extra_meta={
-            "recipe": args.name, "curves": [spec_meta(s) for s in args.specs],
-            "flags": flags, "errors": errors})
-    _report(rows, flags, errors, args.out)
-    return 0 if not flags else 2
+    if args.name != "fig13":
+        return cmd_sweep(args)
+    n = args.samples or 1_000_000
+    return _finish(args, build_fig13_rows(seed=args.seed, n_samples=n),
+                   {"recipe": "fig13", "seed": args.seed, "n_samples": n})
 
 
 def cmd_optimize(args) -> int:
@@ -137,14 +129,18 @@ def cmd_mc_tables(args) -> int:
     return 0
 
 
-def _report(rows: list, flags: list, errors: list, path: str | None) -> None:
+def _finish(args, rows: list, meta: dict) -> int:
+    """Write rows and sidecar to --out, report; exit status 2 on a tolerance flag."""
+    if args.out:
+        write_outputs(rows, args.out, meta)
     print(f"rows: {len(rows)}")
-    for e in errors:
+    for e in meta.get("errors", []):
         print(f"error: {e}", file=sys.stderr)
-    for f in flags:
+    for f in meta.get("flags", []):
         print(f"flag: {f}", file=sys.stderr)
-    if path:
-        print(f"wrote {path}")
+    if args.out:
+        print(f"wrote {args.out}")
+    return 2 if meta.get("flags") else 0
 
 
 def _field(target: str) -> str:
@@ -183,6 +179,8 @@ def _usage_problem(args) -> str | None:
             return f"cannot read {args.spec_file}: {e.strerror}"
         args.config = parse_config(text)
         require_experiment_keys(args.config)
+        out = args.config.experiment.pop("out", None)   # the default of --out
+        args.out = args.out or out
         base = args.config.build_link_config()
 
     values, fields = {}, []
@@ -198,16 +196,22 @@ def _usage_problem(args) -> str | None:
     try:
         args.link = RawConfig(link=values).build_link_config(base)
         if args.command == "recipe":
-            args.specs = build_recipe(args.name, args.link, seed=args.seed,
-                                      n_samples=args.samples)
+            args.specs = build_recipe(args.name, args.link)
     except ValueError as e:
         return ", ".join(f"--set {pair!r}" for pair in args.set) + f": {e}"
     if args.command == "run":
-        given = {"output_path": args.out, "seed": args.seed, "n_samples": args.samples}
-        args.specs = [ExperimentSpec(base=args.link, **{
-            **args.config.experiment, **{k: v for k, v in given.items() if v is not None}})]
+        args.specs = [ExperimentSpec(base=args.link, **args.config.experiment)]
+    if args.command in ("run", "recipe"):   # --seed and --samples win where given
+        given = {"seed": args.seed, "n_samples": args.samples}
+        given = {k: v for k, v in given.items() if v is not None}
+        args.specs = [dataclasses.replace(s, **given) for s in args.specs]
 
     owner = _owned_fields(args)
+    if args.command == "run":
+        for line_no, key, _ in config_entries(text):
+            f = _field(LINK_KEYS[key][0]) if key in LINK_KEYS else None
+            if f in owner:
+                raise ConfigError(f"{key!r} has no effect: {owner[f]}", line_no)
     for pair, set_fields in fields:
         for f in sorted(set_fields & owner.keys()):
             return f"--set {pair!r} has no effect: {owner[f]}"
@@ -242,7 +246,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("run", help="run a sweep described by a config file")
     p.add_argument("spec_file")
     _add_common(p, samples=True, link=True)
-    p.set_defaults(fn=cmd_run, seed=None)   # unset --seed defers to the config
+    p.set_defaults(fn=cmd_sweep, name=None, seed=None)   # unset --seed defers to the config
 
     p = sub.add_parser("recipe", help="run a named figure recipe")
     p.add_argument("name", nargs="?", default=None)

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import LinkConfig
-from .errors import MissingRequiredError, UnitMismatchError, UnknownKeyError
+from .errors import ConfigError, MissingRequiredError, UnitMismatchError, UnknownKeyError
+from .experiments import ExperimentSpec
 
 __all__ = ["parse_config", "RawConfig"]
 
@@ -51,13 +52,13 @@ LINK_KEYS = {
     "w_z": ("w_z", "length"),           # convenience: sets theta_div = w_z / Z
 }
 
-# config key -> (ExperimentSpec field, value kind)
+# config key -> (ExperimentSpec field, value kind); `out` is the default of `run --out`
 EXPERIMENT_KEYS = {
     "sweep": ("sweep_axis", str),
     "grid": ("grid", "grid"),
     "metrics": ("metrics", "list"),
     "engines": ("engines", "list"),
-    "out": ("output_path", str),
+    "out": ("out", str),
     "seed": ("seed", int),
     "samples": ("n_samples", int),
     "regime": ("regime", str),
@@ -133,10 +134,8 @@ def _parse_grid(text: str, line_no: int) -> tuple[np.ndarray, str | None]:
     return space(start, stop, int(count)), unit
 
 
-def parse_config(text: str) -> RawConfig:
-    """Parse config text (file contents or `--set` pairs) into a RawConfig."""
-    raw = RawConfig()
-    grid = None
+def config_entries(text: str):
+    """(line number, key, value) of each `key = value` line of config text."""
     for line_no, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -147,6 +146,23 @@ def parse_config(text: str) -> RawConfig:
         key, value = key.strip(), value.strip()
         if not value:
             raise MissingRequiredError(f"key {key!r} has no value", line_no)
+        yield line_no, key, value
+
+
+def _spec_value(target: str, value, line_no: int):
+    """`value` for ExperimentSpec field `target`, unless a spec refuses it."""
+    try:
+        ExperimentSpec(LinkConfig(), **{"sweep_axis": "Pt", "grid": (1.0,), target: value})
+    except ValueError as e:
+        raise ConfigError(str(e), line_no) from None
+    return value
+
+
+def parse_config(text: str) -> RawConfig:
+    """Parse config text (file contents or `--set` pairs) into a RawConfig."""
+    raw = RawConfig()
+    grid = None
+    for line_no, key, value in config_entries(text):
         if key in LINK_KEYS:
             target, dimension = LINK_KEYS[key]
             number, *unit = value.split()
@@ -160,15 +176,17 @@ def parse_config(text: str) -> RawConfig:
         target, kind = EXPERIMENT_KEYS[key]
         if kind == "grid":
             grid = (*_parse_grid(value, line_no), line_no)
-        elif kind == "list":
-            raw.experiment[target] = tuple(v.strip() for v in value.split(",") if v.strip())
+            continue
+        if kind == "list":
+            value = tuple(v.strip() for v in value.split(",") if v.strip())
         else:
             try:
-                raw.experiment[target] = kind(value)
+                value = kind(value)
             except ValueError:
                 raise UnitMismatchError(
                     f"key {key!r} expects {kind.__name__}, got {value!r}", line_no
                 ) from None
+        raw.experiment[target] = value if target == "out" else _spec_value(target, value, line_no)
     if grid is not None:
         values, unit, line_no = grid
         axis = raw.experiment.get("sweep_axis")
@@ -176,8 +194,9 @@ def parse_config(text: str) -> RawConfig:
             raise UnitMismatchError(f"grid unit {unit!r} needs a link-parameter sweep axis, "
                                     f"got sweep = {axis}", line_no)
         dimension = LINK_KEYS[axis][1] if unit is not None else "none"
-        raw.experiment["grid"] = tuple(
-            _to_si(float(v), unit, dimension, f"sweep axis {axis!r}", line_no) for v in values)
+        raw.experiment["grid"] = _spec_value("grid", tuple(
+            _to_si(float(v), unit, dimension, f"sweep axis {axis!r}", line_no) for v in values),
+            line_no)
     return raw
 
 

@@ -67,7 +67,6 @@ class ExperimentSpec:
     grid: tuple
     metrics: tuple = ("outage",)
     engines: tuple = ("analytic", "montecarlo")
-    output_path: str | None = None
     seed: int = 0
     n_samples: int = 1_000_000
     regime: str | None = None           # "weak" | "strong" | None = auto
@@ -93,14 +92,9 @@ class ExperimentSpec:
 
 @dataclass
 class ExperimentResult:
-    spec: ExperimentSpec
-    rows: list = field(default_factory=list)  # dicts, one per output row
+    rows: list = field(default_factory=list)  # dicts from output_row, one per CSV row
     flags: list = field(default_factory=list)
     errors: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.flags
 
 
 def apply_axis(cfg: LinkConfig, axis: str, value: float) -> LinkConfig:
@@ -158,12 +152,8 @@ def _grid_point_rows(spec: ExperimentSpec, value: float):
                                         stats=stats))
         mc = {"h": h, "snr": gamma}
 
-    def add(metric, engine, x, val, lo=math.nan, hi=math.nan, flag=""):
-        rows.append({
-            "sweep_axis": spec.sweep_axis, "sweep_value": value, "label": spec.label,
-            "metric": metric, "engine": engine, "x": x, "value": val,
-            "ci_low": lo, "ci_high": hi, "flag": flag,
-        })
+    def add(*columns, **named):
+        rows.append(output_row(spec.sweep_axis, value, spec.label, *columns, **named))
 
     for metric in scalar_metrics:
         if metric == "outage":
@@ -223,8 +213,8 @@ def _grid_point_rows(spec: ExperimentSpec, value: float):
 
 
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
-    """Evaluate the sweep; write CSV (+ JSON sidecar) when output_path set."""
-    result = ExperimentResult(spec)
+    """Evaluate the sweep: its rows in grid order, flags and errors."""
+    result = ExperimentResult()
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_grid_point_rows, [spec] * len(spec.grid), spec.grid))
@@ -234,13 +224,18 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
         result.rows.extend(rows)
         result.flags.extend(flags)
         result.errors.extend(errors)
-    if spec.output_path:
-        write_outputs(result, spec.output_path)
     return result
 
 
 _CSV_COLUMNS = ("sweep_axis", "sweep_value", "label", "metric", "engine",
                 "x", "value", "ci_low", "ci_high", "flag")
+
+
+def output_row(sweep_axis, sweep_value, label, metric, engine, x, value,
+               ci_low=math.nan, ci_high=math.nan, flag="") -> dict:
+    """One CSV row, keyed by `_CSV_COLUMNS`; every sweep and recipe row is built here."""
+    return dict(zip(_CSV_COLUMNS, (sweep_axis, sweep_value, label, metric, engine,
+                                   x, value, ci_low, ci_high, flag)))
 
 
 def _fmt(v) -> str:
@@ -252,39 +247,21 @@ def _fmt(v) -> str:
 
 
 def spec_meta(spec: ExperimentSpec) -> dict:
-    """The resolved setup of one sweep, as its sidecar records it."""
-    return {
-        "base_config": dict(vars(spec.base)),
-        "sweep_axis": spec.sweep_axis,
-        "grid": list(spec.grid),
-        "metrics": list(spec.metrics),
-        "engines": list(spec.engines),
-        "seed": spec.seed,
-        "n_samples": spec.n_samples,
-        "regime": spec.regime,
-        "label": spec.label,
-    }
+    """The resolved setup of one sweep, as its sidecar records it: every
+    field but `bins`, with `base` as `base_config`."""
+    meta = {k: v for k, v in vars(spec).items() if k not in ("base", "bins")}
+    return {**meta, "base_config": dict(vars(spec.base))}
 
 
-def write_outputs(result, path: str, extra_meta: dict | None = None) -> None:
-    """Deterministic CSV plus a JSON sidecar with the resolved setup.
-
-    `result` is an ExperimentResult, whose spec, flags and errors the
-    sidecar records, or a bare list of rows described by `extra_meta`.
-    """
-    rows = result.rows if hasattr(result, "rows") else result
+def write_outputs(rows: list, path: str, meta: dict) -> None:
+    """Deterministic CSV of `rows`, and a JSON sidecar of `meta` plus the version:
+    for a sweep `{recipe (null for run), curves: [spec_meta], flags, errors}`."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(_CSV_COLUMNS) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(row[c]) for c in _CSV_COLUMNS) + "\n")
-    meta: dict = {"version": __version__}
-    if hasattr(result, "spec"):
-        meta.update(spec_meta(result.spec), flags=list(result.flags),
-                    errors=list(result.errors))
-    if extra_meta:
-        meta.update(extra_meta)
     with open(path + ".json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(meta, fh, sort_keys=True, indent=2, default=str)
+        json.dump({"version": __version__, **meta}, fh, sort_keys=True, indent=2, default=str)
         fh.write("\n")
 
 

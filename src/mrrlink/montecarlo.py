@@ -110,6 +110,12 @@ def normals(u: np.ndarray) -> np.ndarray:
     return sp.ndtri(np.clip(u, 1e-17, 1.0 - 1e-17))
 
 
+def _mirror_factor(theta) -> np.ndarray:
+    """Power fraction a mirror tilted by theta reflects: 1 - tan|theta| clamped
+    at 0, with the tilt capped at pi/2, past which tan turns negative."""
+    return np.maximum(0.0, 1.0 - np.tan(np.minimum(np.abs(theta), math.pi / 2)))
+
+
 def _fading_pair(plan: SimPlan, u: np.ndarray) -> np.ndarray:
     """Product of the two per-pass fading coefficients (unit mean each)."""
     stats = plan.stats
@@ -137,7 +143,7 @@ def sample_channel(plan: SimPlan) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     for b, pos in enumerate(range(0, plan.n_samples, BLOCK)):
         u = block_uniforms(plan.seed, b, _UNIFORM_SLOTS)[:plan.n_samples - pos]
         theta_m = cfg.sigma_theta_o * normals(u[:, 0:3])
-        h_mrr = np.prod(np.maximum(0.0, 1.0 - np.tan(np.abs(theta_m))), axis=1)
+        h_mrr = np.prod(_mirror_factor(theta_m), axis=1)
         d = scale * np.sin(cfg.sigma_theta_e * normals(u[:, 3:5]))
         h_pu = pointing_loss_approx(cfg, d[:, 0], d[:, 1])
         h_a = _fading_pair(plan, u[:, 5:9])

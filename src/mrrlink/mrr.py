@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientSamplesError, NonPositiveBreakpointError
-from .montecarlo import BLOCK, block_uniforms, normals
+from .montecarlo import BLOCK, _mirror_factor, block_uniforms, normals
 from .specfun import at_positive, interp_table
 
 __all__ = [
@@ -120,7 +120,7 @@ def hmrr_component(theta):
     theta = np.asarray(theta, dtype=float)
     if np.any(np.abs(theta) >= math.pi / 2):
         raise ValueError("|theta| must be below pi/2")
-    out = np.maximum(0.0, 1.0 - np.tan(np.abs(theta)))
+    out = _mirror_factor(theta)
     return float(out) if out.ndim == 0 else out
 
 
@@ -137,7 +137,7 @@ def sample_hmrr(sigma_theta_o: float, n: int, seed: int = 0) -> np.ndarray:
     out = np.empty(n)
     for block, pos in enumerate(range(0, n, BLOCK)):
         theta = sigma_theta_o * normals(block_uniforms(seed, block, 3)[:n - pos])
-        out[pos:pos + BLOCK] = np.prod(np.maximum(0.0, 1.0 - np.tan(np.abs(theta))), axis=1)
+        out[pos:pos + BLOCK] = np.prod(_mirror_factor(theta), axis=1)
     return out
 
 

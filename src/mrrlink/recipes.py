@@ -8,12 +8,10 @@ ours, not the study's.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
-
 import numpy as np
 
 from .channel import LinkConfig
-from .experiments import ExperimentSpec
+from .experiments import ExperimentSpec, output_row
 from .montecarlo import empirical_pdf
 from .mrr import lognormal_hmrr_pdf, sample_hmrr
 
@@ -148,16 +146,9 @@ def build_fig13_rows(seed: int = 0, n_samples: int = 1_000_000) -> list[dict]:
         mu, sd = float(s.mean()), float(s.std())
         ana = lognormal_hmrr_pdf(centers, mu, sd)
         label = f"sigma_o={deg:g}deg"
-        for x, v in zip(centers, dens):
-            rows.append({"sweep_axis": "sigma_theta_o", "sweep_value": deg * _DEG,
-                         "label": label, "metric": "pdf_h", "engine": "montecarlo",
-                         "x": float(x), "value": float(v),
-                         "ci_low": math.nan, "ci_high": math.nan, "flag": ""})
-        for x, v in zip(centers, ana):
-            rows.append({"sweep_axis": "sigma_theta_o", "sweep_value": deg * _DEG,
-                         "label": label, "metric": "pdf_h", "engine": "analytic",
-                         "x": float(x), "value": float(v),
-                         "ci_low": math.nan, "ci_high": math.nan, "flag": ""})
+        for engine, vals in (("montecarlo", dens), ("analytic", ana)):
+            rows += [output_row("sigma_theta_o", deg * _DEG, label, "pdf_h", engine,
+                                float(x), float(v)) for x, v in zip(centers, vals)]
     return rows
 
 
@@ -174,16 +165,8 @@ def recipe_names() -> list[str]:
     return sorted([*RECIPES, *SPECIAL_RECIPES])
 
 
-def build_recipe(name: str, base: LinkConfig | None = None,
-                 seed: int = 0, n_samples: int | None = None) -> list[ExperimentSpec]:
+def build_recipe(name: str, base: LinkConfig | None = None) -> list[ExperimentSpec]:
+    """The curves of a link recipe, at seed 0 and 1e6 samples per point."""
     if name not in RECIPES:
         raise KeyError(f"unknown recipe {name!r}; available: {', '.join(recipe_names())}")
-    base = base if base is not None else LinkConfig()
-    specs = RECIPES[name](base)
-    out = []
-    for s in specs:
-        kwargs = {"seed": seed}
-        if n_samples is not None:
-            kwargs["n_samples"] = n_samples
-        out.append(replace(s, **kwargs))
-    return out
+    return RECIPES[name](base if base is not None else LinkConfig())

@@ -18,7 +18,7 @@ import pytest
 from scipy import special as sp
 
 from mrrlink.channel import LinkConfig, turbulence_stats
-from mrrlink.experiments import heatmap, optimize_divergence, run_experiment, ExperimentSpec
+from mrrlink.experiments import heatmap, optimize_divergence
 from mrrlink.montecarlo import SimPlan, draw_channel, mc_ber
 from mrrlink.mrr import (
     TABLE_MOMENTS,
@@ -548,17 +548,17 @@ def test_c09_special_function_suite():
 def test_c10_determinism(tmp_path):
     """Re-running one experiment with 1, 4 and 8 workers yields
     byte-identical CSV and sidecar files."""
-    grid = tuple(dbm(p) for p in (5.0, 15.0, 25.0))
+    from mrrlink.cli import main
+
+    spec = tmp_path / "det.cfg"
+    spec.write_text("Z = 1000 m\ntheta_div = 0.4 mrad\nsigma_theta_e = 100 urad\n"
+                    "sigma_theta_o = 5 deg\nCn2 = 5e-15\nsweep = Pt\ngrid = 5, 15, 25 dBm\n"
+                    "metrics = outage, ber\nengines = analytic, montecarlo\nregime = weak\n"
+                    "samples = 120000\nseed = 99\n")
     blobs = {}
     for workers in (1, 4, 8):
         path = tmp_path / f"det{workers}.csv"
-        spec = ExperimentSpec(
-            LinkConfig(Z=1000.0, theta_div=0.4e-3, sigma_theta_e=100e-6,
-                       sigma_theta_o=5 * DEG, cn2_0=5e-15),
-            "Pt", grid, metrics=("outage", "ber"),
-            engines=("analytic", "montecarlo"), regime="weak",
-            n_samples=120_000, seed=99, output_path=str(path))
-        run_experiment(spec, workers=workers)
+        main(["run", str(spec), "--workers", str(workers), "--out", str(path)])
         blobs[workers] = (path.read_bytes(), (tmp_path / f"det{workers}.csv.json").read_bytes())
     csv_ok = blobs[1][0] == blobs[4][0] == blobs[8][0]
     # sidecars differ only in nothing: they carry no worker count

@@ -14,6 +14,8 @@ from mrrlink.experiments import (
     heatmap,
     optimize_divergence,
     run_experiment,
+    spec_meta,
+    write_outputs,
 )
 
 DEG = math.pi / 180.0
@@ -186,20 +188,19 @@ class TestRunExperiment:
             path = tmp_path / f"w{workers}.csv"
             spec = ExperimentSpec(base_cfg(), "Pt", grid, metrics=("outage", "ber"),
                                   engines=("analytic", "montecarlo"), regime="weak",
-                                  n_samples=60_000, seed=7, output_path=str(path))
-            run_experiment(spec, workers=workers)
+                                  n_samples=60_000, seed=7)
+            write_outputs(run_experiment(spec, workers=workers).rows, str(path), {})
             outs[workers] = path.read_bytes()
         assert outs[1] == outs[2]
 
     def test_sidecar_written(self, tmp_path):
         path = tmp_path / "run.csv"
         spec = ExperimentSpec(base_cfg(), "Pt", (0.1,), metrics=("outage",),
-                              engines=("analytic",), regime="weak",
-                              output_path=str(path))
-        run_experiment(spec)
+                              engines=("analytic",), regime="weak")
+        write_outputs(run_experiment(spec).rows, str(path), {"curves": [spec_meta(spec)]})
         meta = json.loads((tmp_path / "run.csv.json").read_text())
-        assert meta["sweep_axis"] == "Pt"
-        assert "version" in meta and "base_config" in meta
+        assert meta["curves"][0]["sweep_axis"] == "Pt"
+        assert "version" in meta and "base_config" in meta["curves"][0]
 
 
 class TestGoldenSection:
@@ -304,7 +305,8 @@ class TestCli:
         for argv, seed in (([], 5), (["--seed", "0"], 0), (["--seed", "2"], 2)):
             out = tmp_path / f"out{seed}.csv"
             assert main(["run", str(spec), "--out", str(out), *argv]) == 0
-            assert json.loads((tmp_path / f"out{seed}.csv.json").read_text())["seed"] == seed
+            meta = json.loads((tmp_path / f"out{seed}.csv.json").read_text())
+            assert meta["curves"][0]["seed"] == seed
 
     def test_recipe_listing(self, capsys):
         from mrrlink.cli import main
@@ -352,13 +354,15 @@ class TestCli:
     def test_config_count_below_one_fails_before_sweep(self, tmp_path, monkeypatch, key):
         import mrrlink.experiments as experiments
         from mrrlink.cli import main
+        from mrrlink.errors import ConfigError
 
         monkeypatch.setattr(experiments, "_grid_point_rows", None)   # must not be reached
         spec = tmp_path / "sweep.cfg"
         spec.write_text("sweep = Pt\ngrid = 0:30:3 dBm\nmetrics = outage\n"
                         f"engines = analytic\nregime = weak\n{key} = 0\n")
-        with pytest.raises(ValueError, match=">= 1"):
+        with pytest.raises(ConfigError, match=">= 1") as e:
             main(["run", str(spec), "--out", str(tmp_path / "out.csv")])
+        assert e.value.line == 6
 
     @pytest.mark.parametrize("argv", [["recipe"], ["recipe", "nosuch"]])
     def test_recipe_name_missing_or_unknown_is_usage_error(self, argv, capsys):
@@ -380,7 +384,7 @@ class TestCli:
         out = tmp_path / "out.csv"
         assert main(["run", str(spec), "--out", str(out),
                      "--set", "Z=500 m", "--set", "h_l=0.9", "--set", "w_z=20 cm"]) == 0
-        base = json.loads((tmp_path / "out.csv.json").read_text())["base_config"]
+        base = json.loads((tmp_path / "out.csv.json").read_text())["curves"][0]["base_config"]
         assert base["Z"] == 500.0
         assert base["theta_div"] == pytest.approx(0.2 / 500.0)
         assert base["h_l"] == 0.9 and base["zeta"] is None
@@ -478,6 +482,61 @@ class TestCliInput:
                         "engines = analytic\nregime = weak\n")
         err = self.usage_error(["run", str(spec), "--set", "Pt=20 dBm"], tmp_path, capsys)
         assert "has no effect: the config's sweep sets P_t" in err
+
+    @pytest.mark.parametrize("line,sweep,grid", [
+        ("Pt = 20 dBm", "Pt", "0:30:3 dBm"),
+        ("theta_div = 1 mrad", "w_z", "0.2:1:3 m"),
+        ("w_z = 40 cm", "theta_div", "0.2:1:3 mrad"),
+    ])
+    def test_run_config_line_the_sweep_overwrites_is_config_error(self, line, sweep, grid,
+                                                                 tmp_path):
+        from mrrlink.cli import main
+        from mrrlink.errors import ConfigError
+
+        spec = tmp_path / "sweep.cfg"
+        spec.write_text(f"Z = 1000 m\n{line}\nsweep = {sweep}\ngrid = {grid}\n"
+                        "metrics = outage\nengines = analytic\nregime = weak\n")
+        with pytest.raises(ConfigError, match="has no effect: the config's sweep sets") as e:
+            main(["run", str(spec), "--out", str(tmp_path / "out")])
+        assert e.value.line == 2
+        assert not list(tmp_path.glob("out*"))
+
+    @pytest.mark.parametrize("line,match", [
+        ("metrics = outage, foo", "metrics must be"),
+        ("engines = analytic, exact", "engines must be"),
+        ("regime = medium", "regime must be"),
+        ("sweep = foo", "sweep axis must be"),
+        ("grid = 3, 2, 1", "sorted ascending"),
+    ])
+    def test_bad_run_config_value_names_its_line(self, line, match, tmp_path):
+        from mrrlink.cli import main
+        from mrrlink.errors import ConfigError
+
+        spec = tmp_path / "sweep.cfg"
+        spec.write_text("sweep = Pt\ngrid = 1, 2, 3\nmetrics = outage\n"
+                        f"engines = analytic\nregime = weak\n{line}\n")
+        with pytest.raises(ConfigError, match=match) as e:
+            main(["run", str(spec), "--out", str(tmp_path / "out")])
+        assert e.value.line == 6
+
+    def test_run_sidecar_is_a_one_curve_recipe_sidecar(self, tmp_path, capsys):
+        from mrrlink.cli import main
+
+        out = tmp_path / "out.csv"
+        spec = tmp_path / "sweep.cfg"   # the config's `out` stands in for --out
+        spec.write_text(f"Z = 900 m\nsweep = Pt\ngrid = 0:30:3 dBm\nmetrics = outage\n"
+                        f"engines = analytic\nregime = weak\nlabel = demo\nout = {out}\n")
+        assert main(["run", str(spec)]) == 0
+        meta = json.loads((tmp_path / "out.csv.json").read_text())
+        assert sorted(meta) == ["curves", "errors", "flags", "recipe", "version"]
+        assert meta["recipe"] is None and len(meta["curves"]) == 1
+        curve = meta["curves"][0]
+        assert (curve["sweep_axis"], curve["label"], curve["base_config"]["Z"]) == \
+            ("Pt", "demo", 900.0)
+        assert curve["grid"] == pytest.approx([1e-3, 10 ** 1.5 / 1000, 1.0])
+        # --out wins over the config's `out`
+        assert main(["run", str(spec), "--out", str(tmp_path / "flag.csv")]) == 0
+        assert (tmp_path / "flag.csv.json").exists()
 
     def test_recipe_refuses_only_what_it_fixes(self, tmp_path, capsys):
         from mrrlink.cli import main

@@ -95,6 +95,14 @@ class TestComposition:
         const = geometric_loss_gs(cfg) * 2 * cfg.A_r / (math.pi * beamwidth(cfg) ** 2)
         assert h.mean() / const == pytest.approx(1.0, abs=0.015)
 
+    def test_reflection_factor_at_most_one_past_right_angle_tilts(self):
+        # same seed, same geometry and fading draws: h(30 deg) / h(0 deg) is
+        # the reflection factor; tilts past pi/2 once pushed it above 1
+        cfg = weak_cfg(sigma_theta_o=30 * DEG)
+        h30, _ = draw_channel(SimPlan(cfg, n_samples=200_000, seed=0))
+        h0, _ = draw_channel(SimPlan(cfg.with_(sigma_theta_o=0.0), n_samples=200_000, seed=0))
+        assert np.all(h30 <= h0 * (1 + 1e-12))
+
 
 class TestEmpirical:
     def test_single_value(self):

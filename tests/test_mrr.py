@@ -50,6 +50,12 @@ class TestSampling:
         s = sample_hmrr(8 * DEG, 200_000, seed=1)
         assert np.all((s >= 0.0) & (s <= 1.0))
 
+    @pytest.mark.parametrize("deg", [20.0, 30.0])
+    def test_support_past_right_angle_tilts(self, deg):
+        # at these jitters some tilts pass pi/2, where tan turns negative
+        s = sample_hmrr(deg * DEG, 1_000_000, seed=0)
+        assert np.all((s >= 0.0) & (s <= 1.0))
+
     def test_deterministic(self):
         a = sample_hmrr(3 * DEG, 150_000, seed=42)
         b = sample_hmrr(3 * DEG, 150_000, seed=42)
