@@ -8,6 +8,7 @@ tables index in degrees are converted at the table boundary, not here.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -125,6 +126,23 @@ def cn2_profile(Z_h, cn2_0: float, wind_v: float):
     return float(out) if out.ndim == 0 else out
 
 
+# distinct (Z_hg, Z_hu, cn2_0, wind_v) path integrals kept per process
+_PATH_INTEGRAL_CACHE = 256
+
+
+@functools.lru_cache(maxsize=_PATH_INTEGRAL_CACHE)
+def _path_integral(Z_hg: float, Z_hu: float, cn2_0: float, wind_v: float) -> float:
+    """Integral of Cn^2 times the (5/6)-power kernel between the node heights."""
+    Z_hd = Z_hu - Z_hg
+
+    def integrand(z_h):
+        x = z_h - Z_hg
+        return cn2_profile(z_h, cn2_0, wind_v) * (1.0 - x / Z_hd) ** (5.0 / 6.0) * x ** (5.0 / 6.0)
+
+    val, err = quad(integrand, Z_hg, Z_hu, epsabs=0.0, epsrel=1e-9, limit=400)
+    return val
+
+
 def rytov_variance(cfg: LinkConfig) -> float:
     """Rytov variance of one slant pass between the node heights.
 
@@ -132,16 +150,14 @@ def rytov_variance(cfg: LinkConfig) -> float:
     propagation kernel.  The prefactor 9 belongs to the model family
     implemented here; the common textbook plane-wave convention uses
     2.25 instead, so values differ by a constant across conventions.
+    The path integral reads only (Z_hg, Z_hu, cn2_0, wind_v) and is
+    memoized on them per process, so sweeps over Z, the wavelength, the
+    divergence, the jitter or the power integrate once per profile.
     """
     Z_hd = cfg.Z_hu - cfg.Z_hg
     if Z_hd <= 0:
         raise DegenerateGeometryError("Z_hu must exceed Z_hg")
-
-    def integrand(z_h):
-        x = z_h - cfg.Z_hg
-        return cn2_profile(z_h, cfg.cn2_0, cfg.wind_v) * (1.0 - x / Z_hd) ** (5.0 / 6.0) * x ** (5.0 / 6.0)
-
-    val, err = quad(integrand, cfg.Z_hg, cfg.Z_hu, epsabs=0.0, epsrel=1e-9, limit=400)
+    val = _path_integral(cfg.Z_hg, cfg.Z_hu, cfg.cn2_0, cfg.wind_v)
     pref = 9.0 * (2.0 * math.pi / cfg.wavelength) ** (7.0 / 6.0) * (cfg.Z / Z_hd) ** (11.0 / 6.0)
     return pref * val
 

@@ -24,6 +24,7 @@ from .errors import ConfigError
 from .experiments import (
     ExperimentSpec,
     heatmap,
+    link_field,
     optimize_divergence,
     run_experiment,
     spec_meta,
@@ -143,11 +144,6 @@ def _finish(args, rows: list, meta: dict) -> int:
     return 2 if meta.get("flags") else 0
 
 
-def _field(target: str) -> str:
-    """The LinkConfig field a config target sets; `w_z` sets theta_div."""
-    return "theta_div" if target == "w_z" else target
-
-
 def _usage_problem(args) -> str | None:
     """What makes an otherwise parsed command line unusable, if anything.
 
@@ -192,7 +188,7 @@ def _usage_problem(args) -> str | None:
         if raw.experiment or not raw.link:
             return f"--set {pair!r}: only link parameters can be set"
         values.update(raw.link)
-        fields.append((pair, {_field(t) for t in raw.link}))
+        fields.append((pair, {link_field(t) for t in raw.link}))
     try:
         args.link = RawConfig(link=values).build_link_config(base)
         if args.command == "recipe":
@@ -209,7 +205,7 @@ def _usage_problem(args) -> str | None:
     owner = _owned_fields(args)
     if args.command == "run":
         for line_no, key, _ in config_entries(text):
-            f = _field(LINK_KEYS[key][0]) if key in LINK_KEYS else None
+            f = link_field(LINK_KEYS[key][0]) if key in LINK_KEYS else None
             if f in owner:
                 raise ConfigError(f"{key!r} has no effect: {owner[f]}", line_no)
     for pair, set_fields in fields:
@@ -227,7 +223,7 @@ def _owned_fields(args) -> dict[str, str]:
     if args.command == "heatmap":
         return {"sigma_theta_e": "heatmap takes the tracking jitter from --sigma-e",
                 "theta_div": "heatmap takes the beam width from --w-z"}
-    owned = {_field(LINK_KEYS[s.sweep_axis][0]) for s in args.specs}
+    owned = {link_field(LINK_KEYS[s.sweep_axis][0]) for s in args.specs}
     owned |= {f.name for f in dataclasses.fields(LinkConfig) for s in args.specs
               if getattr(s.base, f.name) != getattr(args.link, f.name)}
     who = f"recipe {args.name}" if args.command == "recipe" else "the config's sweep"

@@ -16,7 +16,7 @@ import numpy as np
 
 from .channel import LinkConfig
 from .errors import ConfigError, MissingRequiredError, UnitMismatchError, UnknownKeyError
-from .experiments import ExperimentSpec
+from .experiments import ExperimentSpec, apply_axis
 
 __all__ = ["parse_config", "RawConfig"]
 
@@ -88,7 +88,7 @@ class RawConfig:
             values["zeta"] = None
         cfg = base.with_(**values)
         if w_z is not None:
-            cfg = cfg.with_(theta_div=w_z / cfg.Z)
+            cfg = apply_axis(cfg, "w_z", w_z)
         return cfg
 
 

@@ -98,11 +98,18 @@ class ExperimentResult:
 
 
 def apply_axis(cfg: LinkConfig, axis: str, value: float) -> LinkConfig:
+    """`cfg` with sweep axis `axis` at `value`; `w_z` sets theta_div = w_z / Z."""
     if axis == "w_z":
         return cfg.with_(theta_div=value / cfg.Z)
     if axis not in _AXIS_FIELDS:
         raise ValueError(f"unknown sweep axis {axis!r}")
     return cfg.with_(**{_AXIS_FIELDS[axis]: value})
+
+
+def link_field(target: str) -> str:
+    """The LinkConfig field a link target sets: `w_z` sets theta_div (see
+    `apply_axis`), every other target is the field of that name."""
+    return "theta_div" if target == "w_z" else target
 
 
 def _constants_for(cfg: LinkConfig, regime: str | None):
@@ -248,8 +255,8 @@ def _fmt(v) -> str:
 
 def spec_meta(spec: ExperimentSpec) -> dict:
     """The resolved setup of one sweep, as its sidecar records it: every
-    field but `bins`, with `base` as `base_config`."""
-    meta = {k: v for k, v in vars(spec).items() if k not in ("base", "bins")}
+    field, with `base` as `base_config`."""
+    meta = {k: v for k, v in vars(spec).items() if k != "base"}
     return {**meta, "base_config": dict(vars(spec.base))}
 
 
@@ -341,6 +348,6 @@ def heatmap(cfg: LinkConfig, sigma_e_grid, wz_grid, metric: str = "outage",
     out = np.empty((len(sigma_e_grid), len(wz_grid)))
     for i, se in enumerate(sigma_e_grid):
         for j, wz in enumerate(wz_grid):
-            c = cfg.with_(sigma_theta_e=float(se), theta_div=float(wz) / cfg.Z)
+            c = apply_axis(cfg, "w_z", float(wz)).with_(sigma_theta_e=float(se))
             out[i, j] = _design_metric(c, metric, regime)
     return out

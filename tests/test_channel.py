@@ -6,10 +6,12 @@ fine-grid Riemann sums (see values marked 'oracle').
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
+from mrrlink import channel
 from mrrlink.channel import (
     LinkConfig,
     Regime,
@@ -123,9 +125,84 @@ class TestRytov:
         with pytest.raises(DegenerateGeometryError):
             rytov_variance(c)
 
+    def test_degenerate_geometry_with_warm_cache(self):
+        # the guard runs before the memo lookup, so a cached integral for
+        # the same heights (even the zero-length one) cannot bypass it
+        c = cfg()
+        rytov_variance(c)
+        channel._path_integral(c.Z_hg, c.Z_hg, c.cn2_0, c.wind_v)
+        object.__setattr__(c, "Z_hu", c.Z_hg)
+        with pytest.raises(DegenerateGeometryError):
+            rytov_variance(c)
+
     def test_degenerate_rejected_at_construction(self):
         with pytest.raises(ValueError):
             cfg(Z_hg=5.0, Z_hu=5.0)
+
+
+# spread of link lengths, ground strengths, winds and node heights (0-20 km)
+RYTOV_CONFIGS = [
+    dict(Z=500.0, Z_hg=0.0, Z_hu=50.0, cn2_0=1e-16, wind_v=5.0),
+    dict(Z=1000.0, Z_hg=2.0, Z_hu=102.0, cn2_0=5e-15, wind_v=27.0),
+    dict(Z=3000.0, Z_hg=2.0, Z_hu=302.0, cn2_0=1e-13, wind_v=60.0),
+    dict(Z=1500.0, Z_hg=10.0, Z_hu=1000.0, cn2_0=1e-14, wind_v=21.0),
+    dict(Z=2000.0, Z_hg=0.0, Z_hu=20000.0, cn2_0=1.7e-14, wind_v=21.0),
+    dict(Z=2500.0, Z_hg=5000.0, Z_hu=15000.0, cn2_0=1e-13, wind_v=60.0),
+    dict(Z=800.0, Z_hg=100.0, Z_hu=200.0, cn2_0=3e-16, wind_v=10.0),
+    dict(Z=1200.0, Z_hg=0.5, Z_hu=12000.0, cn2_0=1e-15, wind_v=40.0),
+    dict(Z=3000.0, Z_hg=19000.0, Z_hu=20000.0, cn2_0=1e-16, wind_v=5.0),
+    dict(Z=700.0, Z_hg=1.0, Z_hu=8000.0, cn2_0=7e-14, wind_v=33.0),
+    dict(Z=1800.0, Z_hg=300.0, Z_hu=3000.0, cn2_0=4e-14, wind_v=15.0),
+    dict(Z=2200.0, Z_hg=0.0, Z_hu=2200.0, cn2_0=6e-15, wind_v=50.0),
+]
+
+
+def rytov_mpmath(c: LinkConfig) -> mpmath.mpf:
+    """Rytov variance by 30-digit tanh-sinh quadrature of the same
+    integrand, with the height interval split at eighths."""
+    with mpmath.workdps(30):
+        hg, hu = mpmath.mpf(c.Z_hg), mpmath.mpf(c.Z_hu)
+        hd = hu - hg
+
+        def integrand(z):
+            x = z - hg
+            cn2 = (mpmath.mpf(0.00594) * (mpmath.mpf(c.wind_v) / 27) ** 2
+                   * (mpmath.mpf(1e-5) * z) ** 10 * mpmath.exp(-z / 1000)
+                   + mpmath.mpf(2.7e-16) * mpmath.exp(-z / 1500)
+                   + mpmath.mpf(c.cn2_0) * mpmath.exp(-z / 100))
+            return cn2 * (1 - x / hd) ** (mpmath.mpf(5) / 6) * x ** (mpmath.mpf(5) / 6)
+
+        val = mpmath.quad(integrand, [hg + hd * i / 8 for i in range(9)])
+        pref = (9 * (2 * mpmath.pi / mpmath.mpf(c.wavelength)) ** (mpmath.mpf(7) / 6)
+                * (mpmath.mpf(c.Z) / hd) ** (mpmath.mpf(11) / 6))
+        return pref * val
+
+
+class TestRytovMemo:
+    @staticmethod
+    def uncached(c: LinkConfig) -> float:
+        Z_hd = c.Z_hu - c.Z_hg
+        pref = 9.0 * (2.0 * math.pi / c.wavelength) ** (7.0 / 6.0) * (c.Z / Z_hd) ** (11.0 / 6.0)
+        return pref * channel._path_integral.__wrapped__(c.Z_hg, c.Z_hu, c.cn2_0, c.wind_v)
+
+    @pytest.mark.parametrize("kw", RYTOV_CONFIGS[:6])
+    def test_equals_uncached_integral(self, kw):
+        c = cfg(**kw)
+        rytov_variance(c)                  # warm
+        assert rytov_variance(c) == self.uncached(c)
+
+    def test_z_sweep_at_fixed_heights_integrates_once(self):
+        channel._path_integral.cache_clear()
+        for z in np.linspace(500.0, 3000.0, 7):
+            c = cfg(Z=float(z), wavelength=850e-9 if z > 2000 else 1550e-9)
+            assert rytov_variance(c) == self.uncached(c)
+        info = channel._path_integral.cache_info()
+        assert (info.misses, info.hits) == (1, 6)
+
+    @pytest.mark.parametrize("kw", RYTOV_CONFIGS)
+    def test_mpmath_oracle(self, kw):
+        c = cfg(**kw)
+        assert rytov_variance(c) == pytest.approx(float(rytov_mpmath(c)), rel=1e-10, abs=0)
 
 
 class TestGGParams:

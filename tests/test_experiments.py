@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from mrrlink import channel
 from mrrlink.channel import LinkConfig
 from mrrlink.experiments import (
     ExperimentSpec,
@@ -26,6 +27,16 @@ def base_cfg(**kw) -> LinkConfig:
              sigma_theta_o=5 * DEG, cn2_0=5e-15)
     d.update(kw)
     return LinkConfig(**d)
+
+
+@pytest.fixture
+def path_integrations(monkeypatch):
+    """Calls of the Rytov path quadrature, counted from a cleared memo on."""
+    channel._path_integral.cache_clear()
+    calls = []
+    quad = channel.quad
+    monkeypatch.setattr(channel, "quad", lambda *a, **kw: calls.append(a[1:3]) or quad(*a, **kw))
+    return calls
 
 
 class TestSpecValidation:
@@ -249,6 +260,10 @@ class TestOptimizer:
         with pytest.raises(ValueError, match="sigma_theta_e > 0"):
             optimize_divergence(base_cfg(sigma_theta_e=0.0), regime="weak")
 
+    def test_search_integrates_the_turbulence_path_once(self, path_integrations):
+        optimize_divergence(base_cfg(P_t=0.1), objective="ber")
+        assert len(path_integrations) == 1
+
 
 class TestHeatmap:
     def test_dimensions_and_compositionality(self):
@@ -275,8 +290,36 @@ class TestHeatmap:
         with pytest.raises(ValueError, match="sigma_theta_e > 0"):
             heatmap(base_cfg(), [0.0, 100e-6], [0.4], regime="weak")
 
+    def test_map_integrates_the_turbulence_path_once(self, path_integrations):
+        # jitter and beamwidth leave the Rytov path integral unchanged
+        heatmap(base_cfg(P_t=10 ** 2.5 / 1000), np.linspace(50e-6, 400e-6, 8),
+                np.linspace(0.1, 2.0, 20))
+        assert len(path_integrations) == 1
+
+    def test_cell_equals_cold_standalone_metric(self):
+        from mrrlink.experiments import _design_metric
+
+        cfg = base_cfg(P_t=10 ** 2.5 / 1000)
+        se, wz = np.linspace(50e-6, 400e-6, 3), np.linspace(0.2, 1.2, 4)
+        mat = heatmap(cfg, se, wz, metric="ber")
+        channel._path_integral.cache_clear()
+        c = cfg.with_(sigma_theta_e=float(se[2]), theta_div=float(wz[1]) / cfg.Z)
+        assert mat[2, 1] == _design_metric(c, "ber", None)
+
 
 class TestCli:
+    def test_run_sidecar_records_bins(self, tmp_path, capsys):
+        from mrrlink.cli import main
+
+        spec = tmp_path / "sweep.cfg"
+        spec.write_text("sweep = Pt\ngrid = 20 dBm\nmetrics = cdf_h\nengines = analytic\n"
+                        "regime = weak\nbins = 40\n")
+        out = tmp_path / "out.csv"
+        assert main(["run", str(spec), "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 1 + 40
+        meta = json.loads((tmp_path / "out.csv.json").read_text())
+        assert meta["curves"][0]["bins"] == 40
+
     def test_run_roundtrip(self, tmp_path, capsys):
         from mrrlink.cli import main
 
