@@ -7,11 +7,13 @@ direct numerical Mellin-Barnes integration because the orders needed by
 the channel statistics (up to G^{10,2}_{4,11} with repeated parameters) are
 outside what series-based evaluators handle reliably.
 
-`meijer_g` evaluates one G at one argument.  `meijer_g_sum` evaluates a
-weighted sum of one G at scaled arguments, such as the strong-regime
-sector sums, as a single integral for a whole array of arguments:
-arguments in the same unit-width ln bucket share one contour and one
-evaluation of the gamma ratio.
+One integrator, `_mb_sum`, evaluates a weighted sum of one G at scaled
+arguments for a set of arguments on one contour, with one evaluation of
+the gamma ratio per node set.  `meijer_g_sum` calls it once per unit-width
+ln bucket of its arguments, such as the strong-regime sector sums;
+`meijer_g` calls it with one unit term, on a contour at the saddle of its
+own argument.  The contour abscissa comes from bisection on the analytic
+(digamma) slope of the integrand's logarithm.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from functools import lru_cache
 
 import numpy as np
 from scipy import special as sp
-from scipy.optimize import minimize_scalar
 
 from .errors import InvalidOrderError, MismatchedLengthsError, NonConvergentError
 
@@ -142,39 +143,48 @@ def _contour_abscissa(spec: MeijerGSpec, lnz: float) -> float:
     those of Gamma(1 - a_i + t) on its left.  Within the admissible range
     we place it at the minimum of |integrand| (the real saddle), which
     keeps the oscillatory cancellation bounded even when the result is
-    exponentially small.
+    exponentially small.  The saddle is found by bisection on the sign of
+    the analytic slope d/dc [Re log chi(c) + c ln z], a sum of digammas;
+    a slope of one sign throughout leaves c at that end of the range.
     """
-    hi = min(spec.b_params[: spec.m]) if spec.m else np.inf
-    lo = max(ai - 1.0 for ai in spec.a_params[: spec.n]) if spec.n else -np.inf
+    m, n, a, b = spec.m, spec.n, spec.a_params, spec.b_params
+    hi = min(b[:m]) if m else np.inf
+    lo = max(ai - 1.0 for ai in a[:n]) if n else -np.inf
+    # Gamma arguments off + sgn c, numerator gammas first, and d/dc of
+    # their log-gammas' signed sum: coef psi(off + sgn c).
+    off = np.array(b[:m] + tuple(1.0 - ai for ai in a[:n])
+                   + tuple(1.0 - bj for bj in b[m:]) + a[n:])
+    sgn = np.repeat([-1.0, 1.0, 1.0, -1.0], [m, n, spec.q - m, spec.p - n])
+    coef = np.repeat([-1.0, 1.0, -1.0, 1.0], [m, n, spec.q - m, spec.p - n])
 
-    def g(c):
-        return float(np.real(_chi_log(complex(c, 0.0), spec)) + c * lnz)
+    def slope(c):
+        return float(np.dot(coef, sp.digamma(off + sgn * c))) + lnz
 
     if np.isfinite(lo) and np.isfinite(hi):
         if hi - lo <= 1e-12:
             raise InvalidOrderError("no admissible contour between pole families")
         band = hi - lo
-        res = minimize_scalar(
-            g, bounds=(lo + 0.05 * band, hi - 0.05 * band), method="bounded",
-            options={"xatol": 1e-8},
-        )
-        c = float(res.x)
+        left, right = lo + 0.05 * band, hi - 0.05 * band
     else:
-        # One side unbounded: expand away from the bounded edge until the
-        # saddle is bracketed, then minimize.
+        # One side unbounded: step away from the bounded edge until the
+        # slope turns, which brackets the saddle.
         if np.isfinite(hi):
-            edge, sgn = hi - 1e-3, -1.0
+            edge, away = hi - 1e-3, -1.0
         else:
-            edge, sgn = lo + 1e-3, 1.0
+            edge, away = lo + 1e-3, 1.0
         w = 1.0
-        while g(edge + sgn * 2 * w) < g(edge + sgn * w) and w < 1e8:
+        while away * slope(edge + away * w) < 0.0 and w < 1e8:
             w *= 2
-        lo_b, hi_b = sorted((edge, edge + sgn * 2 * w))
-        res = minimize_scalar(g, bounds=(lo_b, hi_b), method="bounded",
-                              options={"xatol": 1e-8})
-        c = float(res.x)
+        left, right = sorted((edge, edge + away * w))
+    while right - left > 1e-8 * max(1.0, abs(left), abs(right)):
+        mid = 0.5 * (left + right)
+        if slope(mid) > 0.0:
+            right = mid
+        else:
+            left = mid
+    c = 0.5 * (left + right)
     # Keep clear of any exact pole of the numerator/denominator gammas.
-    for v in spec.b_params + spec.a_params:
+    for v in b + a:
         for k in range(-3, 4):
             if abs(c - (v + k)) < 1e-9:
                 c += 1.37e-7
@@ -193,14 +203,15 @@ def _require_decay(spec: MeijerGSpec) -> None:
 def meijer_g(spec: MeijerGSpec, z: float) -> float:
     """Evaluate G^{m,n}_{p,q}(z | a; b) for real z > 0.
 
-    Integrates along a saddle-anchored vertical contour; repeated
-    parameters are harmless there because the contour never approaches
-    the poles.
+    The kernel of `meijer_g_sum` with one unit term, on a vertical contour
+    anchored at the saddle of z itself; repeated parameters are harmless
+    there because the contour never approaches the poles.
     """
     if z <= 0.0 or not np.isfinite(z):
         raise ValueError("meijer_g requires finite z > 0")
     _require_decay(spec)
-    return _mellin_barnes(spec, float(z))
+    lnz = math.log(z)
+    return float(_mb_sum(spec, np.ones(1), np.zeros(1), lnz, lnz, np.array([lnz]))[0])
 
 
 @lru_cache(maxsize=8)
@@ -255,30 +266,6 @@ def _check_converged(total, err, tail_bound: float) -> None:
         )
 
 
-def _mellin_barnes(spec: MeijerGSpec, z: float) -> float:
-    lnz = np.log(z)
-    c = _contour_abscissa(spec, lnz)
-    log_peak = float(np.real(_chi_log(complex(c, 0.0), spec)) + c * lnz)
-    rate, T, edges = _contour_extent(spec, c, abs(lnz))
-
-    def integrate(n_nodes: int) -> float:
-        taus, w, half = _nodes(edges, n_nodes)
-        t = c + 1j * taus
-        vals = np.exp(_chi_log(t, spec) + t * lnz - log_peak).real
-        return float(np.sum(vals.reshape(len(half), -1) * w * half))
-
-    i1 = integrate(24)
-    i2 = integrate(48)
-    err = abs(i2 - i1)
-    total = i2
-    if err > max(_EPS_REL * 10 * abs(total), 1e-13):
-        i3 = integrate(96)
-        err = abs(i3 - i2)
-        total = i3
-    _check_converged(total, err, np.exp(-rate * T) / rate)
-    return float(np.exp(log_peak) * total / np.pi)
-
-
 # Rows of one ln s bucket integrated together; bounds the rows x nodes
 # work arrays whatever the grid size.
 _CHUNK = 128
@@ -294,8 +281,8 @@ def meijer_g_sum(spec: MeijerGSpec, weights, scales, p: float, s):
     grouped into unit-width ln s buckets; each bucket places its contour
     at the saddle of the bucket's fixed centre (a value depends only on
     its own s, so an array call equals elementwise scalar calls) and
-    evaluates chi and D once per node set.  Every value passes the same
-    refinement and tolerance checks as `meijer_g`.
+    evaluates chi and D once per node set, in the integrator that
+    `meijer_g` also uses.
     """
     s_arr = np.asarray(s, dtype=float)
     flat = s_arr.ravel()
@@ -309,13 +296,14 @@ def meijer_g_sum(spec: MeijerGSpec, weights, scales, p: float, s):
     out = np.empty_like(flat)
     for j in np.unique(bucket):
         rows = np.flatnonzero(bucket == j)
-        out[rows] = _bucket_sum(spec, w, lsc, float(j), lns[rows])
+        out[rows] = _mb_sum(spec, w, lsc, float(j), float(j) + 1.0, lns[rows])
     return float(out[0]) if s_arr.ndim == 0 else out.reshape(s_arr.shape)
 
 
-def _bucket_sum(spec: MeijerGSpec, w, lsc, j: float, lns) -> np.ndarray:
-    """meijer_g_sum at every ln s in [j, j + 1), on one shared contour."""
-    lnz_lo, lnz_hi = j + lsc.min(), j + 1.0 + lsc.max()
+def _mb_sum(spec: MeijerGSpec, w, lsc, lo: float, hi: float, lns) -> np.ndarray:
+    """sum_n w_n G(exp(ln s + lsc_n)) at every ln s of lns, on one contour
+    placed at the saddle of the middle of the range [lo, hi] of ln s."""
+    lnz_lo, lnz_hi = lo + lsc.min(), hi + lsc.max()
     c = _contour_abscissa(spec, 0.5 * (lnz_lo + lnz_hi))
     chi_c = float(np.real(_chi_log(complex(c, 0.0), spec)))
     # Normalise by the largest term's integrand at tau = 0.

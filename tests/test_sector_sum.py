@@ -222,14 +222,14 @@ class TestWork:
     def test_grid80_pdf(self, grid80, chi_calls):
         k, h = grid80
         strong.pdf_h_strong(h, k)
-        assert chi_calls[0] <= 500  # per-point sum: 15,001
+        assert chi_calls[0] <= 40  # per-point sum: 15,001; minimize_scalar abscissa: 118
 
     def test_scalar_cdf(self, grid80, chi_calls):
         k, h = grid80
         strong.cdf_h_strong(h[10], k)
-        assert chi_calls[0] <= 40  # per-point sum: 136
+        assert chi_calls[0] <= 8  # per-point sum: 136; minimize_scalar abscissa: 14
 
     def test_scalar_ber(self, grid80, chi_calls):
         k, _ = grid80
         strong.ber_strong(k)
-        assert chi_calls[0] <= 40  # per-point sum: 123
+        assert chi_calls[0] <= 8  # per-point sum: 123; minimize_scalar abscissa: 15
