@@ -1,14 +1,21 @@
 """End-to-end Monte-Carlo simulation of the double-pass channel.
 
 Every random draw is keyed by (seed, block-index) through a
-counter-based generator, with a fixed internal block size, so the
-sample stream -- and everything accumulated from it -- is bit-identical
-for any chunking of blocks across workers.  Per sample the engine uses
-a fixed layout of nine uniforms (three mirror tilts, two tracking
-angles, up to four fading variates) mapped through inverse CDFs, so the
-same seed produces the same geometry draws under either fading model.
-The reflection-coefficient sampler `mrr.sample_hmrr` draws from the same
-block generator, `block_uniforms`.
+counter-based Philox generator, with a fixed internal block size, so
+the sample stream -- and everything accumulated from it -- is
+bit-identical for any chunking of blocks across workers.  Per sample
+the engine draws a fixed layout of nine uniforms: three mirror tilts
+(slots 0-2), two tracking angles (3-4) and two log-normal fading
+variates (5-6), each mapped to a normal by inversion.  Slots 7-8 are
+drawn but unused, so the layout -- and with it the geometry and
+log-normal streams -- does not move.  Gamma-Gamma fading draws its four
+gamma variates per sample (alpha, alpha, beta, beta) with
+`Generator.standard_gamma` from a separate Philox substream of the same
+(seed, block) key, whose counter starts 2**192 steps in
+(`_FADING_SUBSTREAM`), so it never overlaps the uniforms.  The same seed
+therefore produces the same geometry draws under either fading model.
+The reflection-coefficient sampler `mrr.sample_hmrr` draws from the
+same block generator, `block_uniforms`.
 """
 
 from __future__ import annotations
@@ -58,6 +65,8 @@ BLOCK = 1 << 16  # samples per deterministic substream (fixed; not a tuning knob
 POINTING_DISPLACEMENT_FACTOR = 0.5
 
 _UNIFORM_SLOTS = 9
+# Top counter word of the Gamma-Gamma fading substream within a block's key.
+_FADING_SUBSTREAM = 1
 
 
 class FadingModel(Enum):
@@ -97,17 +106,24 @@ class MCEstimate(NamedTuple):
     n: int
 
 
+def _block_generator(seed: int, index: int, substream: int = 0) -> np.random.Generator:
+    """The Philox generator keyed by (seed, block index).  `substream` is
+    the top word of the 256-bit counter, so substreams of one block start
+    2**192 counter steps apart and never overlap."""
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=[0, 0, 0, substream]))
+
+
 def block_uniforms(seed: int, index: int, cols: int) -> np.ndarray:
     """BLOCK rows of `cols` uniforms from the Philox stream keyed by
     (seed, block index), so any scheduling of blocks reproduces them."""
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, index], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
-    return gen.random((BLOCK, cols))
+    return _block_generator(seed, index).random((BLOCK, cols))
 
 
 def normals(u: np.ndarray) -> np.ndarray:
-    """Standard normals by inversion; the clip keeps ndtri off +-inf."""
-    return sp.ndtri(np.clip(u, 1e-17, 1.0 - 1e-17))
+    """Standard normals by inversion.  Uniforms lie in [0, 1), so only the
+    lower end is clipped, which keeps ndtri off -inf."""
+    return sp.ndtri(np.maximum(u, 1e-17))
 
 
 def _mirror_factor(theta) -> np.ndarray:
@@ -116,20 +132,21 @@ def _mirror_factor(theta) -> np.ndarray:
     return np.maximum(0.0, 1.0 - np.tan(np.minimum(np.abs(theta), math.pi / 2)))
 
 
-def _fading_pair(plan: SimPlan, u: np.ndarray) -> np.ndarray:
-    """Product of the two per-pass fading coefficients (unit mean each)."""
+def _fading_pair(plan: SimPlan, u: np.ndarray, block: int) -> np.ndarray:
+    """Product of the two per-pass fading coefficients (unit mean each) for
+    the rows of `u`, the log-normal fading uniforms of block `block`.
+    Gamma-Gamma draws from the block's fading substream instead, row by
+    row, so a shorter block is a prefix of the full one."""
     stats = plan.stats
     if plan.fading is FadingModel.LOG_NORMAL:
         s_l2 = stats.sigma_L2
         if s_l2 == 0.0:
             return np.ones(len(u))
-        x = normals(u[:, :2])
+        x = normals(u)
         return np.exp((2.0 * math.sqrt(s_l2)) * x.sum(axis=1) - 4.0 * s_l2)
-    a, b = stats.alpha, stats.beta
-    uc = np.clip(u, 1e-16, 1.0 - 1e-16)
-    ga = sp.gammaincinv(a, uc[:, 0]) * sp.gammaincinv(a, uc[:, 2]) / (a * a)
-    gb = sp.gammaincinv(b, uc[:, 1]) * sp.gammaincinv(b, uc[:, 3]) / (b * b)
-    return ga * gb
+    shapes = np.array([stats.alpha, stats.alpha, stats.beta, stats.beta])
+    gen = _block_generator(plan.seed, block, _FADING_SUBSTREAM)
+    return (gen.standard_gamma(shapes, (len(u), 4)) / shapes).prod(axis=1)
 
 
 def sample_channel(plan: SimPlan) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -146,7 +163,7 @@ def sample_channel(plan: SimPlan) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         h_mrr = np.prod(_mirror_factor(theta_m), axis=1)
         d = scale * np.sin(cfg.sigma_theta_e * normals(u[:, 3:5]))
         h_pu = pointing_loss_approx(cfg, d[:, 0], d[:, 1])
-        h_a = _fading_pair(plan, u[:, 5:9])
+        h_a = _fading_pair(plan, u[:, 5:7], b)
         h = (hl * hl * h_pg) * h_a * h_pu * h_mrr
         yield h, u1 * h * h
 

@@ -18,6 +18,7 @@ from mrrlink.experiments import (
     spec_meta,
     write_outputs,
 )
+from mrrlink.montecarlo import BLOCK
 
 DEG = math.pi / 180.0
 
@@ -200,6 +201,19 @@ class TestRunExperiment:
             spec = ExperimentSpec(base_cfg(), "Pt", grid, metrics=("outage", "ber"),
                                   engines=("analytic", "montecarlo"), regime="weak",
                                   n_samples=60_000, seed=7)
+            write_outputs(run_experiment(spec, workers=workers).rows, str(path), {})
+            outs[workers] = path.read_bytes()
+        assert outs[1] == outs[2]
+
+    def test_strong_csv_deterministic_across_workers(self, tmp_path):
+        # Gamma-Gamma fading draws from its own per-block substream
+        grid = tuple(10 ** (p / 10) / 1000 for p in (0.0, 15.0, 30.0))
+        outs = {}
+        for workers in (1, 2):
+            path = tmp_path / f"w{workers}.csv"
+            spec = ExperimentSpec(base_cfg(cn2_0=1e-13), "Pt", grid, metrics=("outage", "ber"),
+                                  engines=("analytic", "montecarlo"), regime="strong",
+                                  n_samples=BLOCK + 5_000, seed=7)
             write_outputs(run_experiment(spec, workers=workers).rows, str(path), {})
             outs[workers] = path.read_bytes()
         assert outs[1] == outs[2]

@@ -1,11 +1,22 @@
 """Monte-Carlo engine tests: determinism, composition, agreement."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from scipy import special as sp
 
-from mrrlink.channel import LinkConfig, beamwidth, geometric_loss_gs, turbulence_stats, upsilon_1
+import mrrlink.montecarlo as montecarlo
+from mrrlink.channel import (
+    LinkConfig,
+    Regime,
+    TurbulenceStats,
+    beamwidth,
+    geometric_loss_gs,
+    turbulence_stats,
+    upsilon_1,
+)
 from mrrlink.montecarlo import (
     BLOCK,
     FadingModel,
@@ -30,6 +41,11 @@ def weak_cfg(**kw) -> LinkConfig:
     return LinkConfig(**base)
 
 
+def strong_cfg() -> LinkConfig:
+    """Cn2 = 1e-13: Rytov variance ~2, so the engine draws Gamma-Gamma fading."""
+    return weak_cfg(cn2_0=1e-13)
+
+
 class TestDeterminism:
     def test_identical_reruns(self):
         plan = SimPlan(weak_cfg(), n_samples=200_000, seed=123)
@@ -49,26 +65,110 @@ class TestDeterminism:
         b = draw_channel(SimPlan(cfg, n_samples=10_000, seed=2))[0]
         assert not np.array_equal(a, b)
 
-    def test_geometry_shared_across_fading_models(self):
-        # same seed => same pointing/orientation draws, so the channel
-        # ratio between fading models involves only the fading slots
+    def test_geometry_shared_across_fading_models(self, monkeypatch):
+        # same seed => same pointing/orientation draws: h divided by its
+        # fading product is the same under either fading model, while the
+        # fading itself differs
+        fading = []
+        original = montecarlo._fading_pair
+
+        def recording(*args):
+            out = original(*args)
+            fading.append(out)
+            return out
+
+        monkeypatch.setattr(montecarlo, "_fading_pair", recording)
         cfg = weak_cfg()
-        plan_ln = SimPlan(cfg, n_samples=5_000, seed=3, fading=FadingModel.LOG_NORMAL)
-        st = turbulence_stats(cfg, regime="strong")
-        plan_gg = SimPlan(cfg, n_samples=5_000, seed=3, fading=FadingModel.GAMMA_GAMMA,
-                          stats=st)
+        n = BLOCK + 1_000
+        plan_ln = SimPlan(cfg, n_samples=n, seed=3, fading=FadingModel.LOG_NORMAL)
+        plan_gg = SimPlan(cfg, n_samples=n, seed=3, fading=FadingModel.GAMMA_GAMMA,
+                          stats=turbulence_stats(cfg, regime="strong"))
         h_ln = draw_channel(plan_ln)[0]
+        f_ln = np.concatenate(fading)
+        fading.clear()
         h_gg = draw_channel(plan_gg)[0]
-        assert not np.array_equal(h_ln, h_gg)
-        # both share the deterministic-factor upper envelope structure
-        assert np.corrcoef(np.log(h_ln), np.log(h_gg))[0, 1] > 0.5
+        f_gg = np.concatenate(fading)
+        assert len(f_ln) == len(f_gg) == n
+        assert not np.any(f_ln == f_gg)
+        assert not np.any(f_gg[:1_000] == f_gg[BLOCK:])  # each block has its own fading
+        np.testing.assert_allclose(h_gg / f_gg, h_ln / f_ln, rtol=1e-15, atol=0)
+
+    def test_gg_identical_reruns(self):
+        plan = SimPlan(strong_cfg(), n_samples=200_000, seed=123)
+        assert plan.resolved().fading is FadingModel.GAMMA_GAMMA
+        h1, g1 = draw_channel(plan)
+        h2, g2 = draw_channel(plan)
+        assert np.array_equal(h1, h2) and np.array_equal(g1, g2)
+
+    def test_gg_prefix_stability(self):
+        cfg = strong_cfg()
+        a = draw_channel(SimPlan(cfg, n_samples=80_000, seed=5))[0]
+        b = draw_channel(SimPlan(cfg, n_samples=3 * BLOCK, seed=5))[0]
+        assert np.array_equal(a, b[:80_000])
+
+
+class TestPinnedStreams:
+    """sha256 of streams the Gamma-Gamma sampler must not move, recorded
+    before it replaced inverse-CDF fading (numpy 2.4, x86-64 Linux); each
+    draw crosses a block boundary."""
+
+    @staticmethod
+    def digest(*arrays) -> str:
+        return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+
+    def test_lognormal_channel(self):
+        plan = SimPlan(weak_cfg(), n_samples=BLOCK + 1_000, seed=5,
+                       fading=FadingModel.LOG_NORMAL)
+        assert self.digest(*draw_channel(plan)) == (
+            "a049cae50aea49167764c36c8f5b06a3fae96812cc23e17a46c80675e2d66f52")
+
+    def test_sample_hmrr(self):
+        assert self.digest(sample_hmrr(0.1, BLOCK + 1_000, seed=5)) == (
+            "859c79de4b246cdc696922688d364184392d8dd661da2f8486929831d1757940")
+
+
+def gg_moment(a: float, b: float, k: float) -> float:
+    """E[X^k] of the two-pass Gamma-Gamma product X (unit-mean factors)."""
+    lg = (sp.gammaln(a + k) - sp.gammaln(a) - k * math.log(a)
+          + sp.gammaln(b + k) - sp.gammaln(b) - k * math.log(b))
+    return math.exp(2.0 * lg)
+
+
+class TestGammaGammaSampler:
+    """Moments of `_fading_pair`'s Gamma-Gamma product over 16 blocks
+    (~1e6 samples), each within 4 exact standard errors.  The second case
+    has beta < 1, where Marsaglia-Tsang boosts the shape by one."""
+
+    @pytest.fixture(params=[(3.99, 1.71), (2.4, 0.62)], ids=["strong", "small-shape"])
+    def draws(self, request):
+        a, b = request.param
+        plan = SimPlan(weak_cfg(), seed=11, fading=FadingModel.GAMMA_GAMMA,
+                       stats=TurbulenceStats(1.0, 0.25, a, b, Regime.MODERATE_TO_STRONG))
+        u = np.empty((BLOCK, 2))
+        return a, b, np.concatenate([montecarlo._fading_pair(plan, u, blk) for blk in range(16)])
+
+    def test_mean(self, draws):
+        a, b, x = draws
+        se = math.sqrt((gg_moment(a, b, 2) - 1.0) / len(x))
+        assert abs(x.mean() - 1.0) <= 4 * se
+
+    def test_second_moment(self, draws):
+        a, b, x = draws
+        m2 = ((1 + 1 / a) * (1 + 1 / b)) ** 2
+        assert m2 == pytest.approx(gg_moment(a, b, 2), rel=1e-12)
+        se = math.sqrt((gg_moment(a, b, 4) - m2 * m2) / len(x))
+        assert abs((x * x).mean() - m2) <= 4 * se
+
+    def test_log_mean(self, draws):
+        a, b, x = draws
+        want = 2 * (sp.digamma(a) - math.log(a) + sp.digamma(b) - math.log(b))
+        se = math.sqrt(2 * (sp.polygamma(1, a) + sp.polygamma(1, b)) / len(x))
+        assert abs(np.log(x).mean() - want) <= 4 * se
 
 
 class TestComposition:
     def test_deterministic_limit(self):
         # zero spread everywhere: h = h_pg * 2 A_r / (pi w_z^2) exactly
-        from mrrlink.channel import Regime, TurbulenceStats
-
         cfg = weak_cfg(sigma_theta_e=0.0, sigma_theta_o=0.0, h_l=1.0)
         plan = SimPlan(cfg, n_samples=1000, seed=0, fading=FadingModel.LOG_NORMAL,
                        stats=TurbulenceStats(0.0, 0.0, math.inf, math.inf,

@@ -38,6 +38,24 @@ def test_tracer_installs_and_counts_one_pass_per_point():
     assert metrics["montecarlo.samples"] == 2 * 5_000
 
 
+def test_tracer_counts_gamma_gamma_samples():
+    # the tracer wraps montecarlo._fading_pair and reads args[0].fading
+    # and len(args[1]); a change of that call shape fails here first
+    tracer = load("tracer").Tracer()
+    tracer.install()
+    try:
+        spec = experiments.ExperimentSpec(
+            LinkConfig(cn2_0=1e-13), "Pt", (0.01, 0.1, 1.0), metrics=("outage",),
+            engines=("montecarlo",), regime="strong", n_samples=montecarlo.BLOCK + 5_000)
+        experiments.run_experiment(spec)
+    finally:
+        tracer.uninstall()
+    metrics = tracer.layer_metrics()
+    assert metrics["montecarlo.samples"] == 3 * (montecarlo.BLOCK + 5_000)
+    assert metrics["montecarlo.samples_per_s.gammagamma"] > 0.0
+    assert metrics["montecarlo.samples_per_s.lognormal"] == 0.0
+
+
 def test_probes_reach_their_kernels():
     probes = load("probes")
     k, h = probes.pdf_grid80_case()
