@@ -30,7 +30,7 @@ from .experiments import (
     spec_meta,
     write_outputs,
 )
-from .mrr import fit_sector_model, sample_hmrr
+from .mrr import _MIN_FIT_SAMPLES, TABLE_MOMENTS, TABLE_SECTORS, fit_sector_model, sample_hmrr
 from .recipes import build_fig13_rows, build_recipe, recipe_names
 
 
@@ -112,20 +112,18 @@ def cmd_heatmap(args) -> int:
 
 def cmd_mc_tables(args) -> int:
     n = args.samples
-    deg = np.arange(1.0, 12.0)
     mom_path = (args.out or "mrr_tables") + "_moments.csv"
     sec_path = (args.out or "mrr_tables") + "_sectors.csv"
-    with open(mom_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("sigma_deg,mu,sd\n")
-        for d in deg:
+    with (open(mom_path, "w", encoding="utf-8", newline="\n") as mom,
+          open(sec_path, "w", encoding="utf-8", newline="\n") as sec):
+        mom.write("sigma_deg,mu,sd\n")
+        sec.write("sigma_deg," + ",".join(f"B{i}" for i in range(1, 9)) + "\n")
+        for d in TABLE_MOMENTS.sigma_deg:
             s = sample_hmrr(math.radians(d), n, seed=args.seed)
-            fh.write(f"{d:g},{s.mean():.6g},{s.std():.6g}\n")
-    with open(sec_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("sigma_deg," + ",".join(f"B{i}" for i in range(1, 9)) + "\n")
-        for d in (1.0, 3.0, 5.0, 7.0, 9.0, 11.0):
-            s = sample_hmrr(math.radians(d), n, seed=args.seed)
-            model = fit_sector_model(s, 8)
-            fh.write(f"{d:g}," + ",".join(f"{b:.6g}" for b in model.B) + "\n")
+            mom.write(f"{d:g},{s.mean():.6g},{s.std():.6g}\n")
+            if d in TABLE_SECTORS:
+                model = fit_sector_model(s, 8)
+                sec.write(f"{d:g}," + ",".join(f"{b:.6g}" for b in model.B) + "\n")
     print(f"wrote {mom_path} and {sec_path} ({n} samples per row)")
     return 0
 
@@ -165,7 +163,8 @@ def _usage_problem(args) -> str | None:
             if min(span) <= 0:
                 return f"{flag} needs positive LO and HI, got {span[0]:g} {span[1]:g}"
     if args.command == "mc-tables":
-        return None
+        return (f"--samples needs at least {_MIN_FIT_SAMPLES} for the sector fit"
+                if args.samples < _MIN_FIT_SAMPLES else None)
     base = None
     if args.command == "run":
         try:

@@ -3,19 +3,20 @@
 Every random draw is keyed by (seed, block-index) through a
 counter-based Philox generator, with a fixed internal block size, so
 the sample stream -- and everything accumulated from it -- is
-bit-identical for any chunking of blocks across workers.  Per sample
-the engine draws a fixed layout of nine uniforms: three mirror tilts
-(slots 0-2), two tracking angles (3-4) and two log-normal fading
-variates (5-6), each mapped to a normal by inversion.  Slots 7-8 are
-drawn but unused, so the layout -- and with it the geometry and
-log-normal streams -- does not move.  Gamma-Gamma fading draws its four
-gamma variates per sample (alpha, alpha, beta, beta) with
+bit-identical for any chunking of blocks across workers.  A run of n
+samples draws n rows, a prefix of any longer run.  Per sample the
+engine draws a fixed layout of nine uniforms: three mirror tilts (slots
+0-2), two tracking angles (3-4) and two log-normal fading variates
+(5-6), each mapped to a normal by inversion.  Slots 7-8 are drawn but
+unused, so the layout -- and with it the geometry and log-normal
+streams -- does not move.  Gamma-Gamma fading draws its four gamma
+variates per sample (alpha, alpha, beta, beta) with
 `Generator.standard_gamma` from a separate Philox substream of the same
 (seed, block) key, whose counter starts 2**192 steps in
-(`_FADING_SUBSTREAM`), so it never overlaps the uniforms.  The same seed
-therefore produces the same geometry draws under either fading model.
-The reflection-coefficient sampler `mrr.sample_hmrr` draws from the
-same block generator, `block_uniforms`.
+(`_FADING_SUBSTREAM`), so it never overlaps the uniforms.  The same
+seed therefore produces the same geometry draws under either fading
+model.  The reflection-coefficient sampler `mrr.sample_hmrr` takes
+three uniforms per sample from `block_uniforms` too.
 """
 
 from __future__ import annotations
@@ -114,10 +115,10 @@ def _block_generator(seed: int, index: int, substream: int = 0) -> np.random.Gen
     return np.random.Generator(np.random.Philox(key=key, counter=[0, 0, 0, substream]))
 
 
-def block_uniforms(seed: int, index: int, cols: int) -> np.ndarray:
-    """BLOCK rows of `cols` uniforms from the Philox stream keyed by
-    (seed, block index), so any scheduling of blocks reproduces them."""
-    return _block_generator(seed, index).random((BLOCK, cols))
+def block_uniforms(seed: int, index: int, cols: int, rows: int) -> np.ndarray:
+    """The first min(rows, BLOCK) rows of `cols` uniforms in the Philox
+    stream keyed by (seed, block index), whatever the block scheduling."""
+    return _block_generator(seed, index).random((min(rows, BLOCK), cols))
 
 
 def normals(u: np.ndarray) -> np.ndarray:
@@ -158,7 +159,7 @@ def sample_channel(plan: SimPlan) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     u1 = upsilon_1(cfg)
     scale = POINTING_DISPLACEMENT_FACTOR * cfg.Z
     for b, pos in enumerate(range(0, plan.n_samples, BLOCK)):
-        u = block_uniforms(plan.seed, b, _UNIFORM_SLOTS)[:plan.n_samples - pos]
+        u = block_uniforms(plan.seed, b, _UNIFORM_SLOTS, plan.n_samples - pos)
         theta_m = cfg.sigma_theta_o * normals(u[:, 0:3])
         h_mrr = np.prod(_mirror_factor(theta_m), axis=1)
         d = scale * np.sin(cfg.sigma_theta_e * normals(u[:, 3:5]))

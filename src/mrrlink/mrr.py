@@ -43,6 +43,8 @@ _MOM_SIGMA_DEG = np.arange(1.0, 12.0)
 _MOM_MU = np.array([0.96, 0.93, 0.89, 0.86, 0.83, 0.80, 0.76, 0.73, 0.70, 0.66, 0.62])
 _MOM_SD = np.array([0.0178, 0.035, 0.052, 0.066, 0.083, 0.094, 0.11, 0.12, 0.13, 0.145, 0.158])
 
+_MIN_FIT_SAMPLES = 10_000   # fewest samples `fit_sector_model` accepts
+
 # Sector densities B_n for N=8, tabulated at odd jitter SDs (degrees).
 _SEC_SIGMA_DEG = np.array([1.0, 3.0, 5.0, 7.0, 9.0, 11.0])
 _SEC_B = np.array(
@@ -127,16 +129,14 @@ def hmrr_component(theta):
 def sample_hmrr(sigma_theta_o: float, n: int, seed: int = 0) -> np.ndarray:
     """Draw n reflection coefficients for jitter SD sigma_theta_o (radians).
 
-    Product of three independent mirror factors; deterministic given the
-    seed and independent of how blocks are scheduled.
+    Product of three independent mirror factors; a shorter draw is a
+    prefix of a longer one at one seed, and zero jitter gives exactly 1.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    if sigma_theta_o == 0.0:
-        return np.ones(n)
     out = np.empty(n)
     for block, pos in enumerate(range(0, n, BLOCK)):
-        theta = sigma_theta_o * normals(block_uniforms(seed, block, 3)[:n - pos])
+        theta = sigma_theta_o * normals(block_uniforms(seed, block, 3, n - pos))
         out[pos:pos + BLOCK] = np.prod(_mirror_factor(theta), axis=1)
     return out
 
@@ -230,9 +230,9 @@ def fit_sector_model(samples, n_sectors: int = 8) -> SectorModel:
     samples = np.asarray(samples, dtype=float)
     if n_sectors < 2:
         raise ValueError("need at least two sectors")
-    if samples.size < 10_000:
+    if samples.size < _MIN_FIT_SAMPLES:
         raise InsufficientSamplesError(
-            f"{samples.size} samples; need at least 1e4 for a stable fit"
+            f"{samples.size} samples; need at least {_MIN_FIT_SAMPLES} for a stable fit"
         )
     V = _uniform_sectors(float(samples.mean()), n_sectors)
     counts, _ = np.histogram(samples, bins=V)

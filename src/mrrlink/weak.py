@@ -69,7 +69,6 @@ class WeakModelConstants(SquareLawModel):
     K: float
     h_c: float
     upsilon_1: float
-    sigma_L2: float
 
     def __post_init__(self):
         if self.C1 <= 0 or self.C3 <= 0 or self.K <= 0:
@@ -110,7 +109,7 @@ def weak_constants(cfg: LinkConfig, moments: tuple[float, float],
     C3 = math.pi * w_z ** 2 / (2.0 * cfg.A_r * h_c)
     log_C4 = math.log(K) + K * math.log(C3) + (C1 * K ** 2 + 2.0 * K * C2) / 2.0
     C5 = math.log(C3) + C1 * K + C2
-    return WeakModelConstants(C1, C2, C3, log_C4, C5, K, h_c, upsilon_1(cfg), s_l2)
+    return WeakModelConstants(C1, C2, C3, log_C4, C5, K, h_c, upsilon_1(cfg))
 
 
 def pdf_h_weak(h, k: WeakModelConstants):

@@ -381,15 +381,27 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert 0.1 <= out["theta_opt_mrad"] <= 2.0
 
-    def test_mc_tables_command(self, tmp_path, capsys):
-        from mrrlink.cli import main
+    def test_mc_tables_command(self, tmp_path, monkeypatch, capsys):
+        import mrrlink.cli as cli
 
-        rc = main(["mc-tables", "--samples", "50000", "--out",
-                   str(tmp_path / "tables")])
+        calls = []
+        original = cli.sample_hmrr
+
+        def counting(*args, **kw):
+            calls.append(args)
+            return original(*args, **kw)
+
+        monkeypatch.setattr(cli, "sample_hmrr", counting)
+        rc = cli.main(["mc-tables", "--samples", "50000", "--out",
+                       str(tmp_path / "tables")])
         assert rc == 0
         text = (tmp_path / "tables_moments.csv").read_text().splitlines()
         assert text[0] == "sigma_deg,mu,sd"
         assert len(text) == 12
+        sectors = (tmp_path / "tables_sectors.csv").read_text().splitlines()
+        assert sectors[0] == "sigma_deg," + ",".join(f"B{i}" for i in range(1, 9))
+        assert [row.split(",")[0] for row in sectors[1:]] == ["1", "3", "5", "7", "9", "11"]
+        assert len(calls) == 11   # one draw per jitter; the sector rows reuse it
 
     @pytest.mark.parametrize("argv", [
         ["recipe", "fig7", "--samples", "0"],
@@ -398,14 +410,17 @@ class TestCli:
         ["run", "unread.cfg", "--samples", "0"],
         ["optimize", "--samples", "0"],
         ["heatmap", "--samples", "0"],
+        ["mc-tables", "--samples", "5000"],   # below the sector fit's floor
     ])
-    def test_samples_below_one_is_usage_error(self, argv, capsys):
+    def test_samples_below_one_is_usage_error(self, argv, tmp_path, monkeypatch, capsys):
         from mrrlink.cli import main
 
+        monkeypatch.chdir(tmp_path)   # where mc-tables writes without --out
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         assert "--samples" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("key", ["samples", "bins"])
     def test_config_count_below_one_fails_before_sweep(self, tmp_path, monkeypatch, key):
