@@ -30,7 +30,14 @@ from .experiments import (
     spec_meta,
     write_outputs,
 )
-from .mrr import _MIN_FIT_SAMPLES, TABLE_MOMENTS, TABLE_SECTORS, fit_sector_model, sample_hmrr
+from .mrr import (
+    _MIN_FIT_SAMPLES,
+    _MIN_MOMENT_SAMPLES,
+    TABLE_MOMENTS,
+    TABLE_SECTORS,
+    fit_sector_model,
+    sample_hmrr,
+)
 from .recipes import build_fig13_rows, build_recipe, recipe_names
 
 
@@ -155,7 +162,11 @@ def _usage_problem(args) -> str | None:
         if args.name not in recipe_names():
             return f"give a recipe name, one of: {', '.join(recipe_names())}"
         if args.name == "fig13":
-            return "fig13 reads no link parameter; drop --set" if args.set else None
+            if args.set:
+                return "fig13 reads no link parameter; drop --set"
+            if args.samples is not None and args.samples < _MIN_MOMENT_SAMPLES:
+                return f"--samples needs at least {_MIN_MOMENT_SAMPLES} for fig13's log-normal fit"
+            return None
     if args.command == "optimize" and not 0 < args.bracket[0] < args.bracket[1]:
         return "--bracket needs 0 < LO_MRAD < HI_MRAD, got {:g} {:g}".format(*args.bracket)
     if args.command == "heatmap":

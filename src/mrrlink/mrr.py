@@ -44,6 +44,7 @@ _MOM_MU = np.array([0.96, 0.93, 0.89, 0.86, 0.83, 0.80, 0.76, 0.73, 0.70, 0.66, 
 _MOM_SD = np.array([0.0178, 0.035, 0.052, 0.066, 0.083, 0.094, 0.11, 0.12, 0.13, 0.145, 0.158])
 
 _MIN_FIT_SAMPLES = 10_000   # fewest samples `fit_sector_model` accepts
+_MIN_MOMENT_SAMPLES = 2     # fewest with a nonzero SD, which `lognormal_hmrr_pdf` divides by
 
 # Sector densities B_n for N=8, tabulated at odd jitter SDs (degrees).
 _SEC_SIGMA_DEG = np.array([1.0, 3.0, 5.0, 7.0, 9.0, 11.0])

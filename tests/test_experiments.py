@@ -411,6 +411,7 @@ class TestCli:
         ["optimize", "--samples", "0"],
         ["heatmap", "--samples", "0"],
         ["mc-tables", "--samples", "5000"],   # below the sector fit's floor
+        ["recipe", "fig13", "--samples", "1"],   # one sample has no SD to fit
     ])
     def test_samples_below_one_is_usage_error(self, argv, tmp_path, monkeypatch, capsys):
         from mrrlink.cli import main

@@ -2,13 +2,16 @@
 
 The quadrature oracles here are written against the density expressions
 directly (log-substituted integrands), independent of the closed-form
-code paths they check.
+code paths they check.  The Gauss-Hermite fallback is checked against
+30-digit mpmath quadrature of the same pointing-averaged integral.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+import scipy.integrate
 from scipy.integrate import quad
 
 from mrrlink.channel import LinkConfig, turbulence_stats
@@ -16,6 +19,8 @@ from mrrlink.errors import DegenerateDistributionError, RegimeMismatchError
 from mrrlink.mrr import mrr_moments
 from mrrlink.specfun import q_function
 from mrrlink.weak import (
+    _ber_weak_gauss_hermite,
+    _ber_weak_quadrature,
     ber_weak,
     cdf_h_weak,
     pdf_h_weak,
@@ -192,13 +197,13 @@ class TestBer:
         import mrrlink.weak as weak_mod
         monkeypatch.setattr(weak_mod, "_MAX_LOG", float("-inf"))
         val, method = ber_weak(k2, with_method=True)
-        assert method == "quadrature-fallback"
-        assert val == pytest.approx(_ber_oracle(k2), rel=1e-3)
+        assert method == "gauss-hermite-fallback"
+        assert val == pytest.approx(_ber_oracle(k2), rel=1e-12)   # measured 2.4e-14
 
     def test_extreme_pointing_exponent_falls_back_cleanly(self):
-        # K = 64: the series cancels catastrophically and the constants'
-        # linear-domain prefactor overflows; the log-domain quadrature
-        # fallback must still deliver the right answer
+        # K = 64: the constants' linear-domain prefactor overflows; at
+        # 20 dBm the log-space series still holds and must deliver the
+        # right answer (the 40 dBm fallback: TestGaussHermiteFallback)
         k, _ = make_constants(2.0, sigma_e=50e-6)
         assert k.K == pytest.approx(64.0)
         val, method = ber_weak(k, M=60, gamma_max=40.0, with_method=True)
@@ -207,3 +212,75 @@ class TestBer:
     def test_series_tagged_normally(self, k2):
         _, method = ber_weak(k2, with_method=True)
         assert method == "series"
+
+
+def _ber_mpmath(k) -> float:
+    """30-digit mpmath.quad of E_Y[g(b)], the pointing-averaged error
+    probability g(b) = Q(b) + 2^{K/2-1} b^{-K} gamma((K+1)/2, b^2/2)/sqrt(pi)
+    over ln b = ln sqrt(upsilon_1) - C2 - ln C3 + sqrt(C1) Z.
+
+    mpmath's tolerance is absolute, so the integrand is divided by its
+    largest panel-point value before integrating; unscaled, a 1e-28 BER
+    comes out about 1e-6 off.
+    """
+    with mpmath.workdps(30):
+        K, s = mpmath.mpf(k.K), mpmath.sqrt(mpmath.mpf(k.C1))
+        lb0 = (mpmath.log(mpmath.mpf(k.upsilon_1)) / 2 - mpmath.mpf(k.C2)
+               - mpmath.log(mpmath.mpf(k.C3)))
+
+        def f(z):
+            b = mpmath.exp(lb0 + s * z)
+            t2 = (2 ** (K / 2 - 1) * b ** -K * mpmath.gammainc((K + 1) / 2, 0, b * b / 2)
+                  / mpmath.sqrt(mpmath.pi))
+            return (mpmath.erfc(b / mpmath.sqrt(2)) / 2 + t2) * mpmath.npdf(z)
+
+        panels = mpmath.linspace(-48, 16, 33)
+        peak = max(f(z) for z in panels)
+        return float(mpmath.quad(lambda z: f(z) / peak, panels) * peak)
+
+
+class TestGaussHermiteFallback:
+    """The fallback BER, E_Y[g(b)] as a Gauss-Hermite sum."""
+
+    # (sigma_o deg, sigma_e, theta_div, Cn2, dBm, series falls back at (60, 40))
+    RECIPE_RANGE = {
+        "K2.25-0dBm": (2.0, 200e-6, 0.3e-3, 5e-15, 0.0, False),
+        "K9-15dBm": (6.0, 100e-6, 0.3e-3, 5e-15, 15.0, False),
+        "fig11-K9-30dBm": (2.0, 100e-6, 0.3e-3, 5e-15, 30.0, True),
+        "fig12-K16-30dBm": (5.0, 100e-6, 0.4e-3, 5e-15, 30.0, True),
+        "K16-Cn2-1e-14-20dBm": (5.0, 100e-6, 0.4e-3, 1e-14, 20.0, False),
+    }
+
+    @pytest.mark.parametrize("case", RECIPE_RANGE.values(), ids=RECIPE_RANGE.keys())
+    def test_matches_mpmath_over_recipe_range(self, case):
+        so, se, td, cn2, p_dbm, falls_back = case
+        k, _ = make_constants(so, P_t=10 ** (p_dbm / 10) / 1000, sigma_e=se,
+                              theta_div=td, cn2=cn2)
+        _, method = ber_weak(k, M=60, gamma_max=40.0, with_method=True)
+        assert (method == "gauss-hermite-fallback") == falls_back
+        assert _ber_weak_gauss_hermite(k) == pytest.approx(_ber_mpmath(k), rel=1e-9, abs=0)
+
+    def test_k64_corner_no_worse_than_quadrature(self):
+        # K = 64 at 40 dBm: the integrand's mode sits near z = -10, far
+        # from the rule's centre; the quadrature is ~6e-6 off there
+        k, _ = make_constants(1.0, P_t=10.0, sigma_e=50e-6)
+        assert k.K == pytest.approx(64.0)
+        val, method = ber_weak(k, M=60, gamma_max=40.0, with_method=True)
+        assert method == "gauss-hermite-fallback"
+        want = _ber_mpmath(k)
+        assert abs(val / want - 1) <= abs(_ber_weak_quadrature(k) / want - 1)
+        # measured 5.9e-13; nodes left centred on z = 0 give 6e-11
+        assert val == pytest.approx(want, rel=1e-11, abs=0)
+
+    def test_fallback_never_integrates_numerically(self, monkeypatch):
+        import mrrlink.weak as weak_mod
+
+        def refuse(*args, **kw):
+            raise AssertionError("scipy.integrate.quad called")
+
+        assert not hasattr(weak_mod, "quad")
+        monkeypatch.setattr(scipy.integrate, "quad", refuse)
+        k, _ = make_constants(2.0, P_t=1.0, theta_div=0.3e-3)
+        val, method = ber_weak(k, M=60, gamma_max=40.0, with_method=True)
+        assert method == "gauss-hermite-fallback"
+        assert 0.0 < val < 1e-13
