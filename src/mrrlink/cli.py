@@ -36,7 +36,8 @@ from .mrr import (
     TABLE_MOMENTS,
     TABLE_SECTORS,
     fit_sector_model,
-    sample_hmrr,
+    hmrr_from_normals,
+    tilt_normals,
 )
 from .recipes import build_fig13_rows, build_recipe, recipe_names
 
@@ -125,8 +126,9 @@ def cmd_mc_tables(args) -> int:
           open(sec_path, "w", encoding="utf-8", newline="\n") as sec):
         mom.write("sigma_deg,mu,sd\n")
         sec.write("sigma_deg," + ",".join(f"B{i}" for i in range(1, 9)) + "\n")
+        z = tilt_normals(n, args.seed)   # one set of tilts for every jitter
         for d in TABLE_MOMENTS.sigma_deg:
-            s = sample_hmrr(math.radians(d), n, seed=args.seed)
+            s = hmrr_from_normals(math.radians(d), z)
             mom.write(f"{d:g},{s.mean():.6g},{s.std():.6g}\n")
             if d in TABLE_SECTORS:
                 model = fit_sector_model(s, 8)

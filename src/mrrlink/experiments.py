@@ -7,9 +7,13 @@ then a call through that model's `pdf_h`/`cdf_h`/`pdf_snr`/`cdf_snr`/
 `outage`/`ber`.  The Monte-Carlo side draws its fading from the same
 turbulence statistics.
 
-Grid points are independent and may be computed by a worker pool; rows
-are always emitted in grid order and all randomness is seed-keyed, so
-output files are byte-identical for any worker count.
+Grid points may be computed by a worker pool; rows are always emitted in
+grid order and all randomness is seed-keyed, so output files are
+byte-identical for any worker count.  A transmit-power curve draws its
+Monte-Carlo channel once: P_t reaches the channel only through upsilon_1
+(gamma = upsilon_1 h^2), so every grid point forms its gamma from one h
+array, drawn at the first grid value and sent to the pool with each
+task.  Every other axis moves h, so each of its grid points draws its own.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .channel import LinkConfig, Regime, beamwidth, h_constant, turbulence_stats
+from .channel import LinkConfig, Regime, beamwidth, h_constant, turbulence_stats, upsilon_1
 from .errors import NonPositiveBreakpointError
 from .montecarlo import SimPlan, draw_channel, empirical_cdf, empirical_pdf, mc_ber, mc_outage
 from .mrr import mrr_moments, sector_table
@@ -122,8 +126,21 @@ def _constants_for(cfg: LinkConfig, regime: str | None):
     return strong_constants(cfg, stats, sectors), stats
 
 
-def _grid_point_rows(spec: ExperimentSpec, value: float):
-    """All output rows for one grid value.  Pure function of its inputs."""
+def _curve_channel(spec: ExperimentSpec) -> np.ndarray | None:
+    """The Monte-Carlo h samples every grid point of a P_t curve shares,
+    drawn at the first grid value; None when the curve has no Monte-Carlo
+    engine or sweeps an axis that moves h."""
+    if spec.sweep_axis != "Pt" or "montecarlo" not in spec.engines:
+        return None
+    cfg = apply_axis(spec.base, "Pt", spec.grid[0])
+    h, _ = draw_channel(SimPlan(cfg, n_samples=spec.n_samples, seed=spec.seed,
+                                stats=turbulence_stats(cfg, regime=spec.regime)))
+    return h
+
+
+def _grid_point_rows(spec: ExperimentSpec, value: float, h: np.ndarray | None = None):
+    """All output rows for one grid value.  Pure function of its inputs;
+    `h` is the curve's shared channel draw (`_curve_channel`), if any."""
     cfg = apply_axis(spec.base, spec.sweep_axis, value)
     where = f"{spec.sweep_axis}={value:g}"
     rows: list[dict] = []
@@ -151,13 +168,15 @@ def _grid_point_rows(spec: ExperimentSpec, value: float):
 
     mc = None
     if "montecarlo" in spec.engines:
-        # one draw per grid point feeds every MC metric; the simulated
-        # fading follows the regime of the analytic side
-        if stats is None:
-            stats = turbulence_stats(cfg, regime=spec.regime)
-        h, gamma = draw_channel(SimPlan(cfg, n_samples=spec.n_samples, seed=spec.seed,
+        # one draw feeds every MC metric; the simulated fading follows the
+        # regime of the analytic side
+        if h is None:
+            if stats is None:
+                stats = turbulence_stats(cfg, regime=spec.regime)
+            h, _ = draw_channel(SimPlan(cfg, n_samples=spec.n_samples, seed=spec.seed,
                                         stats=stats))
-        mc = {"h": h, "snr": gamma}
+        # sample_channel's expression and operation order, so gamma is bit-identical
+        mc = {"h": h, "snr": upsilon_1(cfg) * h * h}
 
     def add(*columns, **named):
         rows.append(output_row(spec.sweep_axis, value, spec.label, *columns, **named))
@@ -222,11 +241,13 @@ def _grid_point_rows(spec: ExperimentSpec, value: float):
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
     """Evaluate the sweep: its rows in grid order, flags and errors."""
     result = ExperimentResult()
+    h = _curve_channel(spec)
     if workers > 1:
+        n = len(spec.grid)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_grid_point_rows, [spec] * len(spec.grid), spec.grid))
+            parts = list(pool.map(_grid_point_rows, [spec] * n, spec.grid, [h] * n))
     else:
-        parts = [_grid_point_rows(spec, v) for v in spec.grid]
+        parts = [_grid_point_rows(spec, v, h) for v in spec.grid]
     for rows, flags, errors in parts:       # grid order preserved
         result.rows.extend(rows)
         result.flags.extend(flags)

@@ -15,8 +15,14 @@ variates per sample (alpha, alpha, beta, beta) with
 (seed, block) key, whose counter starts 2**192 steps in
 (`_FADING_SUBSTREAM`), so it never overlaps the uniforms.  The same
 seed therefore produces the same geometry draws under either fading
-model.  The reflection-coefficient sampler `mrr.sample_hmrr` takes
+model.  The reflection coefficient's tilts (`mrr.tilt_normals`) take
 three uniforms per sample from `block_uniforms` too.
+
+A draw depends on the seed and the sample count, never on who asks for
+it, so callers share one where their grid points would repeat it: a
+transmit-power curve forms each point's gamma = upsilon_1 h^2 from one h
+array (`experiments.run_experiment`), and a jitter grid scales one set of
+tilt normals (`mrr.hmrr_from_normals`).
 """
 
 from __future__ import annotations

@@ -28,6 +28,8 @@ __all__ = [
     "SectorModel",
     "hmrr_component",
     "sample_hmrr",
+    "tilt_normals",
+    "hmrr_from_normals",
     "mrr_moments",
     "model_moments",
     "lognormal_hmrr_pdf",
@@ -127,19 +129,39 @@ def hmrr_component(theta):
     return float(out) if out.ndim == 0 else out
 
 
+def tilt_normals(n: int, seed: int = 0) -> np.ndarray:
+    """The (n, 3) standard normals behind `sample_hmrr` at one seed: one
+    row of three mirror tilts per sample, in units of the jitter SD.  A
+    jitter grid draws them once and evaluates every jitter from them
+    (`hmrr_from_normals`); a shorter draw is a prefix of a longer one."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    z = np.empty((n, 3))
+    for block, pos in enumerate(range(0, n, BLOCK)):
+        z[pos:pos + BLOCK] = normals(block_uniforms(seed, block, 3, n - pos))
+    return z
+
+
+def hmrr_from_normals(sigma_theta_o: float, z: np.ndarray) -> np.ndarray:
+    """Reflection coefficients for jitter SD sigma_theta_o (radians) from
+    `tilt_normals` rows z: the product of the three mirror factors at tilts
+    sigma_theta_o * z, evaluated BLOCK rows at a time so that the
+    temporaries stay one block in size."""
+    out = np.empty(len(z))
+    for pos in range(0, len(z), BLOCK):
+        out[pos:pos + BLOCK] = np.prod(_mirror_factor(sigma_theta_o * z[pos:pos + BLOCK]), axis=1)
+    return out
+
+
 def sample_hmrr(sigma_theta_o: float, n: int, seed: int = 0) -> np.ndarray:
     """Draw n reflection coefficients for jitter SD sigma_theta_o (radians).
 
-    Product of three independent mirror factors; a shorter draw is a
-    prefix of a longer one at one seed, and zero jitter gives exactly 1.
+    Product of three independent mirror factors: `hmrr_from_normals` of
+    `tilt_normals(n, seed)`, so it holds the (n, 3) normals, 24 bytes per
+    sample, while it runs.  A shorter draw is a prefix of a longer one at
+    one seed, and zero jitter gives exactly 1.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    out = np.empty(n)
-    for block, pos in enumerate(range(0, n, BLOCK)):
-        theta = sigma_theta_o * normals(block_uniforms(seed, block, 3, n - pos))
-        out[pos:pos + BLOCK] = np.prod(_mirror_factor(theta), axis=1)
-    return out
+    return hmrr_from_normals(sigma_theta_o, tilt_normals(n, seed))
 
 
 def mrr_moments(sigma_theta_o: float):
@@ -197,8 +219,8 @@ def model_moments(sigma_theta_o: float) -> tuple[float, float]:
 def lognormal_hmrr_pdf(h, mu: float, sd: float):
     """Moment-matched log-normal density; its first two moments equal
     (mu, sd^2) exactly."""
-    if mu <= 0:
-        raise ValueError("mu must be positive")
+    if mu <= 0 or sd <= 0:
+        raise ValueError(f"mu and sd must be positive, got mu={mu!r}, sd={sd!r}")
     loc = math.log(mu ** 2 / math.sqrt(mu ** 2 + sd ** 2))
     scale = math.sqrt(math.log1p(sd ** 2 / mu ** 2))
     return at_positive(h, lambda x: np.exp(-((np.log(x) - loc) ** 2) / (2 * scale ** 2))

@@ -13,7 +13,7 @@ import numpy as np
 from .channel import LinkConfig
 from .experiments import ExperimentSpec, output_row
 from .montecarlo import empirical_pdf
-from .mrr import lognormal_hmrr_pdf, sample_hmrr
+from .mrr import _MIN_MOMENT_SAMPLES, hmrr_from_normals, lognormal_hmrr_pdf, tilt_normals
 
 __all__ = ["RECIPES", "build_recipe", "recipe_names"]
 
@@ -136,11 +136,15 @@ def build_fig13_rows(seed: int = 0, n_samples: int = 1_000_000) -> list[dict]:
     Not a link sweep: histogram of the sampled coefficient against the
     moment-matched log-normal, at three jitter levels.  Emitted in the
     standard row schema (engine montecarlo = histogram, analytic =
-    log-normal density).
+    log-normal density).  The three jitters share one set of tilt normals.
     """
+    if n_samples < _MIN_MOMENT_SAMPLES:
+        raise ValueError(f"n_samples must be at least {_MIN_MOMENT_SAMPLES} for the "
+                         f"log-normal fit, got {n_samples}")
+    z = tilt_normals(n_samples, seed)
     rows = []
     for deg in (1.0, 5.0, 10.0):
-        s = sample_hmrr(deg * _DEG, n_samples, seed=seed)
+        s = hmrr_from_normals(deg * _DEG, z)
         dens, edges = empirical_pdf(s, bins=60)
         centers = 0.5 * (edges[:-1] + edges[1:])
         mu, sd = float(s.mean()), float(s.std())

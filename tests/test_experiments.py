@@ -381,17 +381,9 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert 0.1 <= out["theta_opt_mrad"] <= 2.0
 
-    def test_mc_tables_command(self, tmp_path, monkeypatch, capsys):
+    def test_mc_tables_command(self, tmp_path, block_rows, capsys):
         import mrrlink.cli as cli
 
-        calls = []
-        original = cli.sample_hmrr
-
-        def counting(*args, **kw):
-            calls.append(args)
-            return original(*args, **kw)
-
-        monkeypatch.setattr(cli, "sample_hmrr", counting)
         rc = cli.main(["mc-tables", "--samples", "50000", "--out",
                        str(tmp_path / "tables")])
         assert rc == 0
@@ -401,7 +393,7 @@ class TestCli:
         sectors = (tmp_path / "tables_sectors.csv").read_text().splitlines()
         assert sectors[0] == "sigma_deg," + ",".join(f"B{i}" for i in range(1, 9))
         assert [row.split(",")[0] for row in sectors[1:]] == ["1", "3", "5", "7", "9", "11"]
-        assert len(calls) == 11   # one draw per jitter; the sector rows reuse it
+        assert block_rows == [50_000]   # one tilt draw serves all 11 jitters and the sector rows
 
     @pytest.mark.parametrize("argv", [
         ["recipe", "fig7", "--samples", "0"],

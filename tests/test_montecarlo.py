@@ -113,35 +113,15 @@ class TestRowsDrawn:
 
     N = BLOCK + 1_000
 
-    @pytest.fixture
-    def rows(self, monkeypatch):
-        rows = []
-        original = montecarlo._block_generator
-
-        class Counting:
-            def __init__(self, gen):
-                self.gen = gen
-
-            def random(self, shape):
-                rows.append(shape[0])
-                return self.gen.random(shape)
-
-            def __getattr__(self, name):   # the Gamma-Gamma substream's standard_gamma
-                return getattr(self.gen, name)
-
-        monkeypatch.setattr(montecarlo, "_block_generator",
-                            lambda *args: Counting(original(*args)))
-        return rows
-
-    def test_sample_hmrr(self, rows):
+    def test_sample_hmrr(self, block_rows):
         assert len(sample_hmrr(0.1, self.N, seed=5)) == self.N
-        assert rows == [BLOCK, 1_000]
+        assert block_rows == [BLOCK, 1_000]
 
     @pytest.mark.parametrize("cfg", [weak_cfg(), strong_cfg()], ids=["lognormal", "gammagamma"])
-    def test_draw_channel(self, rows, cfg):
+    def test_draw_channel(self, block_rows, cfg):
         h, _ = draw_channel(SimPlan(cfg, n_samples=self.N, seed=5))
         assert len(h) == self.N
-        assert rows == [BLOCK, 1_000]
+        assert block_rows == [BLOCK, 1_000]
 
 
 class TestPinnedStreams:

@@ -12,12 +12,15 @@ from mrrlink.mrr import (
     SectorModel,
     fit_sector_model,
     hmrr_component,
+    hmrr_from_normals,
     lognormal_hmrr_pdf,
     model_moments,
     mrr_moments,
     sample_hmrr,
     sector_table,
+    tilt_normals,
 )
+from mrrlink.montecarlo import BLOCK
 
 DEG = math.pi / 180.0
 
@@ -66,6 +69,14 @@ class TestSampling:
         a = sample_hmrr(3 * DEG, 70_000, seed=7)
         b = sample_hmrr(3 * DEG, 200_000, seed=7)
         assert np.array_equal(a, b[:70_000])
+
+    def test_composition_across_block_boundary(self):
+        # the public sampler is the shared-normals path, one jitter at a time
+        z = tilt_normals(BLOCK + 1_000, seed=5)
+        assert z.shape == (BLOCK + 1_000, 3)
+        for sigma in (0.0, 0.1, 8 * DEG):
+            assert np.array_equal(sample_hmrr(sigma, BLOCK + 1_000, seed=5),
+                                  hmrr_from_normals(sigma, z))
 
     def test_one_degree_row(self):
         # published-table row at 1 deg; the model reproduces this row
@@ -121,6 +132,11 @@ class TestLognormalPdf:
         assert total == pytest.approx(1.0, abs=1e-6)
         assert mean == pytest.approx(mu, abs=1e-6)
         assert var == pytest.approx(sd ** 2, abs=1e-6)
+
+    @pytest.mark.parametrize("mu,sd", [(0.0, 0.1), (0.8, 0.0), (0.8, -0.1)])
+    def test_nonpositive_moments_rejected(self, mu, sd):
+        with pytest.raises(ValueError):
+            lognormal_hmrr_pdf(0.9, mu, sd)
 
     def test_zero_below_support(self):
         assert lognormal_hmrr_pdf(0.0, 0.8, 0.1) == 0.0

@@ -26,8 +26,9 @@ def test_tracer_installs_and_counts_one_pass_per_point():
     tracer.install()
     try:
         assert montecarlo.draw_channel is not original
+        # the orientation jitter moves h, so each grid point draws its own
         spec = experiments.ExperimentSpec(
-            LinkConfig(), "Pt", (0.01, 0.1), metrics=("outage", "ber", "cdf_h"),
+            LinkConfig(), "sigma_theta_o", (0.035, 0.087), metrics=("outage", "ber", "cdf_h"),
             engines=("montecarlo",), n_samples=5_000, bins=10)
         experiments.run_experiment(spec)
     finally:
@@ -36,6 +37,22 @@ def test_tracer_installs_and_counts_one_pass_per_point():
     metrics = tracer.layer_metrics()
     assert metrics["montecarlo.passes_per_point"] == 1.0
     assert metrics["montecarlo.samples"] == 2 * 5_000
+
+
+def test_tracer_counts_one_pass_per_pt_curve():
+    # a transmit-power curve draws h once, outside its grid points
+    tracer = load("tracer").Tracer()
+    tracer.install()
+    try:
+        spec = experiments.ExperimentSpec(
+            LinkConfig(), "Pt", (0.01, 0.1), metrics=("outage", "ber", "cdf_h"),
+            engines=("montecarlo",), n_samples=5_000, bins=10)
+        experiments.run_experiment(spec)
+    finally:
+        tracer.uninstall()
+    metrics = tracer.layer_metrics()
+    assert metrics["montecarlo.passes_per_point"] == 0.5
+    assert metrics["montecarlo.samples"] == 5_000
 
 
 def test_tracer_counts_gamma_gamma_samples():
@@ -51,7 +68,7 @@ def test_tracer_counts_gamma_gamma_samples():
     finally:
         tracer.uninstall()
     metrics = tracer.layer_metrics()
-    assert metrics["montecarlo.samples"] == 3 * (montecarlo.BLOCK + 5_000)
+    assert metrics["montecarlo.samples"] == montecarlo.BLOCK + 5_000   # one draw per P_t curve
     assert metrics["montecarlo.samples_per_s.gammagamma"] > 0.0
     assert metrics["montecarlo.samples_per_s.lognormal"] == 0.0
 
