@@ -59,7 +59,7 @@ from .mrr import (
     sample_hmrr,
     sector_table,
 )
-from .specfun import MeijerGSpec, interp_table, meijer_g, q_function
+from .specfun import MeijerGSpec, meijer_g, q_function
 from .strong import (
     StrongModelConstants,
     ber_strong,

@@ -156,7 +156,8 @@ def _usage_problem(args) -> str | None:
 
     On the way it builds `args.link` (the default or config-file link with
     every --set applied) and, for `run` and `recipe`, the `args.specs` to
-    sweep.  Faults inside a config file raise.
+    sweep.  Faults on a config file's lines raise; a link that the file's
+    values make invalid is a usage problem.
     """
     if args.command == "recipe":
         if args.list:
@@ -169,12 +170,13 @@ def _usage_problem(args) -> str | None:
             if args.samples is not None and args.samples < _MIN_MOMENT_SAMPLES:
                 return f"--samples needs at least {_MIN_MOMENT_SAMPLES} for fig13's log-normal fit"
             return None
-    if args.command == "optimize" and not 0 < args.bracket[0] < args.bracket[1]:
-        return "--bracket needs 0 < LO_MRAD < HI_MRAD, got {:g} {:g}".format(*args.bracket)
+    if args.command == "optimize" and not 0 < args.bracket[0] < args.bracket[1] < math.inf:
+        return "--bracket needs 0 < LO_MRAD < HI_MRAD < inf, got {:g} {:g}".format(*args.bracket)
     if args.command == "heatmap":
         for flag, span in (("--sigma-e", args.sigma_e), ("--w-z", args.w_z)):
-            if min(span) <= 0:
-                return f"{flag} needs positive LO and HI, got {span[0]:g} {span[1]:g}"
+            if not all(0 < v < math.inf for v in span):
+                return (f"{flag} needs positive LO and HI, both finite, "
+                        f"got {span[0]:g} {span[1]:g}")
     if args.command == "mc-tables":
         return (f"--samples needs at least {_MIN_FIT_SAMPLES} for the sector fit"
                 if args.samples < _MIN_FIT_SAMPLES else None)
@@ -189,7 +191,10 @@ def _usage_problem(args) -> str | None:
         require_experiment_keys(args.config)
         out = args.config.experiment.pop("out", None)   # the default of --out
         args.out = args.out or out
-        base = args.config.build_link_config()
+        try:
+            base = args.config.build_link_config()
+        except ValueError as e:
+            return f"{args.spec_file}: {e}"
 
     values, fields = {}, []
     for pair in args.set:

@@ -94,9 +94,12 @@ class RawConfig:
 
 def _parse_number(token: str, line_no: int) -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise UnitMismatchError(f"cannot parse number {token!r}", line_no) from None
+    if not math.isfinite(value):
+        raise UnitMismatchError(f"number {token!r} is not finite", line_no)
+    return value
 
 
 def _to_si(value: float, unit: str | None, dimension: str, what: str, line_no: int) -> float:

@@ -13,10 +13,6 @@ class NonConvergentError(MrrLinkError):
     """A numerical contour integral or quadrature failed its tolerance."""
 
 
-class MismatchedLengthsError(MrrLinkError):
-    """Table abscissae and ordinates differ in length."""
-
-
 class DegenerateGeometryError(MrrLinkError):
     """Link geometry has no vertical extent (equal node heights)."""
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InsufficientSamplesError, NonPositiveBreakpointError
 from .montecarlo import BLOCK, _mirror_factor, block_uniforms, normals
-from .specfun import at_positive, interp_table
+from .specfun import at_positive
 
 __all__ = [
     "MrrMomentTable",
@@ -97,6 +97,8 @@ class SectorModel:
         object.__setattr__(self, "B", B)
         if len(V) != len(B) + 1:
             raise ValueError("need one more breakpoint than sectors")
+        if not (np.all(np.isfinite(V)) and np.all(np.isfinite(B))):
+            raise ValueError("breakpoints and densities must be finite")
         if np.any(np.diff(V) <= 0):
             raise ValueError("breakpoints must be strictly increasing")
         if abs(V[-1] - 1.0) > 1e-9:
@@ -169,21 +171,22 @@ def mrr_moments(sigma_theta_o: float):
 
     sigma_theta_o is in radians; the table is indexed in degrees over
     [min, max] of its rows.  Zero jitter returns (1, 0) by convention;
-    out-of-range values clamp with a warning.
+    out-of-range values clamp with a warning, and NaN raises.
     """
     if sigma_theta_o == 0.0:
         return 1.0, 0.0
     table = TABLE_MOMENTS
     deg = math.degrees(sigma_theta_o)
+    if math.isnan(deg):
+        raise ValueError("sigma_theta_o is NaN")
     lo, hi = table.sigma_deg[0], table.sigma_deg[-1]
-    if deg < lo or deg > hi:
+    if not lo <= deg <= hi:
         warnings.warn(
             f"sigma_theta_o={deg:.2f} deg outside the table range "
             f"[{lo:g}, {hi:g}] deg; clamping", stacklevel=2,
         )
-        deg = min(max(deg, lo), hi)
-    return (interp_table(table.sigma_deg, table.mu, deg),
-            interp_table(table.sigma_deg, table.sd, deg))
+    return (float(np.interp(deg, table.sigma_deg, table.mu)),   # clamps at the end rows
+            float(np.interp(deg, table.sigma_deg, table.sd)))
 
 
 def model_moments(sigma_theta_o: float) -> tuple[float, float]:
@@ -275,12 +278,12 @@ def sector_table(sigma_theta_o: float) -> SectorModel:
     printed columns integrate to about 0.75).
     """
     deg = math.degrees(sigma_theta_o)
-    if deg < _SEC_SIGMA_DEG[0] or deg > _SEC_SIGMA_DEG[-1]:
+    if not _SEC_SIGMA_DEG[0] <= deg <= _SEC_SIGMA_DEG[-1]:
         raise ValueError(
             f"sigma_theta_o={deg:.2f} deg outside the sector table range "
             f"[{_SEC_SIGMA_DEG[0]:g}, {_SEC_SIGMA_DEG[-1]:g}] deg"
         )
-    B = np.array([interp_table(_SEC_SIGMA_DEG, row, deg) for row in _SEC_B])
+    B = np.array([np.interp(deg, _SEC_SIGMA_DEG, row) for row in _SEC_B])
     mu, _ = mrr_moments(sigma_theta_o)
     V = _uniform_sectors(mu, 8)
     B = B / np.sum(B * np.diff(V))

@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import special as sp
 
-from .errors import InvalidOrderError, MismatchedLengthsError, NonConvergentError
+from .errors import InvalidOrderError, NonConvergentError
 
 __all__ = [
     "q_function",
@@ -35,7 +35,6 @@ __all__ = [
     "MeijerGSpec",
     "meijer_g",
     "meijer_g_sum",
-    "interp_table",
 ]
 
 # Target relative accuracy of the Mellin-Barnes quadrature: when the 24-
@@ -347,18 +346,3 @@ def meijer_g_cached(m: int, n: int, a, b, z: float) -> float:
     cache."""
     return _meijer_cached(int(m), int(n), tuple(a), tuple(b), float(z))
 
-
-def interp_table(xs, ys, x):
-    """Piecewise-linear interpolation, clamped at the table endpoints."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if xs.shape != ys.shape or xs.ndim != 1:
-        raise MismatchedLengthsError(
-            f"xs and ys must be 1-D and equal length, got {xs.shape} vs {ys.shape}"
-        )
-    if xs.size < 2:
-        raise MismatchedLengthsError("need at least two table nodes")
-    if np.any(np.diff(xs) <= 0):
-        raise ValueError("xs must be strictly increasing")
-    out = np.interp(x, xs, ys)
-    return float(out) if np.ndim(x) == 0 else out

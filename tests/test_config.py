@@ -55,6 +55,13 @@ class TestErrors:
         with pytest.raises(UnitMismatchError):
             parse_config("theta_div = 0.4 dBm")
 
+    @pytest.mark.parametrize("line", ["sigma_theta_o = nan deg", "Z = inf", "Cn2 = -inf",
+                                      "Z = 1e400", "grid = nan, 1", "grid = 0:30:inf"])
+    def test_non_finite_number_names_its_line(self, line):
+        with pytest.raises(UnitMismatchError, match="not finite") as e:
+            parse_config(f"sweep = Pt\n{line}\n")
+        assert e.value.line == 2
+
     def test_missing_value(self):
         with pytest.raises(MissingRequiredError) as e:
             parse_config("Z =")

@@ -486,7 +486,8 @@ class TestCli:
         assert "base_config" not in meta and "label" not in meta
         assert meta["flags"] == [] and meta["errors"] == []
 
-    @pytest.mark.parametrize("bracket", [("2", "1"), ("0", "1"), ("1", "1")])
+    @pytest.mark.parametrize("bracket", [("2", "1"), ("0", "1"), ("1", "1"), ("0.1", "inf"),
+                                         ("nan", "1"), ("0.1", "nan")])
     def test_bad_optimizer_bracket_is_usage_error(self, bracket, capsys):
         from mrrlink.cli import main
 
@@ -523,6 +524,12 @@ class TestCliInput:
         ["recipe", "fig9", "--set", "h_l=2"],
         ["heatmap", "--set", "Z=abc"],
         ["optimize", "--set", "seed=3"],
+        ["optimize", "--set", "sigma_theta_o=nan"],
+        ["optimize", "--set", "Z=nan"],
+        ["heatmap", "--set", "Cn2=nan"],
+        ["optimize", "--set", "Pt=inf dBm"],
+        ["heatmap", "--set", "wind_v=-inf"],
+        ["optimize", "--set", "Z=1e400"],
     ])
     def test_bad_set_is_usage_error(self, argv, tmp_path, capsys):
         err = self.usage_error(argv, tmp_path, capsys)
@@ -613,6 +620,13 @@ class TestCliInput:
         err = self.usage_error(["recipe", "fig9", "--set", "Cn2=1e-14"], tmp_path, capsys)
         assert "recipe fig9 sets cn2_0" in err
 
+    def test_invalid_config_link_is_usage_error(self, tmp_path, capsys):
+        spec = tmp_path / "sweep.cfg"
+        spec.write_text("h_l = 2\nsweep = Pt\ngrid = 0:30:3 dBm\nmetrics = outage\n"
+                        "engines = analytic\nregime = weak\n")
+        err = self.usage_error(["run", str(spec)], tmp_path, capsys)
+        assert f"{spec}: per-pass loss h_l must lie in (0, 1]" in err
+
     def test_missing_spec_file_is_usage_error(self, tmp_path, capsys):
         err = self.usage_error(["run", str(tmp_path / "missing.cfg")], tmp_path, capsys)
         assert "cannot read" in err
@@ -658,7 +672,10 @@ class TestCliHeatmap:
         assert not (tmp_path / "map.csv").exists()
 
     @pytest.mark.parametrize("flag,span", [("--sigma-e", ("0", "400")),
-                                           ("--w-z", ("0", "2")), ("--w-z", ("-1", "2"))])
+                                           ("--w-z", ("0", "2")), ("--w-z", ("-1", "2")),
+                                           ("--sigma-e", ("nan", "400")),
+                                           ("--sigma-e", ("50", "inf")),
+                                           ("--w-z", ("0.1", "inf")), ("--w-z", ("0.1", "nan"))])
     def test_non_positive_range_is_usage_error(self, flag, span, tmp_path, capsys):
         from mrrlink.cli import main
 

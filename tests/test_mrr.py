@@ -115,6 +115,10 @@ class TestMoments:
         with pytest.warns(UserWarning):
             mu, sd = mrr_moments(12 * DEG)
         assert (mu, sd) == (0.62, 0.158)
+        with pytest.warns(UserWarning):
+            assert mrr_moments(0.5 * DEG) == (0.96, 0.0178)
+        with pytest.raises(ValueError, match="NaN"):   # no row to clamp to
+            mrr_moments(math.nan)
 
     def test_monotone_columns(self):
         assert np.all(np.diff(TABLE_MOMENTS.mu) < 0)
@@ -191,6 +195,13 @@ class TestSectorModel:
         assert model.pdf(0.4) == 0.0
         assert model.pdf(1.2) == 0.0
 
+    @pytest.mark.parametrize("V,B", [([0.5, 0.75, 1.0], [math.nan, 3.0]),
+                                     ([0.5, math.nan, 1.0], [1.0, 3.0]),
+                                     ([0.5, 0.75, 1.0], [math.inf, 3.0])])
+    def test_non_finite_rejected(self, V, B):
+        with pytest.raises(ValueError, match="finite"):
+            SectorModel(np.array(V), np.array(B))
+
 
 class TestSectorTable:
     def test_verbatim_column_shape(self):
@@ -220,3 +231,5 @@ class TestSectorTable:
             sector_table(0.5 * DEG)
         with pytest.raises(ValueError):
             sector_table(11.5 * DEG)
+        with pytest.raises(ValueError):
+            sector_table(math.nan)

@@ -120,7 +120,12 @@ class TestPinnedOutputs:
         (base_cfg(), "weak", "6cdaed638ee0664d882c2c8bf1c464dd7ada8de373b0176b9b22812771cb7ead"),
         (base_cfg(cn2_0=1e-13), "strong",
          "7dc33b8c7427d834d577c9466a7cb1346366a5685b72a8c48d2f21d34db2990d"),
-    ], ids=["weak", "strong"])
+        # 2.5 deg lies between rows of both reflection tables: interpolated values
+        (base_cfg(sigma_theta_o=2.5 * DEG), "weak",
+         "70a79a4c6f6faf57f0021bc71c9083e665a073c5b7556c52071a0ced6a5505e5"),
+        (base_cfg(sigma_theta_o=2.5 * DEG, cn2_0=1e-13), "strong",
+         "db37f57a62a2a564dc569ab1636a7b008401c98e30f50be6218e923ee48a7164"),
+    ], ids=["weak", "strong", "weak-2.5deg", "strong-2.5deg"])
     def test_pt_sweep_csv(self, tmp_path, cfg, regime, want):
         grid = tuple(10 ** (p / 10) / 1000 for p in (0.0, 15.0, 30.0))
         spec = ExperimentSpec(cfg, "Pt", grid, metrics=("outage", "ber", "pdf_h", "cdf_snr"),

@@ -14,10 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special as sp
 
-from mrrlink.errors import InvalidOrderError, MismatchedLengthsError
+from mrrlink.errors import InvalidOrderError
 from mrrlink.specfun import (
     MeijerGSpec,
-    interp_table,
     log_erfc,
     meijer_g,
     meijer_g_sum,
@@ -189,35 +188,6 @@ class TestMeijerG:
             meijer_g(spec, 0.0)
         with pytest.raises(ValueError):
             meijer_g(spec, -1.0)
-
-
-class TestInterpTable:
-    def test_worked_example(self):
-        assert interp_table([1, 3], [0.95, 0.85], 2) == pytest.approx(0.90, abs=1e-12)
-
-    def test_node_exactness(self):
-        xs, ys = [1.0, 2.0, 4.0], [3.0, -1.0, 5.0]
-        assert interp_table(xs, ys, 1.0) == 3.0
-
-    def test_segment_midpoint(self):
-        assert interp_table([1, 2, 3], [1, 4, 9], 2.5) == pytest.approx(6.5)
-
-    def test_clamping(self):
-        assert interp_table([1, 2], [10.0, 20.0], 0.0) == 10.0
-        assert interp_table([1, 2], [10.0, 20.0], 5.0) == 20.0
-
-    def test_mismatched_lengths(self):
-        with pytest.raises(MismatchedLengthsError):
-            interp_table([1, 2, 3], [1, 2], 1.5)
-
-    @given(st.lists(st.floats(-10, 10), min_size=2, max_size=8, unique=True))
-    @settings(max_examples=60, deadline=None)
-    def test_monotone_preserving(self, ys):
-        ys = sorted(ys)
-        xs = list(range(len(ys)))
-        probes = np.linspace(0, len(ys) - 1, 40)
-        vals = [interp_table(xs, ys, p) for p in probes]
-        assert all(b - a >= -1e-12 for a, b in zip(vals, vals[1:]))
 
 
 def test_non_decaying_contour_rejected():
