@@ -49,7 +49,6 @@ from .montecarlo import (
     sample_channel,
 )
 from .mrr import (
-    MrrMomentTable,
     SectorModel,
     fit_sector_model,
     hmrr_component,

@@ -82,6 +82,16 @@ class LinkConfig:
             raise ValueError("give exactly one of zeta or h_l")
         if self.h_l is not None and not (0 < self.h_l <= 1):
             raise ValueError("per-pass loss h_l must lie in (0, 1]")
+        if self.zeta is not None and not (self.zeta >= 0 and math.exp(-self.Z * self.zeta) > 0):
+            raise ValueError(f"zeta={self.zeta:g} must be >= 0 and leave a per-pass loss "
+                             "exp(-Z zeta) above 0")
+        try:   # the profile's wind term, which grows with height, at the top
+            wind_term = _wind_weight(self.wind_v) * (1e-5 * self.Z_hu) ** 10
+        except OverflowError:
+            wind_term = math.inf
+        if not math.isfinite(wind_term):
+            raise ValueError(f"the Cn2 profile overflows at wind_v={self.wind_v:g}, "
+                             f"Z_hu={self.Z_hu:g}")
         if self.P_t <= 0 or self.R_pd <= 0 or self.sigma_n2 <= 0 or self.gamma_th < 0:
             raise ValueError("P_t, R_pd, sigma_n2 must be positive; gamma_th >= 0")
         w_z = self.theta_div * self.Z
@@ -110,6 +120,11 @@ class TurbulenceStats:
             raise ValueError("sigma_R2 must be non-negative")
 
 
+def _wind_weight(wind_v: float) -> float:
+    """Weight of the wind-driven term of `cn2_profile`."""
+    return 0.00594 * (wind_v / 27.0) ** 2
+
+
 def cn2_profile(Z_h, cn2_0: float, wind_v: float):
     """Altitude profile of the refractive-index structure parameter.
 
@@ -119,7 +134,7 @@ def cn2_profile(Z_h, cn2_0: float, wind_v: float):
     """
     Z_h = np.asarray(Z_h, dtype=float)
     out = (
-        0.00594 * (wind_v / 27.0) ** 2 * (1e-5 * Z_h) ** 10 * np.exp(-Z_h / 1000.0)
+        _wind_weight(wind_v) * (1e-5 * Z_h) ** 10 * np.exp(-Z_h / 1000.0)
         + 2.7e-16 * np.exp(-Z_h / 1500.0)
         + cn2_0 * np.exp(-Z_h / 100.0)
     )

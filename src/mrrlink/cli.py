@@ -33,7 +33,7 @@ from .experiments import (
 from .mrr import (
     _MIN_FIT_SAMPLES,
     _MIN_MOMENT_SAMPLES,
-    TABLE_MOMENTS,
+    _MOM_SIGMA_DEG,
     TABLE_SECTORS,
     fit_sector_model,
     hmrr_from_normals,
@@ -127,7 +127,7 @@ def cmd_mc_tables(args) -> int:
         mom.write("sigma_deg,mu,sd\n")
         sec.write("sigma_deg," + ",".join(f"B{i}" for i in range(1, 9)) + "\n")
         z = tilt_normals(n, args.seed)   # one set of tilts for every jitter
-        for d in TABLE_MOMENTS.sigma_deg:
+        for d in _MOM_SIGMA_DEG:
             s = hmrr_from_normals(math.radians(d), z)
             mom.write(f"{d:g},{s.mean():.6g},{s.std():.6g}\n")
             if d in TABLE_SECTORS:

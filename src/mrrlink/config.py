@@ -109,7 +109,13 @@ def _to_si(value: float, unit: str | None, dimension: str, what: str, line_no: i
     if to_si is None:
         takes = "a bare number" if dimension == "none" else f"{dimension} units"
         raise UnitMismatchError(f"{what} takes {takes}, got {unit!r}", line_no)
-    return to_si(value) if callable(to_si) else value * to_si
+    try:
+        si = to_si(value) if callable(to_si) else value * to_si
+    except OverflowError:
+        si = math.inf
+    if not math.isfinite(si):
+        raise UnitMismatchError(f"{what}: {value:g} {unit} overflows in SI units", line_no)
+    return si
 
 
 def _parse_grid(text: str, line_no: int) -> tuple[np.ndarray, str | None]:

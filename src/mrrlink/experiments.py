@@ -133,9 +133,8 @@ def _curve_channel(spec: ExperimentSpec) -> np.ndarray | None:
     if spec.sweep_axis != "Pt" or "montecarlo" not in spec.engines:
         return None
     cfg = apply_axis(spec.base, "Pt", spec.grid[0])
-    h, _ = draw_channel(SimPlan(cfg, n_samples=spec.n_samples, seed=spec.seed,
+    return draw_channel(SimPlan(cfg, n_samples=spec.n_samples, seed=spec.seed,
                                 stats=turbulence_stats(cfg, regime=spec.regime)))
-    return h
 
 
 def _grid_point_rows(spec: ExperimentSpec, value: float, h: np.ndarray | None = None):
@@ -173,8 +172,8 @@ def _grid_point_rows(spec: ExperimentSpec, value: float, h: np.ndarray | None = 
         if h is None:
             if stats is None:
                 stats = turbulence_stats(cfg, regime=spec.regime)
-            h, _ = draw_channel(SimPlan(cfg, n_samples=spec.n_samples, seed=spec.seed,
-                                        stats=stats))
+            h = draw_channel(SimPlan(cfg, n_samples=spec.n_samples, seed=spec.seed,
+                                     stats=stats))
         # sample_channel's expression and operation order, so gamma is bit-identical
         mc = {"h": h, "snr": upsilon_1(cfg) * h * h}
 

@@ -175,14 +175,13 @@ def sample_channel(plan: SimPlan) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         yield h, u1 * h * h
 
 
-def draw_channel(plan: SimPlan) -> tuple[np.ndarray, np.ndarray]:
-    """The full (h, gamma) sample arrays, filled block by block."""
+def draw_channel(plan: SimPlan) -> np.ndarray:
+    """The full h sample array, filled block by block.  Its SNR samples are
+    upsilon_1(cfg) * h * h, bit for bit those of `sample_channel`."""
     h = np.empty(plan.n_samples)
-    gamma = np.empty(plan.n_samples)
-    for pos, (hb, gb) in zip(range(0, plan.n_samples, BLOCK), sample_channel(plan)):
+    for pos, (hb, _) in zip(range(0, plan.n_samples, BLOCK), sample_channel(plan)):
         h[pos:pos + len(hb)] = hb
-        gamma[pos:pos + len(gb)] = gb
-    return h, gamma
+    return h
 
 
 def empirical_pdf(samples, bins=80) -> tuple[np.ndarray, np.ndarray]:

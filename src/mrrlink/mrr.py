@@ -24,7 +24,6 @@ from .montecarlo import BLOCK, _mirror_factor, block_uniforms, normals
 from .specfun import at_positive
 
 __all__ = [
-    "MrrMomentTable",
     "SectorModel",
     "hmrr_component",
     "sample_hmrr",
@@ -35,7 +34,6 @@ __all__ = [
     "lognormal_hmrr_pdf",
     "fit_sector_model",
     "sector_table",
-    "TABLE_MOMENTS",
     "TABLE_SECTORS",
 ]
 
@@ -62,22 +60,6 @@ _SEC_B = np.array(
         [1.26, 0.40, 0.23, 0.15, 0.11, 0.08],
     ]
 )
-
-
-@dataclass(frozen=True)
-class MrrMomentTable:
-    """Mean/SD of the reflection coefficient versus jitter SD in degrees."""
-
-    sigma_deg: np.ndarray
-    mu: np.ndarray
-    sd: np.ndarray
-
-    def __post_init__(self):
-        if not (len(self.sigma_deg) == len(self.mu) == len(self.sd)):
-            raise ValueError("table columns must have equal length")
-
-
-TABLE_MOMENTS = MrrMomentTable(_MOM_SIGMA_DEG, _MOM_MU, _MOM_SD)
 
 
 @dataclass(frozen=True)
@@ -175,18 +157,17 @@ def mrr_moments(sigma_theta_o: float):
     """
     if sigma_theta_o == 0.0:
         return 1.0, 0.0
-    table = TABLE_MOMENTS
     deg = math.degrees(sigma_theta_o)
     if math.isnan(deg):
         raise ValueError("sigma_theta_o is NaN")
-    lo, hi = table.sigma_deg[0], table.sigma_deg[-1]
+    lo, hi = _MOM_SIGMA_DEG[0], _MOM_SIGMA_DEG[-1]
     if not lo <= deg <= hi:
         warnings.warn(
             f"sigma_theta_o={deg:.2f} deg outside the table range "
             f"[{lo:g}, {hi:g}] deg; clamping", stacklevel=2,
         )
-    return (float(np.interp(deg, table.sigma_deg, table.mu)),   # clamps at the end rows
-            float(np.interp(deg, table.sigma_deg, table.sd)))
+    return (float(np.interp(deg, _MOM_SIGMA_DEG, _MOM_MU)),   # clamps at the end rows
+            float(np.interp(deg, _MOM_SIGMA_DEG, _MOM_SD)))
 
 
 def model_moments(sigma_theta_o: float) -> tuple[float, float]:

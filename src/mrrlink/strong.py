@@ -4,10 +4,15 @@ Both fading passes are Gamma-Gamma; with the power-law pointing factor
 their product has a Meijer-G density, and convolving it with the
 sectorized reflection density gives the channel statistics as sums of
 Meijer-G differences over sectors.  The bit error rate closes the loop
-with one more Mellin convolution against the Q-function kernel.  Each
-sector sum is evaluated by `specfun.meijer_g_sum` as one integral per
-argument, so the densities and CDFs take arrays.  The SNR statistics and
-outage follow from the channel statistics through
+with one more Mellin convolution against the Q-function kernel.
+
+Each difference's G has a numerator b = 0 and a denominator a = 1, so it
+is the integral of the G without that pair over the sector's ln-scale
+interval, one interval term of `specfun.meijer_g_sum`.  Three such
+reduced specs serve every form, the single-term simplified ones as point
+terms: G^{5,0}_{1,5} (density), G^{5,1}_{2,6} (CDF) and G^{9,2}_{3,10}
+(bit error rate).  The densities and CDFs take arrays.  The SNR
+statistics and outage follow from the channel statistics through
 `channel.SquareLawModel`.
 """
 
@@ -107,23 +112,31 @@ def _b_shapes(k: StrongModelConstants) -> tuple:
     return (k.alpha - 1.0, k.beta - 1.0, k.K - 1.0, k.alpha - 1.0, k.beta - 1.0)
 
 
-def _sector_terms(k: StrongModelConstants) -> tuple[np.ndarray, np.ndarray]:
-    """Weights +-B_n and argument scales B_n', B_n'' of every sector sum."""
-    return (np.concatenate([k.sectors.B, -k.sectors.B]),
-            np.concatenate([k.Bn_prime, k.Bn_dprime]))
+def _pdf_spec(k: StrongModelConstants) -> MeijerGSpec:
+    """G^{5,0}_{1,5} of every channel density."""
+    return MeijerGSpec(5, 0, (k.K,), _b_shapes(k))
+
+
+def _cdf_spec(k: StrongModelConstants) -> MeijerGSpec:
+    """G^{5,1}_{2,6} of every channel CDF."""
+    return MeijerGSpec(5, 1, (0.0, k.K), (*_b_shapes(k), -1.0))
+
+
+def _sector_terms(k: StrongModelConstants, p: float) -> tuple:
+    """Weights B_n Delta_n and scale intervals [B_n', B_n''] of a sector
+    sum at argument power p, Delta_n = p ln(B_n'' / B_n')."""
+    return (k.sectors.B * (p * np.log(k.Bn_dprime / k.Bn_prime)), k.Bn_prime, k.Bn_dprime)
 
 
 def pdf_h_strong(h, k: StrongModelConstants):
     """Channel density: B_s sum_n B_n [G^{6,0}_{2,6}(B_n' h) - G^{6,0}_{2,6}(B_n'' h)]."""
-    spec = MeijerGSpec(6, 0, (k.K, 1.0), (0.0, *_b_shapes(k)))
-    return at_positive(h, lambda x: k.B_s * meijer_g_sum(spec, *_sector_terms(k), 1, x))
+    return at_positive(h, lambda x: k.B_s * meijer_g_sum(_pdf_spec(k), *_sector_terms(k, 1), 1, x))
 
 
 def cdf_h_strong(h, k: StrongModelConstants):
     """Channel CDF: B_s h sum_n B_n [G^{6,1}_{3,7}(B_n' h) - G^{6,1}_{3,7}(B_n'' h)]."""
-    spec = MeijerGSpec(6, 1, (0.0, k.K, 1.0), (0.0, *_b_shapes(k), -1.0))
     return at_positive(h, lambda x: np.clip(
-        k.B_s * x * meijer_g_sum(spec, *_sector_terms(k), 1, x), 0.0, 1.0))
+        k.B_s * x * meijer_g_sum(_cdf_spec(k), *_sector_terms(k, 1), 1, x), 0.0, 1.0))
 
 
 def _simple_scale(k: StrongModelConstants, h_c_reinstated: bool) -> tuple[float, float]:
@@ -142,16 +155,14 @@ def pdf_h_strong_simple(h, k: StrongModelConstants, h_c_reinstated: bool = True)
     the sectorized density.  Pass False for the bare printed form.
     """
     c, pref = _simple_scale(k, h_c_reinstated)
-    spec = MeijerGSpec(5, 0, (k.K,), _b_shapes(k))
-    return at_positive(h, lambda x: pref * meijer_g_sum(spec, (1.0,), (c,), 1, x))
+    return at_positive(h, lambda x: pref * meijer_g_sum(_pdf_spec(k), (1.0,), (c,), (c,), 1, x))
 
 
 def cdf_h_strong_simple(h, k: StrongModelConstants, h_c_reinstated: bool = True):
     """Small-jitter channel CDF, single G^{5,1}_{2,6} term."""
     c, pref = _simple_scale(k, h_c_reinstated)
-    spec = MeijerGSpec(5, 1, (0.0, k.K), (*_b_shapes(k), -1.0))
     return at_positive(h, lambda x: np.clip(
-        pref * x * meijer_g_sum(spec, (1.0,), (c,), 1, x), 0.0, 1.0))
+        pref * x * meijer_g_sum(_cdf_spec(k), (1.0,), (c,), (c,), 1, x), 0.0, 1.0))
 
 
 def ber_strong(k: StrongModelConstants, with_method: bool = False):
@@ -159,18 +170,19 @@ def ber_strong(k: StrongModelConstants, with_method: bool = False):
 
     Closed form from the Mellin convolution of the sector-sum density
     with the Q-function kernel: a G^{10,2}_{4,11} difference per sector
-    with argument (B_n)^2/(128 upsilon_1), validated against direct
-    quadrature of the error integral (see tests).  Falls back to
-    quadrature when the contour integral fails, tagging the result.
+    with argument (B_n)^2/(128 upsilon_1), each one interval term of
+    G^{9,2}_{3,10}, validated against direct quadrature of the error
+    integral (see tests).  Falls back to quadrature when the contour
+    integral fails, tagging the result.
     """
     a, b, K = k.alpha, k.beta, k.K
-    spec = MeijerGSpec(10, 2, (0.5, 0.0, (K + 1.0) / 2.0, 1.0),
-                       (0.0, (a - 1) / 2, (a - 1) / 2, a / 2, a / 2,
+    spec = MeijerGSpec(9, 2, (0.5, 0.0, (K + 1.0) / 2.0),
+                       ((a - 1) / 2, (a - 1) / 2, a / 2, a / 2,
                         (b - 1) / 2, (b - 1) / 2, b / 2, b / 2, (K - 1) / 2, -0.5))
     pref = (k.B_s * 2.0 ** (2.0 * a + 2.0 * b - 10.5)
             / (math.pi ** 2.5 * math.sqrt(k.upsilon_1)))
     try:
-        value = pref * meijer_g_sum(spec, *_sector_terms(k), 2, 1.0 / (128.0 * k.upsilon_1))
+        value = pref * meijer_g_sum(spec, *_sector_terms(k, 2), 2, 1.0 / (128.0 * k.upsilon_1))
         method = "closed-form"
         if not (math.isfinite(value) and value >= 0.0):
             raise NonConvergentError("closed form lost significance")

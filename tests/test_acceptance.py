@@ -17,11 +17,13 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
-from mrrlink.channel import LinkConfig, turbulence_stats
+from mrrlink.channel import LinkConfig, turbulence_stats, upsilon_1
 from mrrlink.experiments import heatmap, optimize_divergence
 from mrrlink.montecarlo import SimPlan, draw_channel, mc_ber
 from mrrlink.mrr import (
-    TABLE_MOMENTS,
+    _MOM_MU,
+    _MOM_SD,
+    _MOM_SIGMA_DEG,
     TABLE_SECTORS,
     fit_sector_model,
     lognormal_hmrr_pdf,
@@ -113,11 +115,11 @@ def test_c01_reflection_moment_table():
     t0 = time.time()
     rows = []
     ok = True
-    for i, deg in enumerate(TABLE_MOMENTS.sigma_deg):
+    for i, deg in enumerate(_MOM_SIGMA_DEG):
         s = sample_hmrr(deg * DEG, TABLE_SAMPLES, seed=1000 + i)
         mu, sd = float(s.mean()), float(s.std())
-        dmu = mu - TABLE_MOMENTS.mu[i]
-        dsd = sd - TABLE_MOMENTS.sd[i]
+        dmu = mu - _MOM_MU[i]
+        dsd = sd - _MOM_SD[i]
         row_ok = abs(dmu) <= 0.01 and abs(dsd) <= 0.005
         ok &= row_ok
         rows.append(f"{deg:.0f}deg dmu={dmu:+.4f} dsd={dsd:+.4f} {'ok' if row_ok else 'X'}")
@@ -175,7 +177,8 @@ def test_c03_weak_model_validity(fig7_cfg):
         cfg = fig7_cfg(deg)
         stats = turbulence_stats(cfg)
         k = weak_constants(cfg, model_moments(cfg.sigma_theta_o), stats)
-        h, g = draw_channel(SimPlan(cfg, n_samples=DESK_SAMPLES, seed=int(30 + deg)))
+        h = draw_channel(SimPlan(cfg, n_samples=DESK_SAMPLES, seed=int(30 + deg)))
+        g = upsilon_1(cfg) * h * h
         l1 = _l1_distance(h, lambda x: cdf_h_weak(x, k))
         ks = _ks_distance(g, k.cdf_snr)
         case_ok = l1 <= 0.05 and ks <= 0.02
@@ -201,8 +204,8 @@ def test_c04a_strong_model_validity(fig8_cfg):
         hm = sample_hmrr(cfg.sigma_theta_o, 2_000_000, seed=int(40 + deg))
         sectors = fit_sector_model(hm, 8)
         k = strong_constants(cfg, stats, sectors)
-        h, _ = draw_channel(SimPlan(cfg, n_samples=DESK_SAMPLES, seed=int(50 + deg),
-                                    stats=stats))
+        h = draw_channel(SimPlan(cfg, n_samples=DESK_SAMPLES, seed=int(50 + deg),
+                                 stats=stats))
         l1 = _l1_distance(h, lambda x: cdf_h_strong(x, k))
         case_ok = l1 <= 0.07
         ok &= case_ok
@@ -341,7 +344,8 @@ def test_c05c_ber_vs_simulation():
         cfg = LinkConfig(Z=1000.0, theta_div=0.3e-3, sigma_theta_e=100e-6,
                          sigma_theta_o=2 * DEG, cn2_0=5e-15, P_t=dbm(p))
         k = weak_constants(cfg, model_moments(cfg.sigma_theta_o), turbulence_stats(cfg))
-        _, g = draw_channel(SimPlan(cfg, n_samples=DESK_SAMPLES, seed=int(70 + p)))
+        h = draw_channel(SimPlan(cfg, n_samples=DESK_SAMPLES, seed=int(70 + p)))
+        g = upsilon_1(cfg) * h * h
         est = mc_ber(g)
         if est.value < 1e-7:
             details.append(f"weak@{p:.0f}dBm below floor")
@@ -358,7 +362,8 @@ def test_c05c_ber_vs_simulation():
         stats = turbulence_stats(cfg, regime="strong")
         hm = sample_hmrr(cfg.sigma_theta_o, 2_000_000, seed=int(80 + p))
         k = strong_constants(cfg, stats, fit_sector_model(hm, 8))
-        _, g = draw_channel(SimPlan(cfg, n_samples=DESK_SAMPLES, seed=int(90 + p), stats=stats))
+        h = draw_channel(SimPlan(cfg, n_samples=DESK_SAMPLES, seed=int(90 + p), stats=stats))
+        g = upsilon_1(cfg) * h * h
         est = mc_ber(g)
         if est.value < 1e-7:
             details.append(f"strong@{p:.0f}dBm below floor")

@@ -131,8 +131,7 @@ class TestRunExperiment:
         monkeypatch.undo()
         want = draw_channel(SimPlan(cfg, n_samples=20_000, seed=3,
                                     fading=FadingModel.GAMMA_GAMMA))
-        assert np.array_equal(drawn[0][0], want[0])
-        assert np.array_equal(drawn[0][1], want[1])
+        assert np.array_equal(drawn[0], want)
 
     def test_distribution_failure_recorded_sweep_continues(self, monkeypatch):
         import mrrlink.weak as weak
@@ -164,10 +163,10 @@ class TestRunExperiment:
 
         real = strong.meijer_g_sum
 
-        def failing(spec, weights, scales, p, s):
-            if (spec.m, spec.n) == (6, 0):  # the density's order only
+        def failing(spec, weights, lo, hi, p, s):
+            if (spec.m, spec.n) == (5, 0):  # the density's order only
                 raise NonConvergentError("injected")
-            return real(spec, weights, scales, p, s)
+            return real(spec, weights, lo, hi, p, s)
 
         monkeypatch.setattr(strong, "meijer_g_sum", failing)
         grid = (0.01, 0.1, 1.0)
@@ -534,6 +533,18 @@ class TestCliInput:
     def test_bad_set_is_usage_error(self, argv, tmp_path, capsys):
         err = self.usage_error(argv, tmp_path, capsys)
         assert f"--set {argv[-1]!r}" in err
+
+    @pytest.mark.parametrize("pair,key", [
+        ("Pt=4000 dBm", "Pt"),        # 10^400 W: the dBm conversion overflows
+        ("Z=1e308 km", "Z"),          # scales to inf m
+        ("zeta=1e308", "zeta"),       # per-pass loss exp(-Z zeta) underflows to 0
+        ("zeta=-1e-3", "zeta"),       # a per-pass gain
+        ("wind_v=1e308", "wind_v"),   # the Cn2 profile's wind term overflows
+    ])
+    def test_out_of_range_set_is_usage_error(self, pair, key, tmp_path, capsys):
+        err = self.usage_error(["heatmap", "--sigma-e-points", "1", "--w-z-points", "1",
+                                "--set", pair], tmp_path, capsys)
+        assert key in err.split(f"--set {pair!r}: ", 1)[1]
 
     @pytest.mark.parametrize("argv", [
         ["heatmap", "--set", "sigma_theta_e=200 urad"],

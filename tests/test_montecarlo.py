@@ -46,23 +46,27 @@ def strong_cfg() -> LinkConfig:
     return weak_cfg(cn2_0=1e-13)
 
 
+def snr_samples(plan: SimPlan) -> np.ndarray:
+    """The plan's SNR samples, gamma = upsilon_1 h^2."""
+    h = draw_channel(plan)
+    return upsilon_1(plan.cfg) * h * h
+
+
 class TestDeterminism:
     def test_identical_reruns(self):
         plan = SimPlan(weak_cfg(), n_samples=200_000, seed=123)
-        h1, g1 = draw_channel(plan)
-        h2, g2 = draw_channel(plan)
-        assert np.array_equal(h1, h2) and np.array_equal(g1, g2)
+        assert np.array_equal(draw_channel(plan), draw_channel(plan))
 
     def test_prefix_stability(self):
         cfg = weak_cfg()
-        a = draw_channel(SimPlan(cfg, n_samples=80_000, seed=5))[0]
-        b = draw_channel(SimPlan(cfg, n_samples=3 * BLOCK, seed=5))[0]
+        a = draw_channel(SimPlan(cfg, n_samples=80_000, seed=5))
+        b = draw_channel(SimPlan(cfg, n_samples=3 * BLOCK, seed=5))
         assert np.array_equal(a, b[:80_000])
 
     def test_seed_changes_stream(self):
         cfg = weak_cfg()
-        a = draw_channel(SimPlan(cfg, n_samples=10_000, seed=1))[0]
-        b = draw_channel(SimPlan(cfg, n_samples=10_000, seed=2))[0]
+        a = draw_channel(SimPlan(cfg, n_samples=10_000, seed=1))
+        b = draw_channel(SimPlan(cfg, n_samples=10_000, seed=2))
         assert not np.array_equal(a, b)
 
     def test_geometry_shared_across_fading_models(self, monkeypatch):
@@ -83,10 +87,10 @@ class TestDeterminism:
         plan_ln = SimPlan(cfg, n_samples=n, seed=3, fading=FadingModel.LOG_NORMAL)
         plan_gg = SimPlan(cfg, n_samples=n, seed=3, fading=FadingModel.GAMMA_GAMMA,
                           stats=turbulence_stats(cfg, regime="strong"))
-        h_ln = draw_channel(plan_ln)[0]
+        h_ln = draw_channel(plan_ln)
         f_ln = np.concatenate(fading)
         fading.clear()
-        h_gg = draw_channel(plan_gg)[0]
+        h_gg = draw_channel(plan_gg)
         f_gg = np.concatenate(fading)
         assert len(f_ln) == len(f_gg) == n
         assert not np.any(f_ln == f_gg)
@@ -96,14 +100,21 @@ class TestDeterminism:
     def test_gg_identical_reruns(self):
         plan = SimPlan(strong_cfg(), n_samples=200_000, seed=123)
         assert plan.resolved().fading is FadingModel.GAMMA_GAMMA
-        h1, g1 = draw_channel(plan)
-        h2, g2 = draw_channel(plan)
-        assert np.array_equal(h1, h2) and np.array_equal(g1, g2)
+        assert np.array_equal(draw_channel(plan), draw_channel(plan))
+
+    @pytest.mark.parametrize("cfg", [weak_cfg(), strong_cfg()], ids=["lognormal", "gammagamma"])
+    def test_snr_blocks_are_upsilon_h_h(self, cfg):
+        # the SNR the estimators read is formed from draw_channel's h, bit
+        # for bit the gamma blocks of sample_channel
+        plan = SimPlan(cfg, n_samples=BLOCK + 1_000, seed=5)
+        h = draw_channel(plan)
+        gamma = np.concatenate([g for _, g in montecarlo.sample_channel(plan)])
+        assert np.array_equal(upsilon_1(cfg) * h * h, gamma)
 
     def test_gg_prefix_stability(self):
         cfg = strong_cfg()
-        a = draw_channel(SimPlan(cfg, n_samples=80_000, seed=5))[0]
-        b = draw_channel(SimPlan(cfg, n_samples=3 * BLOCK, seed=5))[0]
+        a = draw_channel(SimPlan(cfg, n_samples=80_000, seed=5))
+        b = draw_channel(SimPlan(cfg, n_samples=3 * BLOCK, seed=5))
         assert np.array_equal(a, b[:80_000])
 
 
@@ -119,8 +130,7 @@ class TestRowsDrawn:
 
     @pytest.mark.parametrize("cfg", [weak_cfg(), strong_cfg()], ids=["lognormal", "gammagamma"])
     def test_draw_channel(self, block_rows, cfg):
-        h, _ = draw_channel(SimPlan(cfg, n_samples=self.N, seed=5))
-        assert len(h) == self.N
+        assert len(draw_channel(SimPlan(cfg, n_samples=self.N, seed=5))) == self.N
         assert block_rows == [BLOCK, 1_000]
 
 
@@ -136,7 +146,8 @@ class TestPinnedStreams:
     def test_lognormal_channel(self):
         plan = SimPlan(weak_cfg(), n_samples=BLOCK + 1_000, seed=5,
                        fading=FadingModel.LOG_NORMAL)
-        assert self.digest(*draw_channel(plan)) == (
+        h = draw_channel(plan)
+        assert self.digest(h, upsilon_1(plan.cfg) * h * h) == (
             "a049cae50aea49167764c36c8f5b06a3fae96812cc23e17a46c80675e2d66f52")
 
     def test_sample_hmrr(self):
@@ -190,7 +201,8 @@ class TestComposition:
         plan = SimPlan(cfg, n_samples=1000, seed=0, fading=FadingModel.LOG_NORMAL,
                        stats=TurbulenceStats(0.0, 0.0, math.inf, math.inf,
                                              Regime.WEAK_TO_MODERATE))
-        h, g = draw_channel(plan)
+        h = draw_channel(plan)
+        g = upsilon_1(cfg) * h * h
         want = geometric_loss_gs(cfg) * 2 * cfg.A_r / (math.pi * beamwidth(cfg) ** 2)
         assert np.allclose(h, want, rtol=1e-12)
         assert np.allclose(g, upsilon_1(cfg) * want ** 2, rtol=1e-12)
@@ -198,7 +210,7 @@ class TestComposition:
     def test_lognormal_fading_unit_mean(self):
         cfg = weak_cfg(sigma_theta_e=0.0, sigma_theta_o=0.0, h_l=1.0)
         plan = SimPlan(cfg, n_samples=1_000_000, seed=7, fading=FadingModel.LOG_NORMAL)
-        h, _ = draw_channel(plan)
+        h = draw_channel(plan)
         const = geometric_loss_gs(cfg) * 2 * cfg.A_r / (math.pi * beamwidth(cfg) ** 2)
         # h / const is the two-pass fading product, mean 1 per pass
         assert h.mean() / const == pytest.approx(1.0, abs=0.01)
@@ -208,7 +220,7 @@ class TestComposition:
         plan = SimPlan(cfg, n_samples=1_000_000, seed=8,
                        fading=FadingModel.GAMMA_GAMMA,
                        stats=turbulence_stats(cfg, regime="strong"))
-        h, _ = draw_channel(plan)
+        h = draw_channel(plan)
         const = geometric_loss_gs(cfg) * 2 * cfg.A_r / (math.pi * beamwidth(cfg) ** 2)
         assert h.mean() / const == pytest.approx(1.0, abs=0.015)
 
@@ -216,8 +228,8 @@ class TestComposition:
         # same seed, same geometry and fading draws: h(30 deg) / h(0 deg) is
         # the reflection factor; tilts past pi/2 once pushed it above 1
         cfg = weak_cfg(sigma_theta_o=30 * DEG)
-        h30, _ = draw_channel(SimPlan(cfg, n_samples=200_000, seed=0))
-        h0, _ = draw_channel(SimPlan(cfg.with_(sigma_theta_o=0.0), n_samples=200_000, seed=0))
+        h30 = draw_channel(SimPlan(cfg, n_samples=200_000, seed=0))
+        h0 = draw_channel(SimPlan(cfg.with_(sigma_theta_o=0.0), n_samples=200_000, seed=0))
         assert np.all(h30 <= h0 * (1 + 1e-12))
 
 
@@ -257,21 +269,21 @@ class TestEmpirical:
 
 class TestEstimates:
     def test_outage_trivial_thresholds(self):
-        _, g = draw_channel(SimPlan(weak_cfg(), n_samples=20_000, seed=1))
+        g = snr_samples(SimPlan(weak_cfg(), n_samples=20_000, seed=1))
         assert mc_outage(g, 0.0).value == 0.0
         assert mc_outage(g, math.inf).value == 1.0
 
     def test_ber_limits(self):
         cfg = weak_cfg(P_t=1e-9)   # vanishing power: gamma ~ 0, Q(0) = 1/2
-        _, g = draw_channel(SimPlan(cfg, n_samples=20_000, seed=1))
+        g = snr_samples(SimPlan(cfg, n_samples=20_000, seed=1))
         assert mc_ber(g).value == pytest.approx(0.5, abs=1e-3)
         cfg = weak_cfg(P_t=1.0, sigma_n2=1e-30)  # huge SNR: errors vanish
-        _, g = draw_channel(SimPlan(cfg, n_samples=20_000, seed=1))
+        g = snr_samples(SimPlan(cfg, n_samples=20_000, seed=1))
         assert mc_ber(g).value < 1e-12
 
     def test_outage_against_weak_cdf(self):
         cfg = weak_cfg(P_t=0.02)
-        _, g = draw_channel(SimPlan(cfg, n_samples=1_000_000, seed=31))
+        g = snr_samples(SimPlan(cfg, n_samples=1_000_000, seed=31))
         est = mc_outage(g, cfg.gamma_th)
         k = weak_constants(cfg, model_moments(cfg.sigma_theta_o), turbulence_stats(cfg))
         want = float(k.cdf_snr(cfg.gamma_th))
@@ -280,7 +292,7 @@ class TestEstimates:
     def test_snr_ecdf_against_weak_cdf(self):
         cfg = weak_cfg()
         plan = SimPlan(cfg, n_samples=1_000_000, seed=17)
-        _, g = draw_channel(plan)
+        g = snr_samples(plan)
         k = weak_constants(cfg, model_moments(cfg.sigma_theta_o), turbulence_stats(cfg))
         xs = np.sort(g)[:: 500]
         ecdf = empirical_cdf(g, xs)
@@ -299,7 +311,7 @@ class TestStrongAgreement:
         stats = turbulence_stats(cfg, regime="strong")
         hm = sample_hmrr(cfg.sigma_theta_o, 1_000_000, seed=21)
         k = strong_constants(cfg, stats, fit_sector_model(hm, 8))
-        _, g = draw_channel(SimPlan(cfg, n_samples=1_000_000, seed=22, stats=stats))
+        g = snr_samples(SimPlan(cfg, n_samples=1_000_000, seed=22, stats=stats))
         est = mc_outage(g, cfg.gamma_th)
         assert est.value >= 1e-4
         want = k.outage(cfg.gamma_th)

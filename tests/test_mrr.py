@@ -8,7 +8,8 @@ from scipy.integrate import quad
 
 from mrrlink.errors import InsufficientSamplesError, NonPositiveBreakpointError
 from mrrlink.mrr import (
-    TABLE_MOMENTS,
+    _MOM_MU,
+    _MOM_SD,
     SectorModel,
     fit_sector_model,
     hmrr_component,
@@ -121,8 +122,8 @@ class TestMoments:
             mrr_moments(math.nan)
 
     def test_monotone_columns(self):
-        assert np.all(np.diff(TABLE_MOMENTS.mu) < 0)
-        assert np.all(np.diff(TABLE_MOMENTS.sd) > 0)
+        assert np.all(np.diff(_MOM_MU) < 0)
+        assert np.all(np.diff(_MOM_SD) > 0)
 
 
 class TestLognormalPdf:

@@ -135,6 +135,28 @@ class TestAgainstMpmath:
         assert want == pytest.approx(1.460160357452659e-05, rel=1e-13, abs=0)
         assert k.outage(cfg.gamma_th) == pytest.approx(want, rel=1e-10, abs=0)
 
+    @pytest.fixture(scope="class")
+    def near_cancel(self):
+        """fig9's link at Cn2 1e-14, theta_div 0.2264 mrad and 1 W, where the
+        sector sums are 1e-8 of their largest term and a total of separately
+        rounded sector terms is 1e-8 to 1e-6 off."""
+        cfg = _fig9_cfg(1e-14, 0.2264e-3, 1.0)
+        return cfg, _strong(cfg)
+
+    def test_near_cancel_outage(self, near_cancel):
+        cfg, k = near_cancel
+        want = _mp_cdf(k, _outage_h(k, cfg))
+        assert k.outage(cfg.gamma_th) == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_near_cancel_ber(self, near_cancel):
+        _, k = near_cancel
+        assert strong.ber_strong(k) == pytest.approx(_mp_ber(k), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("h", [1.5e-7, 5e-7])
+    def test_near_cancel_pdf_lower_tail(self, near_cancel, h):
+        _, k = near_cancel
+        assert strong.pdf_h_strong(h, k) == pytest.approx(_mp_pdf(k, h), rel=1e-12, abs=0)
+
     @pytest.mark.parametrize("cn2,theta_div", [(5e-14, 0.1e-3), (1e-13, 2e-3)])
     def test_cdf(self, cn2, theta_div):
         cfg = _fig9_cfg(cn2, theta_div)

@@ -10,7 +10,7 @@ import pytest
 
 import mrrlink.experiments as experiments
 import mrrlink.montecarlo as montecarlo
-from mrrlink.channel import LinkConfig, turbulence_stats
+from mrrlink.channel import LinkConfig, turbulence_stats, upsilon_1
 from mrrlink.cli import main
 from mrrlink.experiments import ExperimentSpec, apply_axis, run_experiment, write_outputs
 from mrrlink.montecarlo import BLOCK, SimPlan, draw_channel, mc_ber, mc_outage
@@ -88,8 +88,9 @@ class TestChannelDrawPerCurve:
         rows = run_experiment(spec).rows
         for i, pt in enumerate(PT_GRID):
             point = apply_axis(cfg, "Pt", pt)
-            _, gamma = draw_channel(SimPlan(point, n_samples=N, seed=7,
-                                            stats=turbulence_stats(point, regime=regime)))
+            h = draw_channel(SimPlan(point, n_samples=N, seed=7,
+                                     stats=turbulence_stats(point, regime=regime)))
+            gamma = upsilon_1(point) * h * h
             assert np.array_equal(snr[i], gamma)   # bit for bit, not just the CSV digits
             outage, ber = rows[2 * i:2 * i + 2]
             assert outage["metric"] == "outage" and ber["metric"] == "ber"

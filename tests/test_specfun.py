@@ -104,9 +104,9 @@ class TestBesselK:
     def test_domain_error(self):
         spec = MeijerGSpec(2, 0, (), (0.5, -0.5))
         with pytest.raises(ValueError):
-            meijer_g_sum(spec, (1.0,), (1.0,), 1, np.array([1.0, 0.0]))
+            meijer_g_sum(spec, (1.0,), (1.0,), (1.0,), 1, np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
-            meijer_g_sum(spec, (1.0,), (1.0,), 1, -2.0)
+            meijer_g_sum(spec, (1.0,), (1.0,), (1.0,), 1, -2.0)
 
 
 def _series_bessel_k(nu, x, terms=60):
@@ -127,6 +127,21 @@ def test_bessel_series_oracle():
 
 
 class TestMeijerG:
+    @pytest.mark.parametrize("lo,hi,p,s", [
+        (1.0, 3.0, 1, 0.5),
+        (1.0, 1.0 + 1e-6, 1, 2.0),
+        (0.5, 2.0, 2, 1.5),
+        (2.0, 2.0 + 1e-9, 2, 0.3),
+    ])
+    def test_interval_term_is_pole_cancelled_difference(self, lo, hi, p, s):
+        # G^{1,0}_{0,1}(z|0) = e^{-z}; with b = 0 and a = 1 added it is
+        # E1(z), so Delta <e^{-x^p s}> = E1(lo^p s) - E1(hi^p s)
+        spec = MeijerGSpec(1, 0, (), (0.0,))
+        got = meijer_g_sum(spec, (p * math.log(hi / lo),), (lo,), (hi,), p, s)
+        with mpmath.workdps(40):
+            want = float(mpmath.e1(mpmath.mpf(lo) ** p * s) - mpmath.e1(mpmath.mpf(hi) ** p * s))
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+
     def test_exponential_identity(self):
         spec = MeijerGSpec(1, 0, (), (0.0,))
         assert meijer_g(spec, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-10, abs=0)
@@ -197,3 +212,12 @@ def test_non_decaying_contour_rejected():
     spec = MeijerGSpec(0, 1, (0.5,), (0.0,))
     with pytest.raises(NonConvergentError):
         meijer_g(spec, 2.0)
+
+
+def test_rounding_level_total_refused():
+    from mrrlink.errors import NonConvergentError
+
+    # e^{-400} on the bucket-centre contour: the normalised total (-1.1e-13)
+    # is below its own error estimate's tolerance, not a value
+    with pytest.raises(NonConvergentError):
+        meijer_g_sum(MeijerGSpec(1, 0, (), (0.0,)), (1,), (1,), (1,), 1, 400.0)

@@ -232,8 +232,8 @@ class TestSectorRefinement:
             stats = turbulence_stats(cfg, regime="strong")
             hm = sample_hmrr(cfg.sigma_theta_o, 1_000_000, seed=int(deg))
             k = strong_constants(cfg, stats, fit_sector_model(hm, n_sectors))
-            h, _ = draw_channel(SimPlan(cfg, n_samples=n_mc, seed=int(100 + deg),
-                                        stats=stats))
+            h = draw_channel(SimPlan(cfg, n_samples=n_mc, seed=int(100 + deg),
+                                     stats=stats))
             edges = np.linspace(0.0, float(h.max()) * 1.001, 61)
             counts, _ = np.histogram(h, bins=edges)
             emp = counts / len(h) / np.diff(edges)
@@ -273,10 +273,10 @@ class TestFallback:
         from mrrlink.errors import NonConvergentError
         from mrrlink.specfun import meijer_g_sum as real
 
-        def boom(spec, weights, scales, p, s):
-            if spec.m == 10:  # only the error-rate kernel fails; densities stay up
+        def boom(spec, weights, lo, hi, p, s):
+            if spec.m == 9:  # only the error-rate kernel fails; densities stay up
                 raise NonConvergentError("forced")
-            return real(spec, weights, scales, p, s)
+            return real(spec, weights, lo, hi, p, s)
 
         monkeypatch.setattr(strong_mod, "meijer_g_sum", boom)
         val, method = ber_strong(k6, with_method=True)
