@@ -36,12 +36,14 @@ from .experiments import (
     heatmap,
     optimize_divergence,
     run_experiment,
+    run_experiments,
 )
 from .montecarlo import (
     FadingModel,
     MCEstimate,
     SimPlan,
     draw_channel,
+    draw_channels,
     empirical_cdf,
     empirical_pdf,
     mc_ber,

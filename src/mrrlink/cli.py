@@ -20,13 +20,13 @@ import numpy as np
 from . import __version__
 from .channel import LinkConfig
 from .config import LINK_KEYS, RawConfig, config_entries, parse_config, require_experiment_keys
-from .errors import ConfigError
+from .errors import ConfigError, MrrLinkError
 from .experiments import (
     ExperimentSpec,
     heatmap,
     link_field,
     optimize_divergence,
-    run_experiment,
+    run_experiments,
     spec_meta,
     write_outputs,
 )
@@ -65,8 +65,7 @@ def _add_common(p: argparse.ArgumentParser, samples: bool, link: bool) -> None:
 def cmd_sweep(args) -> int:
     """Sweep `args.specs`, one curve for `run`, into one CSV and sidecar."""
     rows, flags, errors = [], [], []
-    for spec in args.specs:
-        res = run_experiment(spec, workers=args.workers)
+    for spec, res in zip(args.specs, run_experiments(args.specs, workers=args.workers)):
         tag = f"[{spec.label}] " if spec.label else ""
         rows.extend(res.rows)
         flags.extend(tag + f for f in res.flags)
@@ -87,9 +86,13 @@ def cmd_recipe(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    res = optimize_divergence(args.link, objective=args.objective,
-                              bracket=(args.bracket[0] * 1e-3, args.bracket[1] * 1e-3),
-                              regime=args.regime)
+    try:
+        res = optimize_divergence(args.link, objective=args.objective,
+                                  bracket=(args.bracket[0] * 1e-3, args.bracket[1] * 1e-3),
+                                  regime=args.regime)
+    except (ArithmeticError, MrrLinkError) as e:   # the model failed on this link
+        print(f"error: optimize {args.objective} failed: {e}", file=sys.stderr)
+        return 1
     out = {
         "theta_opt_mrad": res.theta_opt * 1e3,
         "objective": args.objective,
@@ -108,12 +111,16 @@ def cmd_optimize(args) -> int:
 def cmd_heatmap(args) -> int:
     se_grid = np.linspace(args.sigma_e[0] * 1e-6, args.sigma_e[1] * 1e-6, args.sigma_e_points)
     wz_grid = np.linspace(args.w_z[0], args.w_z[1], args.w_z_points)
-    mat = heatmap(args.link, se_grid, wz_grid, metric=args.metric, regime=args.regime)
+    errors: list[str] = []
+    mat = heatmap(args.link, se_grid, wz_grid, metric=args.metric, regime=args.regime,
+                  errors=errors)
     path = args.out or "heatmap.csv"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("sigma_theta_e_urad\\w_z_m," + ",".join(f"{w:.12g}" for w in wz_grid) + "\n")
         for se, row in zip(se_grid, mat):
             fh.write(f"{se*1e6:.12g}," + ",".join(f"{v:.12g}" for v in row) + "\n")
+    for e in errors:
+        print(f"error: {e}", file=sys.stderr)
     print(f"wrote {path} ({mat.shape[0]}x{mat.shape[1]})")
     return 0
 

@@ -9,11 +9,18 @@ turbulence statistics.
 
 Grid points may be computed by a worker pool; rows are always emitted in
 grid order and all randomness is seed-keyed, so output files are
-byte-identical for any worker count.  A transmit-power curve draws its
-Monte-Carlo channel once: P_t reaches the channel only through upsilon_1
-(gamma = upsilon_1 h^2), so every grid point forms its gamma from one h
-array, drawn at the first grid value and sent to the pool with each
-task.  Every other axis moves h, so each of its grid points draws its own.
+byte-identical for any worker count.  P_t reaches the model only through
+upsilon_1 (gamma = upsilon_1 h^2), so a transmit-power curve shares what
+its grid points would repeat:
+- its Monte-Carlo channel, one h array drawn at the first grid value and
+  sent to the pool with each task.  `run_experiments` draws the curves of
+  a recipe before evaluating them, one stream pass for all curves that
+  share (seed, n_samples), and releases each curve's h after its rows;
+- its analytic outage, one `cdf_h` call over every grid point from the
+  constants of the first (`_curve_outage`); the points build their own
+  constants only for the other metrics, or when that call fails.
+Every other axis moves h and the constants, so each of its grid points
+draws and builds its own.
 """
 
 from __future__ import annotations
@@ -27,8 +34,16 @@ import numpy as np
 
 from . import __version__
 from .channel import LinkConfig, Regime, beamwidth, h_constant, turbulence_stats, upsilon_1
-from .errors import NonPositiveBreakpointError
-from .montecarlo import SimPlan, draw_channel, empirical_cdf, empirical_pdf, mc_ber, mc_outage
+from .errors import MrrLinkError
+from .montecarlo import (
+    SimPlan,
+    draw_channel,
+    draw_channels,
+    empirical_cdf,
+    empirical_pdf,
+    mc_ber,
+    mc_outage,
+)
 from .mrr import mrr_moments, sector_table
 from .strong import strong_constants
 from .weak import weak_constants
@@ -37,6 +52,7 @@ __all__ = [
     "ExperimentSpec",
     "ExperimentResult",
     "run_experiment",
+    "run_experiments",
     "OptResult",
     "optimize_divergence",
     "heatmap",
@@ -126,20 +142,62 @@ def _constants_for(cfg: LinkConfig, regime: str | None):
     return strong_constants(cfg, stats, sectors), stats
 
 
-def _curve_channel(spec: ExperimentSpec) -> np.ndarray | None:
-    """The Monte-Carlo h samples every grid point of a P_t curve shares,
-    drawn at the first grid value; None when the curve has no Monte-Carlo
-    engine or sweeps an axis that moves h."""
+def _curve_plan(spec: ExperimentSpec) -> SimPlan | None:
+    """The Monte-Carlo draw every grid point of a P_t curve shares, at the
+    first grid value; None when the curve has no Monte-Carlo engine or
+    sweeps an axis that moves h."""
     if spec.sweep_axis != "Pt" or "montecarlo" not in spec.engines:
         return None
     cfg = apply_axis(spec.base, "Pt", spec.grid[0])
-    return draw_channel(SimPlan(cfg, n_samples=spec.n_samples, seed=spec.seed,
-                                stats=turbulence_stats(cfg, regime=spec.regime)))
+    return SimPlan(cfg, n_samples=spec.n_samples, seed=spec.seed,
+                   stats=turbulence_stats(cfg, regime=spec.regime))
 
 
-def _grid_point_rows(spec: ExperimentSpec, value: float, h: np.ndarray | None = None):
+def _curve_channels(specs) -> list:
+    """Each curve's shared h samples (`_curve_plan`), or None.  Curves that
+    share (seed, n_samples) draw in one stream pass."""
+    plans = [_curve_plan(spec) for spec in specs]
+    groups: dict = {}
+    for i, plan in enumerate(plans):
+        if plan is not None:
+            groups.setdefault((plan.seed, plan.n_samples), []).append(i)
+    channels = [None] * len(specs)
+    for idx in groups.values():
+        # a lone curve draws through draw_channel, the call perfbench's tracer times
+        hs = (draw_channels([plans[i] for i in idx]) if len(idx) > 1
+              else [draw_channel(plans[idx[0]])])
+        for i, h in zip(idx, hs):
+            channels[i] = h
+    return channels
+
+
+def _curve_outage(spec: ExperimentSpec) -> list:
+    """The analytic outage of every grid point of a P_t curve, from one call.
+
+    P_t reaches the model only through upsilon_1, so the constants built at
+    the first grid value serve every point: outage_i = cdf_h(sqrt(gamma_th
+    / upsilon_1_i)), the per-point expression, evaluated for all points in
+    one array call whose values equal the per-point ones bit for bit.  A
+    None entry leaves the point to compute (and record) its own outage:
+    every entry when the curve has no analytic outage or the call raises.
+    """
+    none = [None] * len(spec.grid)
+    if spec.sweep_axis != "Pt" or "analytic" not in spec.engines or "outage" not in spec.metrics:
+        return none
+    cfgs = [apply_axis(spec.base, "Pt", v) for v in spec.grid]
+    try:
+        k, _ = _constants_for(cfgs[0], spec.regime)
+        u1 = np.array([upsilon_1(c) for c in cfgs])
+        return [float(v) for v in k.cdf_h(np.sqrt(cfgs[0].gamma_th / u1))]
+    except Exception:   # each point retries on its own
+        return none
+
+
+def _grid_point_rows(spec: ExperimentSpec, value: float, h: np.ndarray | None = None,
+                     outage: float | None = None):
     """All output rows for one grid value.  Pure function of its inputs;
-    `h` is the curve's shared channel draw (`_curve_channel`), if any."""
+    `h` is the curve's shared channel draw (`_curve_channels`) and `outage`
+    its analytic outage from the curve's one call (`_curve_outage`), if any."""
     cfg = apply_axis(spec.base, spec.sweep_axis, value)
     where = f"{spec.sweep_axis}={value:g}"
     rows: list[dict] = []
@@ -149,14 +207,18 @@ def _grid_point_rows(spec: ExperimentSpec, value: float, h: np.ndarray | None = 
     dist_metrics = [m for m in spec.metrics if m not in ("outage", "ber")]
 
     k = stats = None
-    if "analytic" in spec.engines:
+    # the curve's outage call built the same constants; build them only
+    # for what it did not compute
+    if "analytic" in spec.engines and (outage is None or set(spec.metrics) != {"outage"}):
         try:
             k, stats = _constants_for(cfg, spec.regime)
-        except (NonPositiveBreakpointError, ValueError) as exc:
+        except (ArithmeticError, MrrLinkError, ValueError) as exc:
             errors.append(f"{where}: analytic constants failed: {exc}")
 
     def analytic(metric, *args):
         """The model's value of one metric, or None with the failure recorded."""
+        if metric == "outage" and outage is not None:
+            return outage
         if k is None:
             return None
         try:
@@ -237,16 +299,33 @@ def _grid_point_rows(spec: ExperimentSpec, value: float, h: np.ndarray | None = 
     return rows, flags, errors
 
 
+def run_experiments(specs, workers: int = 1) -> list[ExperimentResult]:
+    """Evaluate the sweeps in order, one result each.  The Monte-Carlo
+    channels of the P_t curves are drawn first (`_curve_channels`), and
+    each curve releases its draw once its rows are built."""
+    channels = _curve_channels(specs)
+    results = []
+    for i, spec in enumerate(specs):
+        results.append(_run_curve(spec, channels[i], workers))
+        channels[i] = None
+    return results
+
+
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
-    """Evaluate the sweep: its rows in grid order, flags and errors."""
-    result = ExperimentResult()
-    h = _curve_channel(spec)
+    """Evaluate one sweep: its rows in grid order, flags and errors."""
+    return run_experiments([spec], workers)[0]
+
+
+def _run_curve(spec: ExperimentSpec, h: np.ndarray | None, workers: int) -> ExperimentResult:
+    """One sweep's grid points, in grid order, given its shared channel draw."""
+    n = len(spec.grid)
+    args = ([spec] * n, spec.grid, [h] * n, _curve_outage(spec))
     if workers > 1:
-        n = len(spec.grid)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_grid_point_rows, [spec] * n, spec.grid, [h] * n))
+            parts = list(pool.map(_grid_point_rows, *args))
     else:
-        parts = [_grid_point_rows(spec, v, h) for v in spec.grid]
+        parts = list(map(_grid_point_rows, *args))
+    result = ExperimentResult()
     for rows, flags, errors in parts:       # grid order preserved
         result.rows.extend(rows)
         result.flags.extend(flags)
@@ -357,11 +436,13 @@ def optimize_divergence(cfg: LinkConfig, objective: str = "outage",
 
 
 def heatmap(cfg: LinkConfig, sigma_e_grid, wz_grid, metric: str = "outage",
-            regime: str | None = None) -> np.ndarray:
+            regime: str | None = None, errors: list | None = None) -> np.ndarray:
     """Matrix of the analytic metric over (tracking jitter) x (beamwidth).
 
     Rows follow sigma_e_grid, columns wz_grid; each cell is exactly the
-    standalone closed-form evaluation for that configuration.
+    standalone closed-form evaluation for that configuration.  Given an
+    `errors` list, a cell whose evaluation fails numerically is nan and
+    its failure is appended there; otherwise the failure raises.
     """
     if metric not in ("outage", "ber"):
         raise ValueError("heatmap metric must be 'outage' or 'ber'")
@@ -369,5 +450,12 @@ def heatmap(cfg: LinkConfig, sigma_e_grid, wz_grid, metric: str = "outage",
     for i, se in enumerate(sigma_e_grid):
         for j, wz in enumerate(wz_grid):
             c = apply_axis(cfg, "w_z", float(wz)).with_(sigma_theta_e=float(se))
-            out[i, j] = _design_metric(c, metric, regime)
+            try:
+                out[i, j] = _design_metric(c, metric, regime)
+            except (ArithmeticError, MrrLinkError) as exc:
+                if errors is None:
+                    raise
+                out[i, j] = math.nan
+                errors.append(f"sigma_e={se * 1e6:g}urad w_z={wz:g}m: "
+                              f"analytic {metric} failed: {exc}")
     return out

@@ -21,8 +21,14 @@ three uniforms per sample from `block_uniforms` too.
 A draw depends on the seed and the sample count, never on who asks for
 it, so callers share one where their grid points would repeat it: a
 transmit-power curve forms each point's gamma = upsilon_1 h^2 from one h
-array (`experiments.run_experiment`), and a jitter grid scales one set of
-tilt normals (`mrr.hmrr_from_normals`).
+array (`experiments.run_experiments`), and a jitter grid scales one set of
+tilt normals (`mrr.hmrr_from_normals`).  Links that share (seed,
+n_samples) share one pass of the stream (`draw_channels`, the curves of a
+recipe such as fig7 or fig8): per block the uniforms and the tilt and
+tracking normals are drawn once, and the fading once per distinct (model,
+parameters); each link's h is then formed as in a pass of its own.
+`draw_channel` and `draw_channels` keep h only; `sample_channel`, the one
+block loop, also yields gamma unless asked not to.
 """
 
 from __future__ import annotations
@@ -53,6 +59,7 @@ __all__ = [
     "MCEstimate",
     "sample_channel",
     "draw_channel",
+    "draw_channels",
     "empirical_pdf",
     "empirical_cdf",
     "mc_outage",
@@ -156,32 +163,67 @@ def _fading_pair(plan: SimPlan, u: np.ndarray, block: int) -> np.ndarray:
     return (gen.standard_gamma(shapes, (len(u), 4)) / shapes).prod(axis=1)
 
 
-def sample_channel(plan: SimPlan) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield blocks of (h, gamma) samples of the composed channel."""
-    plan = plan.resolved()
-    cfg = plan.cfg
-    hl = beer_lambert(cfg)
-    h_pg = geometric_loss_gs(cfg)
-    u1 = upsilon_1(cfg)
-    scale = POINTING_DISPLACEMENT_FACTOR * cfg.Z
-    for b, pos in enumerate(range(0, plan.n_samples, BLOCK)):
-        u = block_uniforms(plan.seed, b, _UNIFORM_SLOTS, plan.n_samples - pos)
-        theta_m = cfg.sigma_theta_o * normals(u[:, 0:3])
-        h_mrr = np.prod(_mirror_factor(theta_m), axis=1)
-        d = scale * np.sin(cfg.sigma_theta_e * normals(u[:, 3:5]))
-        h_pu = pointing_loss_approx(cfg, d[:, 0], d[:, 1])
-        h_a = _fading_pair(plan, u[:, 5:7], b)
-        h = (hl * hl * h_pg) * h_a * h_pu * h_mrr
-        yield h, u1 * h * h
+def _fading_key(plan: SimPlan) -> tuple:
+    """What a plan's fading draw depends on besides (seed, block): its
+    model and that model's parameters."""
+    stats = plan.stats
+    if plan.fading is FadingModel.LOG_NORMAL:
+        return plan.fading, stats.sigma_L2
+    return plan.fading, stats.alpha, stats.beta
+
+
+def sample_channel(plan: SimPlan, *more: SimPlan, with_snr: bool = True) -> Iterator[tuple]:
+    """One pass over the sample stream: yield, block by block, the h samples
+    of `plan` and of each further plan, followed with `with_snr` by each
+    plan's gamma = upsilon_1 h^2.  Alone, `plan` yields (h, gamma) blocks.
+
+    The plans must share seed and sample count.  Per block the uniforms
+    and the tilt and tracking normals are drawn once, and the fading once
+    per distinct (model, parameters); each plan's h is then formed from
+    them with its own link, in the operation order of a single-plan pass,
+    so a plan's samples do not depend on the plans drawn beside it.
+    """
+    plans = [p.resolved() for p in (plan, *more)]
+    seed, n = plans[0].seed, plans[0].n_samples
+    if any((p.seed, p.n_samples) != (seed, n) for p in plans):
+        raise ValueError("plans drawn in one pass must share seed and n_samples")
+    links = [(p, _fading_key(p), beer_lambert(p.cfg), geometric_loss_gs(p.cfg),
+              POINTING_DISPLACEMENT_FACTOR * p.cfg.Z) for p in plans]
+    u1 = [upsilon_1(p.cfg) for p in plans]
+    for b, pos in enumerate(range(0, n, BLOCK)):
+        u = block_uniforms(seed, b, _UNIFORM_SLOTS, n - pos)
+        tilt, track = normals(u[:, 0:3]), normals(u[:, 3:5])
+        fading: dict = {}
+        hs = []
+        for p, key, hl, h_pg, scale in links:
+            cfg = p.cfg
+            h_mrr = np.prod(_mirror_factor(cfg.sigma_theta_o * tilt), axis=1)
+            d = scale * np.sin(cfg.sigma_theta_e * track)
+            h_pu = pointing_loss_approx(cfg, d[:, 0], d[:, 1])
+            if key not in fading:
+                fading[key] = _fading_pair(p, u[:, 5:7], b)
+            hs.append((hl * hl * h_pg) * fading[key] * h_pu * h_mrr)
+        if with_snr:
+            hs += [c * h * h for c, h in zip(u1, hs)]
+        yield tuple(hs)
+
+
+def draw_channels(plans) -> list[np.ndarray]:
+    """The full h sample array of each plan, filled block by block from one
+    pass of `sample_channel`; the plans share seed and sample count.  Each
+    plan's SNR samples are upsilon_1(cfg) * h * h, bit for bit those of
+    `sample_channel`."""
+    n = plans[0].n_samples
+    out = [np.empty(n) for _ in plans]
+    for pos, blocks in zip(range(0, n, BLOCK), sample_channel(*plans, with_snr=False)):
+        for h, hb in zip(out, blocks):
+            h[pos:pos + len(hb)] = hb
+    return out
 
 
 def draw_channel(plan: SimPlan) -> np.ndarray:
-    """The full h sample array, filled block by block.  Its SNR samples are
-    upsilon_1(cfg) * h * h, bit for bit those of `sample_channel`."""
-    h = np.empty(plan.n_samples)
-    for pos, (hb, _) in zip(range(0, plan.n_samples, BLOCK), sample_channel(plan)):
-        h[pos:pos + len(hb)] = hb
-    return h
+    """The full h sample array of one plan: `draw_channels`' one-plan case."""
+    return draw_channels([plan])[0]
 
 
 def empirical_pdf(samples, bins=80) -> tuple[np.ndarray, np.ndarray]:

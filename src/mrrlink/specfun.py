@@ -322,7 +322,8 @@ def _mb_sum(spec: MeijerGSpec, w, lsc, width, lo: float, hi: float, lns) -> np.n
         taus, gl, half = _nodes(edges, n_nodes)
         t = c + 1j * taus
         x = t[:, None] * width   # phi(x) = expm1(x)/x, 1 at x = 0
-        phi = np.divide(np.expm1(x), x, out=np.ones_like(x), where=x != 0)
+        with np.errstate(invalid="ignore"):   # inf/inf: _check_converged raises for it
+            phi = np.divide(np.expm1(x), x, out=np.ones_like(x), where=x != 0)
         d = (np.exp(t[:, None] * lsc - d_max) * phi * w).sum(axis=1)
         vals = np.exp(_chi_log(t, spec) - chi_c) * d
         vals = (vals.reshape(len(half), -1) * gl * half).ravel()

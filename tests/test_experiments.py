@@ -116,9 +116,9 @@ class TestRunExperiment:
             drawn.append(draw_channel(plan))
             return drawn[-1]
 
-        def counting(plan):
+        def counting(plan, *more, **kw):
             passes.append(plan)
-            return sample_channel(plan)
+            return sample_channel(plan, *more, **kw)
 
         monkeypatch.setattr(experiments, "draw_channel", recording)
         monkeypatch.setattr(montecarlo, "sample_channel", counting)
@@ -705,3 +705,49 @@ class TestCliHeatmap:
         assert exc.value.code == 2
         assert "tracking jitter" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+class TestCliModelFailure:
+    """A link the models cannot evaluate fails per cell in `heatmap`, and
+    as one error line with exit status 1 in `optimize`."""
+
+    @pytest.mark.parametrize("pair,failure", [
+        ("wind_v=1e150", "Numerical result out of range"),   # OverflowError in gg_params
+        ("Cn2=1e300", "non-finite value"),                  # NonConvergentError
+    ])
+    def test_failed_cell_is_nan_and_named(self, pair, failure, tmp_path, capsys):
+        from mrrlink.cli import main
+
+        out = tmp_path / "map.csv"
+        assert main(["heatmap", "--sigma-e-points", "1", "--w-z-points", "1",
+                     "--set", pair, "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1] == "50,nan"
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == 1
+        assert "sigma_e=50urad w_z=0.1m: analytic outage failed" in errors[0]
+        assert failure in errors[0]
+
+    def test_optimize_failure_exits_1_and_writes_nothing(self, tmp_path, capsys):
+        from mrrlink.cli import main
+
+        out = tmp_path / "opt.json"
+        assert main(["optimize", "--set", "Cn2=1e300", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+        assert errors == ["error: optimize outage failed: "
+                          "Mellin-Barnes integral returned non-finite value"]
+        assert not out.exists()
+
+    def test_sweep_records_failed_constants_per_point(self, tmp_path, capsys):
+        from mrrlink.cli import main
+
+        out = tmp_path / "fig9.csv"
+        assert main(["recipe", "fig9", "--set", "wind_v=1e150", "--out", str(out)]) == 0
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == 3 * 16                  # every point of the three curves
+        assert all("analytic constants failed" in e for e in errors)
+        assert out.read_text().splitlines() == [
+            "sweep_axis,sweep_value,label,metric,engine,x,value,ci_low,ci_high,flag"]

@@ -22,6 +22,7 @@ from mrrlink.montecarlo import (
     FadingModel,
     SimPlan,
     draw_channel,
+    draw_channels,
     empirical_cdf,
     empirical_pdf,
     mc_ber,
@@ -116,6 +117,55 @@ class TestDeterminism:
         a = draw_channel(SimPlan(cfg, n_samples=80_000, seed=5))
         b = draw_channel(SimPlan(cfg, n_samples=3 * BLOCK, seed=5))
         assert np.array_equal(a, b[:80_000])
+
+
+class TestSharedPass:
+    """Plans that share seed and n_samples draw in one stream pass, each h
+    bit for bit its plan's own draw."""
+
+    N = BLOCK + 1_000
+
+    def plans(self):
+        strong = strong_cfg()
+        return [SimPlan(weak_cfg(), self.N, seed=5),
+                SimPlan(weak_cfg(sigma_theta_o=8 * DEG, sigma_theta_e=90e-6), self.N, seed=5),
+                SimPlan(strong, self.N, seed=5),
+                SimPlan(strong.with_(sigma_theta_o=6 * DEG), self.N, seed=5)]
+
+    def test_each_array_is_its_plans_own_draw(self, block_rows):
+        plans = self.plans()
+        shared = draw_channels(plans)
+        assert block_rows == [BLOCK, 1_000]   # one pass for all four
+        for plan, h in zip(plans, shared):
+            assert np.array_equal(h, draw_channel(plan))
+
+    def test_fading_drawn_once_per_model_and_parameters(self, monkeypatch):
+        drawn = []
+        original = montecarlo._fading_pair
+
+        def recording(plan, u, block):
+            drawn.append(plan.fading)
+            return original(plan, u, block)
+
+        monkeypatch.setattr(montecarlo, "_fading_pair", recording)
+        draw_channels(self.plans())
+        assert drawn == [FadingModel.LOG_NORMAL, FadingModel.GAMMA_GAMMA] * 2   # per block
+
+    def test_snr_blocks_follow_the_h_blocks(self):
+        plans = self.plans()[:2]
+        hs = draw_channels(plans)
+        blocks = list(montecarlo.sample_channel(*plans))
+        assert all(len(b) == 4 for b in blocks)
+        for i, (plan, h) in enumerate(zip(plans, hs)):
+            assert np.array_equal(np.concatenate([b[i] for b in blocks]), h)
+            gamma = np.concatenate([b[2 + i] for b in blocks])
+            assert np.array_equal(gamma, upsilon_1(plan.cfg) * h * h)
+
+    @pytest.mark.parametrize("other", [dict(seed=6), dict(n_samples=1_000)])
+    def test_plans_must_share_seed_and_samples(self, other):
+        plan = SimPlan(weak_cfg(), self.N, seed=5)
+        with pytest.raises(ValueError, match="share seed and n_samples"):
+            draw_channels([plan, SimPlan(**{**vars(plan), **other})])
 
 
 class TestRowsDrawn:

@@ -1,6 +1,9 @@
-"""Draw-once Monte-Carlo: a transmit-power curve draws its channel once,
-and a jitter grid draws its tilt normals once.  The outputs are the bytes
-of one draw per grid point and per jitter; `TestPinnedOutputs` pins them."""
+"""Draw-once Monte-Carlo and batched outage: a transmit-power curve draws
+its channel once, curves that share (seed, n_samples) share one stream
+pass, a jitter grid draws its tilt normals once, and a transmit-power
+curve evaluates its analytic outage in one call.  The outputs are the
+bytes of one draw and one evaluation per grid point and per jitter;
+`TestPinnedOutputs` pins them."""
 
 import hashlib
 import math
@@ -10,11 +13,19 @@ import pytest
 
 import mrrlink.experiments as experiments
 import mrrlink.montecarlo as montecarlo
+import mrrlink.strong as strong
 from mrrlink.channel import LinkConfig, turbulence_stats, upsilon_1
 from mrrlink.cli import main
-from mrrlink.experiments import ExperimentSpec, apply_axis, run_experiment, write_outputs
+from mrrlink.errors import NonConvergentError
+from mrrlink.experiments import (
+    ExperimentSpec,
+    apply_axis,
+    run_experiment,
+    run_experiments,
+    write_outputs,
+)
 from mrrlink.montecarlo import BLOCK, SimPlan, draw_channel, mc_ber, mc_outage
-from mrrlink.recipes import build_fig13_rows
+from mrrlink.recipes import build_fig13_rows, build_recipe
 
 DEG = math.pi / 180.0
 N = BLOCK + 5_000
@@ -40,13 +51,13 @@ def digest(*blobs) -> str:
 
 @pytest.fixture
 def passes(monkeypatch):
-    """The configs of the `montecarlo.sample_channel` passes made."""
+    """The config of each `montecarlo.sample_channel` pass made (its first plan's)."""
     cfgs = []
     original = montecarlo.sample_channel
 
-    def counting(plan):
+    def counting(plan, *more, **kw):
         cfgs.append(plan.cfg)
-        return original(plan)
+        return original(plan, *more, **kw)
 
     monkeypatch.setattr(montecarlo, "sample_channel", counting)
     return cfgs
@@ -73,7 +84,7 @@ class TestChannelDrawPerCurve:
         # what each pool task runs when --workers > 1
         spec = ExperimentSpec(base_cfg(), "Pt", PT_GRID, metrics=("outage",),
                               engines=("montecarlo",), regime="weak", n_samples=1_000)
-        h = experiments._curve_channel(spec)
+        h = experiments._curve_channels([spec])[0]
         assert len(passes) == 1
         rows, _, _ = experiments._grid_point_rows(spec, PT_GRID[2], h)
         assert len(passes) == 1 and len(rows) == 1
@@ -100,6 +111,59 @@ class TestChannelDrawPerCurve:
             assert (ber["value"], ber["ci_low"], ber["ci_high"]) == want[:3]
 
 
+class TestOnePassPerRecipe:
+    def test_fig8_draws_its_two_curves_in_one_pass(self, block_rows, tmp_path, capsys):
+        out = tmp_path / "fig8.csv"
+        assert main(["recipe", "fig8", "--samples", "70000", "--out", str(out)]) == 0
+        assert block_rows == [BLOCK, 70_000 - BLOCK]   # not twice
+
+    def test_curves_share_a_pass_only_with_seed_and_samples(self, passes):
+        def curve(seed, n, deg):
+            return ExperimentSpec(base_cfg(sigma_theta_o=deg * DEG), "Pt", PT_GRID[:2],
+                                  metrics=("outage", "ber"), engines=("montecarlo",),
+                                  regime="weak", n_samples=n, seed=seed)
+
+        specs = [curve(7, N, 2.0), curve(8, N, 2.0), curve(7, N, 8.0), curve(7, 1_000, 5.0)]
+        results = run_experiments(specs)
+        assert [c.sigma_theta_o for c in passes] == [2.0 * DEG, 2.0 * DEG, 5.0 * DEG]
+        passes.clear()
+        for spec, res in zip(specs, results):   # the rows of each curve drawn alone
+            assert res.rows == run_experiment(spec).rows
+        assert len(passes) == len(specs)
+
+    def test_fig9_curve_evaluates_outage_in_one_call(self, monkeypatch):
+        orders = []
+        real = strong.meijer_g_sum
+
+        def recording(spec, weights, lo, hi, p, s):
+            orders.append((spec.m, spec.n, np.size(s)))
+            return real(spec, weights, lo, hi, p, s)
+
+        monkeypatch.setattr(strong, "meijer_g_sum", recording)
+        spec = build_recipe("fig9")[0]
+        res = run_experiment(spec)
+        assert not res.errors and len(res.rows) == len(spec.grid)
+        assert orders == [(5, 1, len(spec.grid))]   # the CDF order, every P_t at once
+
+    def test_failed_batch_falls_back_to_points(self, monkeypatch):
+        spec = build_recipe("fig9")[0]
+        want = run_experiment(spec).rows
+        calls = []
+        real = strong.meijer_g_sum
+
+        def failing(spec_, weights, lo, hi, p, s):
+            calls.append(np.size(s))
+            if np.size(s) > 1 or len(calls) == 4:   # the curve's call, then its third point
+                raise NonConvergentError("injected")
+            return real(spec_, weights, lo, hi, p, s)
+
+        monkeypatch.setattr(strong, "meijer_g_sum", failing)
+        res = run_experiment(spec)
+        assert calls == [len(spec.grid)] + [1] * len(spec.grid)
+        assert res.errors == [f"Pt={spec.grid[2]:g}: analytic outage failed: injected"]
+        assert res.rows == want[:2] + want[3:]
+
+
 class TestFig13:
     def test_draws_tilt_normals_once(self, block_rows):
         rows = build_fig13_rows(seed=7, n_samples=N)
@@ -115,7 +179,9 @@ class TestFig13:
 class TestPinnedOutputs:
     """sha256 of outputs recorded with one channel draw per grid point and
     one tilt draw per jitter (numpy 2.4, x86-64 Linux); each draw crosses a
-    block boundary.  Sharing the draws must not move a byte."""
+    block boundary.  The recipe and `run` digests (CSV then sidecar) were
+    recorded with one stream pass per curve and one outage evaluation per
+    grid point.  Sharing the draws and the outage call must not move a byte."""
 
     @pytest.mark.parametrize("cfg,regime,want", [
         (base_cfg(), "weak", "6cdaed638ee0664d882c2c8bf1c464dd7ada8de373b0176b9b22812771cb7ead"),
@@ -151,3 +217,32 @@ class TestPinnedOutputs:
                      "--out", str(out)]) == 0
         assert digest(out.read_bytes()) == (
             "462c529e012750f74a3e3d83fb65e12393e1ac0af12d4450c9ba9b3689a0d5a3")
+
+    @pytest.mark.parametrize("argv,code,want", [
+        (["recipe", "fig7", "--samples", "70000", "--seed", "7"], 2,
+         "7ccc06757d1dc53a16f23c63378c7862b6679763d163db9c5751e4ac991d2a9b"),
+        (["recipe", "fig8", "--samples", "70000", "--seed", "7"], 0,
+         "60c14cd645c4590cceafec5378d5c9cb7f4d83ba2cc7b8254a52d9b5d6b1c0c2"),
+        (["recipe", "fig8", "--samples", "70000", "--seed", "7", "--workers", "2"], 0,
+         "60c14cd645c4590cceafec5378d5c9cb7f4d83ba2cc7b8254a52d9b5d6b1c0c2"),
+        (["recipe", "fig9"], 0,
+         "3077b93e04eaef23ff503b7f21c1cd80cd86ecec5ab9ffd3e9ffb7e758175d6b"),
+        (["recipe", "fig10"], 0,
+         "1368231c110bf7fb085cad30eb727d1a6bbef10fe63d48e34b10cc2519af418f"),
+    ], ids=["fig7", "fig8", "fig8-workers2", "fig9", "fig10"])
+    def test_recipe(self, tmp_path, capsys, argv, code, want):
+        out = tmp_path / "recipe.csv"
+        assert main([*argv, "--out", str(out)]) == code
+        assert digest(out.read_bytes(), (tmp_path / "recipe.csv.json").read_bytes()) == want
+
+    def test_strong_pt_run(self, tmp_path, capsys):
+        cfg = tmp_path / "strong.cfg"
+        cfg.write_text("Z = 1000 m\nw_z = 40 cm\nsigma_theta_o = 5 deg\n"
+                       "sigma_theta_e = 100 urad\nCn2 = 1e-13\nsweep = Pt\n"
+                       "grid = 0:30:6 dBm\nmetrics = outage, ber\n"
+                       "engines = analytic, montecarlo\nregime = strong\n"
+                       "samples = 70000\nseed = 7\n")
+        out = tmp_path / "run.csv"
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        assert digest(out.read_bytes(), (tmp_path / "run.csv.json").read_bytes()) == (
+            "6e0f7701d5997b91be2fee3dfa4cab736e0101421e2c225bbb225eb6b12b7e9b")
