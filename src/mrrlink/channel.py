@@ -272,8 +272,15 @@ class SquareLawModel:
 
     def outage(self, gamma_th: float) -> float:
         """Probability that the instantaneous SNR falls below gamma_th."""
+        return float(self.outage_at(gamma_th, self.upsilon_1))
+
+    def outage_at(self, gamma_th: float, upsilon_1):
+        """Outage at gamma_th for each SNR scale in `upsilon_1`:
+        cdf_h(sqrt(gamma_th / upsilon_1)).  P_t moves a link only through
+        upsilon_1, so one model's fading statistics serve a whole
+        transmit-power curve in one `cdf_h` call."""
         if gamma_th < 0:
             raise ValueError("gamma_th must be non-negative")
         if gamma_th == 0:
-            return 0.0
-        return float(self.cdf_snr(gamma_th))
+            return np.zeros(np.shape(upsilon_1))
+        return self.cdf_h(np.sqrt(gamma_th / np.asarray(upsilon_1, dtype=float)))

@@ -111,9 +111,7 @@ def cmd_optimize(args) -> int:
 def cmd_heatmap(args) -> int:
     se_grid = np.linspace(args.sigma_e[0] * 1e-6, args.sigma_e[1] * 1e-6, args.sigma_e_points)
     wz_grid = np.linspace(args.w_z[0], args.w_z[1], args.w_z_points)
-    errors: list[str] = []
-    mat = heatmap(args.link, se_grid, wz_grid, metric=args.metric, regime=args.regime,
-                  errors=errors)
+    mat, errors = heatmap(args.link, se_grid, wz_grid, metric=args.metric, regime=args.regime)
     path = args.out or "heatmap.csv"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("sigma_theta_e_urad\\w_z_m," + ",".join(f"{w:.12g}" for w in wz_grid) + "\n")

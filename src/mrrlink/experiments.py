@@ -14,11 +14,12 @@ upsilon_1 (gamma = upsilon_1 h^2), so a transmit-power curve shares what
 its grid points would repeat:
 - its Monte-Carlo channel, one h array drawn at the first grid value and
   sent to the pool with each task.  `run_experiments` draws the curves of
-  a recipe before evaluating them, one stream pass for all curves that
-  share (seed, n_samples), and releases each curve's h after its rows;
-- its analytic outage, one `cdf_h` call over every grid point from the
-  constants of the first (`_curve_outage`); the points build their own
-  constants only for the other metrics, or when that call fails.
+  a recipe that share (seed, n_samples) in one stream pass, before the
+  first of them is evaluated, and releases each curve's h after its rows;
+- its analytic outage, one `SquareLawModel.outage_at` call over every grid
+  point from the constants of the first (`_curve_outage`); the points
+  build their own constants only for the other metrics, or when that call
+  fails.
 Every other axis moves h and the constants, so each of its grid points
 draws and builds its own.
 """
@@ -153,33 +154,26 @@ def _curve_plan(spec: ExperimentSpec) -> SimPlan | None:
                    stats=turbulence_stats(cfg, regime=spec.regime))
 
 
-def _curve_channels(specs) -> list:
-    """Each curve's shared h samples (`_curve_plan`), or None.  Curves that
-    share (seed, n_samples) draw in one stream pass."""
-    plans = [_curve_plan(spec) for spec in specs]
-    groups: dict = {}
-    for i, plan in enumerate(plans):
-        if plan is not None:
-            groups.setdefault((plan.seed, plan.n_samples), []).append(i)
-    channels = [None] * len(specs)
-    for idx in groups.values():
-        # a lone curve draws through draw_channel, the call perfbench's tracer times
-        hs = (draw_channels([plans[i] for i in idx]) if len(idx) > 1
-              else [draw_channel(plans[idx[0]])])
-        for i, h in zip(idx, hs):
-            channels[i] = h
-    return channels
+def _draw_group(plans, i: int) -> dict:
+    """{j: h} for curve i and each later curve that shares its (seed,
+    n_samples), drawn in one stream pass; i is the first of them."""
+    key = (plans[i].seed, plans[i].n_samples)
+    idx = [j for j in range(i, len(plans))
+           if plans[j] is not None and (plans[j].seed, plans[j].n_samples) == key]
+    if len(idx) == 1:
+        # draw_channel is what perfbench's tracer times (ROADMAP "Open items")
+        return {i: draw_channel(plans[i])}
+    return dict(zip(idx, draw_channels([plans[j] for j in idx])))
 
 
 def _curve_outage(spec: ExperimentSpec) -> list:
     """The analytic outage of every grid point of a P_t curve, from one call.
 
     P_t reaches the model only through upsilon_1, so the constants built at
-    the first grid value serve every point: outage_i = cdf_h(sqrt(gamma_th
-    / upsilon_1_i)), the per-point expression, evaluated for all points in
-    one array call whose values equal the per-point ones bit for bit.  A
-    None entry leaves the point to compute (and record) its own outage:
-    every entry when the curve has no analytic outage or the call raises.
+    the first grid value serve every point (`SquareLawModel.outage_at`),
+    with values equal to the per-point ones bit for bit.  A None entry
+    leaves the point to compute (and record) its own outage: every entry
+    when the curve has no analytic outage or the call raises.
     """
     none = [None] * len(spec.grid)
     if spec.sweep_axis != "Pt" or "analytic" not in spec.engines or "outage" not in spec.metrics:
@@ -187,8 +181,7 @@ def _curve_outage(spec: ExperimentSpec) -> list:
     cfgs = [apply_axis(spec.base, "Pt", v) for v in spec.grid]
     try:
         k, _ = _constants_for(cfgs[0], spec.regime)
-        u1 = np.array([upsilon_1(c) for c in cfgs])
-        return [float(v) for v in k.cdf_h(np.sqrt(cfgs[0].gamma_th / u1))]
+        return [float(v) for v in k.outage_at(cfgs[0].gamma_th, [upsilon_1(c) for c in cfgs])]
     except Exception:   # each point retries on its own
         return none
 
@@ -196,7 +189,7 @@ def _curve_outage(spec: ExperimentSpec) -> list:
 def _grid_point_rows(spec: ExperimentSpec, value: float, h: np.ndarray | None = None,
                      outage: float | None = None):
     """All output rows for one grid value.  Pure function of its inputs;
-    `h` is the curve's shared channel draw (`_curve_channels`) and `outage`
+    `h` is the curve's shared channel draw (`_draw_group`) and `outage`
     its analytic outage from the curve's one call (`_curve_outage`), if any."""
     cfg = apply_axis(spec.base, spec.sweep_axis, value)
     where = f"{spec.sweep_axis}={value:g}"
@@ -300,14 +293,17 @@ def _grid_point_rows(spec: ExperimentSpec, value: float, h: np.ndarray | None = 
 
 
 def run_experiments(specs, workers: int = 1) -> list[ExperimentResult]:
-    """Evaluate the sweeps in order, one result each.  The Monte-Carlo
-    channels of the P_t curves are drawn first (`_curve_channels`), and
-    each curve releases its draw once its rows are built."""
-    channels = _curve_channels(specs)
+    """Evaluate the sweeps in order, one result each.  A P_t curve's
+    Monte-Carlo channel is drawn just before the curve is evaluated,
+    together with those of the later curves that share its (seed,
+    n_samples) (`_draw_group`), and released once its rows are built."""
+    plans = [_curve_plan(spec) for spec in specs]
+    channels: dict = {}
     results = []
     for i, spec in enumerate(specs):
-        results.append(_run_curve(spec, channels[i], workers))
-        channels[i] = None
+        if plans[i] is not None and i not in channels:
+            channels.update(_draw_group(plans, i))
+        results.append(_run_curve(spec, channels.pop(i, None), workers))
     return results
 
 
@@ -436,26 +432,26 @@ def optimize_divergence(cfg: LinkConfig, objective: str = "outage",
 
 
 def heatmap(cfg: LinkConfig, sigma_e_grid, wz_grid, metric: str = "outage",
-            regime: str | None = None, errors: list | None = None) -> np.ndarray:
-    """Matrix of the analytic metric over (tracking jitter) x (beamwidth).
+            regime: str | None = None) -> tuple[np.ndarray, list[str]]:
+    """Matrix of the analytic metric over (tracking jitter) x (beamwidth),
+    and the failures of its cells.
 
     Rows follow sigma_e_grid, columns wz_grid; each cell is exactly the
-    standalone closed-form evaluation for that configuration.  Given an
-    `errors` list, a cell whose evaluation fails numerically is nan and
-    its failure is appended there; otherwise the failure raises.
+    standalone closed-form evaluation for that configuration.  A cell whose
+    evaluation fails numerically is nan, and its failure is one message in
+    the returned list.
     """
     if metric not in ("outage", "ber"):
         raise ValueError("heatmap metric must be 'outage' or 'ber'")
     out = np.empty((len(sigma_e_grid), len(wz_grid)))
+    errors = []
     for i, se in enumerate(sigma_e_grid):
         for j, wz in enumerate(wz_grid):
             c = apply_axis(cfg, "w_z", float(wz)).with_(sigma_theta_e=float(se))
             try:
                 out[i, j] = _design_metric(c, metric, regime)
             except (ArithmeticError, MrrLinkError) as exc:
-                if errors is None:
-                    raise
                 out[i, j] = math.nan
                 errors.append(f"sigma_e={se * 1e6:g}urad w_z={wz:g}m: "
                               f"analytic {metric} failed: {exc}")
-    return out
+    return out, errors

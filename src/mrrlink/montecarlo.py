@@ -146,30 +146,32 @@ def _mirror_factor(theta) -> np.ndarray:
     return np.maximum(0.0, 1.0 - np.tan(np.minimum(np.abs(theta), math.pi / 2)))
 
 
+def _fading_key(plan: SimPlan) -> tuple:
+    """What a plan's fading draw depends on besides (seed, block): its model
+    and that model's parameters.  `_fading_pair` reads the plan through
+    this key alone, so plans with equal keys share one draw."""
+    stats = plan.stats
+    if plan.fading is FadingModel.LOG_NORMAL:
+        return plan.fading, stats.sigma_L2
+    return plan.fading, stats.alpha, stats.beta
+
+
 def _fading_pair(plan: SimPlan, u: np.ndarray, block: int) -> np.ndarray:
     """Product of the two per-pass fading coefficients (unit mean each) for
     the rows of `u`, the log-normal fading uniforms of block `block`.
     Gamma-Gamma draws from the block's fading substream instead, row by
     row, so a shorter block is a prefix of the full one."""
-    stats = plan.stats
-    if plan.fading is FadingModel.LOG_NORMAL:
-        s_l2 = stats.sigma_L2
+    model, *params = _fading_key(plan)
+    if model is FadingModel.LOG_NORMAL:
+        (s_l2,) = params
         if s_l2 == 0.0:
             return np.ones(len(u))
         x = normals(u)
         return np.exp((2.0 * math.sqrt(s_l2)) * x.sum(axis=1) - 4.0 * s_l2)
-    shapes = np.array([stats.alpha, stats.alpha, stats.beta, stats.beta])
+    alpha, beta = params
+    shapes = np.array([alpha, alpha, beta, beta])
     gen = _block_generator(plan.seed, block, _FADING_SUBSTREAM)
     return (gen.standard_gamma(shapes, (len(u), 4)) / shapes).prod(axis=1)
-
-
-def _fading_key(plan: SimPlan) -> tuple:
-    """What a plan's fading draw depends on besides (seed, block): its
-    model and that model's parameters."""
-    stats = plan.stats
-    if plan.fading is FadingModel.LOG_NORMAL:
-        return plan.fading, stats.sigma_L2
-    return plan.fading, stats.alpha, stats.beta
 
 
 def sample_channel(plan: SimPlan, *more: SimPlan, with_snr: bool = True) -> Iterator[tuple]:

@@ -498,7 +498,7 @@ def test_c08_optimizer_claims():
                      sigma_theta_o=5 * DEG, sigma_theta_e=100e-6, cn2_0=5e-15)
     se_grid = np.linspace(50e-6, 400e-6, 6)
     wz_grid = np.linspace(0.1, 2.0, 24)
-    mat = heatmap(cfg, se_grid, wz_grid, metric="outage", regime="weak")
+    mat, _ = heatmap(cfg, se_grid, wz_grid, metric="outage", regime="weak")
     ridge = wz_grid[np.argmin(mat, axis=1)]
     ridge_ok = all(b >= a - 1e-12 for a, b in zip(ridge, ridge[1:]))
     ok &= ridge_ok

@@ -285,8 +285,8 @@ class TestHeatmap:
         cfg = base_cfg(P_t=10 ** 2.5 / 1000)
         se = np.linspace(50e-6, 400e-6, 3)
         wz = np.linspace(0.2, 1.2, 4)
-        mat = heatmap(cfg, se, wz, metric="outage", regime="weak")
-        assert mat.shape == (3, 4)
+        mat, errors = heatmap(cfg, se, wz, metric="outage", regime="weak")
+        assert mat.shape == (3, 4) and errors == []
         c = cfg.with_(sigma_theta_e=float(se[1]), theta_div=float(wz[2]) / cfg.Z)
         k, _ = _constants_for(c, "weak")
         assert mat[1, 2] == pytest.approx(k.outage(c.gamma_th), rel=1e-12)
@@ -295,13 +295,22 @@ class TestHeatmap:
         cfg = base_cfg(P_t=10 ** 2.5 / 1000)
         se = np.linspace(50e-6, 400e-6, 5)
         wz = np.linspace(0.1, 2.0, 16)
-        mat = heatmap(cfg, se, wz, metric="outage", regime="weak")
+        mat, _ = heatmap(cfg, se, wz, metric="outage", regime="weak")
         argmins = wz[np.argmin(mat, axis=1)]
         assert all(b >= a - 1e-12 for a, b in zip(argmins, argmins[1:]))
 
     def test_zero_tracking_jitter_rejected(self):
         with pytest.raises(ValueError, match="sigma_theta_e > 0"):
             heatmap(base_cfg(), [0.0, 100e-6], [0.4], regime="weak")
+
+    def test_failed_cell_is_nan_and_recorded(self):
+        # the Gamma-Gamma parameters overflow at this wind speed
+        cfg = base_cfg(wind_v=1e150)
+        mat, errors = heatmap(cfg, [50e-6, 100e-6], [0.4], regime="strong")
+        assert np.isnan(mat).all()
+        assert [e.split(":")[0] for e in errors] == ["sigma_e=50urad w_z=0.4m",
+                                                     "sigma_e=100urad w_z=0.4m"]
+        assert all("analytic outage failed" in e for e in errors)
 
     def test_map_integrates_the_turbulence_path_once(self, path_integrations):
         # jitter and beamwidth leave the Rytov path integral unchanged
@@ -314,7 +323,7 @@ class TestHeatmap:
 
         cfg = base_cfg(P_t=10 ** 2.5 / 1000)
         se, wz = np.linspace(50e-6, 400e-6, 3), np.linspace(0.2, 1.2, 4)
-        mat = heatmap(cfg, se, wz, metric="ber")
+        mat, _ = heatmap(cfg, se, wz, metric="ber")
         channel._path_integral.cache_clear()
         c = cfg.with_(sigma_theta_e=float(se[2]), theta_div=float(wz[1]) / cfg.Z)
         assert mat[2, 1] == _design_metric(c, "ber", None)

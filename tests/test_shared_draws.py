@@ -84,7 +84,7 @@ class TestChannelDrawPerCurve:
         # what each pool task runs when --workers > 1
         spec = ExperimentSpec(base_cfg(), "Pt", PT_GRID, metrics=("outage",),
                               engines=("montecarlo",), regime="weak", n_samples=1_000)
-        h = experiments._curve_channels([spec])[0]
+        h = draw_channel(experiments._curve_plan(spec))
         assert len(passes) == 1
         rows, _, _ = experiments._grid_point_rows(spec, PT_GRID[2], h)
         assert len(passes) == 1 and len(rows) == 1
@@ -130,6 +130,30 @@ class TestOnePassPerRecipe:
         for spec, res in zip(specs, results):   # the rows of each curve drawn alone
             assert res.rows == run_experiment(spec).rows
         assert len(passes) == len(specs)
+
+    def test_curves_draw_just_before_they_are_evaluated(self, monkeypatch):
+        # a group draws before its first curve and a lone curve when it is
+        # evaluated, so no h waits while curves that do not share it run
+        events = []
+        original = experiments._grid_point_rows
+
+        def point(spec, value, *rest):
+            events.append(("point", spec.seed))
+            return original(spec, value, *rest)
+
+        def curve(seed):
+            return ExperimentSpec(base_cfg(), "Pt", PT_GRID[:1], metrics=("outage",),
+                                  engines=("montecarlo",), regime="weak",
+                                  n_samples=1_000, seed=seed)
+
+        monkeypatch.setattr(experiments, "_grid_point_rows", point)
+        monkeypatch.setattr(experiments, "draw_channel", lambda plan: events.append(
+            ("draw", [plan.seed])) or draw_channel(plan))
+        monkeypatch.setattr(experiments, "draw_channels", lambda plans: events.append(
+            ("draw", [p.seed for p in plans])) or montecarlo.draw_channels(plans))
+        run_experiments([curve(1), curve(2), curve(1)])
+        assert events == [("draw", [1, 1]), ("point", 1), ("draw", [2]), ("point", 2),
+                          ("point", 1)]
 
     def test_fig9_curve_evaluates_outage_in_one_call(self, monkeypatch):
         orders = []
