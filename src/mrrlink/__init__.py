@@ -43,7 +43,6 @@ from .montecarlo import (
     MCEstimate,
     SimPlan,
     draw_channel,
-    draw_channels,
     empirical_cdf,
     empirical_pdf,
     mc_ber,

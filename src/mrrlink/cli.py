@@ -20,8 +20,9 @@ import numpy as np
 from . import __version__
 from .channel import LinkConfig
 from .config import LINK_KEYS, RawConfig, config_entries, parse_config, require_experiment_keys
-from .errors import ConfigError, MrrLinkError
+from .errors import ConfigError
 from .experiments import (
+    _MODEL_FAILURES,
     ExperimentSpec,
     heatmap,
     link_field,
@@ -90,7 +91,7 @@ def cmd_optimize(args) -> int:
         res = optimize_divergence(args.link, objective=args.objective,
                                   bracket=(args.bracket[0] * 1e-3, args.bracket[1] * 1e-3),
                                   regime=args.regime)
-    except (ArithmeticError, MrrLinkError) as e:   # the model failed on this link
+    except _MODEL_FAILURES as e:   # the model failed on this link
         print(f"error: optimize {args.objective} failed: {e}", file=sys.stderr)
         return 1
     out = {

@@ -7,25 +7,27 @@ then a call through that model's `pdf_h`/`cdf_h`/`pdf_snr`/`cdf_snr`/
 `outage`/`ber`.  The Monte-Carlo side draws its fading from the same
 turbulence statistics.
 
-Grid points may be computed by a worker pool; rows are always emitted in
-grid order and all randomness is seed-keyed, so output files are
-byte-identical for any worker count.  P_t reaches the model only through
-upsilon_1 (gamma = upsilon_1 h^2), so a transmit-power curve shares what
-its grid points would repeat:
+Grid points may be computed by one worker pool per `run_experiments` call;
+rows are always emitted in grid order and all randomness is seed-keyed, so
+output files are byte-identical for any worker count.  P_t reaches the
+model only through upsilon_1 (gamma = upsilon_1 h^2), so a transmit-power
+curve shares what its grid points would repeat:
 - its Monte-Carlo channel, one h array drawn at the first grid value and
   sent to the pool with each task.  `run_experiments` draws the curves of
-  a recipe that share (seed, n_samples) in one stream pass, before the
-  first of them is evaluated, and releases each curve's h after its rows;
+  a recipe that share (seed, n_samples) in one `draw_channel` call, before
+  the first of them is evaluated, and drops each curve's h after its rows;
 - its analytic outage, one `SquareLawModel.outage_at` call over every grid
   point from the constants of the first (`_curve_outage`); the points
   build their own constants only for the other metrics, or when that call
   fails.
 Every other axis moves h and the constants, so each of its grid points
-draws and builds its own.
+draws and builds its own.  A grid point records each model failure
+(`_MODEL_FAILURES`) and the sweep goes on.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -39,7 +41,6 @@ from .errors import MrrLinkError
 from .montecarlo import (
     SimPlan,
     draw_channel,
-    draw_channels,
     empirical_cdf,
     empirical_pdf,
     mc_ber,
@@ -76,6 +77,10 @@ _OUTAGE_FLOOR = 1e-4
 _BER_FLOOR = 1e-7
 _REL_TOL = 0.10
 _KS_TOL = 0.02
+
+# What a model raises on a link it cannot evaluate (overflow, a contour that
+# fails, a jitter outside the sector table); every model catch names it.
+_MODEL_FAILURES = (ArithmeticError, MrrLinkError, ValueError)
 
 
 @dataclass(frozen=True)
@@ -145,25 +150,25 @@ def _constants_for(cfg: LinkConfig, regime: str | None):
 
 def _curve_plan(spec: ExperimentSpec) -> SimPlan | None:
     """The Monte-Carlo draw every grid point of a P_t curve shares, at the
-    first grid value; None when the curve has no Monte-Carlo engine or
-    sweeps an axis that moves h."""
+    first grid value; None when the curve has no Monte-Carlo engine, sweeps
+    an axis that moves h, or its statistics fail (each point then draws)."""
     if spec.sweep_axis != "Pt" or "montecarlo" not in spec.engines:
         return None
     cfg = apply_axis(spec.base, "Pt", spec.grid[0])
-    return SimPlan(cfg, n_samples=spec.n_samples, seed=spec.seed,
-                   stats=turbulence_stats(cfg, regime=spec.regime))
+    try:
+        stats = turbulence_stats(cfg, regime=spec.regime)
+    except _MODEL_FAILURES:
+        return None
+    return SimPlan(cfg, n_samples=spec.n_samples, seed=spec.seed, stats=stats)
 
 
 def _draw_group(plans, i: int) -> dict:
     """{j: h} for curve i and each later curve that shares its (seed,
-    n_samples), drawn in one stream pass; i is the first of them."""
+    n_samples), the rows of one `draw_channel` pass; i is the first of them."""
     key = (plans[i].seed, plans[i].n_samples)
     idx = [j for j in range(i, len(plans))
            if plans[j] is not None and (plans[j].seed, plans[j].n_samples) == key]
-    if len(idx) == 1:
-        # draw_channel is what perfbench's tracer times (ROADMAP "Open items")
-        return {i: draw_channel(plans[i])}
-    return dict(zip(idx, draw_channels([plans[j] for j in idx])))
+    return dict(zip(idx, np.atleast_2d(draw_channel(*(plans[j] for j in idx)))))
 
 
 def _curve_outage(spec: ExperimentSpec) -> list:
@@ -182,7 +187,7 @@ def _curve_outage(spec: ExperimentSpec) -> list:
     try:
         k, _ = _constants_for(cfgs[0], spec.regime)
         return [float(v) for v in k.outage_at(cfgs[0].gamma_th, [upsilon_1(c) for c in cfgs])]
-    except Exception:   # each point retries on its own
+    except _MODEL_FAILURES:   # each point retries on its own
         return none
 
 
@@ -205,7 +210,7 @@ def _grid_point_rows(spec: ExperimentSpec, value: float, h: np.ndarray | None = 
     if "analytic" in spec.engines and (outage is None or set(spec.metrics) != {"outage"}):
         try:
             k, stats = _constants_for(cfg, spec.regime)
-        except (ArithmeticError, MrrLinkError, ValueError) as exc:
+        except _MODEL_FAILURES as exc:
             errors.append(f"{where}: analytic constants failed: {exc}")
 
     def analytic(metric, *args):
@@ -216,7 +221,7 @@ def _grid_point_rows(spec: ExperimentSpec, value: float, h: np.ndarray | None = 
             return None
         try:
             return getattr(k, metric)(*args)
-        except Exception as exc:  # recorded, run continues
+        except _MODEL_FAILURES as exc:
             errors.append(f"{where}: analytic {metric} failed: {exc}")
             return None
 
@@ -224,13 +229,16 @@ def _grid_point_rows(spec: ExperimentSpec, value: float, h: np.ndarray | None = 
     if "montecarlo" in spec.engines:
         # one draw feeds every MC metric; the simulated fading follows the
         # regime of the analytic side
-        if h is None:
-            if stats is None:
-                stats = turbulence_stats(cfg, regime=spec.regime)
-            h = draw_channel(SimPlan(cfg, n_samples=spec.n_samples, seed=spec.seed,
-                                     stats=stats))
-        # sample_channel's expression and operation order, so gamma is bit-identical
-        mc = {"h": h, "snr": upsilon_1(cfg) * h * h}
+        try:
+            if h is None:
+                if stats is None:
+                    stats = turbulence_stats(cfg, regime=spec.regime)
+                h = draw_channel(SimPlan(cfg, n_samples=spec.n_samples, seed=spec.seed,
+                                         stats=stats))
+            # sample_channel's expression and operation order, so gamma is bit-identical
+            mc = {"h": h, "snr": upsilon_1(cfg) * h * h}
+        except _MODEL_FAILURES as exc:
+            errors.append(f"{where}: montecarlo channel failed: {exc}")
 
     def add(*columns, **named):
         rows.append(output_row(spec.sweep_axis, value, spec.label, *columns, **named))
@@ -293,17 +301,18 @@ def _grid_point_rows(spec: ExperimentSpec, value: float, h: np.ndarray | None = 
 
 
 def run_experiments(specs, workers: int = 1) -> list[ExperimentResult]:
-    """Evaluate the sweeps in order, one result each.  A P_t curve's
-    Monte-Carlo channel is drawn just before the curve is evaluated,
-    together with those of the later curves that share its (seed,
-    n_samples) (`_draw_group`), and released once its rows are built."""
+    """Evaluate the sweeps in order, one result each, on one pool of `workers`
+    processes if `workers` > 1.  A P_t curve's Monte-Carlo channel is drawn
+    just before the curve is evaluated, with those of the later curves that
+    share its (seed, n_samples) (`_draw_group`), and dropped after its rows."""
     plans = [_curve_plan(spec) for spec in specs]
     channels: dict = {}
     results = []
-    for i, spec in enumerate(specs):
-        if plans[i] is not None and i not in channels:
-            channels.update(_draw_group(plans, i))
-        results.append(_run_curve(spec, channels.pop(i, None), workers))
+    with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        for i, spec in enumerate(specs):
+            if plans[i] is not None and i not in channels:
+                channels.update(_draw_group(plans, i))
+            results.append(_run_curve(spec, channels.pop(i, None), pool.map if pool else map))
     return results
 
 
@@ -312,17 +321,12 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
     return run_experiments([spec], workers)[0]
 
 
-def _run_curve(spec: ExperimentSpec, h: np.ndarray | None, workers: int) -> ExperimentResult:
-    """One sweep's grid points, in grid order, given its shared channel draw."""
+def _run_curve(spec: ExperimentSpec, h: np.ndarray | None, map_fn) -> ExperimentResult:
+    """One sweep's grid points, in grid order through `map_fn`, given its channel draw."""
     n = len(spec.grid)
-    args = ([spec] * n, spec.grid, [h] * n, _curve_outage(spec))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_grid_point_rows, *args))
-    else:
-        parts = list(map(_grid_point_rows, *args))
     result = ExperimentResult()
-    for rows, flags, errors in parts:       # grid order preserved
+    for rows, flags, errors in map_fn(_grid_point_rows, [spec] * n, spec.grid, [h] * n,
+                                      _curve_outage(spec)):   # grid order preserved
         result.rows.extend(rows)
         result.flags.extend(flags)
         result.errors.extend(errors)
@@ -443,6 +447,8 @@ def heatmap(cfg: LinkConfig, sigma_e_grid, wz_grid, metric: str = "outage",
     """
     if metric not in ("outage", "ber"):
         raise ValueError("heatmap metric must be 'outage' or 'ber'")
+    if not all(se > 0 for se in sigma_e_grid):
+        raise ValueError("the closed forms need tracking jitter sigma_theta_e > 0")
     out = np.empty((len(sigma_e_grid), len(wz_grid)))
     errors = []
     for i, se in enumerate(sigma_e_grid):
@@ -450,7 +456,7 @@ def heatmap(cfg: LinkConfig, sigma_e_grid, wz_grid, metric: str = "outage",
             c = apply_axis(cfg, "w_z", float(wz)).with_(sigma_theta_e=float(se))
             try:
                 out[i, j] = _design_metric(c, metric, regime)
-            except (ArithmeticError, MrrLinkError) as exc:
+            except _MODEL_FAILURES as exc:
                 out[i, j] = math.nan
                 errors.append(f"sigma_e={se * 1e6:g}urad w_z={wz:g}m: "
                               f"analytic {metric} failed: {exc}")

@@ -23,12 +23,12 @@ it, so callers share one where their grid points would repeat it: a
 transmit-power curve forms each point's gamma = upsilon_1 h^2 from one h
 array (`experiments.run_experiments`), and a jitter grid scales one set of
 tilt normals (`mrr.hmrr_from_normals`).  Links that share (seed,
-n_samples) share one pass of the stream (`draw_channels`, the curves of a
-recipe such as fig7 or fig8): per block the uniforms and the tilt and
-tracking normals are drawn once, and the fading once per distinct (model,
-parameters); each link's h is then formed as in a pass of its own.
-`draw_channel` and `draw_channels` keep h only; `sample_channel`, the one
-block loop, also yields gamma unless asked not to.
+n_samples) share one pass of the stream (`draw_channel(plan, *more)`, the
+curves of a recipe such as fig7 or fig8): per block the uniforms and the
+tilt and tracking normals are drawn once, and the fading once per distinct
+(model, parameters); each link's h is then formed as in a pass of its own.
+`draw_channel` keeps h only; `sample_channel`, the one block loop, also
+yields gamma unless asked not to.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ __all__ = [
     "MCEstimate",
     "sample_channel",
     "draw_channel",
-    "draw_channels",
     "empirical_pdf",
     "empirical_cdf",
     "mc_outage",
@@ -210,22 +209,17 @@ def sample_channel(plan: SimPlan, *more: SimPlan, with_snr: bool = True) -> Iter
         yield tuple(hs)
 
 
-def draw_channels(plans) -> list[np.ndarray]:
-    """The full h sample array of each plan, filled block by block from one
-    pass of `sample_channel`; the plans share seed and sample count.  Each
-    plan's SNR samples are upsilon_1(cfg) * h * h, bit for bit those of
-    `sample_channel`."""
-    n = plans[0].n_samples
-    out = [np.empty(n) for _ in plans]
-    for pos, blocks in zip(range(0, n, BLOCK), sample_channel(*plans, with_snr=False)):
+def draw_channel(plan: SimPlan, *more: SimPlan) -> np.ndarray:
+    """The full h sample array of `plan`, or with further plans one row per
+    plan, filled block by block from one pass of `sample_channel`; the plans
+    share seed and sample count.  A plan's SNR samples are
+    upsilon_1(cfg) * h * h, bit for bit those of `sample_channel`."""
+    n = plan.n_samples
+    out = np.empty((1 + len(more), n))
+    for pos, blocks in zip(range(0, n, BLOCK), sample_channel(plan, *more, with_snr=False)):
         for h, hb in zip(out, blocks):
             h[pos:pos + len(hb)] = hb
-    return out
-
-
-def draw_channel(plan: SimPlan) -> np.ndarray:
-    """The full h sample array of one plan: `draw_channels`' one-plan case."""
-    return draw_channels([plan])[0]
+    return out if more else out[0]
 
 
 def empirical_pdf(samples, bins=80) -> tuple[np.ndarray, np.ndarray]:

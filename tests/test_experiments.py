@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -380,6 +381,31 @@ class TestCli:
         names = capsys.readouterr().out.split()
         assert "fig9" in names and "fig15" in names
 
+    def test_recipe_opens_one_worker_pool(self, tmp_path, monkeypatch, capsys):
+        # fig15's eight curves share one pool, and its bytes are those of one worker
+        from concurrent.futures import ProcessPoolExecutor
+
+        import mrrlink.experiments as experiments
+        from mrrlink.cli import main
+
+        pools = []
+
+        class Counting(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", Counting)
+        outs = {}
+        for workers in ("2", "1"):
+            outs[workers] = tmp_path / f"fig15-w{workers}.csv"
+            assert main(["recipe", "fig15", "--workers", workers,
+                         "--out", str(outs[workers])]) == 0
+            assert len(pools) == 1
+        for suffix in ("", ".json"):
+            assert (Path(f"{outs['1']}{suffix}").read_bytes()
+                    == Path(f"{outs['2']}{suffix}").read_bytes())
+
     def test_optimize_command(self, capsys):
         from mrrlink.cli import main
 
@@ -737,6 +763,35 @@ class TestCliModelFailure:
         assert "sigma_e=50urad w_z=0.1m: analytic outage failed" in errors[0]
         assert failure in errors[0]
 
+    def test_sector_range_cell_is_nan_and_named(self, tmp_path, capsys):
+        # 12 deg lies outside the strong model's sector table (1-11 deg)
+        from mrrlink.cli import main
+
+        out = tmp_path / "map.csv"
+        assert main(["heatmap", "--regime", "strong", "--set", "sigma_theta_o=12 deg",
+                     "--sigma-e-points", "2", "--w-z-points", "3", "--out", str(out)]) == 0
+        assert [line.split(",")[1:] for line in out.read_text().splitlines()[1:]] == (
+            [["nan"] * 3] * 2)
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert [e.split(": analytic")[0] for e in errors] == [
+            f"error: sigma_e={se:g}urad w_z={wz:g}m" for se in (50, 400) for wz in (0.1, 1.05, 2)]
+        assert all(e.endswith("analytic outage failed: sigma_theta_o=12.00 deg outside "
+                              "the sector table range [1, 11] deg") for e in errors)
+
+    def test_sector_range_optimize_exits_1_and_writes_nothing(self, tmp_path, capsys):
+        from mrrlink.cli import main
+
+        out = tmp_path / "opt.json"
+        assert main(["optimize", "--regime", "strong", "--set", "sigma_theta_o=12 deg",
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+        assert errors == ["error: optimize outage failed: sigma_theta_o=12.00 deg outside "
+                          "the sector table range [1, 11] deg"]
+        assert not out.exists()
+
     def test_optimize_failure_exits_1_and_writes_nothing(self, tmp_path, capsys):
         from mrrlink.cli import main
 
@@ -760,3 +815,38 @@ class TestCliModelFailure:
         assert all("analytic constants failed" in e for e in errors)
         assert out.read_text().splitlines() == [
             "sweep_axis,sweep_value,label,metric,engine,x,value,ci_low,ci_high,flag"]
+
+    def test_mc_recipe_records_failed_statistics_per_point(self, tmp_path, capsys):
+        # the Gamma-Gamma parameters overflow: fig7's shared draw cannot be
+        # planned, so each curve's point draws on its own and records the
+        # failure, next to the analytic side's
+        from mrrlink.cli import main
+
+        out = tmp_path / "fig7.csv"
+        assert main(["recipe", "fig7", "--samples", "20000", "--set", "wind_v=1e150",
+                     "--out", str(out)]) == 0
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert [e.split(" failed: ")[0] for e in errors] == [
+            f"error: [sigma_o={deg}deg] Pt=0.1: {what}"
+            for deg in (2, 8) for what in ("analytic constants", "montecarlo channel")]
+        assert all("Numerical result out of range" in e for e in errors)
+        assert out.read_text().splitlines() == [
+            "sweep_axis,sweep_value,label,metric,engine,x,value,ci_low,ci_high,flag"]
+        assert len(json.loads(Path(f"{out}.json").read_text())["errors"]) == 4
+
+    def test_mc_sweep_records_failed_statistics_per_point(self, tmp_path, capsys):
+        # an orientation-jitter sweep draws per point, in the point's own guard
+        from mrrlink.cli import main
+
+        cfg = tmp_path / "jitter.cfg"
+        cfg.write_text("sweep = sigma_theta_o\ngrid = 2, 5, 8 deg\nmetrics = outage, cdf_h\n"
+                       "engines = montecarlo\nsamples = 20000\n")
+        out = tmp_path / "jitter.csv"
+        assert main(["run", str(cfg), "--set", "wind_v=1e150", "--out", str(out)]) == 0
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert [e.split(" failed: ")[0] for e in errors] == [
+            f"error: sigma_theta_o={deg * DEG:g}: montecarlo channel" for deg in (2, 5, 8)]
+        assert all("Numerical result out of range" in e for e in errors)
+        assert len(out.read_text().splitlines()) == 1

@@ -22,7 +22,6 @@ from mrrlink.montecarlo import (
     FadingModel,
     SimPlan,
     draw_channel,
-    draw_channels,
     empirical_cdf,
     empirical_pdf,
     mc_ber,
@@ -134,8 +133,9 @@ class TestSharedPass:
 
     def test_each_array_is_its_plans_own_draw(self, block_rows):
         plans = self.plans()
-        shared = draw_channels(plans)
+        shared = draw_channel(*plans)
         assert block_rows == [BLOCK, 1_000]   # one pass for all four
+        assert shared.shape == (len(plans), self.N)
         for plan, h in zip(plans, shared):
             assert np.array_equal(h, draw_channel(plan))
 
@@ -148,12 +148,12 @@ class TestSharedPass:
             return original(plan, u, block)
 
         monkeypatch.setattr(montecarlo, "_fading_pair", recording)
-        draw_channels(self.plans())
+        draw_channel(*self.plans())
         assert drawn == [FadingModel.LOG_NORMAL, FadingModel.GAMMA_GAMMA] * 2   # per block
 
     def test_snr_blocks_follow_the_h_blocks(self):
         plans = self.plans()[:2]
-        hs = draw_channels(plans)
+        hs = draw_channel(*plans)
         blocks = list(montecarlo.sample_channel(*plans))
         assert all(len(b) == 4 for b in blocks)
         for i, (plan, h) in enumerate(zip(plans, hs)):
@@ -165,7 +165,7 @@ class TestSharedPass:
     def test_plans_must_share_seed_and_samples(self, other):
         plan = SimPlan(weak_cfg(), self.N, seed=5)
         with pytest.raises(ValueError, match="share seed and n_samples"):
-            draw_channels([plan, SimPlan(**{**vars(plan), **other})])
+            draw_channel(plan, SimPlan(**{**vars(plan), **other}))
 
 
 class TestRowsDrawn:

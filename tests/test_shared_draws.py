@@ -132,8 +132,8 @@ class TestOnePassPerRecipe:
         assert len(passes) == len(specs)
 
     def test_curves_draw_just_before_they_are_evaluated(self, monkeypatch):
-        # a group draws before its first curve and a lone curve when it is
-        # evaluated, so no h waits while curves that do not share it run
+        # a group draws in one call before its first curve, and so does a
+        # lone curve, so no h waits while curves that do not share it run
         events = []
         original = experiments._grid_point_rows
 
@@ -147,10 +147,8 @@ class TestOnePassPerRecipe:
                                   n_samples=1_000, seed=seed)
 
         monkeypatch.setattr(experiments, "_grid_point_rows", point)
-        monkeypatch.setattr(experiments, "draw_channel", lambda plan: events.append(
-            ("draw", [plan.seed])) or draw_channel(plan))
-        monkeypatch.setattr(experiments, "draw_channels", lambda plans: events.append(
-            ("draw", [p.seed for p in plans])) or montecarlo.draw_channels(plans))
+        monkeypatch.setattr(experiments, "draw_channel", lambda *plans: events.append(
+            ("draw", [p.seed for p in plans])) or draw_channel(*plans))
         run_experiments([curve(1), curve(2), curve(1)])
         assert events == [("draw", [1, 1]), ("point", 1), ("draw", [2]), ("point", 2),
                           ("point", 1)]

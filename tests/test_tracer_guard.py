@@ -73,6 +73,25 @@ def test_tracer_counts_gamma_gamma_samples():
     assert metrics["montecarlo.samples_per_s.lognormal"] == 0.0
 
 
+def test_tracer_times_a_shared_pass():
+    # two P_t curves that share (seed, n_samples) draw in one draw_channel
+    # call; the tracer times that call, so their fading has a rate
+    tracer = load("tracer").Tracer()
+    tracer.install()
+    try:
+        specs = [experiments.ExperimentSpec(
+            LinkConfig(sigma_theta_o=jitter), "Pt", (0.01, 0.1), metrics=("outage",),
+            engines=("montecarlo",), n_samples=5_000, seed=3) for jitter in (0.035, 0.14)]
+        experiments.run_experiments(specs)
+    finally:
+        tracer.uninstall()
+    metrics = tracer.layer_metrics()
+    assert metrics["montecarlo.passes_per_point"] == 0.25   # one pass, four points
+    assert metrics["montecarlo.samples"] == 5_000           # one fading draw for both
+    assert metrics["montecarlo.self_s"] > 0.0
+    assert metrics["montecarlo.samples_per_s.lognormal"] > 0.0
+
+
 def test_probes_reach_their_kernels():
     probes = load("probes")
     k, h = probes.pdf_grid80_case()
