@@ -220,11 +220,16 @@ def pointing_loss_approx(cfg: LinkConfig, d_px, d_py):
     """Collected-power fraction at the retroreflector, plane-wave reading.
 
     (2 A_r / (pi w_z^2)) exp(-2 d_p^2 / w_z^2) for displacement
-    (d_px, d_py) of the beam center from the aperture center.
+    (d_px, d_py) of the beam center from the aperture center, computed in
+    place on one working array; the displacements are never written.
     """
     w_z = beamwidth(cfg)
-    d2 = np.asarray(d_px, dtype=float) ** 2 + np.asarray(d_py, dtype=float) ** 2
-    out = (2.0 * cfg.A_r / (math.pi * w_z ** 2)) * np.exp(-2.0 * d2 / w_z ** 2)
+    out = np.square(d_px, out=np.empty(np.shape(d_px)), dtype=float)
+    out += np.square(d_py, dtype=float)
+    out *= -2.0
+    out /= w_z ** 2
+    np.exp(out, out=out)
+    out *= 2.0 * cfg.A_r / (math.pi * w_z ** 2)
     return float(out) if out.ndim == 0 else out
 
 

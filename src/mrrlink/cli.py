@@ -54,7 +54,9 @@ def _add_common(p: argparse.ArgumentParser, samples: bool, link: bool) -> None:
     """--seed, --out, --workers; --samples and --set where the command uses them."""
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="output path")
-    p.add_argument("--workers", type=_count, default=1)
+    p.add_argument("--workers", type=_count, default=1,
+                   help="worker processes; every command accepts it, only run and "
+                        "the link recipes use it")
     if samples:
         p.add_argument("--samples", type=_count, default=None,
                        help="Monte-Carlo samples per grid point (default 1e6; mc-tables 5e6)")

@@ -138,9 +138,11 @@ def link_field(target: str) -> str:
     return "theta_div" if target == "w_z" else target
 
 
-def _constants_for(cfg: LinkConfig, regime: str | None):
-    """Model constants of the fading regime, and the statistics that chose it."""
-    stats = turbulence_stats(cfg, regime=regime)
+def _constants_for(cfg: LinkConfig, regime: str | None, stats=None):
+    """Model constants of the fading regime, and the statistics that chose it:
+    `stats` when given (those of cfg and regime), else computed here."""
+    if stats is None:
+        stats = turbulence_stats(cfg, regime=regime)
     if stats.regime is Regime.WEAK_TO_MODERATE:
         moments = mrr_moments(cfg.sigma_theta_o)
         return weak_constants(cfg, moments, stats), stats
@@ -204,14 +206,22 @@ def _grid_point_rows(spec: ExperimentSpec, value: float, h: np.ndarray | None = 
     scalar_metrics = [m for m in spec.metrics if m in ("outage", "ber")]
     dist_metrics = [m for m in spec.metrics if m not in ("outage", "ber")]
 
-    k = stats = None
     # the curve's outage call built the same constants; build them only
     # for what it did not compute
-    if "analytic" in spec.engines and (outage is None or set(spec.metrics) != {"outage"}):
+    needs_constants = "analytic" in spec.engines and (
+        outage is None or set(spec.metrics) != {"outage"})
+    needs_draw = "montecarlo" in spec.engines and h is None
+    k = stats = None
+    if needs_constants or needs_draw:
+        # one evaluation of the statistics feeds both engines; their failure
+        # is recorded once, under the first engine that needs them
         try:
-            k, stats = _constants_for(cfg, spec.regime)
+            stats = turbulence_stats(cfg, regime=spec.regime)
+            if needs_constants:
+                k, _ = _constants_for(cfg, spec.regime, stats)
         except _MODEL_FAILURES as exc:
-            errors.append(f"{where}: analytic constants failed: {exc}")
+            what = "analytic constants" if needs_constants else "montecarlo channel"
+            errors.append(f"{where}: {what} failed: {exc}")
 
     def analytic(metric, *args):
         """The model's value of one metric, or None with the failure recorded."""
@@ -226,17 +236,17 @@ def _grid_point_rows(spec: ExperimentSpec, value: float, h: np.ndarray | None = 
             return None
 
     mc = None
-    if "montecarlo" in spec.engines:
+    if "montecarlo" in spec.engines and (h is not None or stats is not None):
         # one draw feeds every MC metric; the simulated fading follows the
         # regime of the analytic side
         try:
             if h is None:
-                if stats is None:
-                    stats = turbulence_stats(cfg, regime=spec.regime)
                 h = draw_channel(SimPlan(cfg, n_samples=spec.n_samples, seed=spec.seed,
                                          stats=stats))
-            # sample_channel's expression and operation order, so gamma is bit-identical
-            mc = {"h": h, "snr": upsilon_1(cfg) * h * h}
+            # gamma = (upsilon_1 h) h, sample_channel's operation order, so it is bit-identical
+            snr = upsilon_1(cfg) * h
+            snr *= h
+            mc = {"h": h, "snr": snr}
         except _MODEL_FAILURES as exc:
             errors.append(f"{where}: montecarlo channel failed: {exc}")
 

@@ -29,6 +29,13 @@ tilt and tracking normals are drawn once, and the fading once per distinct
 (model, parameters); each link's h is then formed as in a pass of its own.
 `draw_channel` keeps h only; `sample_channel`, the one block loop, also
 yields gamma unless asked not to.
+
+A block's arithmetic makes one pass per operation: products and sums
+across a row's few columns are taken column by column (f[:, 0] * f[:, 1]
+* f[:, 2]) rather than as small-axis reductions, and ufunc chains run in
+place on one working array.  Each sample sees the same operations in the
+same order as the row-wise form, so the byte contract above is unchanged;
+the pinned digests in the tests hold it.
 """
 
 from __future__ import annotations
@@ -136,13 +143,32 @@ def block_uniforms(seed: int, index: int, cols: int, rows: int) -> np.ndarray:
 def normals(u: np.ndarray) -> np.ndarray:
     """Standard normals by inversion.  Uniforms lie in [0, 1), so only the
     lower end is clipped, which keeps ndtri off -inf."""
-    return sp.ndtri(np.maximum(u, 1e-17))
+    x = np.maximum(u, 1e-17)
+    return sp.ndtri(x, out=x)
 
 
-def _mirror_factor(theta) -> np.ndarray:
-    """Power fraction a mirror tilted by theta reflects: 1 - tan|theta| clamped
-    at 0, with the tilt capped at pi/2, past which tan turns negative."""
-    return np.maximum(0.0, 1.0 - np.tan(np.minimum(np.abs(theta), math.pi / 2)))
+def _mirror_factor(theta, scale: float = 1.0):
+    """Power fraction a mirror tilted by scale * theta reflects: 1 - tan|tilt|
+    clamped at 0, with the tilt capped at pi/2, past which tan turns
+    negative.  Computed in place on one working array, so `theta` is never
+    written; a float or 0-d theta gives a float."""
+    x = np.multiply(theta, scale, out=np.empty(np.shape(theta)))
+    np.abs(x, out=x)
+    np.minimum(x, math.pi / 2, out=x)
+    np.tan(x, out=x)
+    np.subtract(1.0, x, out=x)
+    np.maximum(x, 0.0, out=x)
+    return x if x.ndim else float(x)
+
+
+def _mirror_product(z: np.ndarray, scale: float) -> np.ndarray:
+    """Reflection coefficient per row of the (n, 3) tilt normals z at jitter
+    SD `scale`: the three mirror factors multiplied column by column, in the
+    order of a row-wise product."""
+    f = _mirror_factor(z, scale)
+    out = f[:, 0] * f[:, 1]
+    out *= f[:, 2]
+    return out
 
 
 def _fading_key(plan: SimPlan) -> tuple:
@@ -166,11 +192,18 @@ def _fading_pair(plan: SimPlan, u: np.ndarray, block: int) -> np.ndarray:
         if s_l2 == 0.0:
             return np.ones(len(u))
         x = normals(u)
-        return np.exp((2.0 * math.sqrt(s_l2)) * x.sum(axis=1) - 4.0 * s_l2)
+        out = x[:, 0] + x[:, 1]
+        out *= 2.0 * math.sqrt(s_l2)
+        out -= 4.0 * s_l2
+        return np.exp(out, out=out)
     alpha, beta = params
     shapes = np.array([alpha, alpha, beta, beta])
-    gen = _block_generator(plan.seed, block, _FADING_SUBSTREAM)
-    return (gen.standard_gamma(shapes, (len(u), 4)) / shapes).prod(axis=1)
+    g = _block_generator(plan.seed, block, _FADING_SUBSTREAM).standard_gamma(shapes, (len(u), 4))
+    g /= shapes
+    out = g[:, 0] * g[:, 1]
+    out *= g[:, 2]
+    out *= g[:, 3]
+    return out
 
 
 def sample_channel(plan: SimPlan, *more: SimPlan, with_snr: bool = True) -> Iterator[tuple]:
@@ -198,14 +231,21 @@ def sample_channel(plan: SimPlan, *more: SimPlan, with_snr: bool = True) -> Iter
         hs = []
         for p, key, hl, h_pg, scale in links:
             cfg = p.cfg
-            h_mrr = np.prod(_mirror_factor(cfg.sigma_theta_o * tilt), axis=1)
-            d = scale * np.sin(cfg.sigma_theta_e * track)
-            h_pu = pointing_loss_approx(cfg, d[:, 0], d[:, 1])
+            d = np.multiply(track, cfg.sigma_theta_e)
+            np.sin(d, out=d)
+            d *= scale
             if key not in fading:
                 fading[key] = _fading_pair(p, u[:, 5:7], b)
-            hs.append((hl * hl * h_pg) * fading[key] * h_pu * h_mrr)
+            # (hl^2 h_pg) * fading * h_pu * h_mrr, left to right
+            h = fading[key] * (hl * hl * h_pg)
+            h *= pointing_loss_approx(cfg, d[:, 0], d[:, 1])
+            h *= _mirror_product(tilt, cfg.sigma_theta_o)
+            hs.append(h)
         if with_snr:
-            hs += [c * h * h for c, h in zip(u1, hs)]
+            for c, h in zip(u1, hs[:len(plans)]):
+                g = c * h
+                g *= h
+                hs.append(g)
         yield tuple(hs)
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientSamplesError, NonPositiveBreakpointError
-from .montecarlo import BLOCK, _mirror_factor, block_uniforms, normals
+from .montecarlo import BLOCK, _mirror_factor, _mirror_product, block_uniforms, normals
 from .specfun import at_positive
 
 __all__ = [
@@ -109,8 +109,7 @@ def hmrr_component(theta):
     theta = np.asarray(theta, dtype=float)
     if np.any(np.abs(theta) >= math.pi / 2):
         raise ValueError("|theta| must be below pi/2")
-    out = _mirror_factor(theta)
-    return float(out) if out.ndim == 0 else out
+    return _mirror_factor(theta)
 
 
 def tilt_normals(n: int, seed: int = 0) -> np.ndarray:
@@ -133,7 +132,7 @@ def hmrr_from_normals(sigma_theta_o: float, z: np.ndarray) -> np.ndarray:
     temporaries stay one block in size."""
     out = np.empty(len(z))
     for pos in range(0, len(z), BLOCK):
-        out[pos:pos + BLOCK] = np.prod(_mirror_factor(sigma_theta_o * z[pos:pos + BLOCK]), axis=1)
+        out[pos:pos + BLOCK] = _mirror_product(z[pos:pos + BLOCK], sigma_theta_o)
     return out
 
 

@@ -274,6 +274,21 @@ class TestPointing:
             v = pointing_loss_approx(c, d, -d / 2)
             assert 0 < v <= amax
 
+    def test_scalar_in_float_out(self):
+        c = cfg()
+        for d in (0.05, np.array(0.05)):
+            got = pointing_loss_approx(c, d, -0.03)
+            assert type(got) is float
+            assert got == pointing_loss_approx(c, np.array([0.05]), np.array([-0.03]))[0]
+
+    def test_displacements_not_written(self):
+        c = cfg()
+        dx, dy = np.linspace(-0.2, 0.2, 7), np.linspace(0.1, -0.1, 7)
+        kept = dx.copy(), dy.copy()
+        got = pointing_loss_approx(c, dx, dy)
+        assert np.array_equal(dx, kept[0]) and np.array_equal(dy, kept[1])
+        assert np.array_equal(got, [pointing_loss_approx(c, x, y) for x, y in zip(*kept)])
+
     def test_exact_matches_disc_closed_form_small_aperture(self):
         # disc of equal area, radius << w_z: closed form 1 - exp(-2 rho^2 / w^2)
         c = cfg(A_r=1e-4, theta_div=0.4e-3, Z=1000.0)

@@ -182,6 +182,28 @@ class TestRunExperiment:
         assert [r["sweep_value"] for r in res.rows if r["metric"] == "outage"] == list(grid)
         assert len([r for r in res.rows if r["metric"] == "cdf_h"]) == 10 * len(grid)
 
+    def test_point_evaluates_its_statistics_once(self, monkeypatch):
+        # 12 deg lies outside the strong model's sector table: the constants
+        # fail after the statistics, and the Monte-Carlo engine still runs
+        # from those same statistics
+        import mrrlink.experiments as experiments
+
+        calls = []
+        real = experiments.turbulence_stats
+        monkeypatch.setattr(experiments, "turbulence_stats",
+                            lambda *a, **kw: calls.append(a) or real(*a, **kw))
+        grid = (90e-6, 100e-6)
+        spec = ExperimentSpec(base_cfg(sigma_theta_o=12 * DEG, cn2_0=5e-14), "sigma_theta_e",
+                              grid, metrics=("outage",), engines=("analytic", "montecarlo"),
+                              regime="strong", n_samples=20_000)
+        res = run_experiment(spec)
+        assert len(calls) == len(grid)
+        assert [e.split(" failed: ")[0] for e in res.errors] == [
+            f"sigma_theta_e={v:g}: analytic constants" for v in grid]
+        assert all("sector table range" in e for e in res.errors)
+        assert [(r["sweep_value"], r["engine"]) for r in res.rows] == [
+            (v, "montecarlo") for v in grid]
+
     @pytest.mark.parametrize("regime,cn2", [("weak", 5e-15), ("strong", 5e-14)])
     def test_zero_tracking_jitter_recorded_mc_rows_kept(self, regime, cn2):
         spec = ExperimentSpec(base_cfg(cn2_0=cn2), "sigma_theta_e", (0.0, 100e-6),
@@ -405,6 +427,25 @@ class TestCli:
         for suffix in ("", ".json"):
             assert (Path(f"{outs['1']}{suffix}").read_bytes()
                     == Path(f"{outs['2']}{suffix}").read_bytes())
+
+    @pytest.mark.parametrize("argv,outputs", [
+        (["optimize", "--set", "Pt=20 dBm"], ("",)),
+        (["heatmap", "--sigma-e-points", "2", "--w-z-points", "2"], ("",)),
+        (["mc-tables", "--samples", "10000"], ("_moments.csv", "_sectors.csv")),
+        (["recipe", "fig13", "--samples", "20000"], ("", ".json")),
+    ], ids=["optimize", "heatmap", "mc-tables", "fig13"])
+    def test_worker_count_is_accepted_and_changes_nothing(self, argv, outputs, tmp_path,
+                                                          capsys):
+        # every command takes --workers, so one command line form serves all;
+        # these ones compute in one process whatever its value
+        from mrrlink.cli import main
+
+        files = {}
+        for workers in ("1", "3"):
+            out = tmp_path / f"w{workers}"
+            assert main([*argv, "--workers", workers, "--out", str(out)]) == 0
+            files[workers] = [Path(f"{out}{suffix}").read_bytes() for suffix in outputs]
+        assert files["1"] == files["3"]
 
     def test_optimize_command(self, capsys):
         from mrrlink.cli import main
@@ -818,8 +859,8 @@ class TestCliModelFailure:
 
     def test_mc_recipe_records_failed_statistics_per_point(self, tmp_path, capsys):
         # the Gamma-Gamma parameters overflow: fig7's shared draw cannot be
-        # planned, so each curve's point draws on its own and records the
-        # failure, next to the analytic side's
+        # planned, and each curve's point evaluates its statistics once for
+        # both engines and records their failure once
         from mrrlink.cli import main
 
         out = tmp_path / "fig7.csv"
@@ -828,12 +869,11 @@ class TestCliModelFailure:
         errors = [line for line in capsys.readouterr().err.splitlines()
                   if line.startswith("error:")]
         assert [e.split(" failed: ")[0] for e in errors] == [
-            f"error: [sigma_o={deg}deg] Pt=0.1: {what}"
-            for deg in (2, 8) for what in ("analytic constants", "montecarlo channel")]
+            f"error: [sigma_o={deg}deg] Pt=0.1: analytic constants" for deg in (2, 8)]
         assert all("Numerical result out of range" in e for e in errors)
         assert out.read_text().splitlines() == [
             "sweep_axis,sweep_value,label,metric,engine,x,value,ci_low,ci_high,flag"]
-        assert len(json.loads(Path(f"{out}.json").read_text())["errors"]) == 4
+        assert len(json.loads(Path(f"{out}.json").read_text())["errors"]) == 2
 
     def test_mc_sweep_records_failed_statistics_per_point(self, tmp_path, capsys):
         # an orientation-jitter sweep draws per point, in the point's own guard

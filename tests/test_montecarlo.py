@@ -27,7 +27,7 @@ from mrrlink.montecarlo import (
     mc_ber,
     mc_outage,
 )
-from mrrlink.mrr import sample_hmrr
+from mrrlink.mrr import hmrr_from_normals, sample_hmrr, tilt_normals
 from mrrlink.weak import weak_constants
 from mrrlink.mrr import model_moments
 
@@ -139,6 +139,28 @@ class TestSharedPass:
         for plan, h in zip(plans, shared):
             assert np.array_equal(h, draw_channel(plan))
 
+    def test_shared_normals_not_written(self, monkeypatch):
+        # the tilt and tracking normals of a block serve every plan of the
+        # pass; each plan's h and gamma are those of a pass of its own
+        drawn = []
+        original = montecarlo.normals
+
+        def recording(u):
+            out = original(u)
+            drawn.append((out, out.copy()))
+            return out
+
+        monkeypatch.setattr(montecarlo, "normals", recording)
+        plans = self.plans()
+        blocks = list(montecarlo.sample_channel(*plans))
+        assert drawn and all(np.array_equal(x, kept) for x, kept in drawn)
+        monkeypatch.undo()
+        for i, plan in enumerate(plans):
+            own = list(montecarlo.sample_channel(plan))
+            for shared, (h, gamma) in zip(blocks, own):
+                assert np.array_equal(shared[i], h)
+                assert np.array_equal(shared[len(plans) + i], gamma)
+
     def test_fading_drawn_once_per_model_and_parameters(self, monkeypatch):
         drawn = []
         original = montecarlo._fading_pair
@@ -185,9 +207,12 @@ class TestRowsDrawn:
 
 
 class TestPinnedStreams:
-    """sha256 of streams the Gamma-Gamma sampler must not move, recorded
-    before it replaced inverse-CDF fading (numpy 2.4, x86-64 Linux); each
-    draw crosses a block boundary."""
+    """sha256 of streams the Monte-Carlo kernel must not move (numpy 2.4,
+    x86-64 Linux); each draw crosses a block boundary.  The log-normal and
+    `sample_hmrr` digests were recorded before the Gamma-Gamma sampler
+    replaced inverse-CDF fading; the Gamma-Gamma, shared-pass and
+    jitter-grid digests before the block arithmetic went column-wise and
+    in place."""
 
     @staticmethod
     def digest(*arrays) -> str:
@@ -203,6 +228,26 @@ class TestPinnedStreams:
     def test_sample_hmrr(self):
         assert self.digest(sample_hmrr(0.1, BLOCK + 1_000, seed=5)) == (
             "859c79de4b246cdc696922688d364184392d8dd661da2f8486929831d1757940")
+
+    def test_gammagamma_channel(self):
+        plan = SimPlan(strong_cfg(), n_samples=BLOCK + 1_000, seed=5)
+        assert plan.resolved().fading is FadingModel.GAMMA_GAMMA
+        h = draw_channel(plan)
+        assert self.digest(h, upsilon_1(plan.cfg) * h * h) == (
+            "f0eb0605307d5638cfa60ed6f60965aa93293a9c0d25c38af36600f3e71f6206")
+
+    def test_shared_pass(self):
+        # two orientation jitters, one log-normal fading key
+        n = BLOCK + 1_000
+        plans = (SimPlan(weak_cfg(), n, seed=5),
+                 SimPlan(weak_cfg(sigma_theta_o=8 * DEG), n, seed=5))
+        assert self.digest(draw_channel(*plans)) == (
+            "ed23f7541a106637eed0904f28280d876567de8f88e73e82cdf401b3b7740a33")
+
+    def test_hmrr_jitter_grid(self):
+        z = tilt_normals(BLOCK + 1_000, seed=5)
+        assert self.digest(hmrr_from_normals(0.05, z), hmrr_from_normals(0.1, z)) == (
+            "d7479104051275d0da7333ad8f54fd8c6b6ab724a4d61ed9e66a2e33bc3cea1c")
 
 
 def gg_moment(a: float, b: float, k: float) -> float:

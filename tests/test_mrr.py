@@ -45,6 +45,25 @@ class TestComponent:
         with pytest.raises(ValueError):
             hmrr_component(math.pi / 2)
 
+    @pytest.mark.parametrize("theta", [-0.3, np.array(-0.3)], ids=["float", "0-d"])
+    def test_scalar_in_float_out(self, theta):
+        from mrrlink.montecarlo import _mirror_factor
+
+        want = 1.0 - math.tan(0.3)
+        for f in (hmrr_component, _mirror_factor):
+            got = f(theta)
+            assert type(got) is float and got == pytest.approx(want, rel=1e-15)
+        assert theta == -0.3   # the 0-d input is not written
+
+    def test_array_input_not_written(self):
+        from mrrlink.montecarlo import _mirror_factor
+
+        theta = np.array([[-0.3, 0.1, 2.0]])
+        kept = theta.copy()
+        want = [[_mirror_factor(t * 0.5) for t in kept[0]]]
+        assert np.array_equal(_mirror_factor(theta, 0.5), want)
+        assert np.array_equal(theta, kept)
+
 
 class TestSampling:
     def test_no_jitter(self):
@@ -78,6 +97,14 @@ class TestSampling:
         for sigma in (0.0, 0.1, 8 * DEG):
             assert np.array_equal(sample_hmrr(sigma, BLOCK + 1_000, seed=5),
                                   hmrr_from_normals(sigma, z))
+
+    def test_normals_not_written(self):
+        # mc-tables and fig13 scale one set of tilt normals to every jitter
+        z = tilt_normals(BLOCK + 1_000, seed=5)
+        kept = z.copy()
+        first = hmrr_from_normals(8 * DEG, z)
+        assert np.array_equal(z, kept)
+        assert np.array_equal(hmrr_from_normals(8 * DEG, z), first)
 
     def test_one_degree_row(self):
         # published-table row at 1 deg; the model reproduces this row
