@@ -94,7 +94,19 @@ class LinkConfig:
                              f"Z_hu={self.Z_hu:g}")
         if self.P_t <= 0 or self.R_pd <= 0 or self.sigma_n2 <= 0 or self.gamma_th < 0:
             raise ValueError("P_t, R_pd, sigma_n2 must be positive; gamma_th >= 0")
+        if not self.wavelength > 0:
+            raise ValueError(f"wavelength={self.wavelength:g} m must be positive")
+        try:
+            snr_scale = upsilon_1(self)
+        except OverflowError:
+            snr_scale = math.inf
+        if not 0 < snr_scale < math.inf:
+            raise ValueError(f"SNR scale 2 R_pd^2 P_t^2 / sigma_n2 = {snr_scale:g} leaves "
+                             "the floating-point range")
         w_z = self.theta_div * self.Z
+        if not 0 < w_z * w_z < math.inf:   # the beam area and the pointing losses need w_z^2
+            raise ValueError(f"beam radius theta_div*Z={w_z:g} m: its square leaves the "
+                             "floating-point range")
         # Plane-wave reading of the aperture integral needs A_r << beam area.
         if self.A_r > 0.01 * math.pi * w_z ** 2 / 2:
             warnings.warn(

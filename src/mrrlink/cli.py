@@ -20,9 +20,8 @@ import numpy as np
 from . import __version__
 from .channel import LinkConfig
 from .config import LINK_KEYS, RawConfig, config_entries, parse_config, require_experiment_keys
-from .errors import ConfigError
+from .errors import MODEL_FAILURES, ConfigError
 from .experiments import (
-    _MODEL_FAILURES,
     ExperimentSpec,
     heatmap,
     link_field,
@@ -93,7 +92,7 @@ def cmd_optimize(args) -> int:
         res = optimize_divergence(args.link, objective=args.objective,
                                   bracket=(args.bracket[0] * 1e-3, args.bracket[1] * 1e-3),
                                   regime=args.regime)
-    except _MODEL_FAILURES as e:   # the model failed on this link
+    except MODEL_FAILURES as e:   # the model failed on this link
         print(f"error: optimize {args.objective} failed: {e}", file=sys.stderr)
         return 1
     out = {

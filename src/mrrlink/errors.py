@@ -37,6 +37,11 @@ class NumericalOverflowError(MrrLinkError):
     """A closed-form series term left the representable floating range."""
 
 
+# What a model raises on a link it cannot evaluate (overflow, a contour that
+# fails, a jitter outside the sector table); every model catch names it.
+MODEL_FAILURES = (ArithmeticError, MrrLinkError, ValueError)
+
+
 class ConfigError(MrrLinkError):
     """Base class for experiment-config parsing errors."""
 

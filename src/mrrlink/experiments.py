@@ -22,7 +22,7 @@ curve shares what its grid points would repeat:
   fails.
 Every other axis moves h and the constants, so each of its grid points
 draws and builds its own.  A grid point records each model failure
-(`_MODEL_FAILURES`) and the sweep goes on.
+(`MODEL_FAILURES`) and the sweep goes on.
 """
 
 from __future__ import annotations
@@ -37,17 +37,17 @@ import numpy as np
 
 from . import __version__
 from .channel import LinkConfig, Regime, beamwidth, h_constant, turbulence_stats, upsilon_1
-from .errors import MrrLinkError
+from .errors import MODEL_FAILURES
 from .montecarlo import (
     SimPlan,
     draw_channel,
-    empirical_cdf,
-    empirical_pdf,
     mc_ber,
     mc_outage,
+    sorted_cdf,
+    sorted_pdf,
 )
 from .mrr import mrr_moments, sector_table
-from .strong import strong_constants
+from .strong import metric_batch, strong_constants
 from .weak import weak_constants
 
 __all__ = [
@@ -77,10 +77,6 @@ _OUTAGE_FLOOR = 1e-4
 _BER_FLOOR = 1e-7
 _REL_TOL = 0.10
 _KS_TOL = 0.02
-
-# What a model raises on a link it cannot evaluate (overflow, a contour that
-# fails, a jitter outside the sector table); every model catch names it.
-_MODEL_FAILURES = (ArithmeticError, MrrLinkError, ValueError)
 
 
 @dataclass(frozen=True)
@@ -153,24 +149,30 @@ def _constants_for(cfg: LinkConfig, regime: str | None, stats=None):
 def _curve_plan(spec: ExperimentSpec) -> SimPlan | None:
     """The Monte-Carlo draw every grid point of a P_t curve shares, at the
     first grid value; None when the curve has no Monte-Carlo engine, sweeps
-    an axis that moves h, or its statistics fail (each point then draws)."""
+    an axis that moves h, or its first link or its statistics fail (each point
+    then draws)."""
     if spec.sweep_axis != "Pt" or "montecarlo" not in spec.engines:
         return None
-    cfg = apply_axis(spec.base, "Pt", spec.grid[0])
     try:
+        cfg = apply_axis(spec.base, "Pt", spec.grid[0])
         stats = turbulence_stats(cfg, regime=spec.regime)
-    except _MODEL_FAILURES:
+    except MODEL_FAILURES:
         return None
     return SimPlan(cfg, n_samples=spec.n_samples, seed=spec.seed, stats=stats)
 
 
 def _draw_group(plans, i: int) -> dict:
     """{j: h} for curve i and each later curve that shares its (seed,
-    n_samples), the rows of one `draw_channel` pass; i is the first of them."""
+    n_samples), the rows of one `draw_channel` pass; i is the first of them.
+    If the pass fails, each of them maps to the exception instead, which
+    every grid point of those curves records as its channel failure."""
     key = (plans[i].seed, plans[i].n_samples)
     idx = [j for j in range(i, len(plans))
            if plans[j] is not None and (plans[j].seed, plans[j].n_samples) == key]
-    return dict(zip(idx, np.atleast_2d(draw_channel(*(plans[j] for j in idx)))))
+    try:
+        return dict(zip(idx, np.atleast_2d(draw_channel(*(plans[j] for j in idx)))))
+    except MODEL_FAILURES as exc:
+        return dict.fromkeys(idx, exc)
 
 
 def _curve_outage(spec: ExperimentSpec) -> list:
@@ -185,24 +187,28 @@ def _curve_outage(spec: ExperimentSpec) -> list:
     none = [None] * len(spec.grid)
     if spec.sweep_axis != "Pt" or "analytic" not in spec.engines or "outage" not in spec.metrics:
         return none
-    cfgs = [apply_axis(spec.base, "Pt", v) for v in spec.grid]
     try:
+        cfgs = [apply_axis(spec.base, "Pt", v) for v in spec.grid]
         k, _ = _constants_for(cfgs[0], spec.regime)
         return [float(v) for v in k.outage_at(cfgs[0].gamma_th, [upsilon_1(c) for c in cfgs])]
-    except _MODEL_FAILURES:   # each point retries on its own
+    except MODEL_FAILURES:   # each point retries on its own
         return none
 
 
-def _grid_point_rows(spec: ExperimentSpec, value: float, h: np.ndarray | None = None,
+def _grid_point_rows(spec: ExperimentSpec, value: float, h=None,
                      outage: float | None = None):
     """All output rows for one grid value.  Pure function of its inputs;
-    `h` is the curve's shared channel draw (`_draw_group`) and `outage`
-    its analytic outage from the curve's one call (`_curve_outage`), if any."""
-    cfg = apply_axis(spec.base, spec.sweep_axis, value)
+    `h` is the curve's shared channel draw (`_draw_group`), or the
+    exception of its failed draw, and `outage` its analytic outage from the
+    curve's one call (`_curve_outage`), if any."""
     where = f"{spec.sweep_axis}={value:g}"
     rows: list[dict] = []
     flags: list[str] = []
     errors: list[str] = []
+    try:
+        cfg = apply_axis(spec.base, spec.sweep_axis, value)
+    except MODEL_FAILURES as exc:   # the grid value makes the link invalid
+        return rows, flags, [f"{where}: link failed: {exc}"]
     scalar_metrics = [m for m in spec.metrics if m in ("outage", "ber")]
     dist_metrics = [m for m in spec.metrics if m not in ("outage", "ber")]
 
@@ -210,7 +216,8 @@ def _grid_point_rows(spec: ExperimentSpec, value: float, h: np.ndarray | None = 
     # for what it did not compute
     needs_constants = "analytic" in spec.engines and (
         outage is None or set(spec.metrics) != {"outage"})
-    needs_draw = "montecarlo" in spec.engines and h is None
+    draw_failure, h = (h, None) if isinstance(h, Exception) else (None, h)
+    needs_draw = "montecarlo" in spec.engines and h is None and draw_failure is None
     k = stats = None
     if needs_constants or needs_draw:
         # one evaluation of the statistics feeds both engines; their failure
@@ -219,24 +226,35 @@ def _grid_point_rows(spec: ExperimentSpec, value: float, h: np.ndarray | None = 
             stats = turbulence_stats(cfg, regime=spec.regime)
             if needs_constants:
                 k, _ = _constants_for(cfg, spec.regime, stats)
-        except _MODEL_FAILURES as exc:
+        except MODEL_FAILURES as exc:
             what = "analytic constants" if needs_constants else "montecarlo channel"
             errors.append(f"{where}: {what} failed: {exc}")
+
+    def finite(engine, metric, values):
+        """values, or None with the failure recorded if any is not finite."""
+        bad = int(np.count_nonzero(~np.isfinite(values)))
+        if bad:
+            errors.append(f"{where}: {engine} {metric} failed: {bad} of {np.size(values)} "
+                          "values are not finite")
+            return None
+        return values
 
     def analytic(metric, *args):
         """The model's value of one metric, or None with the failure recorded."""
         if metric == "outage" and outage is not None:
-            return outage
+            return finite("analytic", metric, outage)
         if k is None:
             return None
         try:
-            return getattr(k, metric)(*args)
-        except _MODEL_FAILURES as exc:
+            return finite("analytic", metric, getattr(k, metric)(*args))
+        except MODEL_FAILURES as exc:
             errors.append(f"{where}: analytic {metric} failed: {exc}")
             return None
 
     mc = None
-    if "montecarlo" in spec.engines and (h is not None or stats is not None):
+    if draw_failure is not None:
+        errors.append(f"{where}: montecarlo channel failed: {draw_failure}")
+    elif "montecarlo" in spec.engines and (h is not None or stats is not None):
         # one draw feeds every MC metric; the simulated fading follows the
         # regime of the analytic side
         try:
@@ -247,7 +265,7 @@ def _grid_point_rows(spec: ExperimentSpec, value: float, h: np.ndarray | None = 
             snr = upsilon_1(cfg) * h
             snr *= h
             mc = {"h": h, "snr": snr}
-        except _MODEL_FAILURES as exc:
+        except MODEL_FAILURES as exc:
             errors.append(f"{where}: montecarlo channel failed: {exc}")
 
     def add(*columns, **named):
@@ -260,6 +278,8 @@ def _grid_point_rows(spec: ExperimentSpec, value: float, h: np.ndarray | None = 
         else:
             a_val = analytic("ber")
             mc_est = mc_ber(mc["snr"]) if mc is not None else None
+        if mc_est is not None and finite("montecarlo", metric, mc_est.value) is None:
+            mc_est = None
         flag = ""
         if a_val is not None and mc_est is not None:
             floor = _OUTAGE_FLOOR if metric == "outage" else _BER_FLOOR
@@ -275,11 +295,15 @@ def _grid_point_rows(spec: ExperimentSpec, value: float, h: np.ndarray | None = 
         if mc_est is not None:
             add(metric, "montecarlo", math.nan, mc_est.value, mc_est.ci_low, mc_est.ci_high)
 
+    ordered = {}   # each sample array sorted once, for its pdf and its cdf
     for metric in dist_metrics:
         samples = None
         if mc is not None:
-            samples = mc[metric.split("_")[1]]
-            edges = np.linspace(0.0, float(samples.max()) * 1.001, spec.bins + 1)
+            key = metric.split("_")[1]
+            if key not in ordered:
+                ordered[key] = np.sort(mc[key])
+            samples = ordered[key]
+            edges = np.linspace(0.0, float(samples[-1]) * 1.001, spec.bins + 1)
         elif k is not None:
             # support guess: 20 times the peak gain of the deterministic channel
             top = 20.0 * 2.0 * cfg.A_r * h_constant(cfg) / (math.pi * beamwidth(cfg) ** 2)
@@ -296,10 +320,11 @@ def _grid_point_rows(spec: ExperimentSpec, value: float, h: np.ndarray | None = 
         mc_vals = None
         if samples is not None:
             if metric.startswith("pdf"):
-                mc_vals, _ = empirical_pdf(samples, bins=edges)
+                mc_vals = sorted_pdf(samples, edges)
             else:
-                mc_vals = empirical_cdf(samples, centers)
-            for x, v in zip(centers, mc_vals):
+                mc_vals = sorted_cdf(samples, centers)
+            mc_vals = finite("montecarlo", metric, mc_vals)
+            for x, v in zip(centers, mc_vals if mc_vals is not None else ()):
                 add(metric, "montecarlo", float(x), float(v))
         if ana_vals is not None and mc_vals is not None and metric.startswith("cdf"):
             # bin centers already carry both curves; compare there
@@ -400,10 +425,19 @@ def golden_section(f, a: float, b: float, tol: float) -> tuple[float, float]:
     return x, f(x)
 
 
+def _model_metric(k, metric: str, gamma_th: float) -> float:
+    """Outage at gamma_th or BER of one model; FloatingPointError if it is
+    not finite."""
+    value = k.outage(gamma_th) if metric == "outage" else k.ber()
+    if not math.isfinite(value):
+        raise FloatingPointError(f"the {metric} is {value}")
+    return value
+
+
 def _design_metric(cfg: LinkConfig, metric: str, regime: str | None) -> float:
     """Analytic outage or BER of one configuration."""
     k, _ = _constants_for(cfg, regime)
-    return k.outage(cfg.gamma_th) if metric == "outage" else k.ber()
+    return _model_metric(k, metric, cfg.gamma_th)
 
 
 @dataclass(frozen=True)
@@ -450,24 +484,46 @@ def heatmap(cfg: LinkConfig, sigma_e_grid, wz_grid, metric: str = "outage",
     """Matrix of the analytic metric over (tracking jitter) x (beamwidth),
     and the failures of its cells.
 
-    Rows follow sigma_e_grid, columns wz_grid; each cell is exactly the
-    standalone closed-form evaluation for that configuration.  A cell whose
+    Rows follow sigma_e_grid, columns wz_grid.  Each cell builds its own
+    model constants.  A weak cell is its standalone closed form; the strong
+    cells share alpha, beta and the sectors, and are evaluated in one
+    `strong.metric_batch` call, each within the quadrature tolerance
+    (about 1e-10 relative) of its standalone evaluation.  If that call
+    raises, each strong cell is evaluated on its own.  A cell whose
     evaluation fails numerically is nan, and its failure is one message in
-    the returned list.
+    the returned list, in cell order.
     """
     if metric not in ("outage", "ber"):
         raise ValueError("heatmap metric must be 'outage' or 'ber'")
     if not all(se > 0 for se in sigma_e_grid):
         raise ValueError("the closed forms need tracking jitter sigma_theta_e > 0")
-    out = np.empty((len(sigma_e_grid), len(wz_grid)))
-    errors = []
+    out = np.full((len(sigma_e_grid), len(wz_grid)), math.nan)
+    failures = {}
+    strong = {}   # cell -> constants
     for i, se in enumerate(sigma_e_grid):
         for j, wz in enumerate(wz_grid):
-            c = apply_axis(cfg, "w_z", float(wz)).with_(sigma_theta_e=float(se))
             try:
-                out[i, j] = _design_metric(c, metric, regime)
-            except _MODEL_FAILURES as exc:
-                out[i, j] = math.nan
-                errors.append(f"sigma_e={se * 1e6:g}urad w_z={wz:g}m: "
-                              f"analytic {metric} failed: {exc}")
-    return out, errors
+                c = apply_axis(cfg, "w_z", float(wz)).with_(sigma_theta_e=float(se))
+                k, stats = _constants_for(c, regime)
+                if stats.regime is Regime.MODERATE_TO_STRONG:
+                    strong[i, j] = k
+                else:
+                    out[i, j] = _model_metric(k, metric, c.gamma_th)
+            except MODEL_FAILURES as exc:
+                failures[i, j] = exc
+    if strong:
+        try:
+            values, errors = metric_batch(list(strong.values()), metric, cfg.gamma_th)
+        except MODEL_FAILURES:   # each cell on its own
+            values, errors = np.full(len(strong), math.nan), {}
+            for n, k in enumerate(strong.values()):
+                try:
+                    values[n] = _model_metric(k, metric, cfg.gamma_th)
+                except MODEL_FAILURES as exc:
+                    errors[n] = exc
+        for n, cell in enumerate(strong):
+            out[cell] = values[n]
+            if n in errors or not math.isfinite(values[n]):
+                failures[cell] = errors.get(n, f"the {metric} is {values[n]}")
+    return out, [f"sigma_e={sigma_e_grid[i] * 1e6:g}urad w_z={wz_grid[j]:g}m: "
+                 f"analytic {metric} failed: {failures[i, j]}" for i, j in sorted(failures)]

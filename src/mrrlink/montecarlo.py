@@ -68,6 +68,8 @@ __all__ = [
     "draw_channel",
     "empirical_pdf",
     "empirical_cdf",
+    "sorted_pdf",
+    "sorted_cdf",
     "mc_outage",
     "mc_ber",
     "BLOCK",
@@ -271,8 +273,21 @@ def empirical_pdf(samples, bins=80) -> tuple[np.ndarray, np.ndarray]:
 
 def empirical_cdf(samples, x) -> np.ndarray:
     """Right-continuous ECDF of the samples at x: the fraction <= x."""
-    samples = np.sort(np.asarray(samples, dtype=float))
-    return np.searchsorted(samples, x, side="right") / len(samples)
+    return sorted_cdf(np.sort(np.asarray(samples, dtype=float)), x)
+
+
+def sorted_cdf(sorted_samples, x) -> np.ndarray:
+    """`empirical_cdf` of samples already sorted ascending."""
+    return np.searchsorted(sorted_samples, x, side="right") / len(sorted_samples)
+
+
+def sorted_pdf(sorted_samples, edges) -> np.ndarray:
+    """`empirical_pdf(samples, bins=edges)[0]` of samples already sorted
+    ascending, bit for bit: the counts of numpy.histogram's sorting path,
+    each bin closed on the left and the last also on the right."""
+    counts = np.diff(np.concatenate((np.searchsorted(sorted_samples, edges[:-1], side="left"),
+                                     np.searchsorted(sorted_samples, edges[-1:], side="right"))))
+    return counts / counts.sum() / np.diff(edges)
 
 
 def _wilson_interval(successes: int, n: int) -> tuple[float, float]:

@@ -13,6 +13,9 @@ arguments on one contour, with one evaluation of the gamma ratio per node
 set.  `meijer_g_sum` calls it once per unit-width ln bucket of its
 arguments, such as the strong-regime sector sums; `meijer_g` calls it
 with one unit point term, on a contour at the saddle of its own argument.
+Rows may also carry one gamma pair of their own, Gamma(b_i - t)/
+Gamma(a_i - t), evaluated per row while the shared ratio is evaluated
+once (`meijer_g_sum(..., pair=(b, a))`, a heatmap's strong cells).
 The contour abscissa comes from bisection on the analytic (digamma) slope
 of the integrand's logarithm.
 """
@@ -136,7 +139,7 @@ def _chi_log(t, spec: MeijerGSpec):
     return val
 
 
-def _contour_abscissa(spec: MeijerGSpec, lnz: float) -> float:
+def _contour_abscissa(spec: MeijerGSpec, lnz: float, avoid=()) -> float:
     """Pick the real abscissa of the vertical contour.
 
     The contour must leave the poles of Gamma(b_j - t) on its right and
@@ -146,6 +149,8 @@ def _contour_abscissa(spec: MeijerGSpec, lnz: float) -> float:
     exponentially small.  The saddle is found by bisection on the sign of
     the analytic slope d/dc [Re log chi(c) + c ln z], a sum of digammas;
     a slope of one sign throughout leaves c at that end of the range.
+    The abscissa is kept clear of every integer offset of the parameters
+    and of the values in `avoid`.
     """
     m, n, a, b = spec.m, spec.n, spec.a_params, spec.b_params
     hi = min(b[:m]) if m else np.inf
@@ -184,7 +189,7 @@ def _contour_abscissa(spec: MeijerGSpec, lnz: float) -> float:
             left = mid
     c = 0.5 * (left + right)
     # Keep clear of any exact pole of the numerator/denominator gammas.
-    for v in b + a:
+    for v in (*b, *a, *avoid):
         for k in range(-3, 4):
             if abs(c - (v + k)) < 1e-9:
                 c += 1.37e-7
@@ -211,8 +216,9 @@ def meijer_g(spec: MeijerGSpec, z: float) -> float:
         raise ValueError("meijer_g requires finite z > 0")
     _require_decay(spec)
     lnz = math.log(z)
-    return float(_mb_sum(spec, np.ones(1), np.zeros(1), np.zeros(1), lnz, lnz,
-                         np.array([lnz]))[0])
+    value, fails = _mb_sum(spec, np.ones(1), np.zeros(1), np.zeros(1), lnz, lnz, np.array([lnz]))
+    _check_converged(fails)
+    return float(value[0])
 
 
 @lru_cache(maxsize=8)
@@ -253,26 +259,31 @@ def _nodes(edges: np.ndarray, n_nodes: int):
     return taus, w[None, :], half[:, None]
 
 
-def _check_converged(total, err, tail_bound: float) -> None:
-    """Raise NonConvergentError unless every integral (normalised value
-    total, quadrature error err) is finite and within tolerance."""
-    total, err = np.atleast_1d(total), np.atleast_1d(err)
-    if not np.all(np.isfinite(total)):
-        raise NonConvergentError("Mellin-Barnes integral returned non-finite value")
-    bad = np.flatnonzero(err + tail_bound > 1e-7 * np.abs(total))
-    if bad.size:
-        raise NonConvergentError(
-            f"Mellin-Barnes integral error {err[bad[0]] + tail_bound:.2e} "
-            f"exceeds tolerance for value {total[bad[0]]:.2e}"
-        )
+def _failed_rows(total, err, tail_bound: float) -> dict:
+    """{row: reason} of every integral (normalised value total, quadrature
+    error err) that is not finite or not within tolerance, the non-finite
+    ones first."""
+    fails = {int(r): "Mellin-Barnes integral returned non-finite value"
+             for r in np.flatnonzero(~np.isfinite(total))}
+    bound = err + tail_bound
+    for r in np.flatnonzero(bound > 1e-7 * np.abs(total)):
+        fails.setdefault(int(r), f"Mellin-Barnes integral error {bound[r]:.2e} "
+                                 f"exceeds tolerance for value {total[r]:.2e}")
+    return fails
+
+
+def _check_converged(fails: dict) -> None:
+    """Raise NonConvergentError with the first reason of `_failed_rows`, if any."""
+    if fails:
+        raise NonConvergentError(next(iter(fails.values())))
 
 
 # Rows of one ln s bucket integrated together; bounds the rows x nodes
 # work arrays whatever the grid size.
-_CHUNK = 128
+_CHUNK = 16
 
 
-def meijer_g_sum(spec: MeijerGSpec, weights, lo, hi, p: float, s):
+def meijer_g_sum(spec: MeijerGSpec, weights, lo, hi, p: float, s, pair=None):
     """sum_n weights_n <G(x^p s)>_n for every entry of s > 0, where <.>_n
     averages over ln x uniform on [ln lo_n, ln hi_n]; a point term
     (lo_n == hi_n) is weights_n G(lo_n^p s).
@@ -287,7 +298,16 @@ def meijer_g_sum(spec: MeijerGSpec, weights, lo, hi, p: float, s):
     unit-width ln s buckets; each bucket places its contour at the saddle
     of the bucket's fixed centre (a value depends only on its own s, so an
     array call equals elementwise scalar calls) and evaluates chi and D
-    once per node set, in the integrator that `meijer_g` also uses.
+    once per node set, in the integrator that `meijer_g` also uses.  An
+    entry that does not converge raises NonConvergentError.
+
+    With pair = (b, a), two arrays shaped like s, entry i is the sum for
+    the G of spec with one more numerator b_i and one more denominator a_i,
+    a factor Gamma(b_i - t)/Gamma(a_i - t) of its gamma ratio, and the
+    call returns (values, failures): an entry that does not converge is
+    nan, with its reason under its flat index in the failures dict.  A
+    bucket still has one contour and evaluates spec's gamma ratio and D
+    once per node set; the pair is evaluated per entry.
     """
     s_arr = np.asarray(s, dtype=float)
     flat = s_arr.ravel()
@@ -296,55 +316,115 @@ def meijer_g_sum(spec: MeijerGSpec, weights, lo, hi, p: float, s):
     _require_decay(spec)
     w = np.asarray(weights, dtype=float)
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    if pair is not None:
+        pair = [np.broadcast_to(np.asarray(v, dtype=float), s_arr.shape).ravel() for v in pair]
     lsc = p * np.log(lo)
     width = p * np.log(hi / lo)
     lns = np.log(flat)
     bucket = np.floor(lns)
     out = np.empty_like(flat)
-    for j in np.unique(bucket):
+    failures = {}
+    for j in sorted(set(bucket.tolist())):   # no np.unique: it loads numpy's sort kernels
         rows = np.flatnonzero(bucket == j)
-        out[rows] = _mb_sum(spec, w, lsc, width, float(j), float(j) + 1.0, lns[rows])
-    return float(out[0]) if s_arr.ndim == 0 else out.reshape(s_arr.shape)
+        out[rows], fails = _mb_sum(spec, w, lsc, width, float(j), float(j) + 1.0, lns[rows],
+                                   None if pair is None else [v[rows] for v in pair])
+        if pair is None:
+            _check_converged(fails)
+        failures.update({int(rows[r]): reason for r, reason in fails.items()})
+    values = float(out[0]) if s_arr.ndim == 0 else out.reshape(s_arr.shape)
+    return values if pair is None else (values, failures)
 
 
-def _mb_sum(spec: MeijerGSpec, w, lsc, width, lo: float, hi: float, lns) -> np.ndarray:
+def _pair_log(t, b, a):
+    """log Gamma(b - t) - log Gamma(a - t), in one work array besides the
+    result."""
+    arg = b - t
+    out = sp.loggamma(arg)
+    np.subtract(a, t, out=arg)
+    out -= sp.loggamma(arg, out=arg)
+    return out
+
+
+def _mb_sum(spec: MeijerGSpec, w, lsc, width, lo: float, hi: float, lns, pair=None):
     """sum_n w_n <G(exp(ln s + x))> over x uniform on [lsc_n, lsc_n + width_n]
     at every ln s of lns, on one contour placed at the saddle of the middle
-    of the range [lo, hi] of ln s."""
+    of the range [lo, hi] of ln s, and the `_failed_rows` of the rows whose
+    integral did not converge (nan there).
+
+    With pair = (b, a), arrays over lns, row i's G is spec's with one more
+    numerator b_i and denominator a_i (see `meijer_g_sum`).  The contour is
+    that of the row with the smallest b_i, which leaves every row's poles
+    on its right; it is kept clear of every b_i and a_i, and each row is
+    normalised, and checked for convergence, on its own.
+    """
     lnz_lo, lnz_hi = lo + lsc.min(), hi + (lsc + width).max()
-    c = _contour_abscissa(spec, 0.5 * (lnz_lo + lnz_hi))
+    full, avoid = spec, ()
+    if pair is not None:
+        pb, pa = pair
+        r = int(np.argmin(pb))
+        full = MeijerGSpec(spec.m + 1, spec.n, spec.a_params + (pa[r],),
+                           spec.b_params[:spec.m] + (pb[r],) + spec.b_params[spec.m:])
+        avoid = (*pb, *pa)
+    c = _contour_abscissa(full, 0.5 * (lnz_lo + lnz_hi), avoid)
     chi_c = float(np.real(_chi_log(complex(c, 0.0), spec)))
+    if pair is not None:   # one normalisation per row
+        chi_c = chi_c + np.real(_pair_log(complex(c, 0.0), pb, pa))
     # Normalise by a bound on the largest term's integrand at tau = 0.
     d_max = float(np.max(np.log(np.abs(w)) + c * lsc + np.maximum(c * width, 0.0)))
-    rate, T, edges = _contour_extent(spec, c, max(abs(lnz_lo), abs(lnz_hi)))
+    rate, T, edges = _contour_extent(full, c, max(abs(lnz_lo), abs(lnz_hi)))
 
-    def integrate(n_nodes: int, ls) -> np.ndarray:
+    def integrate(n_nodes: int, rows) -> np.ndarray:
         taus, gl, half = _nodes(edges, n_nodes)
         t = c + 1j * taus
         x = t[:, None] * width   # phi(x) = expm1(x)/x, 1 at x = 0
-        with np.errstate(invalid="ignore"):   # inf/inf: _check_converged raises for it
+        with np.errstate(invalid="ignore"):   # inf/inf: _failed_rows reports it
             phi = np.divide(np.expm1(x), x, out=np.ones_like(x), where=x != 0)
         d = (np.exp(t[:, None] * lsc - d_max) * phi * w).sum(axis=1)
-        vals = np.exp(_chi_log(t, spec) - chi_c) * d
-        vals = (vals.reshape(len(half), -1) * gl * half).ravel()
-        total = np.empty(len(ls))
-        for i in range(0, len(ls), _CHUNK):
+        chi = _chi_log(t, spec)
+
+        def weighted(log_chi):   # the integrand at each node times its weight, in place
+            vals = np.exp(log_chi, out=log_chi)
+            vals *= d
+            panels = vals.reshape(*vals.shape[:-1], len(half), -1)
+            panels *= gl
+            panels *= half
+            return vals
+
+        vals = weighted(chi - chi_c) if pair is None else None
+        total = np.empty(len(rows))
+        for i in range(0, len(rows), _CHUNK):
+            chunk = rows[i:i + _CHUNK]
+            if pair is not None:
+                log_chi = _pair_log(t, pb[chunk, None], pa[chunk, None])
+                log_chi += chi
+                log_chi -= chi_c[chunk, None]
+                vals = weighted(log_chi)
             # Re[vals exp(i tau ln s)], summed row by row
-            phase = ls[i:i + _CHUNK, None] * taus[None, :]
-            total[i:i + _CHUNK] = (np.cos(phase) * vals.real
-                                   - np.sin(phase) * vals.imag).sum(axis=1)
+            phase = lns[chunk, None] * taus[None, :]
+            re = np.cos(phase)
+            re *= vals.real
+            im = np.sin(phase, out=phase)
+            im *= vals.imag
+            re -= im
+            total[i:i + _CHUNK] = re.sum(axis=1)
         return total
 
-    i1 = integrate(24, lns)
-    total = integrate(48, lns)
+    every = np.arange(len(lns))
+    i1 = integrate(24, every)
+    total = integrate(48, every)
     err = np.abs(total - i1)
     refine = np.flatnonzero(err > np.maximum(_EPS_REL * 10 * np.abs(total), 1e-13))
     if refine.size:
-        i3 = integrate(96, lns[refine])
+        i3 = integrate(96, refine)
         err[refine] = np.abs(i3 - total[refine])
         total[refine] = i3
-    _check_converged(total, err, np.exp(-rate * T) / rate)
-    return np.exp(chi_c + c * lns + d_max) * total / np.pi
+    fails = _failed_rows(total, err, np.exp(-rate * T) / rate)
+    good = np.ones(len(lns), dtype=bool)
+    good[list(fails)] = False
+    out = np.full(len(lns), np.nan)
+    out[good] = (np.exp((chi_c if pair is None else chi_c[good]) + c * lns[good] + d_max)
+                 * total[good] / np.pi)
+    return out, fails
 
 
 @lru_cache(maxsize=4096)

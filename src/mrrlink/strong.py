@@ -13,7 +13,9 @@ reduced specs serve every form, the single-term simplified ones as point
 terms: G^{5,0}_{1,5} (density), G^{5,1}_{2,6} (CDF) and G^{9,2}_{3,10}
 (bit error rate).  The densities and CDFs take arrays.  The SNR
 statistics and outage follow from the channel statistics through
-`channel.SquareLawModel`.
+`channel.SquareLawModel`.  `metric_batch` evaluates the outage or BER of
+many models that share the turbulence and the sectors, as a heatmap's
+cells do, through one such call.
 """
 
 from __future__ import annotations
@@ -34,7 +36,12 @@ from .channel import (
     pointing_exponent,
     upsilon_1,
 )
-from .errors import NonConvergentError, NonPositiveBreakpointError, RegimeMismatchError
+from .errors import (
+    MODEL_FAILURES,
+    NonConvergentError,
+    NonPositiveBreakpointError,
+    RegimeMismatchError,
+)
 from .mrr import SectorModel
 from .specfun import MeijerGSpec, at_positive, meijer_g_sum, q_function
 
@@ -46,6 +53,7 @@ __all__ = [
     "pdf_h_strong_simple",
     "cdf_h_strong_simple",
     "ber_strong",
+    "metric_batch",
 ]
 
 
@@ -179,10 +187,9 @@ def ber_strong(k: StrongModelConstants, with_method: bool = False):
     spec = MeijerGSpec(9, 2, (0.5, 0.0, (K + 1.0) / 2.0),
                        ((a - 1) / 2, (a - 1) / 2, a / 2, a / 2,
                         (b - 1) / 2, (b - 1) / 2, b / 2, b / 2, (K - 1) / 2, -0.5))
-    pref = (k.B_s * 2.0 ** (2.0 * a + 2.0 * b - 10.5)
-            / (math.pi ** 2.5 * math.sqrt(k.upsilon_1)))
     try:
-        value = pref * meijer_g_sum(spec, *_sector_terms(k, 2), 2, 1.0 / (128.0 * k.upsilon_1))
+        value = _ber_pref(k) * meijer_g_sum(spec, *_sector_terms(k, 2), 2,
+                                            1.0 / (128.0 * k.upsilon_1))
         method = "closed-form"
         if not (math.isfinite(value) and value >= 0.0):
             raise NonConvergentError("closed form lost significance")
@@ -191,6 +198,71 @@ def ber_strong(k: StrongModelConstants, with_method: bool = False):
         method = "quadrature-fallback"
     value = min(max(value, 0.0), 0.5)
     return (value, method) if with_method else value
+
+
+def _ber_pref(k: StrongModelConstants) -> float:
+    """Prefactor of the bit error rate's G^{9,2}_{3,10} sector sum."""
+    return (k.B_s * 2.0 ** (2.0 * k.alpha + 2.0 * k.beta - 10.5)
+            / (math.pi ** 2.5 * math.sqrt(k.upsilon_1)))
+
+
+def metric_batch(ks, metric: str, gamma_th: float) -> tuple[np.ndarray, dict]:
+    """Outage at gamma_th (metric "outage") or bit error rate ("ber") of
+    every model in ks, from one `meijer_g_sum` call.
+
+    The models must share alpha, beta and the sector model, as the cells
+    of a jitter x beamwidth map do.  Their sector scales B_n' = scale/V_n
+    differ only through `scale`, so each model is one entry at argument
+    x scale (CDF, x = sqrt(gamma_th/upsilon_1)) or scale^2/(128 upsilon_1)
+    (BER) over the shared intervals [1/V_n, 1/V_{n-1}], and its pointing
+    exponent enters only as the entry's pair: Gamma(K-1-t)/Gamma(K-t) for
+    the CDF, Gamma((K-1)/2-t)/Gamma((K+1)/2-t) for the BER.  A value agrees
+    with the model's own `outage`/`ber` within the quadrature tolerance.
+
+    Returns the values and {index: reason} of the entries that failed,
+    which are nan.  A BER entry whose closed form fails takes `ber_strong`'s
+    quadrature fallback, and fails only if that does.
+    """
+    if metric not in ("outage", "ber"):
+        raise ValueError("metric must be 'outage' or 'ber'")
+    k0 = ks[0]
+    if any((k.alpha, k.beta) != (k0.alpha, k0.beta)
+           or not (np.array_equal(k.sectors.V, k0.sectors.V)
+                   and np.array_equal(k.sectors.B, k0.sectors.B)) for k in ks):
+        raise ValueError("a batch needs models that share alpha, beta and the sector model")
+    a, b, V = k0.alpha, k0.beta, k0.sectors.V
+    K = np.array([k.K for k in ks])
+    scale = np.array([_simple_scale(k, True)[0] for k in ks])
+    ups = np.array([k.upsilon_1 for k in ks])
+    p = 1 if metric == "outage" else 2
+    terms = (k0.sectors.B * (p * np.log(V[1:] / V[:-1])), 1.0 / V[1:], 1.0 / V[:-1])
+    if metric == "outage":
+        if gamma_th < 0:
+            raise ValueError("gamma_th must be non-negative")
+        values = np.zeros(len(ks))
+        if gamma_th == 0:
+            return values, {}
+        x = np.sqrt(gamma_th / ups)
+        pos = np.flatnonzero(x > 0)   # the CDF is 0 at and below h = 0
+        g, fails = meijer_g_sum(MeijerGSpec(4, 1, (0.0,), (a - 1, b - 1, a - 1, b - 1, -1.0)),
+                                *terms, p, x[pos] * scale[pos], pair=(K[pos] - 1.0, K[pos]))
+        B_s = np.array([ks[i].B_s for i in pos])
+        values[pos] = np.clip(B_s * x[pos] * g, 0.0, 1.0)
+        return values, {int(pos[i]): reason for i, reason in fails.items()}
+    spec = MeijerGSpec(8, 2, (0.5, 0.0), ((a - 1) / 2, (a - 1) / 2, a / 2, a / 2,
+                                          (b - 1) / 2, (b - 1) / 2, b / 2, b / 2, -0.5))
+    # an entry that does not converge is nan, and takes the fallback
+    g, _ = meijer_g_sum(spec, *terms, p, scale ** 2 / (128.0 * ups),
+                        pair=((K - 1.0) / 2.0, (K + 1.0) / 2.0))
+    values = np.array([_ber_pref(k) for k in ks]) * g
+    errors = {}
+    for i in np.flatnonzero(~(np.isfinite(values) & (values >= 0.0))):
+        try:
+            values[i] = _ber_strong_quadrature(ks[i])
+        except MODEL_FAILURES as exc:
+            values[i] = math.nan
+            errors[int(i)] = str(exc)
+    return np.clip(values, 0.0, 0.5), errors
 
 
 # Log-grid nodes of the BER quadrature fallback.

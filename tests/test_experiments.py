@@ -605,6 +605,12 @@ class TestCliInput:
         ["optimize", "--set", "Pt=inf dBm"],
         ["heatmap", "--set", "wind_v=-inf"],
         ["optimize", "--set", "Z=1e400"],
+        ["recipe", "fig9", "--set", "lambda=-1"],        # a wavelength <= 0
+        ["optimize", "--set", "lambda=0"],
+        ["recipe", "fig11", "--set", "theta_div=1e300"],  # w_z^2 overflows
+        ["recipe", "fig8", "--set", "theta_div=1e-300"],  # w_z^2 underflows
+        ["heatmap", "--set", "Pt=1e-300"],                # upsilon_1 underflows
+        ["optimize", "--set", "R_pd=1e200"],              # upsilon_1 overflows
     ])
     def test_bad_set_is_usage_error(self, argv, tmp_path, capsys):
         err = self.usage_error(argv, tmp_path, capsys)

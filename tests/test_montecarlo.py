@@ -355,6 +355,22 @@ class TestEmpirical:
         assert mode > 0.8
         assert s.min() >= 0.2 and s.max() <= 1.0
 
+    def test_sorted_pdf_is_the_histogram_bit_for_bit(self):
+        # samples on interior edges, on the last edge (counted) and outside
+        # the edges (dropped), across more than numpy's 65,536-sample block
+        rng = np.random.default_rng(6)
+        edges = np.linspace(0.0, 2.0, 81)
+        s = np.concatenate([rng.gamma(2.0, 0.4, 70_000), edges[[0, 3, 40, 80, 80]],
+                            [-0.5, 2.5, 9.0]])
+        rng.shuffle(s)
+        want, _ = empirical_pdf(s, bins=edges)
+        assert np.array_equal(montecarlo.sorted_pdf(np.sort(s), edges), want)
+
+    def test_sorted_cdf_is_the_ecdf(self):
+        s = np.random.default_rng(7).normal(size=1_000)
+        x = np.linspace(-3.0, 3.0, 25)
+        assert np.array_equal(montecarlo.sorted_cdf(np.sort(s), x), empirical_cdf(s, x))
+
     def test_ecdf(self):
         F = empirical_cdf([3.0, 1.0, 2.0], [1.0, 2.0, 3.0])
         assert np.allclose(F, [1 / 3, 2 / 3, 1.0])

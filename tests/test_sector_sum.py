@@ -1,6 +1,7 @@
 """The strong-regime sector sums, evaluated as one Mellin-Barnes integral
 per argument (`specfun.meijer_g_sum`), against mpmath, against the
-per-point sum of scalar Meijer-G evaluations, and for the work they do."""
+per-point sum of scalar Meijer-G evaluations, and for the work they do;
+and a heatmap's strong cells as one batch of such integrals."""
 
 import math
 
@@ -9,8 +10,8 @@ import numpy as np
 import pytest
 
 from mrrlink import specfun, strong
-from mrrlink.channel import LinkConfig
-from mrrlink.experiments import _constants_for, apply_axis
+from mrrlink.channel import LinkConfig, Regime
+from mrrlink.experiments import _constants_for, _design_metric, apply_axis, heatmap
 from mrrlink.recipes import build_recipe
 from mrrlink.specfun import MeijerGSpec, meijer_g_cached
 
@@ -255,3 +256,114 @@ class TestWork:
         k, _ = grid80
         strong.ber_strong(k)
         assert chi_calls[0] <= 8  # per-point sum: 123; minimize_scalar abscissa: 15
+
+
+# -- the strong cells of a heatmap as one batch (`strong.metric_batch`)
+
+_MAP_CFG = LinkConfig(cn2_0=1e-13)   # the benchmark's heatmap-strong link
+_MAP_SE = np.linspace(50e-6, 400e-6, 8)
+_MAP_WZ = np.linspace(0.1, 2.0, 20)
+
+
+def _map_cell(i, j):
+    cfg = apply_axis(_MAP_CFG, "w_z", float(_MAP_WZ[j])).with_(sigma_theta_e=float(_MAP_SE[i]))
+    k, stats = _constants_for(cfg, None)
+    assert stats.regime is Regime.MODERATE_TO_STRONG
+    return cfg, k
+
+
+@pytest.fixture(scope="module")
+def strong_maps():
+    return {metric: heatmap(_MAP_CFG, _MAP_SE, _MAP_WZ, metric=metric)
+            for metric in ("outage", "ber")}
+
+
+class TestHeatmapBatch:
+    """One Mellin-Barnes batch for every strong cell: each cell is one row
+    at its own argument and pointing pair, over the shared sector intervals."""
+
+    @pytest.mark.parametrize("metric", ["outage", "ber"])
+    def test_every_cell_matches_standalone(self, strong_maps, metric):
+        mat, errors = strong_maps[metric]
+        assert errors == []
+        want = [[_design_metric(_map_cell(i, j)[0], metric, None) for j in range(len(_MAP_WZ))]
+                for i in range(len(_MAP_SE))]
+        np.testing.assert_allclose(mat, want, rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("i,j", [(7, 0), (1, 4), (2, 9)])
+    def test_outage_against_mpmath(self, strong_maps, i, j):
+        # (7, 0) is the w_z = 0.1 m column at 400 urad: K = 0.0625 < 1 puts
+        # the pointing pole K - 1 left of 0
+        cfg, k = _map_cell(i, j)
+        want = _mp_cdf(k, _outage_h(k, cfg))
+        assert strong_maps["outage"][0][i, j] == pytest.approx(want, rel=1e-10, abs=0)
+
+    def test_ber_against_mpmath_below_unit_k(self, strong_maps):
+        _, k = _map_cell(7, 0)
+        assert k.K == pytest.approx(0.0625)
+        assert strong_maps["ber"][0][7, 0] == pytest.approx(_mp_ber(k), rel=1e-10, abs=0)
+
+    @pytest.mark.parametrize("metric", ["outage", "ber"])
+    def test_one_integration_per_ln_bucket(self, monkeypatch, metric):
+        calls = []
+        real = specfun._mb_sum
+        monkeypatch.setattr(specfun, "_mb_sum",
+                            lambda *a, **kw: calls.append(len(a[6])) or real(*a, **kw))
+        mat, errors = heatmap(_MAP_CFG, _MAP_SE, _MAP_WZ, metric=metric)
+        assert errors == [] and np.isfinite(mat).all()
+        buckets = set()
+        for i in range(len(_MAP_SE)):
+            for j in range(len(_MAP_WZ)):
+                cfg, k = _map_cell(i, j)
+                scale = strong._simple_scale(k, True)[0]
+                s = (_outage_h(k, cfg) * scale if metric == "outage"
+                     else scale ** 2 / (128.0 * k.upsilon_1))
+                buckets.add(math.floor(math.log(s)))
+        assert len(calls) == len(buckets) < mat.size
+        assert sum(calls) == mat.size
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("metric", ["outage", "ber"])
+    def test_failing_row_leaves_the_others(self, strong_maps, monkeypatch, metric):
+        # the row of cell (6, 10) integrates to nan; its bucket's other rows
+        # and every other bucket are untouched.  K goes with w_z / sigma_e,
+        # 11/7 of the grid steps here, which no other cell has.
+        _, k = _map_cell(6, 10)
+        bad_b = k.K - 1.0 if metric == "outage" else (k.K - 1.0) / 2.0
+        real = specfun._pair_log
+        monkeypatch.setattr(specfun, "_pair_log", lambda t, b, a: np.where(
+            b == bad_b, np.nan, real(t, b, a)))
+        mat, errors = heatmap(_MAP_CFG, _MAP_SE, _MAP_WZ, metric=metric)
+        want, _ = strong_maps[metric]
+        others = np.ones(mat.shape, dtype=bool)
+        others[6, 10] = False
+        assert np.array_equal(mat[others], want[others])
+        if metric == "outage":
+            assert np.isnan(mat[6, 10])
+            assert errors == [f"sigma_e={_MAP_SE[6] * 1e6:g}urad w_z={_MAP_WZ[10]:g}m: analytic "
+                              "outage failed: Mellin-Barnes integral returned non-finite value"]
+        else:   # the BER row takes ber_strong's quadrature fallback
+            assert errors == []
+            assert mat[6, 10] == strong._ber_strong_quadrature(k)
+
+    def test_failed_batch_evaluates_each_cell(self, monkeypatch):
+        import mrrlink.experiments as experiments
+        from mrrlink.errors import NonConvergentError
+
+        def failing(*args):
+            raise NonConvergentError("injected")
+
+        se, wz = _MAP_SE[::3], _MAP_WZ[::7]
+        monkeypatch.setattr(experiments, "metric_batch", failing)
+        mat, errors = heatmap(_MAP_CFG, se, wz)
+        assert errors == []
+        want = [[_design_metric(apply_axis(_MAP_CFG, "w_z", float(w))
+                                .with_(sigma_theta_e=float(s)), "outage", None) for w in wz]
+                for s in se]
+        assert np.array_equal(mat, want)
+
+    def test_models_must_share_the_channel(self):
+        k1 = _map_cell(0, 0)[1]
+        k2 = _strong(_MAP_CFG.with_(cn2_0=5e-14))
+        with pytest.raises(ValueError, match="share alpha, beta"):
+            strong.metric_batch([k1, k2], "outage", _MAP_CFG.gamma_th)

@@ -5,6 +5,7 @@ curve evaluates its analytic outage in one call.  The outputs are the
 bytes of one draw and one evaluation per grid point and per jitter;
 `TestPinnedOutputs` pins them."""
 
+import dataclasses
 import hashlib
 import math
 
@@ -130,6 +131,26 @@ class TestOnePassPerRecipe:
         for spec, res in zip(specs, results):   # the rows of each curve drawn alone
             assert res.rows == run_experiment(spec).rows
         assert len(passes) == len(specs)
+
+    def test_failed_group_draw_is_recorded_at_every_point(self, monkeypatch):
+        # fig7's two curves share one draw; when it raises, each of their
+        # points records it once and keeps the rows of an analytic-only run
+        calls = []
+
+        def failing(*plans):
+            calls.append(len(plans))
+            raise ValueError("injected")
+
+        specs = [dataclasses.replace(s, n_samples=1_000) for s in build_recipe("fig7")]
+        want = [res.rows for res in run_experiments(
+            [dataclasses.replace(s, engines=("analytic",)) for s in specs])]
+        monkeypatch.setattr(experiments, "draw_channel", failing)
+        results = run_experiments(specs)
+        assert calls == [2]
+        for spec, res, rows in zip(specs, results, want):
+            assert res.errors == [f"Pt={v:g}: montecarlo channel failed: injected"
+                                  for v in spec.grid]
+            assert res.rows == rows and res.flags == []
 
     def test_curves_draw_just_before_they_are_evaluated(self, monkeypatch):
         # a group draws in one call before its first curve, and so does a
