@@ -279,9 +279,10 @@ class SquareLawModel:
     """
 
     def pdf_snr(self, gamma):
-        """SNR density f_h(sqrt(gamma/upsilon_1)) / (2 sqrt(upsilon_1 gamma))."""
+        """SNR density f_h(sqrt(gamma/upsilon_1)) / (2 sqrt(upsilon_1) sqrt(gamma)),
+        the square roots taken apart so that their product cannot underflow."""
         return at_positive(gamma, lambda g: self.pdf_h(np.sqrt(g / self.upsilon_1))
-                           / (2.0 * np.sqrt(self.upsilon_1 * g)))
+                           / (2.0 * math.sqrt(self.upsilon_1) * np.sqrt(g)))
 
     def cdf_snr(self, gamma):
         """SNR CDF, equal to cdf_h(sqrt(gamma/upsilon_1))."""

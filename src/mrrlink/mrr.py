@@ -13,6 +13,7 @@ statistics.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -250,12 +251,15 @@ def fit_sector_model(samples, n_sectors: int = 8) -> SectorModel:
     return SectorModel(V, B)
 
 
+@functools.lru_cache(maxsize=64)
 def sector_table(sigma_theta_o: float) -> SectorModel:
     """Tabulated 8-sector model, interpolated in jitter SD (radians).
 
     Other sector counts are fitted from samples (`fit_sector_model`);
     densities are renormalized so the model integrates to one (the
-    printed columns integrate to about 0.75).
+    printed columns integrate to about 0.75).  One model is built per
+    jitter and shared, by a heatmap's cells and an optimizer's objective
+    evaluations among others, so its arrays are read-only.
     """
     deg = math.degrees(sigma_theta_o)
     if not _SEC_SIGMA_DEG[0] <= deg <= _SEC_SIGMA_DEG[-1]:
@@ -267,6 +271,7 @@ def sector_table(sigma_theta_o: float) -> SectorModel:
     mu, _ = mrr_moments(sigma_theta_o)
     V = _uniform_sectors(mu, 8)
     B = B / np.sum(B * np.diff(V))
+    V.flags.writeable = B.flags.writeable = False
     return SectorModel(V, B)
 
 

@@ -10,14 +10,19 @@ outside what series-based evaluators handle reliably.
 One integrator, `_mb_sum`, evaluates a weighted sum of one G, each term
 at a scaled argument or averaged over an interval of scales, for a set of
 arguments on one contour, with one evaluation of the gamma ratio per node
-set.  `meijer_g_sum` calls it once per unit-width ln bucket of its
+set.  The ratio is a factor list (`_plan`): repeated parameters merge
+into one loggamma times their multiplicity, and a numerator/denominator
+pair one apart is a linear factor, Gamma(x + 1)/Gamma(x) = x.  Each
+contour panel takes one nested Gauss-Kronrod 24/49 rule: the Kronrod sum
+is the value and its distance from the embedded Gauss sum the error
+estimate.  `meijer_g_sum` calls it once per unit-width ln bucket of its
 arguments, such as the strong-regime sector sums; `meijer_g` calls it
 with one unit point term, on a contour at the saddle of its own argument.
 Rows may also carry one gamma pair of their own, Gamma(b_i - t)/
 Gamma(a_i - t), evaluated per row while the shared ratio is evaluated
 once (`meijer_g_sum(..., pair=(b, a))`, a heatmap's strong cells).
-The contour abscissa comes from bisection on the analytic (digamma) slope
-of the integrand's logarithm.
+The contour abscissa comes from bisection on the analytic slope of the
+integrand's logarithm, built from the same factor list.
 """
 
 from __future__ import annotations
@@ -41,9 +46,9 @@ __all__ = [
     "meijer_g_sum",
 ]
 
-# Target relative accuracy of the Mellin-Barnes quadrature: when the 24-
-# and 48-node panel sums differ by more than ten times this, it refines
-# to 96 nodes.
+# Target relative accuracy of the Mellin-Barnes quadrature: a row whose
+# Gauss-Kronrod 49-node and embedded Gauss 24-node panel sums differ by
+# more than ten times this is integrated again on halved panels.
 _EPS_REL = 1e-11
 
 
@@ -123,20 +128,47 @@ class MeijerGSpec:
         return self.m + self.n - 0.5 * (self.p + self.q)
 
 
+@lru_cache(maxsize=1024)
+def _plan(spec: MeijerGSpec) -> tuple:
+    """The gamma ratio of spec as a factor list: (loggamma terms, log-linear
+    terms), each a tuple of (offset, sign, power) standing for power *
+    log Gamma(offset + sign t) or power * log(offset + sign t).
+
+    Repeated parameters merge into one term with their multiplicity, and a
+    numerator/denominator pair whose offsets differ by one is the linear
+    factor Gamma(x + 1)/Gamma(x) = x.
+    """
+    m, n, a, b = spec.m, spec.n, spec.a_params, spec.b_params
+    power = {}
+    for off, sgn, k in ([(bj, -1.0, 1) for bj in b[:m]] + [(1.0 - ai, 1.0, 1) for ai in a[:n]]
+                        + [(1.0 - bj, 1.0, -1) for bj in b[m:]] + [(ai, -1.0, -1) for ai in a[n:]]):
+        power[off, sgn] = power.get((off, sgn), 0) + k
+    linear = []
+    for off, sgn in sorted(power):
+        k, up = power[off, sgn], power.get((off + 1.0, sgn), 0)
+        if k * up < 0:   # Gamma(x)^-j Gamma(x + 1)^j = x^j
+            j = min(abs(k), abs(up)) * (1 if up > 0 else -1)
+            linear.append((off, sgn, j))
+            power[off, sgn] += j
+            power[off + 1.0, sgn] -= j
+    return tuple((off, sgn, k) for (off, sgn), k in power.items() if k), tuple(linear)
+
+
 def _chi_log(t, spec: MeijerGSpec):
-    """log of the Mellin-Barnes gamma ratio at complex contour point(s) t."""
-    t = np.asarray(t, dtype=complex)
+    """log of the Mellin-Barnes gamma ratio at complex contour point(s) t,
+    summed over spec's factor list (`_plan`)."""
+    shape = np.shape(t)
+    t = np.array(t, dtype=complex, ndmin=1)   # an array, for the in-place terms
+    gammas, linear = _plan(spec)
     val = np.zeros_like(t)
-    a, b, m, n = spec.a_params, spec.b_params, spec.m, spec.n
-    for bj in b[:m]:
-        val = val + sp.loggamma(bj - t)
-    for ai in a[:n]:
-        val = val + sp.loggamma(1.0 - ai + t)
-    for bj in b[m:]:
-        val = val - sp.loggamma(1.0 - bj + t)
-    for ai in a[n:]:
-        val = val - sp.loggamma(ai - t)
-    return val
+    for terms, fn in ((gammas, sp.loggamma), (linear, np.log)):
+        for off, sgn, k in terms:
+            arg = off + t if sgn > 0 else off - t
+            term = fn(arg, out=arg)
+            if k != 1:
+                term *= k
+            val += term
+    return val.reshape(shape)
 
 
 def _contour_abscissa(spec: MeijerGSpec, lnz: float, avoid=()) -> float:
@@ -147,23 +179,26 @@ def _contour_abscissa(spec: MeijerGSpec, lnz: float, avoid=()) -> float:
     we place it at the minimum of |integrand| (the real saddle), which
     keeps the oscillatory cancellation bounded even when the result is
     exponentially small.  The saddle is found by bisection on the sign of
-    the analytic slope d/dc [Re log chi(c) + c ln z], a sum of digammas;
-    a slope of one sign throughout leaves c at that end of the range.
+    the analytic slope d/dc [Re log chi(c) + c ln z], a sum of digammas
+    and reciprocals over the factor list; a slope of one sign throughout
+    leaves c at that end of the range.
     The abscissa is kept clear of every integer offset of the parameters
     and of the values in `avoid`.
     """
     m, n, a, b = spec.m, spec.n, spec.a_params, spec.b_params
     hi = min(b[:m]) if m else np.inf
     lo = max(ai - 1.0 for ai in a[:n]) if n else -np.inf
-    # Gamma arguments off + sgn c, numerator gammas first, and d/dc of
-    # their log-gammas' signed sum: coef psi(off + sgn c).
-    off = np.array(b[:m] + tuple(1.0 - ai for ai in a[:n])
-                   + tuple(1.0 - bj for bj in b[m:]) + a[n:])
-    sgn = np.repeat([-1.0, 1.0, 1.0, -1.0], [m, n, spec.q - m, spec.p - n])
-    coef = np.repeat([-1.0, 1.0, -1.0, 1.0], [m, n, spec.q - m, spec.p - n])
+    # d/dc of the factor list's real part: power sgn psi(off + sgn c) per
+    # loggamma term, power sgn / (off + sgn c) per linear term.
+    gammas, linear = _plan(spec)
+    off, sgn, power = np.array(gammas).reshape(-1, 3).T
+    coef = power * sgn
 
     def slope(c):
-        return float(np.dot(coef, sp.digamma(off + sgn * c))) + lnz
+        value = float(np.dot(coef, sp.digamma(off + sgn * c))) + lnz
+        for lin_off, lin_sgn, lin_k in linear:
+            value += lin_k * lin_sgn / (lin_off + lin_sgn * c)
+        return value
 
     if np.isfinite(lo) and np.isfinite(hi):
         if hi - lo <= 1e-12:
@@ -221,12 +256,6 @@ def meijer_g(spec: MeijerGSpec, z: float) -> float:
     return float(value[0])
 
 
-@lru_cache(maxsize=8)
-def _gl_nodes(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
-
-
 def _panels(T: float, width: float) -> np.ndarray:
     """Geometric panel boundaries [0, w, 2w, 4w, ...] capped at T."""
     edges = [0.0]
@@ -249,14 +278,76 @@ def _contour_extent(spec: MeijerGSpec, c: float, lnz_max: float):
     return rate, T, _panels(T, width)
 
 
-def _nodes(edges: np.ndarray, n_nodes: int):
-    """Gauss-Legendre abscissae tau on every panel, with the node weights
-    (one row) and panel half-widths (one column) that scale them."""
-    x, w = _gl_nodes(n_nodes)
+# Gauss-Kronrod 24/49 rule on [-1, 1] (Laurie, Math. Comp. 66, 1997): its
+# 25 non-negative nodes in increasing order, the Gauss-Legendre 24 nodes at
+# the odd positions, with their Kronrod weights and the Gauss weights of the
+# odd positions.  Constants, because Laurie's algorithm and its eigen-
+# decomposition cost milliseconds in every fresh process; the tests
+# recompute them.
+_GK_X = (
+    0.0, 0.06405689286260563, 0.1278512402862167,
+    0.1911188674736163, 0.2536004303696779, 0.3150426796961634,
+    0.37519115479795084, 0.4337935076260451, 0.49061236546344644,
+    0.5454214713888396, 0.5979905139060784, 0.6480936519369755,
+    0.6955320723967788, 0.7401241915785544, 0.7816772264764643,
+    0.820001985973903, 0.8549538039040514, 0.8864155270044011,
+    0.9142406907949115, 0.9382745520027328, 0.9584416844052094,
+    0.9747285559713095, 0.987040496015809, 0.9951872199970213,
+    0.999201056021875,
+)
+_GK_WK = (
+    0.06410046376926672, 0.06396962624137635, 0.06357487871297242,
+    0.06291711226969811, 0.062004001419781275, 0.06083803487312786,
+    0.059416543245952094, 0.057748675375690034, 0.05585171510306332,
+    0.05372794550175132, 0.05137195138345764, 0.048801386753259055,
+    0.04604589177656383, 0.04310592819369527, 0.039967623893622184,
+    0.03665810024221296, 0.033227378319829574, 0.029671306090659117,
+    0.025951194661374105, 0.02210408490006189, 0.01823117855038727,
+    0.014327444630883845, 0.010259786409280762, 0.006025671015720144,
+    0.002152308550946222,
+)
+_GK_WG = (
+    0.12793819534675216, 0.1258374563468283, 0.12167047292780339,
+    0.1155056680537256, 0.10744427011596563, 0.09761865210411388,
+    0.08619016153195327, 0.0733464814110803, 0.05929858491543678,
+    0.04427743881741981, 0.028531388628933663, 0.0123412297999872,
+)
+
+
+def _mirrored(half) -> np.ndarray:
+    """Values at the 49 nodes from those at the 25 non-negative ones."""
+    return np.concatenate([half[:0:-1], half])
+
+
+def _gk_rule() -> tuple:
+    """The 49 nodes, their Kronrod weights, and per node (K49 weight - G24
+    weight) / K49 weight, which turns the Kronrod-weighted integrand into
+    the error estimate K49 - G24."""
+    gauss = np.zeros(25)
+    gauss[1::2] = _GK_WG
+    weights = _mirrored(np.array(_GK_WK))
+    return (np.concatenate([-np.array(_GK_X[:0:-1]), _GK_X]), weights,
+            1.0 - _mirrored(gauss) / weights)
+
+
+_GK_NODES, _GK_WEIGHTS, _GK_ERR = _gk_rule()
+
+
+def _nodes(edges: np.ndarray):
+    """Gauss-Kronrod abscissae tau on every panel, and the panel
+    half-widths (one column) that scale their weights."""
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * np.diff(edges)
-    taus = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    return taus, w[None, :], half[:, None]
+    taus = (mid[:, None] + half[:, None] * _GK_NODES).ravel()
+    return taus, half[:, None]
+
+
+def _halved(edges: np.ndarray) -> np.ndarray:
+    """Panel edges with every panel split in two."""
+    out = np.empty(2 * len(edges) - 1)
+    out[::2] = edges
+    out[1::2] = 0.5 * (edges[:-1] + edges[1:])
+    return out
 
 
 def _failed_rows(total, err, tail_bound: float) -> dict:
@@ -336,12 +427,18 @@ def meijer_g_sum(spec: MeijerGSpec, weights, lo, hi, p: float, s, pair=None):
 
 
 def _pair_log(t, b, a):
-    """log Gamma(b - t) - log Gamma(a - t), in one work array besides the
-    result."""
+    """log Gamma(b - t) - log Gamma(a - t), entry by entry: -log(b - t)
+    where a - b is 1, since Gamma(x + 1) = x Gamma(x), else two loggammas in
+    one work array besides the result."""
     arg = b - t
+    unit = np.broadcast_to(a - b == 1.0, arg.shape)
+    if unit.all():
+        out = np.log(arg, out=arg)
+        return np.negative(out, out=out)
     out = sp.loggamma(arg)
     np.subtract(a, t, out=arg)
     out -= sp.loggamma(arg, out=arg)
+    out[unit] = -np.log(np.broadcast_to(b - t, out.shape)[unit])
     return out
 
 
@@ -373,8 +470,9 @@ def _mb_sum(spec: MeijerGSpec, w, lsc, width, lo: float, hi: float, lns, pair=No
     d_max = float(np.max(np.log(np.abs(w)) + c * lsc + np.maximum(c * width, 0.0)))
     rate, T, edges = _contour_extent(full, c, max(abs(lnz_lo), abs(lnz_hi)))
 
-    def integrate(n_nodes: int, rows) -> np.ndarray:
-        taus, gl, half = _nodes(edges, n_nodes)
+    def integrate(panel_edges, rows) -> tuple:
+        """Kronrod value K49 and error estimate |K49 - G24| of each row."""
+        taus, half = _nodes(panel_edges)
         t = c + 1j * taus
         x = t[:, None] * width   # phi(x) = expm1(x)/x, 1 at x = 0
         with np.errstate(invalid="ignore"):   # inf/inf: _failed_rows reports it
@@ -386,12 +484,12 @@ def _mb_sum(spec: MeijerGSpec, w, lsc, width, lo: float, hi: float, lns, pair=No
             vals = np.exp(log_chi, out=log_chi)
             vals *= d
             panels = vals.reshape(*vals.shape[:-1], len(half), -1)
-            panels *= gl
+            panels *= _GK_WEIGHTS
             panels *= half
             return vals
 
         vals = weighted(chi - chi_c) if pair is None else None
-        total = np.empty(len(rows))
+        total, diff = np.empty(len(rows)), np.empty(len(rows))
         for i in range(0, len(rows), _CHUNK):
             chunk = rows[i:i + _CHUNK]
             if pair is not None:
@@ -407,17 +505,17 @@ def _mb_sum(spec: MeijerGSpec, w, lsc, width, lo: float, hi: float, lns, pair=No
             im *= vals.imag
             re -= im
             total[i:i + _CHUNK] = re.sum(axis=1)
-        return total
+            panels = re.reshape(len(chunk), len(half), -1)
+            panels *= _GK_ERR
+            diff[i:i + _CHUNK] = re.sum(axis=1)
+        return total, np.abs(diff)
 
-    every = np.arange(len(lns))
-    i1 = integrate(24, every)
-    total = integrate(48, every)
-    err = np.abs(total - i1)
+    total, err = integrate(edges, np.arange(len(lns)))
     refine = np.flatnonzero(err > np.maximum(_EPS_REL * 10 * np.abs(total), 1e-13))
-    if refine.size:
-        i3 = integrate(96, refine)
-        err[refine] = np.abs(i3 - total[refine])
-        total[refine] = i3
+    if refine.size:   # the same rule on halved panels
+        fine, _ = integrate(_halved(edges), refine)
+        err[refine] = np.abs(fine - total[refine])
+        total[refine] = fine
     fails = _failed_rows(total, err, np.exp(-rate * T) / rate)
     good = np.ones(len(lns), dtype=bool)
     good[list(fails)] = False

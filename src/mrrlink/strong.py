@@ -216,8 +216,9 @@ def metric_batch(ks, metric: str, gamma_th: float) -> tuple[np.ndarray, dict]:
     x scale (CDF, x = sqrt(gamma_th/upsilon_1)) or scale^2/(128 upsilon_1)
     (BER) over the shared intervals [1/V_n, 1/V_{n-1}], and its pointing
     exponent enters only as the entry's pair: Gamma(K-1-t)/Gamma(K-t) for
-    the CDF, Gamma((K-1)/2-t)/Gamma((K+1)/2-t) for the BER.  A value agrees
-    with the model's own `outage`/`ber` within the quadrature tolerance.
+    the CDF, Gamma((K-1)/2-t)/Gamma((K+1)/2-t) for the BER, each the linear
+    factor 1/(b-t) of its numerator b.  A value agrees with the model's own
+    `outage`/`ber` within the quadrature tolerance.
 
     Returns the values and {index: reason} of the entries that failed,
     which are nan.  A BER entry whose closed form fails takes `ber_strong`'s

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mrrlink import channel
+from mrrlink import channel, mrr
 from mrrlink.channel import LinkConfig
 from mrrlink.experiments import (
     ExperimentSpec,
@@ -29,6 +29,13 @@ def base_cfg(**kw) -> LinkConfig:
              sigma_theta_o=5 * DEG, cn2_0=5e-15)
     d.update(kw)
     return LinkConfig(**d)
+
+
+@pytest.fixture
+def sector_builds():
+    """Builds of the strong model's sector table, counted from a cleared memo on."""
+    mrr.sector_table.cache_clear()
+    return lambda: mrr.sector_table.cache_info().misses
 
 
 @pytest.fixture
@@ -300,6 +307,12 @@ class TestOptimizer:
         optimize_divergence(base_cfg(P_t=0.1), objective="ber")
         assert len(path_integrations) == 1
 
+    def test_strong_search_builds_the_sector_table_once(self, sector_builds):
+        # the sectors depend on sigma_o alone, which the search leaves fixed
+        res = optimize_divergence(base_cfg(cn2_0=1e-13, P_t=0.1), objective="ber")
+        assert math.isfinite(res.value)
+        assert sector_builds() == 1
+
 
 class TestHeatmap:
     def test_dimensions_and_compositionality(self):
@@ -340,6 +353,21 @@ class TestHeatmap:
         heatmap(base_cfg(P_t=10 ** 2.5 / 1000), np.linspace(50e-6, 400e-6, 8),
                 np.linspace(0.1, 2.0, 20))
         assert len(path_integrations) == 1
+
+    @pytest.mark.parametrize("metric", ["outage", "ber"])
+    def test_strong_map_builds_the_sector_table_once(self, sector_builds, metric):
+        # 3 x 4 strong cells at one sigma_o: one table, and a cell equals its
+        # standalone value from a freshly built table
+        from mrrlink.experiments import _design_metric
+
+        cfg = LinkConfig(cn2_0=1e-13)
+        se, wz = np.linspace(50e-6, 400e-6, 3), np.linspace(0.1, 2.0, 4)
+        mat, errors = heatmap(cfg, se, wz, metric=metric)
+        assert errors == [] and np.isfinite(mat).all()
+        assert sector_builds() == 1
+        mrr.sector_table.cache_clear()
+        c = apply_axis(cfg, "w_z", float(wz[3])).with_(sigma_theta_e=float(se[1]))
+        assert mat[1, 3] == pytest.approx(_design_metric(c, metric, None), rel=1e-10)
 
     def test_cell_equals_cold_standalone_metric(self):
         from mrrlink.experiments import _design_metric
@@ -880,6 +908,33 @@ class TestCliModelFailure:
         assert out.read_text().splitlines() == [
             "sweep_axis,sweep_value,label,metric,engine,x,value,ci_low,ci_high,flag"]
         assert len(json.loads(Path(f"{out}.json").read_text())["errors"]) == 2
+
+    def test_snr_density_where_upsilon_gamma_underflows(self, tmp_path, capsys):
+        # upsilon_1 ~ 1e-202 and gamma ~ 1e-213: their product underflows,
+        # but f_h(sqrt(gamma/upsilon_1)) / (2 sqrt(upsilon_1) sqrt(gamma)) is
+        # finite; here evaluated in logs
+        from mrrlink.cli import main
+        from mrrlink.experiments import _constants_for
+        from mrrlink.recipes import build_recipe
+
+        out = tmp_path / "fig7.csv"
+        assert main(["recipe", "fig7", "--samples", "2000", "--set", "sigma_n2=1e200",
+                     "--out", str(out)]) == 2   # 2: the Monte-Carlo KS flags
+        assert json.loads(Path(f"{out}.json").read_text())["errors"] == []
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        rows = [r for r in rows if r[3:5] == ["pdf_snr", "analytic"]]
+        assert len(rows) == 160
+        for spec in build_recipe("fig7", LinkConfig().with_(sigma_n2=1e200)):
+            k, _ = _constants_for(apply_axis(spec.base, "Pt", spec.grid[0]), spec.regime)
+            assert k.upsilon_1 < 1e-200
+            mine = [r for r in rows if r[2] == spec.label]
+            assert len(mine) == 80
+            for row in mine:
+                g, value = float(row[5]), float(row[6])
+                assert math.isfinite(value) and value > 0
+                want = math.exp(math.log(float(k.pdf_h(math.sqrt(g / k.upsilon_1))))
+                                - math.log(2.0) - 0.5 * math.log(k.upsilon_1) - 0.5 * math.log(g))
+                assert value == pytest.approx(want, rel=1e-9)   # 12 printed digits
 
     def test_mc_sweep_records_failed_statistics_per_point(self, tmp_path, capsys):
         # an orientation-jitter sweep draws per point, in the point's own guard

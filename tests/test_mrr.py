@@ -261,3 +261,11 @@ class TestSectorTable:
             sector_table(11.5 * DEG)
         with pytest.raises(ValueError):
             sector_table(math.nan)
+
+    def test_shared_model_is_read_only(self):
+        # one model per jitter serves every caller, so no caller may change it
+        model = sector_table(2 * DEG)
+        assert sector_table(2 * DEG) is model
+        for arr in (model.V, model.B):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.5

@@ -221,3 +221,197 @@ def test_rounding_level_total_refused():
     # is below its own error estimate's tolerance, not a value
     with pytest.raises(NonConvergentError):
         meijer_g_sum(MeijerGSpec(1, 0, (), (0.0,)), (1,), (1,), (1,), 1, 400.0)
+
+
+# -- the Mellin-Barnes kernel: Gauss-Kronrod table, factor list, batches
+
+def _laurie_kronrod(n: int):
+    """Gauss-Kronrod 2n+1 nodes and weights for Legendre weight on [-1, 1]
+    from Laurie's algorithm (Math. Comp. 66, 1997; as in Gautschi's OPQ
+    `r_kronrod`) and the eigen-decomposition of the Jacobi-Kronrod matrix."""
+    size = 2 * n + 1
+    a, b = np.zeros(size), np.zeros(size)
+    k = np.arange(1, (3 * n + 1) // 2 + 1)
+    b[0] = 2.0
+    b[k] = k * k / (4.0 * k * k - 1.0)
+    s, t = np.zeros(n // 2 + 2), np.zeros(n // 2 + 2)
+    t[1] = b[n + 1]
+    for m in range(n - 1):
+        k = np.arange((m + 1) // 2, -1, -1)
+        l = m - k
+        s[k + 1] = np.cumsum((a[k + n + 1] - a[l]) * t[k + 1] + b[k + n + 1] * s[k]
+                             - b[l] * s[k + 1])
+        s, t = t, s
+    j = np.arange(n // 2, -1, -1)
+    s[j + 1] = s[j]
+    for m in range(n - 1, 2 * n - 2):
+        k = np.arange(m + 1 - n, (m - 1) // 2 + 1)
+        l = m - k
+        j = n - 1 - l
+        s[j + 1] = np.cumsum(-(a[k + n + 1] - a[l]) * t[j + 1] - b[k + n + 1] * s[j + 1]
+                             + b[l] * s[j + 2])
+        j, k = j[-1], (m + 1) // 2
+        if m % 2 == 0:
+            a[k + n + 1] = a[k] + (s[j + 1] - b[k + n + 1] * s[j + 2]) / t[j + 2]
+        else:
+            b[k + n + 1] = s[j + 1] / s[j + 2]
+        s, t = t, s
+    a[2 * n] = a[n - 1] - b[2 * n] * s[1] / t[1]
+    off = np.sqrt(b[1:])
+    x, vec = np.linalg.eigh(np.diag(a) + np.diag(off, 1) + np.diag(off, -1))
+    return x, b[0] * vec[0] ** 2
+
+
+class TestGaussKronrodTable:
+    """The kernel's 49-node rule, held as constants in `specfun`."""
+
+    @pytest.fixture(scope="class")
+    def rule(self):
+        from mrrlink import specfun
+
+        x, wk = specfun._GK_NODES, specfun._GK_WEIGHTS
+        wg = wk * (1.0 - specfun._GK_ERR)   # 0 at the Kronrod-only nodes
+        return x, wk, wg
+
+    def test_gauss_nodes_are_embedded(self, rule):
+        x, _, wg = rule
+        assert len(x) == 49 and np.all(np.diff(x) > 0)
+        assert np.all(wg[0::2] == 0.0)
+        gx, gw = np.polynomial.legendre.leggauss(24)
+        np.testing.assert_allclose(x[1::2], gx, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(wg[1::2], gw, rtol=0, atol=3e-15)
+
+    def test_weights_sum_to_two(self, rule):
+        _, wk, wg = rule
+        assert math.fsum(wk) == pytest.approx(2.0, abs=1e-14)
+        assert math.fsum(wg) == pytest.approx(2.0, abs=1e-14)
+
+    def test_kronrod_degree_is_73(self, rule):
+        x, wk, _ = rule
+        for k in range(74):
+            want = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert abs(math.fsum(wk * x ** k) - want) <= 1e-14, k
+        # x^74 is the first power it misses (by ~1e-25 in exact arithmetic)
+        exact74 = mpmath.fsum(mpmath.mpf(w) * mpmath.mpf(v) ** 74 for w, v in zip(wk, x))
+        assert abs(exact74 - mpmath.mpf(2) / 75) > 1e-20
+
+    def test_matches_laurie_algorithm(self, rule):
+        x, wk, _ = rule
+        lx, lw = _laurie_kronrod(24)
+        np.testing.assert_allclose(x, lx, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(wk, lw, rtol=0, atol=1e-14)
+
+
+def _strong_parameters():
+    """(alpha, beta, K) of the strong recipes fig8-fig10, the heatmap cell
+    with K = 0.0625 < 1, and K = alpha + 1, where the BER spec's (K-1)/2
+    equals its alpha/2."""
+    from mrrlink.channel import LinkConfig
+    from mrrlink.experiments import _constants_for, apply_axis
+    from mrrlink.recipes import build_recipe
+
+    out = set()
+    for name in ("fig8", "fig9", "fig10"):
+        for spec in build_recipe(name):
+            k, _ = _constants_for(apply_axis(spec.base, spec.sweep_axis, spec.grid[0]),
+                                  spec.regime)
+            out.add((k.alpha, k.beta, k.K))
+    cell = apply_axis(LinkConfig(cn2_0=1e-13), "w_z", 0.1).with_(sigma_theta_e=400e-6)
+    k, _ = _constants_for(cell, None)
+    out.add((k.alpha, k.beta, k.K))
+    a, b, _ = min(out)
+    out.add((a, b, a + 1.0))
+    return sorted(out)
+
+
+def _strong_specs(alpha, beta, K):
+    """The pdf, CDF and BER specs of `strong`."""
+    from types import SimpleNamespace
+
+    from mrrlink import strong
+
+    k = SimpleNamespace(alpha=alpha, beta=beta, K=K)
+    a, b = alpha, beta
+    ber = MeijerGSpec(9, 2, (0.5, 0.0, (K + 1.0) / 2.0),
+                      ((a - 1) / 2, (a - 1) / 2, a / 2, a / 2,
+                       (b - 1) / 2, (b - 1) / 2, b / 2, b / 2, (K - 1) / 2, -0.5))
+    return {"pdf": strong._pdf_spec(k), "cdf": strong._cdf_spec(k), "ber": ber}
+
+
+def _mp_chi_log(t, spec):
+    """The gamma ratio's logarithm, one mpmath loggamma per parameter."""
+    m, n, a, b = spec.m, spec.n, spec.a_params, spec.b_params
+    return (mpmath.fsum(mpmath.loggamma(bj - t) for bj in b[:m])
+            + mpmath.fsum(mpmath.loggamma(1 - ai + t) for ai in a[:n])
+            - mpmath.fsum(mpmath.loggamma(1 - bj + t) for bj in b[m:])
+            - mpmath.fsum(mpmath.loggamma(ai - t) for ai in a[n:]))
+
+
+class TestFactorList:
+    """The gamma ratio as merged loggamma powers and linear factors."""
+
+    @pytest.mark.parametrize("form,gammas,linear", [("pdf", 2, 1), ("cdf", 2, 2),
+                                                    ("ber", 5, 2)])
+    def test_loggammas_per_node(self, form, gammas, linear):
+        from mrrlink import specfun
+
+        # a recipe's (alpha, beta, K); 6, 8 and 12 loggammas as one per parameter
+        g, lin = specfun._plan(_strong_specs(4.407870409488623, 2.5830328302950276, 16.0)[form])
+        assert (len(g), len(lin)) == (gammas, linear)
+
+    def test_ber_pointing_offset_merges_with_alpha(self):
+        from mrrlink import specfun
+
+        a, b, _ = min(_strong_parameters())
+        g, lin = specfun._plan(_strong_specs(a, b, a + 1.0)["ber"])
+        assert (a / 2, -1.0, 2) in g and (a / 2, -1.0, -1) in lin
+
+    @pytest.mark.parametrize("params", _strong_parameters(), ids=lambda p: f"K={p[2]:.4g}")
+    def test_against_mpmath_loggamma_sums(self, params):
+        from mrrlink import specfun
+
+        taus = np.linspace(0.0, 80.0, 17)
+        for form, spec in _strong_specs(*params).items():
+            c = specfun._contour_abscissa(spec, 0.0)
+            got = specfun._chi_log(c + 1j * taus, spec)
+            with mpmath.workdps(40):
+                for tau, chi in zip(taus, got):
+                    t = mpmath.mpc(c, tau)
+                    # relative error of exp(chi), without forming exp(chi)
+                    rel = abs(mpmath.expm1(mpmath.mpc(chi) - _mp_chi_log(t, spec)))
+                    assert rel <= 1e-12, (form, tau, float(rel))
+
+
+class TestBatchEqualsPoints:
+    """An array call within one ln bucket equals its elementwise scalar
+    calls bit for bit, over more entries than one work chunk."""
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        a, b, K = 4.407870409488623, 2.5830328302950276, 16.000000000000004
+        spec = MeijerGSpec(4, 1, (0.0,), (a - 1, b - 1, a - 1, b - 1, -1.0))
+        V = np.linspace(0.3, 1.0, 9)
+        terms = (np.linspace(1.0, 2.0, 8) * np.log(V[1:] / V[:-1]), 1.0 / V[1:], 1.0 / V[:-1])
+        s = np.exp(np.linspace(2.02, 2.98, 21))   # one unit ln bucket
+        return spec, terms, s, K
+
+    def test_without_pair(self, case):
+        spec, terms, s, K = case
+        full = MeijerGSpec(5, 1, (0.0, K), (*spec.b_params[:4], K - 1.0, -1.0))
+        whole = meijer_g_sum(full, *terms, 1, s)
+        assert np.array_equal(whole, [meijer_g_sum(full, *terms, 1, float(v)) for v in s])
+
+    @pytest.mark.parametrize("pair,unit", [((15.000000000000004, 16.000000000000004), True),
+                                           ((7.5, 8.25), False)], ids=["linear", "loggammas"])
+    def test_with_pair(self, case, pair, unit):
+        spec, terms, s, _ = case
+        assert (pair[1] - pair[0] == 1.0) is unit
+        whole, fails = meijer_g_sum(spec, *terms, 1, s, pair=pair)
+        assert fails == {}
+        points = [meijer_g_sum(spec, *terms, 1, float(v), pair=pair) for v in s]
+        assert all(f == {} for _, f in points)
+        assert np.array_equal(whole, [v for v, _ in points])
+        # a unit pair is the linear factor 1/(b - t) of the full spec's ratio
+        if unit:
+            full = MeijerGSpec(5, 1, (0.0, pair[1]), (*spec.b_params[:4], pair[0], -1.0))
+            np.testing.assert_allclose(whole, meijer_g_sum(full, *terms, 1, s), rtol=1e-11)
