@@ -18,9 +18,10 @@ is the value and its distance from the embedded Gauss sum the error
 estimate.  `meijer_g_sum` calls it once per unit-width ln bucket of its
 arguments, such as the strong-regime sector sums; `meijer_g` calls it
 with one unit point term, on a contour at the saddle of its own argument.
-Rows may also carry one gamma pair of their own, Gamma(b_i - t)/
-Gamma(a_i - t), evaluated per row while the shared ratio is evaluated
-once (`meijer_g_sum(..., pair=(b, a))`, a heatmap's strong cells).
+An entry may carry a pole of its own, a factor 1/(pole_i - t) of the
+integrand (`meijer_g_sum(..., pole=...)`, the pointing exponent of every
+strong-regime statistic): the shared integrand is formed once per node
+set and each row scales it by that factor, normalised to 1 at tau = 0.
 The contour abscissa comes from bisection on the analytic slope of the
 integrand's logarithm, built from the same factor list.
 """
@@ -171,7 +172,7 @@ def _chi_log(t, spec: MeijerGSpec):
     return val.reshape(shape)
 
 
-def _contour_abscissa(spec: MeijerGSpec, lnz: float, avoid=()) -> float:
+def _contour_abscissa(spec: MeijerGSpec, lnz: float) -> float:
     """Pick the real abscissa of the vertical contour.
 
     The contour must leave the poles of Gamma(b_j - t) on its right and
@@ -182,8 +183,7 @@ def _contour_abscissa(spec: MeijerGSpec, lnz: float, avoid=()) -> float:
     the analytic slope d/dc [Re log chi(c) + c ln z], a sum of digammas
     and reciprocals over the factor list; a slope of one sign throughout
     leaves c at that end of the range.
-    The abscissa is kept clear of every integer offset of the parameters
-    and of the values in `avoid`.
+    The abscissa is kept clear of every integer offset of the parameters.
     """
     m, n, a, b = spec.m, spec.n, spec.a_params, spec.b_params
     hi = min(b[:m]) if m else np.inf
@@ -224,7 +224,7 @@ def _contour_abscissa(spec: MeijerGSpec, lnz: float, avoid=()) -> float:
             left = mid
     c = 0.5 * (left + right)
     # Keep clear of any exact pole of the numerator/denominator gammas.
-    for v in (*b, *a, *avoid):
+    for v in (*b, *a):
         for k in range(-3, 4):
             if abs(c - (v + k)) < 1e-9:
                 c += 1.37e-7
@@ -374,10 +374,13 @@ def _check_converged(fails: dict) -> None:
 _CHUNK = 16
 
 
-def meijer_g_sum(spec: MeijerGSpec, weights, lo, hi, p: float, s, pair=None):
+def meijer_g_sum(spec: MeijerGSpec, weights, lo, hi, p: float, s, pole=None):
     """sum_n weights_n <G(x^p s)>_n for every entry of s > 0, where <.>_n
     averages over ln x uniform on [ln lo_n, ln hi_n]; a point term
-    (lo_n == hi_n) is weights_n G(lo_n^p s).
+    (lo_n == hi_n) is weights_n G(lo_n^p s).  Returns (values, failures):
+    an entry that does not converge is nan, with its reason under its flat
+    index in the failures dict, which `_check_converged` raises.  An
+    entry whose s is nan fails the same way.
 
     Since (x^p s)^t = s^t e^{pt ln x}, the sum is one Mellin-Barnes
     integral of chi(t) s^t D(t), D(t) = sum_n weights_n e^{pt ln lo_n}
@@ -387,88 +390,72 @@ def meijer_g_sum(spec: MeijerGSpec, weights, lo, hi, p: float, s, pair=None):
     Delta <G(x^p s)>: the difference's two ends cancel inside phi at every
     node, not between rounded totals.  Arguments are grouped into
     unit-width ln s buckets; each bucket places its contour at the saddle
-    of the bucket's fixed centre (a value depends only on its own s, so an
-    array call equals elementwise scalar calls) and evaluates chi and D
-    once per node set, in the integrator that `meijer_g` also uses.  An
-    entry that does not converge raises NonConvergentError.
+    of the bucket's fixed centre and evaluates chi and D once per node set,
+    in the integrator that `meijer_g` also uses.
 
-    With pair = (b, a), two arrays shaped like s, entry i is the sum for
-    the G of spec with one more numerator b_i and one more denominator a_i,
-    a factor Gamma(b_i - t)/Gamma(a_i - t) of its gamma ratio, and the
-    call returns (values, failures): an entry that does not converge is
-    nan, with its reason under its flat index in the failures dict.  A
-    bucket still has one contour and evaluates spec's gamma ratio and D
-    once per node set; the pair is evaluated per entry.
+    pole, a scalar or an array shaped like s, multiplies entry i's
+    integrand by 1/(pole_i - t): the G of spec with one more numerator
+    b = pole_i and denominator a = pole_i + 1, since Gamma(b - t)/
+    Gamma(b + 1 - t) = 1/(b - t).  The bucket's contour is that of its
+    smallest pole.  Without a pole, or with a scalar one, a value depends
+    only on its own s, so an array call equals elementwise scalar calls.
     """
     s_arr = np.asarray(s, dtype=float)
     flat = s_arr.ravel()
-    if not np.all(np.isfinite(flat) & (flat > 0.0)):
+    if np.any(flat <= 0.0) or np.any(np.isinf(flat)):
         raise ValueError("meijer_g_sum requires finite s > 0")
     _require_decay(spec)
     w = np.asarray(weights, dtype=float)
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    if pair is not None:
-        pair = [np.broadcast_to(np.asarray(v, dtype=float), s_arr.shape).ravel() for v in pair]
+    if np.ndim(pole):
+        pole = np.broadcast_to(np.asarray(pole, dtype=float), s_arr.shape).ravel()
     lsc = p * np.log(lo)
     width = p * np.log(hi / lo)
     lns = np.log(flat)
     bucket = np.floor(lns)
+    bucket[np.isnan(bucket)] = 0.0   # a nan s integrates to nan, a failed entry
     out = np.empty_like(flat)
     failures = {}
     for j in sorted(set(bucket.tolist())):   # no np.unique: it loads numpy's sort kernels
         rows = np.flatnonzero(bucket == j)
         out[rows], fails = _mb_sum(spec, w, lsc, width, float(j), float(j) + 1.0, lns[rows],
-                                   None if pair is None else [v[rows] for v in pair])
-        if pair is None:
-            _check_converged(fails)
+                                   pole[rows] if np.ndim(pole) else pole)
         failures.update({int(rows[r]): reason for r, reason in fails.items()})
-    values = float(out[0]) if s_arr.ndim == 0 else out.reshape(s_arr.shape)
-    return values if pair is None else (values, failures)
+    return (float(out[0]) if s_arr.ndim == 0 else out.reshape(s_arr.shape)), failures
 
 
-def _pair_log(t, b, a):
-    """log Gamma(b - t) - log Gamma(a - t), entry by entry: -log(b - t)
-    where a - b is 1, since Gamma(x + 1) = x Gamma(x), else two loggammas in
-    one work array besides the result."""
-    arg = b - t
-    unit = np.broadcast_to(a - b == 1.0, arg.shape)
-    if unit.all():
-        out = np.log(arg, out=arg)
-        return np.negative(out, out=out)
-    out = sp.loggamma(arg)
-    np.subtract(a, t, out=arg)
-    out -= sp.loggamma(arg, out=arg)
-    out[unit] = -np.log(np.broadcast_to(b - t, out.shape)[unit])
-    return out
+def _pole_factor(pole, c: float, t):
+    """(pole - c)/(pole - t): the pole's factor 1/(pole - t), 1 at t = c."""
+    return (pole - c) / (pole - t)
 
 
-def _mb_sum(spec: MeijerGSpec, w, lsc, width, lo: float, hi: float, lns, pair=None):
+def _mb_sum(spec: MeijerGSpec, w, lsc, width, lo: float, hi: float, lns, pole=None):
     """sum_n w_n <G(exp(ln s + x))> over x uniform on [lsc_n, lsc_n + width_n]
     at every ln s of lns, on one contour placed at the saddle of the middle
     of the range [lo, hi] of ln s, and the `_failed_rows` of the rows whose
     integral did not converge (nan there).
 
-    With pair = (b, a), arrays over lns, row i's G is spec's with one more
-    numerator b_i and denominator a_i (see `meijer_g_sum`).  The contour is
-    that of the row with the smallest b_i, which leaves every row's poles
-    on its right; it is kept clear of every b_i and a_i, and each row is
-    normalised, and checked for convergence, on its own.
+    pole (None, a scalar, or an array over lns) adds the factor 1/(pole - t)
+    of `meijer_g_sum`.  The contour is that of spec with the smallest pole
+    as one more numerator, which leaves every pole on its right.  The
+    shared integrand exp(chi(t) - chi(c)) D(t) is formed once per node set
+    and row i's is it times (pole_i - c)/(pole_i - t), 1 at tau = 0, so row
+    i is normalised by chi(c) - log(pole_i - c); a scalar pole scales the
+    shared node values once.
     """
     lnz_lo, lnz_hi = lo + lsc.min(), hi + (lsc + width).max()
-    full, avoid = spec, ()
-    if pair is not None:
-        pb, pa = pair
-        r = int(np.argmin(pb))
-        full = MeijerGSpec(spec.m + 1, spec.n, spec.a_params + (pa[r],),
-                           spec.b_params[:spec.m] + (pb[r],) + spec.b_params[spec.m:])
-        avoid = (*pb, *pa)
-    c = _contour_abscissa(full, 0.5 * (lnz_lo + lnz_hi), avoid)
+    full = spec
+    if pole is not None:
+        b = float(np.min(pole))
+        full = MeijerGSpec(spec.m + 1, spec.n, spec.a_params + (b + 1.0,),
+                           spec.b_params[:spec.m] + (b,) + spec.b_params[spec.m:])
+    c = _contour_abscissa(full, 0.5 * (lnz_lo + lnz_hi))
     chi_c = float(np.real(_chi_log(complex(c, 0.0), spec)))
-    if pair is not None:   # one normalisation per row
-        chi_c = chi_c + np.real(_pair_log(complex(c, 0.0), pb, pa))
+    norm = chi_c if pole is None else chi_c - np.log(pole - c)   # one per row of an array pole
     # Normalise by a bound on the largest term's integrand at tau = 0.
     d_max = float(np.max(np.log(np.abs(w)) + c * lsc + np.maximum(c * width, 0.0)))
     rate, T, edges = _contour_extent(full, c, max(abs(lnz_lo), abs(lnz_hi)))
+    per_row = np.ndim(pole) > 0
 
     def integrate(panel_edges, rows) -> tuple:
         """Kronrod value K49 and error estimate |K49 - G24| of each row."""
@@ -478,31 +465,28 @@ def _mb_sum(spec: MeijerGSpec, w, lsc, width, lo: float, hi: float, lns, pair=No
         with np.errstate(invalid="ignore"):   # inf/inf: _failed_rows reports it
             phi = np.divide(np.expm1(x), x, out=np.ones_like(x), where=x != 0)
         d = (np.exp(t[:, None] * lsc - d_max) * phi * w).sum(axis=1)
-        chi = _chi_log(t, spec)
-
-        def weighted(log_chi):   # the integrand at each node times its weight, in place
-            vals = np.exp(log_chi, out=log_chi)
-            vals *= d
-            panels = vals.reshape(*vals.shape[:-1], len(half), -1)
-            panels *= _GK_WEIGHTS
-            panels *= half
-            return vals
-
-        vals = weighted(chi - chi_c) if pair is None else None
+        # the integrand at each node times its weight, in place
+        vals = _chi_log(t, spec)
+        vals -= chi_c
+        vals = np.exp(vals, out=vals)
+        vals *= d
+        panels = vals.reshape(len(half), -1)
+        panels *= _GK_WEIGHTS
+        panels *= half
+        if pole is not None and not per_row:
+            vals *= _pole_factor(pole, c, t)
         total, diff = np.empty(len(rows)), np.empty(len(rows))
         for i in range(0, len(rows), _CHUNK):
             chunk = rows[i:i + _CHUNK]
-            if pair is not None:
-                log_chi = _pair_log(t, pb[chunk, None], pa[chunk, None])
-                log_chi += chi
-                log_chi -= chi_c[chunk, None]
-                vals = weighted(log_chi)
-            # Re[vals exp(i tau ln s)], summed row by row
+            row_vals = vals
+            if per_row:
+                row_vals = vals * _pole_factor(pole[chunk, None], c, t)
+            # Re[row_vals exp(i tau ln s)], summed row by row
             phase = lns[chunk, None] * taus[None, :]
             re = np.cos(phase)
-            re *= vals.real
+            re *= row_vals.real
             im = np.sin(phase, out=phase)
-            im *= vals.imag
+            im *= row_vals.imag
             re -= im
             total[i:i + _CHUNK] = re.sum(axis=1)
             panels = re.reshape(len(chunk), len(half), -1)
@@ -520,8 +504,7 @@ def _mb_sum(spec: MeijerGSpec, w, lsc, width, lo: float, hi: float, lns, pair=No
     good = np.ones(len(lns), dtype=bool)
     good[list(fails)] = False
     out = np.full(len(lns), np.nan)
-    out[good] = (np.exp((chi_c if pair is None else chi_c[good]) + c * lns[good] + d_max)
-                 * total[good] / np.pi)
+    out[good] = np.exp((norm + c * lns)[good] + d_max) * total[good] / np.pi
     return out, fails
 
 

@@ -8,14 +8,17 @@ with one more Mellin convolution against the Q-function kernel.
 
 Each difference's G has a numerator b = 0 and a denominator a = 1, so it
 is the integral of the G without that pair over the sector's ln-scale
-interval, one interval term of `specfun.meijer_g_sum`.  Three such
-reduced specs serve every form, the single-term simplified ones as point
-terms: G^{5,0}_{1,5} (density), G^{5,1}_{2,6} (CDF) and G^{9,2}_{3,10}
-(bit error rate).  The densities and CDFs take arrays.  The SNR
-statistics and outage follow from the channel statistics through
-`channel.SquareLawModel`.  `metric_batch` evaluates the outage or BER of
-many models that share the turbulence and the sectors, as a heatmap's
-cells do, through one such call.
+interval, one interval term of `specfun.meijer_g_sum`.  The pointing
+exponent K enters only through Gamma(K - 1 - t)/Gamma(K - t) = 1/(K - 1 -
+t) ((K -+ 1)/2 for the bit error rate), the call's pole.  So three specs
+of alpha and beta serve every form, over the sector intervals [1/V_n,
+1/V_{n-1}] at argument h scale (bit error rate scale^2/(128 upsilon_1)),
+the simplified ones as a unit point term: G^{4,0}_{0,4} (density),
+G^{4,1}_{1,5} (CDF) and G^{8,2}_{2,9} (bit error rate).  The densities
+and CDFs take arrays; the SNR statistics and outage follow through
+`channel.SquareLawModel`.  `metric_batch` evaluates many models that
+share the turbulence and the sectors, a heatmap's cells, in one call
+with one pole per model; `ber_strong` is its one-model case.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .errors import (
     RegimeMismatchError,
 )
 from .mrr import SectorModel
-from .specfun import MeijerGSpec, at_positive, meijer_g_sum, q_function
+from .specfun import MeijerGSpec, _check_converged, at_positive, meijer_g_sum, q_function
 
 __all__ = [
     "StrongModelConstants",
@@ -61,9 +64,9 @@ __all__ = [
 class StrongModelConstants(SquareLawModel):
     """Constant bundle of the strong-turbulence channel statistics.
 
-    Bn_prime/Bn_dprime are the per-sector argument scales built from the
-    upper/lower sector breakpoints; B_s collects the overall density
-    prefactor.
+    scale is the argument scale of the sector sums: sector n's G is taken
+    at h scale / V_n and h scale / V_{n-1}.  B_s collects the overall
+    density prefactor.
     """
 
     alpha: float
@@ -75,12 +78,11 @@ class StrongModelConstants(SquareLawModel):
     A_r: float
     sectors: SectorModel
     B_s: float
-    Bn_prime: np.ndarray
-    Bn_dprime: np.ndarray
+    scale: float
 
     def __post_init__(self):
-        if np.any(self.Bn_dprime <= self.Bn_prime):
-            raise ValueError("need Bn'' > Bn' > 0 for every sector")
+        if self.scale <= 0 or self.scale == math.inf:   # nan fails in the kernel
+            raise ValueError("need a positive, finite argument scale")
         if self.B_s <= 0:
             raise ValueError("B_s must be positive")
 
@@ -109,42 +111,57 @@ def strong_constants(cfg: LinkConfig, stats: TurbulenceStats,
     a, b = stats.alpha, stats.beta
     scale = math.pi * w_z ** 2 * a ** 2 * b ** 2 / (2.0 * cfg.A_r * h_c)
     B_s = K * scale / math.exp(2.0 * (sp.gammaln(a) + sp.gammaln(b)))
-    Bn_prime = scale / sectors.V[1:]
-    Bn_dprime = scale / sectors.V[:-1]
     return StrongModelConstants(a, b, K, h_c, upsilon_1(cfg), w_z, cfg.A_r,
-                                sectors, B_s, Bn_prime, Bn_dprime)
-
-
-def _b_shapes(k: StrongModelConstants) -> tuple:
-    """Meijer-G b-parameters shared by every density and CDF form."""
-    return (k.alpha - 1.0, k.beta - 1.0, k.K - 1.0, k.alpha - 1.0, k.beta - 1.0)
+                                sectors, B_s, scale)
 
 
 def _pdf_spec(k: StrongModelConstants) -> MeijerGSpec:
-    """G^{5,0}_{1,5} of every channel density."""
-    return MeijerGSpec(5, 0, (k.K,), _b_shapes(k))
+    """G^{4,0}_{0,4} of every channel density."""
+    return MeijerGSpec(4, 0, (), (k.alpha - 1.0, k.beta - 1.0) * 2)
 
 
 def _cdf_spec(k: StrongModelConstants) -> MeijerGSpec:
-    """G^{5,1}_{2,6} of every channel CDF."""
-    return MeijerGSpec(5, 1, (0.0, k.K), (*_b_shapes(k), -1.0))
+    """G^{4,1}_{1,5} of every channel CDF."""
+    return MeijerGSpec(4, 1, (0.0,), (*(k.alpha - 1.0, k.beta - 1.0) * 2, -1.0))
 
 
-def _sector_terms(k: StrongModelConstants, p: float) -> tuple:
-    """Weights B_n Delta_n and scale intervals [B_n', B_n''] of a sector
-    sum at argument power p, Delta_n = p ln(B_n'' / B_n')."""
-    return (k.sectors.B * (p * np.log(k.Bn_dprime / k.Bn_prime)), k.Bn_prime, k.Bn_dprime)
+def _ber_spec(k: StrongModelConstants) -> MeijerGSpec:
+    """G^{8,2}_{2,9} of every bit error rate."""
+    a, b = k.alpha, k.beta
+    return MeijerGSpec(8, 2, (0.5, 0.0), ((a - 1) / 2, (a - 1) / 2, a / 2, a / 2,
+                                          (b - 1) / 2, (b - 1) / 2, b / 2, b / 2, -0.5))
+
+
+def _terms(sectors: SectorModel, p: float) -> tuple:
+    """Weights B_n Delta_n and scale-free intervals [1/V_n, 1/V_{n-1}] of a
+    sector sum at argument power p, Delta_n = p ln(V_n / V_{n-1})."""
+    V = sectors.V
+    return sectors.B * (p * np.log(V[1:] / V[:-1])), 1.0 / V[1:], 1.0 / V[:-1]
+
+
+# One unit point term: the single-term simplified forms.
+_POINT = ((1.0,), (1.0,), (1.0,))
+
+
+def _converged(spec: MeijerGSpec, k: StrongModelConstants, terms: tuple, s):
+    """`meijer_g_sum` at argument power 1 with k's pointing pole K - 1, or
+    NonConvergentError."""
+    values, fails = meijer_g_sum(spec, *terms, 1, s, pole=k.K - 1.0)
+    _check_converged(fails)
+    return values
 
 
 def pdf_h_strong(h, k: StrongModelConstants):
-    """Channel density: B_s sum_n B_n [G^{6,0}_{2,6}(B_n' h) - G^{6,0}_{2,6}(B_n'' h)]."""
-    return at_positive(h, lambda x: k.B_s * meijer_g_sum(_pdf_spec(k), *_sector_terms(k, 1), 1, x))
+    """Channel density: B_s sum_n B_n [G^{6,0}_{2,6}(B_n' h) - G^{6,0}_{2,6}(B_n'' h)],
+    B_n' = scale/V_n, B_n'' = scale/V_{n-1}."""
+    return at_positive(h, lambda x: k.B_s * _converged(_pdf_spec(k), k, _terms(k.sectors, 1),
+                                                       x * k.scale))
 
 
 def cdf_h_strong(h, k: StrongModelConstants):
     """Channel CDF: B_s h sum_n B_n [G^{6,1}_{3,7}(B_n' h) - G^{6,1}_{3,7}(B_n'' h)]."""
     return at_positive(h, lambda x: np.clip(
-        k.B_s * x * meijer_g_sum(_cdf_spec(k), *_sector_terms(k, 1), 1, x), 0.0, 1.0))
+        k.B_s * x * _converged(_cdf_spec(k), k, _terms(k.sectors, 1), x * k.scale), 0.0, 1.0))
 
 
 def _simple_scale(k: StrongModelConstants, h_c_reinstated: bool) -> tuple[float, float]:
@@ -163,41 +180,33 @@ def pdf_h_strong_simple(h, k: StrongModelConstants, h_c_reinstated: bool = True)
     the sectorized density.  Pass False for the bare printed form.
     """
     c, pref = _simple_scale(k, h_c_reinstated)
-    return at_positive(h, lambda x: pref * meijer_g_sum(_pdf_spec(k), (1.0,), (c,), (c,), 1, x))
+    return at_positive(h, lambda x: pref * _converged(_pdf_spec(k), k, _POINT, x * c))
 
 
 def cdf_h_strong_simple(h, k: StrongModelConstants, h_c_reinstated: bool = True):
     """Small-jitter channel CDF, single G^{5,1}_{2,6} term."""
     c, pref = _simple_scale(k, h_c_reinstated)
     return at_positive(h, lambda x: np.clip(
-        pref * x * meijer_g_sum(_cdf_spec(k), (1.0,), (c,), (c,), 1, x), 0.0, 1.0))
+        pref * x * _converged(_cdf_spec(k), k, _POINT, x * c), 0.0, 1.0))
 
 
 def ber_strong(k: StrongModelConstants, with_method: bool = False):
-    """OOK bit error rate over the Gamma-Gamma channel.
+    """OOK bit error rate over the Gamma-Gamma channel, `metric_batch`'s
+    for the one model k.
 
     Closed form from the Mellin convolution of the sector-sum density
     with the Q-function kernel: a G^{10,2}_{4,11} difference per sector
     with argument (B_n)^2/(128 upsilon_1), each one interval term of
-    G^{9,2}_{3,10}, validated against direct quadrature of the error
-    integral (see tests).  Falls back to quadrature when the contour
-    integral fails, tagging the result.
+    G^{8,2}_{2,9} with the pole (K - 1)/2, validated against direct
+    quadrature of the error integral (see tests).  Falls back to
+    quadrature when the contour integral fails, tagging the result, and
+    raises NonConvergentError if that fails too.
     """
-    a, b, K = k.alpha, k.beta, k.K
-    spec = MeijerGSpec(9, 2, (0.5, 0.0, (K + 1.0) / 2.0),
-                       ((a - 1) / 2, (a - 1) / 2, a / 2, a / 2,
-                        (b - 1) / 2, (b - 1) / 2, b / 2, b / 2, (K - 1) / 2, -0.5))
-    try:
-        value = _ber_pref(k) * meijer_g_sum(spec, *_sector_terms(k, 2), 2,
-                                            1.0 / (128.0 * k.upsilon_1))
-        method = "closed-form"
-        if not (math.isfinite(value) and value >= 0.0):
-            raise NonConvergentError("closed form lost significance")
-    except NonConvergentError:
-        value = _ber_strong_quadrature(k)
-        method = "quadrature-fallback"
-    value = min(max(value, 0.0), 0.5)
-    return (value, method) if with_method else value
+    values, errors, fallback = _ber_batch([k])
+    if errors:
+        raise NonConvergentError(errors[0])
+    method = "quadrature-fallback" if fallback.size else "closed-form"
+    return (float(values[0]), method) if with_method else float(values[0])
 
 
 def _ber_pref(k: StrongModelConstants) -> float:
@@ -211,17 +220,15 @@ def metric_batch(ks, metric: str, gamma_th: float) -> tuple[np.ndarray, dict]:
     every model in ks, from one `meijer_g_sum` call.
 
     The models must share alpha, beta and the sector model, as the cells
-    of a jitter x beamwidth map do.  Their sector scales B_n' = scale/V_n
-    differ only through `scale`, so each model is one entry at argument
-    x scale (CDF, x = sqrt(gamma_th/upsilon_1)) or scale^2/(128 upsilon_1)
-    (BER) over the shared intervals [1/V_n, 1/V_{n-1}], and its pointing
-    exponent enters only as the entry's pair: Gamma(K-1-t)/Gamma(K-t) for
-    the CDF, Gamma((K-1)/2-t)/Gamma((K+1)/2-t) for the BER, each the linear
-    factor 1/(b-t) of its numerator b.  A value agrees with the model's own
-    `outage`/`ber` within the quadrature tolerance.
+    of a jitter x beamwidth map do.  Their sector scales scale/V_n differ
+    only through `scale`, so each model is one entry at argument x scale
+    (CDF, x = sqrt(gamma_th/upsilon_1)) or scale^2/(128 upsilon_1) (BER)
+    over the shared intervals [1/V_n, 1/V_{n-1}], and its pointing
+    exponent enters only as the entry's pole: K - 1 for the CDF, (K - 1)/2
+    for the BER.  The standalone forms are the same calls for one model.
 
     Returns the values and {index: reason} of the entries that failed,
-    which are nan.  A BER entry whose closed form fails takes `ber_strong`'s
+    which are nan.  A BER entry whose closed form fails takes the
     quadrature fallback, and fails only if that does.
     """
     if metric not in ("outage", "ber"):
@@ -231,39 +238,43 @@ def metric_batch(ks, metric: str, gamma_th: float) -> tuple[np.ndarray, dict]:
            or not (np.array_equal(k.sectors.V, k0.sectors.V)
                    and np.array_equal(k.sectors.B, k0.sectors.B)) for k in ks):
         raise ValueError("a batch needs models that share alpha, beta and the sector model")
-    a, b, V = k0.alpha, k0.beta, k0.sectors.V
-    K = np.array([k.K for k in ks])
-    scale = np.array([_simple_scale(k, True)[0] for k in ks])
+    if metric == "ber":
+        values, errors, _ = _ber_batch(ks)
+        return values, errors
+    if gamma_th < 0:
+        raise ValueError("gamma_th must be non-negative")
+    values = np.zeros(len(ks))
+    if gamma_th == 0:
+        return values, {}
+    x = np.sqrt(gamma_th / np.array([k.upsilon_1 for k in ks]))
+    pos = np.flatnonzero(x > 0)   # the CDF is 0 at and below h = 0
+    scale = np.array([ks[i].scale for i in pos])
+    g, fails = meijer_g_sum(_cdf_spec(k0), *_terms(k0.sectors, 1), 1, x[pos] * scale,
+                            pole=np.array([ks[i].K for i in pos]) - 1.0)
+    B_s = np.array([ks[i].B_s for i in pos])
+    values[pos] = np.clip(B_s * x[pos] * g, 0.0, 1.0)
+    return values, {int(pos[i]): reason for i, reason in fails.items()}
+
+
+def _ber_batch(ks) -> tuple[np.ndarray, dict, np.ndarray]:
+    """`metric_batch`'s bit error rates of ks, its failures, and the indices
+    that took the quadrature fallback."""
+    k0 = ks[0]
+    scale = np.array([k.scale for k in ks])
     ups = np.array([k.upsilon_1 for k in ks])
-    p = 1 if metric == "outage" else 2
-    terms = (k0.sectors.B * (p * np.log(V[1:] / V[:-1])), 1.0 / V[1:], 1.0 / V[:-1])
-    if metric == "outage":
-        if gamma_th < 0:
-            raise ValueError("gamma_th must be non-negative")
-        values = np.zeros(len(ks))
-        if gamma_th == 0:
-            return values, {}
-        x = np.sqrt(gamma_th / ups)
-        pos = np.flatnonzero(x > 0)   # the CDF is 0 at and below h = 0
-        g, fails = meijer_g_sum(MeijerGSpec(4, 1, (0.0,), (a - 1, b - 1, a - 1, b - 1, -1.0)),
-                                *terms, p, x[pos] * scale[pos], pair=(K[pos] - 1.0, K[pos]))
-        B_s = np.array([ks[i].B_s for i in pos])
-        values[pos] = np.clip(B_s * x[pos] * g, 0.0, 1.0)
-        return values, {int(pos[i]): reason for i, reason in fails.items()}
-    spec = MeijerGSpec(8, 2, (0.5, 0.0), ((a - 1) / 2, (a - 1) / 2, a / 2, a / 2,
-                                          (b - 1) / 2, (b - 1) / 2, b / 2, b / 2, -0.5))
     # an entry that does not converge is nan, and takes the fallback
-    g, _ = meijer_g_sum(spec, *terms, p, scale ** 2 / (128.0 * ups),
-                        pair=((K - 1.0) / 2.0, (K + 1.0) / 2.0))
+    g, _ = meijer_g_sum(_ber_spec(k0), *_terms(k0.sectors, 2), 2, scale ** 2 / (128.0 * ups),
+                        pole=(np.array([k.K for k in ks]) - 1.0) / 2.0)
     values = np.array([_ber_pref(k) for k in ks]) * g
+    fallback = np.flatnonzero(~(np.isfinite(values) & (values >= 0.0)))
     errors = {}
-    for i in np.flatnonzero(~(np.isfinite(values) & (values >= 0.0))):
+    for i in fallback:
         try:
             values[i] = _ber_strong_quadrature(ks[i])
         except MODEL_FAILURES as exc:
             values[i] = math.nan
             errors[int(i)] = str(exc)
-    return np.clip(values, 0.0, 0.5), errors
+    return np.clip(values, 0.0, 0.5), errors, fallback
 
 
 # Log-grid nodes of the BER quadrature fallback.

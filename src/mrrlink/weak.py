@@ -139,13 +139,13 @@ def cdf_h_weak(h, k: WeakModelConstants):
     """
 
     def cdf(x):
+        # (C4/K) e^{-K C5} e^{K^2 C1/2} is exactly 1 by the definitions of C4
+        # and C5, so the second Q term stands alone; formed from log_C4 and
+        # C5, that prefactor would carry their rounding (large at large K)
         lh = np.log(x)
         sq = math.sqrt(k.C1)
-        lt1 = k.K * (lh + k.C5) + log_q((lh + k.C5) / sq)
-        lt2 = k.K ** 2 * k.C1 / 2.0 + log_q((k.K * k.C1 - lh - k.C5) / sq)
-        m = np.maximum(lt1, lt2)
-        log_pref = k.log_C4 - math.log(k.K) - k.K * k.C5
-        return np.minimum(np.exp(log_pref + m) * (np.exp(lt1 - m) + np.exp(lt2 - m)), 1.0)
+        t1 = np.exp(k.log_C4 - math.log(k.K) + k.K * lh + log_q((lh + k.C5) / sq))
+        return np.minimum(t1 + q_function((k.K * k.C1 - lh - k.C5) / sq), 1.0)
 
     return at_positive(h, cdf)
 

@@ -16,12 +16,21 @@ from mrrlink.recipes import build_recipe
 from mrrlink.specfun import MeijerGSpec, meijer_g_cached
 
 
+def _b_shapes(k):
+    return (k.alpha - 1.0, k.beta - 1.0, k.K - 1.0, k.alpha - 1.0, k.beta - 1.0)
+
+
 def _pdf_spec(k):
-    return MeijerGSpec(6, 0, (k.K, 1.0), (0.0, *strong._b_shapes(k)))
+    return MeijerGSpec(6, 0, (k.K, 1.0), (0.0, *_b_shapes(k)))
 
 
 def _cdf_spec(k):
-    return MeijerGSpec(6, 1, (0.0, k.K, 1.0), (0.0, *strong._b_shapes(k), -1.0))
+    return MeijerGSpec(6, 1, (0.0, k.K, 1.0), (0.0, *_b_shapes(k), -1.0))
+
+
+def _sector_scales(k):
+    """The per-sector argument scales B_n' = scale/V_n and B_n'' = scale/V_{n-1}."""
+    return zip(k.sectors.B, k.scale / k.sectors.V[1:], k.scale / k.sectors.V[:-1])
 
 
 def _ber_spec_pref(k):
@@ -38,7 +47,7 @@ def _ber_spec_pref(k):
 
 def _per_point_sum(k, spec, arg) -> float:
     total = 0.0
-    for bn, c1, c2 in zip(k.sectors.B, k.Bn_prime, k.Bn_dprime):
+    for bn, c1, c2 in _sector_scales(k):
         total += bn * (meijer_g_cached(spec.m, spec.n, spec.a_params, spec.b_params, arg(c1))
                        - meijer_g_cached(spec.m, spec.n, spec.a_params, spec.b_params, arg(c2)))
     return total
@@ -68,7 +77,7 @@ def _mp_sum(k, spec, p, s) -> float:
             return mpmath.meijerg(a, b, mpmath.mpf(scale) ** p * mpmath.mpf(s))
 
         return mpmath.fsum(mpmath.mpf(bn) * (g(c1) - g(c2))
-                           for bn, c1, c2 in zip(k.sectors.B, k.Bn_prime, k.Bn_dprime))
+                           for bn, c1, c2 in _sector_scales(k))
 
 
 def _mp_pdf(k, h):
@@ -315,9 +324,8 @@ class TestHeatmapBatch:
         for i in range(len(_MAP_SE)):
             for j in range(len(_MAP_WZ)):
                 cfg, k = _map_cell(i, j)
-                scale = strong._simple_scale(k, True)[0]
-                s = (_outage_h(k, cfg) * scale if metric == "outage"
-                     else scale ** 2 / (128.0 * k.upsilon_1))
+                s = (_outage_h(k, cfg) * k.scale if metric == "outage"
+                     else k.scale ** 2 / (128.0 * k.upsilon_1))
                 buckets.add(math.floor(math.log(s)))
         assert len(calls) == len(buckets) < mat.size
         assert sum(calls) == mat.size
@@ -329,10 +337,10 @@ class TestHeatmapBatch:
         # and every other bucket are untouched.  K goes with w_z / sigma_e,
         # 11/7 of the grid steps here, which no other cell has.
         _, k = _map_cell(6, 10)
-        bad_b = k.K - 1.0 if metric == "outage" else (k.K - 1.0) / 2.0
-        real = specfun._pair_log
-        monkeypatch.setattr(specfun, "_pair_log", lambda t, b, a: np.where(
-            b == bad_b, np.nan, real(t, b, a)))
+        bad_pole = k.K - 1.0 if metric == "outage" else (k.K - 1.0) / 2.0
+        real = specfun._pole_factor
+        monkeypatch.setattr(specfun, "_pole_factor", lambda pole, c, t: np.where(
+            pole == bad_pole, np.nan, real(pole, c, t)))
         mat, errors = heatmap(_MAP_CFG, _MAP_SE, _MAP_WZ, metric=metric)
         want, _ = strong_maps[metric]
         others = np.ones(mat.shape, dtype=bool)

@@ -108,6 +108,14 @@ class TestBesselK:
         with pytest.raises(ValueError):
             meijer_g_sum(spec, (1.0,), (1.0,), (1.0,), 1, -2.0)
 
+    def test_nan_argument_is_a_failed_entry(self):
+        # a link whose statistics are nan reaches the kernel as a nan s
+        spec = MeijerGSpec(2, 0, (), (0.5, -0.5))
+        values, fails = meijer_g_sum(spec, (1.0,), (1.0,), (1.0,), 1, np.array([1.0, np.nan]))
+        assert values[0] == meijer_g_sum(spec, (1.0,), (1.0,), (1.0,), 1, 1.0)[0]
+        assert np.isnan(values[1])
+        assert fails == {1: "Mellin-Barnes integral returned non-finite value"}
+
 
 def _series_bessel_k(nu, x, terms=60):
     """Independent oracle: K_nu from the ascending I_nu series, nu non-integer."""
@@ -137,7 +145,8 @@ class TestMeijerG:
         # G^{1,0}_{0,1}(z|0) = e^{-z}; with b = 0 and a = 1 added it is
         # E1(z), so Delta <e^{-x^p s}> = E1(lo^p s) - E1(hi^p s)
         spec = MeijerGSpec(1, 0, (), (0.0,))
-        got = meijer_g_sum(spec, (p * math.log(hi / lo),), (lo,), (hi,), p, s)
+        got, fails = meijer_g_sum(spec, (p * math.log(hi / lo),), (lo,), (hi,), p, s)
+        assert fails == {}
         with mpmath.workdps(40):
             want = float(mpmath.e1(mpmath.mpf(lo) ** p * s) - mpmath.e1(mpmath.mpf(hi) ** p * s))
         assert got == pytest.approx(want, rel=1e-12, abs=0)
@@ -216,11 +225,14 @@ def test_non_decaying_contour_rejected():
 
 def test_rounding_level_total_refused():
     from mrrlink.errors import NonConvergentError
+    from mrrlink.specfun import _check_converged
 
     # e^{-400} on the bucket-centre contour: the normalised total (-1.1e-13)
     # is below its own error estimate's tolerance, not a value
-    with pytest.raises(NonConvergentError):
-        meijer_g_sum(MeijerGSpec(1, 0, (), (0.0,)), (1,), (1,), (1,), 1, 400.0)
+    value, fails = meijer_g_sum(MeijerGSpec(1, 0, (), (0.0,)), (1,), (1,), (1,), 1, 400.0)
+    assert math.isnan(value) and list(fails) == [0]
+    with pytest.raises(NonConvergentError, match="exceeds tolerance"):
+        _check_converged(fails)
 
 
 # -- the Mellin-Barnes kernel: Gauss-Kronrod table, factor list, batches
@@ -325,17 +337,24 @@ def _strong_parameters():
 
 
 def _strong_specs(alpha, beta, K):
-    """The pdf, CDF and BER specs of `strong`."""
+    """The pdf, CDF and BER specs of `strong` with their pointing pair: one
+    more numerator K - 1 (BER (K - 1)/2) and denominator K (BER (K + 1)/2)."""
+    a, b = alpha, beta
+    return {"pdf": MeijerGSpec(5, 0, (K,), (a - 1, b - 1, K - 1, a - 1, b - 1)),
+            "cdf": MeijerGSpec(5, 1, (0.0, K), (a - 1, b - 1, K - 1, a - 1, b - 1, -1.0)),
+            "ber": MeijerGSpec(9, 2, (0.5, 0.0, (K + 1.0) / 2.0),
+                               ((a - 1) / 2, (a - 1) / 2, a / 2, a / 2, (b - 1) / 2,
+                                (b - 1) / 2, b / 2, b / 2, (K - 1) / 2, -0.5))}
+
+
+def _reduced_specs(alpha, beta):
+    """The three specs `strong` evaluates, the pointing pair a pole."""
     from types import SimpleNamespace
 
     from mrrlink import strong
 
-    k = SimpleNamespace(alpha=alpha, beta=beta, K=K)
-    a, b = alpha, beta
-    ber = MeijerGSpec(9, 2, (0.5, 0.0, (K + 1.0) / 2.0),
-                      ((a - 1) / 2, (a - 1) / 2, a / 2, a / 2,
-                       (b - 1) / 2, (b - 1) / 2, b / 2, b / 2, (K - 1) / 2, -0.5))
-    return {"pdf": strong._pdf_spec(k), "cdf": strong._cdf_spec(k), "ber": ber}
+    k = SimpleNamespace(alpha=alpha, beta=beta)
+    return {"pdf": strong._pdf_spec(k), "cdf": strong._cdf_spec(k), "ber": strong._ber_spec(k)}
 
 
 def _mp_chi_log(t, spec):
@@ -355,23 +374,25 @@ class TestFactorList:
     def test_loggammas_per_node(self, form, gammas, linear):
         from mrrlink import specfun
 
-        # a recipe's (alpha, beta, K); 6, 8 and 12 loggammas as one per parameter
-        g, lin = specfun._plan(_strong_specs(4.407870409488623, 2.5830328302950276, 16.0)[form])
+        # a recipe's (alpha, beta, K); 6, 8 and 12 loggammas as one per
+        # parameter.  The reduced spec costs the same loggammas, and its
+        # pointing pair's linear factor is the pole instead.
+        a, b, K = 4.407870409488623, 2.5830328302950276, 16.0
+        g, lin = specfun._plan(_strong_specs(a, b, K)[form])
         assert (len(g), len(lin)) == (gammas, linear)
-
-    def test_ber_pointing_offset_merges_with_alpha(self):
-        from mrrlink import specfun
-
-        a, b, _ = min(_strong_parameters())
-        g, lin = specfun._plan(_strong_specs(a, b, a + 1.0)["ber"])
-        assert (a / 2, -1.0, 2) in g and (a / 2, -1.0, -1) in lin
+        pair = ((K - 1.0) / (2.0 if form == "ber" else 1.0), -1.0, -1)   # 1/(pole - t)
+        assert pair in lin
+        g_reduced, lin_reduced = specfun._plan(_reduced_specs(a, b)[form])
+        assert sorted(g_reduced) == sorted(g)
+        assert sorted(lin_reduced) == sorted(set(lin) - {pair})
 
     @pytest.mark.parametrize("params", _strong_parameters(), ids=lambda p: f"K={p[2]:.4g}")
     def test_against_mpmath_loggamma_sums(self, params):
         from mrrlink import specfun
 
         taus = np.linspace(0.0, 80.0, 17)
-        for form, spec in _strong_specs(*params).items():
+        specs = [*_strong_specs(*params).items(), *_reduced_specs(*params[:2]).items()]
+        for form, spec in specs:
             c = specfun._contour_abscissa(spec, 0.0)
             got = specfun._chi_log(c + 1j * taus, spec)
             with mpmath.workdps(40):
@@ -379,7 +400,7 @@ class TestFactorList:
                     t = mpmath.mpc(c, tau)
                     # relative error of exp(chi), without forming exp(chi)
                     rel = abs(mpmath.expm1(mpmath.mpc(chi) - _mp_chi_log(t, spec)))
-                    assert rel <= 1e-12, (form, tau, float(rel))
+                    assert rel <= 1e-12, (form, spec.m, tau, float(rel))
 
 
 class TestBatchEqualsPoints:
@@ -396,22 +417,50 @@ class TestBatchEqualsPoints:
         return spec, terms, s, K
 
     def test_without_pair(self, case):
-        spec, terms, s, K = case
-        full = MeijerGSpec(5, 1, (0.0, K), (*spec.b_params[:4], K - 1.0, -1.0))
-        whole = meijer_g_sum(full, *terms, 1, s)
-        assert np.array_equal(whole, [meijer_g_sum(full, *terms, 1, float(v)) for v in s])
+        from mrrlink import specfun
 
-    @pytest.mark.parametrize("pair,unit", [((15.000000000000004, 16.000000000000004), True),
-                                           ((7.5, 8.25), False)], ids=["linear", "loggammas"])
-    def test_with_pair(self, case, pair, unit):
-        spec, terms, s, _ = case
-        assert (pair[1] - pair[0] == 1.0) is unit
-        whole, fails = meijer_g_sum(spec, *terms, 1, s, pair=pair)
+        spec, terms, s, K = case
+        assert len(s) > specfun._CHUNK
+        full = MeijerGSpec(5, 1, (0.0, K), (*spec.b_params[:4], K - 1.0, -1.0))
+        whole, fails = meijer_g_sum(full, *terms, 1, s)
         assert fails == {}
-        points = [meijer_g_sum(spec, *terms, 1, float(v), pair=pair) for v in s]
+        assert np.array_equal(whole, [meijer_g_sum(full, *terms, 1, float(v))[0] for v in s])
+
+    def test_with_pole(self, case):
+        # one pole per entry against the scalar pole of scalar calls
+        spec, terms, s, K = case
+        whole, fails = meijer_g_sum(spec, *terms, 1, s, pole=np.full(len(s), K - 1.0))
+        assert fails == {}
+        points = [meijer_g_sum(spec, *terms, 1, float(v), pole=K - 1.0) for v in s]
         assert all(f == {} for _, f in points)
         assert np.array_equal(whole, [v for v, _ in points])
-        # a unit pair is the linear factor 1/(b - t) of the full spec's ratio
-        if unit:
-            full = MeijerGSpec(5, 1, (0.0, pair[1]), (*spec.b_params[:4], pair[0], -1.0))
-            np.testing.assert_allclose(whole, meijer_g_sum(full, *terms, 1, s), rtol=1e-11)
+        # the pole is the linear factor 1/(K - 1 - t) of the full spec's ratio
+        full = MeijerGSpec(5, 1, (0.0, K), (*spec.b_params[:4], K - 1.0, -1.0))
+        np.testing.assert_allclose(whole, meijer_g_sum(full, *terms, 1, s)[0], rtol=1e-11)
+
+
+class TestPole:
+    """A pole call equals the G with the pointing pair in its spec, per point."""
+
+    @pytest.mark.parametrize("params", _strong_parameters(), ids=lambda p: f"K={p[2]:.4g}")
+    def test_cdf_pole_equals_full_spec(self, params):
+        # K = 0.0625 (heatmap cell (7, 0)) puts the pole K - 1 left of 0
+        a, b, K = params
+        s = np.geomspace(0.05, 400.0, 9) * max(K, 1.0)
+        got, fails = meijer_g_sum(_reduced_specs(a, b)["cdf"], (1.0,), (1.0,), (1.0,), 1, s,
+                                  pole=np.full(len(s), K - 1.0))
+        assert fails == {}
+        want = [meijer_g(_strong_specs(a, b, K)["cdf"], float(v)) for v in s]
+        np.testing.assert_allclose(got, want, rtol=1e-11, atol=0)
+
+    def test_rows_with_different_poles(self):
+        # one bucket of rows at K = 0.0625, 1.39 and 16: the contour is that
+        # of the smallest pole, and each row matches its own full spec
+        a, b = 3.9926786222805255, 1.7143271703021024
+        Ks = np.array([0.0625, 1.3924, 16.0, 0.0625, 16.0])
+        s = np.exp(np.linspace(0.1, 0.9, len(Ks)))
+        got, fails = meijer_g_sum(_reduced_specs(a, b)["cdf"], (1.0,), (1.0,), (1.0,), 1, s,
+                                  pole=Ks - 1.0)
+        assert fails == {}
+        want = [meijer_g(_strong_specs(a, b, K)["cdf"], float(v)) for K, v in zip(Ks, s)]
+        np.testing.assert_allclose(got, want, rtol=1e-11, atol=0)

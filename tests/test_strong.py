@@ -43,9 +43,13 @@ def _h_support(k):
 
 class TestConstants:
     def test_breakpoint_ratio(self, k6):
-        # Bn''/Bn' = V_{n+1}/V_n sector by sector
+        # Bn''/Bn' = V_{n+1}/V_n sector by sector: the ratio of the ends of
+        # each scale-free interval [1/V_{n+1}, 1/V_n]
+        from mrrlink.strong import _terms
+
         want = k6.sectors.V[1:] / k6.sectors.V[:-1]
-        assert np.allclose(k6.Bn_dprime / k6.Bn_prime, want, rtol=1e-12)
+        _, lo, hi = _terms(k6.sectors, 1)
+        assert np.allclose(hi / lo, want, rtol=1e-12)
 
     def test_cross_checked_arithmetic(self, k6):
         from scipy.special import gammaln
@@ -54,7 +58,7 @@ class TestConstants:
         scale = math.pi * k6.w_z ** 2 * a ** 2 * b ** 2 / (2 * k6.A_r * k6.h_c)
         B_s = K * scale / math.exp(2 * (gammaln(a) + gammaln(b)))
         assert k6.B_s == pytest.approx(B_s, rel=1e-12)
-        assert k6.Bn_prime[0] == pytest.approx(scale / k6.sectors.V[1], rel=1e-12)
+        assert k6.scale == pytest.approx(scale, rel=1e-12)
 
     def test_regime_mismatch(self):
         cfg = LinkConfig(cn2_0=5e-15, sigma_theta_o=6 * DEG)
@@ -270,13 +274,12 @@ class TestEqualShapeParameters:
 class TestFallback:
     def test_ber_falls_back_when_contour_fails(self, k6, monkeypatch):
         import mrrlink.strong as strong_mod
-        from mrrlink.errors import NonConvergentError
         from mrrlink.specfun import meijer_g_sum as real
 
-        def boom(spec, weights, lo, hi, p, s):
-            if spec.m == 9:  # only the error-rate kernel fails; densities stay up
-                raise NonConvergentError("forced")
-            return real(spec, weights, lo, hi, p, s)
+        def boom(spec, weights, lo, hi, p, s, pole=None):
+            if spec.m == 8:  # only the error-rate kernel fails; densities stay up
+                return np.full(np.shape(s), np.nan), {0: "forced"}
+            return real(spec, weights, lo, hi, p, s, pole=pole)
 
         monkeypatch.setattr(strong_mod, "meijer_g_sum", boom)
         val, method = ber_strong(k6, with_method=True)

@@ -4,7 +4,10 @@ mrrlink functions directly.  Renaming or removing one of them breaks
 `perfbench/run.py --trace 1`; these guards fail first."""
 
 import importlib.util
+import sys
 from pathlib import Path
+
+import pytest
 
 import mrrlink.experiments as experiments
 import mrrlink.montecarlo as montecarlo
@@ -16,6 +19,7 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 def load(name):
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module   # dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
 
@@ -124,3 +128,28 @@ def test_exported_names_resolve():
             continue
         home = importlib.import_module(value.__module__)
         assert name in home.__all__, f"mrrlink.{name} is not in {value.__module__}.__all__"
+
+
+WORKLOADS = load("workloads")
+
+
+@pytest.mark.parametrize("workload", WORKLOADS.WORKLOADS)
+def test_benchmark_outputs_pass_its_check(workload, tmp_path, capsys):
+    """The benchmark's correctness gate at its tiny sizes: every step of a
+    workload, run through the CLI at seed 0, has no failed point and its
+    analytic values lie within REL_TOL of the committed reference."""
+    from mrrlink.cli import main
+
+    reference = WORKLOADS.load_reference(workload)
+    for step in WORKLOADS.steps(workload, tiny=True):
+        # exit status 2 means tolerance flags, which the check counts
+        assert main(WORKLOADS.step_argv(step, 0, tmp_path)) in (0, 2), step.name
+        result = WORKLOADS.check(step, tmp_path, reference[step.name])
+        assert result["failed"] == 0, (step.name, result)
+        assert result["analytic_max_rel_err"] <= WORKLOADS.REL_TOL, (step.name, result)
+
+
+def test_pdf_grid80_probe_matches_its_reference():
+    metrics = {}
+    load("probes").pdf_grid80(metrics)
+    assert metrics["strong.pdf_grid80.rel_err_ref"] <= 1e-9

@@ -108,6 +108,51 @@ class TestChannelDensity:
         assert np.all(np.diff(vals) >= -1e-12)
 
 
+def _mp_cdf(k, h):
+    """40-digit mpmath of the CDF's closed form, (C4/K) e^{-K C5} [e^{K(ln h
+    + C5)} Q((ln h + C5)/sqrt(C1)) + e^{K^2 C1/2} Q((K C1 - ln h - C5)/
+    sqrt(C1))], with C4 and C5 derived from k's C1, C2, C3 and K."""
+    with mpmath.workdps(40):
+        C1, C2, C3, K = (mpmath.mpf(v) for v in (k.C1, k.C2, k.C3, k.K))
+        log_C4 = mpmath.log(K) + K * mpmath.log(C3) + (C1 * K ** 2 + 2 * K * C2) / 2
+        C5 = mpmath.log(C3) + C1 * K + C2
+        lh, sq = mpmath.log(mpmath.mpf(h)), mpmath.sqrt(C1)
+
+        def q(x):
+            return mpmath.erfc(x / mpmath.sqrt(2)) / 2
+
+        return (mpmath.exp(log_C4 - mpmath.log(K) - K * C5)
+                * (mpmath.exp(K * (lh + C5)) * q((lh + C5) / sq)
+                   + mpmath.exp(K ** 2 * C1 / 2) * q((K * C1 - lh - C5) / sq)))
+
+
+class TestCdfAgainstMpmath:
+    """The prefactor of the CDF's second Q term is exactly 1; formed from
+    log_C4 and C5 (about 210 for fig7, 4.4e6 at K = 3500) it carried their
+    rounding, 4e-14 relative at fig7 and a 1.9e-9 shortfall at saturation."""
+
+    @pytest.mark.parametrize("deg", [2.0, 8.0])
+    def test_fig7_abscissae(self, deg):
+        from mrrlink.experiments import _constants_for
+        from mrrlink.recipes import build_recipe
+
+        spec = next(s for s in build_recipe("fig7") if s.label == f"sigma_o={deg:g}deg")
+        k, _ = _constants_for(spec.base, spec.regime)
+        for h in (1e-5, 2.745e-5, 1e-4):
+            want = _mp_cdf(k, h)
+            assert abs(cdf_h_weak(h, k) - want) <= 1e-14 * want, (h, float(want))
+
+    def test_saturates_at_one_at_large_k(self):
+        # link 14 of test_analytic_invariants: K = 3500.85, log_C4 = 4.4e6
+        cfg = LinkConfig(Z=2113.31239516587, theta_div=0.0016456256558922508,
+                         sigma_theta_e=2.781275912266677e-05,
+                         sigma_theta_o=0.17702488161967464, cn2_0=3.844839612497749e-15)
+        k = weak_constants(cfg, mrr_moments(cfg.sigma_theta_o), turbulence_stats(cfg))
+        assert k.K == pytest.approx(3500.854, rel=1e-6)
+        assert cdf_h_weak(1e6, k) == 1.0
+        assert cdf_h_weak(1e2, k) == 1.0
+
+
 class TestSnrStatistics:
     def test_change_of_variables_identity(self, k2):
         for g in np.geomspace(1e-4, 1e4, 25):
