@@ -275,7 +275,9 @@ class SquareLawModel:
 
     A model supplies `pdf_h`, `cdf_h` and `upsilon_1`; the SNR density,
     the SNR CDF and the outage probability are those statistics carried
-    through the square-law map, the same in every fading regime.
+    through the square-law map, the same in every fading regime.  A set
+    of models (a sweep curve, a heatmap) takes its outages in one
+    `experiments._metric_values` call, which batches the strong ones.
     """
 
     def pdf_snr(self, gamma):
@@ -289,16 +291,8 @@ class SquareLawModel:
         return self.cdf_h(np.sqrt(np.maximum(gamma, 0.0) / self.upsilon_1))
 
     def outage(self, gamma_th: float) -> float:
-        """Probability that the instantaneous SNR falls below gamma_th."""
-        return float(self.outage_at(gamma_th, self.upsilon_1))
-
-    def outage_at(self, gamma_th: float, upsilon_1):
-        """Outage at gamma_th for each SNR scale in `upsilon_1`:
-        cdf_h(sqrt(gamma_th / upsilon_1)).  P_t moves a link only through
-        upsilon_1, so one model's fading statistics serve a whole
-        transmit-power curve in one `cdf_h` call."""
+        """Probability that the instantaneous SNR falls below gamma_th:
+        cdf_h(sqrt(gamma_th / upsilon_1))."""
         if gamma_th < 0:
             raise ValueError("gamma_th must be non-negative")
-        if gamma_th == 0:
-            return np.zeros(np.shape(upsilon_1))
-        return self.cdf_h(np.sqrt(gamma_th / np.asarray(upsilon_1, dtype=float)))
+        return float(self.cdf_h(np.sqrt(gamma_th / self.upsilon_1))) if gamma_th else 0.0

@@ -137,8 +137,10 @@ def _parse_grid(text: str, line_no: int) -> tuple[np.ndarray, str | None]:
     if len(pieces) != 3:
         raise UnitMismatchError("grid range must be start:stop:count", line_no)
     start, stop, count = (_parse_number(p, line_no) for p in pieces)
-    if count < 1:
-        raise UnitMismatchError("grid count must be >= 1", line_no)
+    if count < 1 or count != int(count):
+        raise UnitMismatchError(f"grid count {count:g} is not a whole number >= 1", line_no)
+    if spacing == "log" and not (min(start, stop) > 0 or max(start, stop) < 0):
+        raise UnitMismatchError(f"log grid ends {start:g}, {stop:g} need one sign", line_no)
     space = np.geomspace if spacing == "log" else np.linspace
     return space(start, stop, int(count)), unit
 

@@ -9,20 +9,19 @@ turbulence statistics.
 
 Grid points may be computed by one worker pool per `run_experiments` call;
 rows are always emitted in grid order and all randomness is seed-keyed, so
-output files are byte-identical for any worker count.  P_t reaches the
-model only through upsilon_1 (gamma = upsilon_1 h^2), so a transmit-power
-curve shares what its grid points would repeat:
-- its Monte-Carlo channel, one h array drawn at the first grid value and
-  sent to the pool with each task.  `run_experiments` draws the curves of
-  a recipe that share (seed, n_samples) in one `draw_channel` call, before
-  the first of them is evaluated, and drops each curve's h after its rows;
-- its analytic outage, one `SquareLawModel.outage_at` call over every grid
-  point from the constants of the first (`_curve_outage`); the points
-  build their own constants only for the other metrics, or when that call
-  fails.
-Every other axis moves h and the constants, so each of its grid points
-draws and builds its own.  A grid point records each model failure
-(`MODEL_FAILURES`) and the sweep goes on.
+output files are byte-identical for any worker count.  Each grid point's
+link, turbulence statistics and model constants are built once, in the
+calling process (`_point_model`); the statistics feed both engines.  Every
+set of analytic outages or BERs (a sweep curve, a heatmap, an optimizer
+step) is one `_metric_values` call, which batches the strong models in
+`strong.metric_batch`.  P_t reaches the model only through upsilon_1
+(gamma = upsilon_1 h^2), so a transmit-power curve draws one Monte-Carlo
+channel at its first grid value and sends it to the pool with each task.
+`run_experiments` draws the curves of a recipe that share (seed,
+n_samples) in one `draw_channel` call, before the first of them is
+evaluated, and drops each curve's h after its rows.  Every other axis
+moves h, so each of its grid points draws its own.  A grid point records
+each model failure (`MODEL_FAILURES`) and the sweep goes on.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ import numpy as np
 
 from . import __version__
 from .channel import LinkConfig, Regime, beamwidth, h_constant, turbulence_stats, upsilon_1
-from .errors import MODEL_FAILURES
+from .errors import MODEL_FAILURES, NonConvergentError
 from .montecarlo import (
     SimPlan,
     draw_channel,
@@ -47,7 +46,7 @@ from .montecarlo import (
     sorted_pdf,
 )
 from .mrr import mrr_moments, sector_table
-from .strong import metric_batch, strong_constants
+from .strong import StrongModelConstants, metric_batch, strong_constants
 from .weak import weak_constants
 
 __all__ = [
@@ -146,17 +145,35 @@ def _constants_for(cfg: LinkConfig, regime: str | None, stats=None):
     return strong_constants(cfg, stats, sectors), stats
 
 
-def _curve_plan(spec: ExperimentSpec) -> SimPlan | None:
-    """The Monte-Carlo draw every grid point of a P_t curve shares, at the
-    first grid value; None when the curve has no Monte-Carlo engine, sweeps
-    an axis that moves h, or its first link or its statistics fail (each point
-    then draws)."""
-    if spec.sweep_axis != "Pt" or "montecarlo" not in spec.engines:
-        return None
+def _point_model(spec: ExperimentSpec, value: float) -> tuple:
+    """(link, statistics, model constants, failure messages) of one grid
+    value, each of the first three None where it failed or is not needed
+    (the constants without the analytic engine).  One evaluation of the
+    statistics feeds both engines; their failure is recorded once, under
+    the analytic engine if the sweep has it."""
+    where = f"{spec.sweep_axis}={value:g}"
     try:
-        cfg = apply_axis(spec.base, "Pt", spec.grid[0])
+        cfg = apply_axis(spec.base, spec.sweep_axis, value)
+    except MODEL_FAILURES as exc:   # the grid value makes the link invalid
+        return None, None, None, [f"{where}: link failed: {exc}"]
+    analytic = "analytic" in spec.engines
+    stats = None
+    try:
         stats = turbulence_stats(cfg, regime=spec.regime)
-    except MODEL_FAILURES:
+        k = _constants_for(cfg, spec.regime, stats)[0] if analytic else None
+    except MODEL_FAILURES as exc:
+        what = "analytic constants" if analytic else "montecarlo channel"
+        return cfg, stats, None, [f"{where}: {what} failed: {exc}"]
+    return cfg, stats, k, []
+
+
+def _curve_plan(spec: ExperimentSpec, first: tuple) -> SimPlan | None:
+    """The Monte-Carlo draw every grid point of a P_t curve shares, from the
+    link and statistics of its first grid point (`_point_model`); None when
+    the curve has no Monte-Carlo engine, sweeps an axis that moves h, or
+    that point's link or statistics failed (each point then draws)."""
+    cfg, stats, _, _ = first
+    if spec.sweep_axis != "Pt" or "montecarlo" not in spec.engines or stats is None:
         return None
     return SimPlan(cfg, n_samples=spec.n_samples, seed=spec.seed, stats=stats)
 
@@ -175,60 +192,22 @@ def _draw_group(plans, i: int) -> dict:
         return dict.fromkeys(idx, exc)
 
 
-def _curve_outage(spec: ExperimentSpec) -> list:
-    """The analytic outage of every grid point of a P_t curve, from one call.
-
-    P_t reaches the model only through upsilon_1, so the constants built at
-    the first grid value serve every point (`SquareLawModel.outage_at`),
-    with values equal to the per-point ones bit for bit.  A None entry
-    leaves the point to compute (and record) its own outage: every entry
-    when the curve has no analytic outage or the call raises.
-    """
-    none = [None] * len(spec.grid)
-    if spec.sweep_axis != "Pt" or "analytic" not in spec.engines or "outage" not in spec.metrics:
-        return none
-    try:
-        cfgs = [apply_axis(spec.base, "Pt", v) for v in spec.grid]
-        k, _ = _constants_for(cfgs[0], spec.regime)
-        return [float(v) for v in k.outage_at(cfgs[0].gamma_th, [upsilon_1(c) for c in cfgs])]
-    except MODEL_FAILURES:   # each point retries on its own
-        return none
-
-
-def _grid_point_rows(spec: ExperimentSpec, value: float, h=None,
-                     outage: float | None = None):
-    """All output rows for one grid value.  Pure function of its inputs;
-    `h` is the curve's shared channel draw (`_draw_group`), or the
-    exception of its failed draw, and `outage` its analytic outage from the
-    curve's one call (`_curve_outage`), if any."""
+def _grid_point_rows(spec: ExperimentSpec, value: float, h, point: tuple, scalars: dict):
+    """All output rows for one grid value, with its flags and errors.  Pure
+    function of its inputs: `point` is the value's model (`_point_model`),
+    `scalars` its analytic outage/BER from the curve's `_metric_values`
+    calls (metric -> value, or the exception of its failure), and `h` the
+    curve's shared channel draw (`_draw_group`), the exception of its failed
+    draw, or None."""
     where = f"{spec.sweep_axis}={value:g}"
     rows: list[dict] = []
     flags: list[str] = []
-    errors: list[str] = []
-    try:
-        cfg = apply_axis(spec.base, spec.sweep_axis, value)
-    except MODEL_FAILURES as exc:   # the grid value makes the link invalid
-        return rows, flags, [f"{where}: link failed: {exc}"]
+    cfg, stats, k, errors = point
+    errors = list(errors)
+    if cfg is None:
+        return rows, flags, errors
     scalar_metrics = [m for m in spec.metrics if m in ("outage", "ber")]
     dist_metrics = [m for m in spec.metrics if m not in ("outage", "ber")]
-
-    # the curve's outage call built the same constants; build them only
-    # for what it did not compute
-    needs_constants = "analytic" in spec.engines and (
-        outage is None or set(spec.metrics) != {"outage"})
-    draw_failure, h = (h, None) if isinstance(h, Exception) else (None, h)
-    needs_draw = "montecarlo" in spec.engines and h is None and draw_failure is None
-    k = stats = None
-    if needs_constants or needs_draw:
-        # one evaluation of the statistics feeds both engines; their failure
-        # is recorded once, under the first engine that needs them
-        try:
-            stats = turbulence_stats(cfg, regime=spec.regime)
-            if needs_constants:
-                k, _ = _constants_for(cfg, spec.regime, stats)
-        except MODEL_FAILURES as exc:
-            what = "analytic constants" if needs_constants else "montecarlo channel"
-            errors.append(f"{where}: {what} failed: {exc}")
 
     def finite(engine, metric, values):
         """values, or None with the failure recorded if any is not finite."""
@@ -239,21 +218,9 @@ def _grid_point_rows(spec: ExperimentSpec, value: float, h=None,
             return None
         return values
 
-    def analytic(metric, *args):
-        """The model's value of one metric, or None with the failure recorded."""
-        if metric == "outage" and outage is not None:
-            return finite("analytic", metric, outage)
-        if k is None:
-            return None
-        try:
-            return finite("analytic", metric, getattr(k, metric)(*args))
-        except MODEL_FAILURES as exc:
-            errors.append(f"{where}: analytic {metric} failed: {exc}")
-            return None
-
     mc = None
-    if draw_failure is not None:
-        errors.append(f"{where}: montecarlo channel failed: {draw_failure}")
+    if isinstance(h, Exception):
+        errors.append(f"{where}: montecarlo channel failed: {h}")
     elif "montecarlo" in spec.engines and (h is not None or stats is not None):
         # one draw feeds every MC metric; the simulated fading follows the
         # regime of the analytic side
@@ -272,11 +239,13 @@ def _grid_point_rows(spec: ExperimentSpec, value: float, h=None,
         rows.append(output_row(spec.sweep_axis, value, spec.label, *columns, **named))
 
     for metric in scalar_metrics:
+        a_val = scalars.get(metric)   # None without a model
+        if isinstance(a_val, Exception):
+            errors.append(f"{where}: analytic {metric} failed: {a_val}")
+            a_val = None
         if metric == "outage":
-            a_val = analytic("outage", cfg.gamma_th)
             mc_est = mc_outage(mc["snr"], cfg.gamma_th) if mc is not None else None
         else:
-            a_val = analytic("ber")
             mc_est = mc_ber(mc["snr"]) if mc is not None else None
         if mc_est is not None and finite("montecarlo", metric, mc_est.value) is None:
             mc_est = None
@@ -313,7 +282,12 @@ def _grid_point_rows(spec: ExperimentSpec, value: float, h=None,
         else:
             continue
         centers = 0.5 * (edges[:-1] + edges[1:])
-        ana_vals = analytic(metric, centers)
+        ana_vals = None
+        if k is not None:
+            try:
+                ana_vals = finite("analytic", metric, getattr(k, metric)(centers))
+            except MODEL_FAILURES as exc:
+                errors.append(f"{where}: analytic {metric} failed: {exc}")
         if ana_vals is not None:
             for x, v in zip(centers, ana_vals):
                 add(metric, "analytic", float(x), float(v))
@@ -337,17 +311,20 @@ def _grid_point_rows(spec: ExperimentSpec, value: float, h=None,
 
 def run_experiments(specs, workers: int = 1) -> list[ExperimentResult]:
     """Evaluate the sweeps in order, one result each, on one pool of `workers`
-    processes if `workers` > 1.  A P_t curve's Monte-Carlo channel is drawn
-    just before the curve is evaluated, with those of the later curves that
+    processes if `workers` > 1.  Every grid point's model is built first
+    (`_point_model`).  A P_t curve's Monte-Carlo channel is drawn just
+    before the curve is evaluated, with those of the later curves that
     share its (seed, n_samples) (`_draw_group`), and dropped after its rows."""
-    plans = [_curve_plan(spec) for spec in specs]
+    points = [[_point_model(spec, v) for v in spec.grid] for spec in specs]
+    plans = [_curve_plan(spec, curve[0]) for spec, curve in zip(specs, points)]
     channels: dict = {}
     results = []
     with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
         for i, spec in enumerate(specs):
             if plans[i] is not None and i not in channels:
                 channels.update(_draw_group(plans, i))
-            results.append(_run_curve(spec, channels.pop(i, None), pool.map if pool else map))
+            results.append(_run_curve(spec, points[i], channels.pop(i, None),
+                                      pool.map if pool else map))
     return results
 
 
@@ -356,12 +333,21 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
     return run_experiments([spec], workers)[0]
 
 
-def _run_curve(spec: ExperimentSpec, h: np.ndarray | None, map_fn) -> ExperimentResult:
-    """One sweep's grid points, in grid order through `map_fn`, given its channel draw."""
+def _run_curve(spec: ExperimentSpec, points: list, h, map_fn) -> ExperimentResult:
+    """One sweep's grid points, in grid order through `map_fn`, given their
+    models and the curve's channel draw.  Each analytic outage/BER of the
+    curve is one `_metric_values` call over the points that have a model."""
+    models = {i: k for i, (_, _, k, _) in enumerate(points) if k is not None}
+    scalars = [{} for _ in points]
+    for metric in spec.metrics:
+        if metric in ("outage", "ber") and models:
+            values, failures = _metric_values(list(models.values()), metric, spec.base.gamma_th)
+            for j, i in enumerate(models):
+                scalars[i][metric] = failures.get(j, float(values[j]))
     n = len(spec.grid)
     result = ExperimentResult()
     for rows, flags, errors in map_fn(_grid_point_rows, [spec] * n, spec.grid, [h] * n,
-                                      _curve_outage(spec)):   # grid order preserved
+                                      points, scalars):   # grid order preserved
         result.rows.extend(rows)
         result.flags.extend(flags)
         result.errors.extend(errors)
@@ -425,19 +411,41 @@ def golden_section(f, a: float, b: float, tol: float) -> tuple[float, float]:
     return x, f(x)
 
 
-def _model_metric(k, metric: str, gamma_th: float) -> float:
-    """Outage at gamma_th or BER of one model; FloatingPointError if it is
-    not finite."""
-    value = k.outage(gamma_th) if metric == "outage" else k.ber()
-    if not math.isfinite(value):
-        raise FloatingPointError(f"the {metric} is {value}")
-    return value
+def _metric_values(models, metric: str, gamma_th: float) -> tuple[np.ndarray, dict]:
+    """Analytic outage at gamma_th (metric "outage") or BER ("ber") of every
+    model, and {index: exception} of those that failed, nan in the values.
+
+    The strong models are one `metric_batch` call; the weak ones are
+    evaluated one at a time, and so is every strong one if that call
+    raises.  A value that is not finite is a failure.
+    """
+    values = np.full(len(models), math.nan)
+    failures: dict = {}
+    strong = [i for i, k in enumerate(models) if isinstance(k, StrongModelConstants)]
+    alone = [i for i, k in enumerate(models) if not isinstance(k, StrongModelConstants)]
+    if strong:
+        try:
+            values[strong], errors = metric_batch([models[i] for i in strong], metric, gamma_th)
+            failures.update({strong[n]: NonConvergentError(r) for n, r in errors.items()})
+        except MODEL_FAILURES:   # each on its own
+            alone = range(len(models))
+    for i in alone:
+        try:
+            values[i] = models[i].outage(gamma_th) if metric == "outage" else models[i].ber()
+        except MODEL_FAILURES as exc:
+            failures[i] = exc
+    for i in np.flatnonzero(~np.isfinite(values)):
+        failures.setdefault(int(i), FloatingPointError(f"the {metric} is {values[i]}"))
+    return values, failures
 
 
 def _design_metric(cfg: LinkConfig, metric: str, regime: str | None) -> float:
-    """Analytic outage or BER of one configuration."""
+    """Analytic outage or BER of one configuration; its failure raises."""
     k, _ = _constants_for(cfg, regime)
-    return _model_metric(k, metric, cfg.gamma_th)
+    values, failures = _metric_values([k], metric, cfg.gamma_th)
+    if failures:
+        raise failures[0]
+    return float(values[0])
 
 
 @dataclass(frozen=True)
@@ -485,12 +493,11 @@ def heatmap(cfg: LinkConfig, sigma_e_grid, wz_grid, metric: str = "outage",
     and the failures of its cells.
 
     Rows follow sigma_e_grid, columns wz_grid.  Each cell builds its own
-    model constants.  A weak cell is its standalone closed form; the strong
-    cells share alpha, beta and the sectors, and are evaluated in one
-    `strong.metric_batch` call, each within the quadrature tolerance of its
+    model constants, and the cells' metric is one `_metric_values` call.
+    The strong cells share alpha, beta and the sectors, so they are one
+    `strong.metric_batch` group, each within the quadrature tolerance of its
     standalone evaluation (at most 1.1e-12 relative for the outage and
-    2.8e-12 for the BER on the default map at Cn2 = 1e-13).  If that call
-    raises, each strong cell is evaluated on its own.  A cell whose
+    2.8e-12 for the BER on the default map at Cn2 = 1e-13).  A cell whose
     evaluation fails numerically is nan, and its failure is one message in
     the returned list, in cell order.
     """
@@ -499,32 +506,18 @@ def heatmap(cfg: LinkConfig, sigma_e_grid, wz_grid, metric: str = "outage",
     if not all(se > 0 for se in sigma_e_grid):
         raise ValueError("the closed forms need tracking jitter sigma_theta_e > 0")
     out = np.full((len(sigma_e_grid), len(wz_grid)), math.nan)
-    failures = {}
-    strong = {}   # cell -> constants
+    failures, models = {}, {}
     for i, se in enumerate(sigma_e_grid):
         for j, wz in enumerate(wz_grid):
             try:
                 c = apply_axis(cfg, "w_z", float(wz)).with_(sigma_theta_e=float(se))
-                k, stats = _constants_for(c, regime)
-                if stats.regime is Regime.MODERATE_TO_STRONG:
-                    strong[i, j] = k
-                else:
-                    out[i, j] = _model_metric(k, metric, c.gamma_th)
+                models[i, j], _ = _constants_for(c, regime)
             except MODEL_FAILURES as exc:
                 failures[i, j] = exc
-    if strong:
-        try:
-            values, errors = metric_batch(list(strong.values()), metric, cfg.gamma_th)
-        except MODEL_FAILURES:   # each cell on its own
-            values, errors = np.full(len(strong), math.nan), {}
-            for n, k in enumerate(strong.values()):
-                try:
-                    values[n] = _model_metric(k, metric, cfg.gamma_th)
-                except MODEL_FAILURES as exc:
-                    errors[n] = exc
-        for n, cell in enumerate(strong):
-            out[cell] = values[n]
-            if n in errors or not math.isfinite(values[n]):
-                failures[cell] = errors.get(n, f"the {metric} is {values[n]}")
+    values, errors = _metric_values(list(models.values()), metric, cfg.gamma_th)
+    for n, cell in enumerate(models):
+        out[cell] = values[n]
+        if n in errors:
+            failures[cell] = errors[n]
     return out, [f"sigma_e={sigma_e_grid[i] * 1e6:g}urad w_z={wz_grid[j]:g}m: "
                  f"analytic {metric} failed: {failures[i, j]}" for i, j in sorted(failures)]

@@ -16,9 +16,10 @@ of alpha and beta serve every form, over the sector intervals [1/V_n,
 the simplified ones as a unit point term: G^{4,0}_{0,4} (density),
 G^{4,1}_{1,5} (CDF) and G^{8,2}_{2,9} (bit error rate).  The densities
 and CDFs take arrays; the SNR statistics and outage follow through
-`channel.SquareLawModel`.  `metric_batch` evaluates many models that
-share the turbulence and the sectors, a heatmap's cells, in one call
-with one pole per model; `ber_strong` is its one-model case.
+`channel.SquareLawModel`.  `metric_batch` evaluates the outage or bit
+error rate of many models, one call per group that shares the turbulence
+and the sectors, with one pole per model; `ber_strong` is its one-model
+case.
 """
 
 from __future__ import annotations
@@ -164,30 +165,21 @@ def cdf_h_strong(h, k: StrongModelConstants):
         k.B_s * x * _converged(_cdf_spec(k), k, _terms(k.sectors, 1), x * k.scale), 0.0, 1.0))
 
 
-def _simple_scale(k: StrongModelConstants, h_c_reinstated: bool) -> tuple[float, float]:
-    """Argument scale and prefactor of the single-term simplified forms."""
-    area = k.A_r * (k.h_c if h_c_reinstated else 1.0)
-    c = math.pi * k.w_z ** 2 * k.alpha ** 2 * k.beta ** 2 / (2.0 * area)
-    return c, c * k.K / math.exp(2.0 * (sp.gammaln(k.alpha) + sp.gammaln(k.beta)))
-
-
-def pdf_h_strong_simple(h, k: StrongModelConstants, h_c_reinstated: bool = True):
+def pdf_h_strong_simple(h, k: StrongModelConstants):
     """Small-jitter channel density (reflection coefficient -> 1).
 
-    Single G^{5,0}_{1,5} term.  The printed simplified forms drop the
-    deterministic loss h_c from the argument scale; h_c_reinstated=True
-    (default) puts it back, which is the variant that actually limits
-    the sectorized density.  Pass False for the bare printed form.
+    Single G^{5,0}_{1,5} term at the sectorized forms' argument scale and
+    prefactor.  The printed simplified forms drop the deterministic loss
+    h_c from that scale; it is kept here, the variant that actually
+    limits the sectorized density.
     """
-    c, pref = _simple_scale(k, h_c_reinstated)
-    return at_positive(h, lambda x: pref * _converged(_pdf_spec(k), k, _POINT, x * c))
+    return at_positive(h, lambda x: k.B_s * _converged(_pdf_spec(k), k, _POINT, x * k.scale))
 
 
-def cdf_h_strong_simple(h, k: StrongModelConstants, h_c_reinstated: bool = True):
+def cdf_h_strong_simple(h, k: StrongModelConstants):
     """Small-jitter channel CDF, single G^{5,1}_{2,6} term."""
-    c, pref = _simple_scale(k, h_c_reinstated)
     return at_positive(h, lambda x: np.clip(
-        pref * x * _converged(_cdf_spec(k), k, _POINT, x * c), 0.0, 1.0))
+        k.B_s * x * _converged(_cdf_spec(k), k, _POINT, x * k.scale), 0.0, 1.0))
 
 
 def ber_strong(k: StrongModelConstants, with_method: bool = False):
@@ -217,15 +209,15 @@ def _ber_pref(k: StrongModelConstants) -> float:
 
 def metric_batch(ks, metric: str, gamma_th: float) -> tuple[np.ndarray, dict]:
     """Outage at gamma_th (metric "outage") or bit error rate ("ber") of
-    every model in ks, from one `meijer_g_sum` call.
+    every model in ks, one `meijer_g_sum` call per group of models that
+    share alpha, beta and the sector model (a heatmap's cells, a sweep over
+    P_t, the jitter or the beam width).
 
-    The models must share alpha, beta and the sector model, as the cells
-    of a jitter x beamwidth map do.  Their sector scales scale/V_n differ
-    only through `scale`, so each model is one entry at argument x scale
-    (CDF, x = sqrt(gamma_th/upsilon_1)) or scale^2/(128 upsilon_1) (BER)
-    over the shared intervals [1/V_n, 1/V_{n-1}], and its pointing
-    exponent enters only as the entry's pole: K - 1 for the CDF, (K - 1)/2
-    for the BER.  The standalone forms are the same calls for one model.
+    Within a group each model is one entry at argument x scale (CDF, x =
+    sqrt(gamma_th/upsilon_1)) or scale^2/(128 upsilon_1) (BER) over the
+    shared intervals [1/V_n, 1/V_{n-1}], and its pointing exponent enters
+    only as the entry's pole: K - 1 for the CDF, (K - 1)/2 for the BER.
+    The standalone forms are the same calls for one model.
 
     Returns the values and {index: reason} of the entries that failed,
     which are nan.  A BER entry whose closed form fails takes the
@@ -233,19 +225,27 @@ def metric_batch(ks, metric: str, gamma_th: float) -> tuple[np.ndarray, dict]:
     """
     if metric not in ("outage", "ber"):
         raise ValueError("metric must be 'outage' or 'ber'")
-    k0 = ks[0]
-    if any((k.alpha, k.beta) != (k0.alpha, k0.beta)
-           or not (np.array_equal(k.sectors.V, k0.sectors.V)
-                   and np.array_equal(k.sectors.B, k0.sectors.B)) for k in ks):
-        raise ValueError("a batch needs models that share alpha, beta and the sector model")
-    if metric == "ber":
-        values, errors, _ = _ber_batch(ks)
-        return values, errors
-    if gamma_th < 0:
+    if metric == "outage" and gamma_th < 0:
         raise ValueError("gamma_th must be non-negative")
+    groups: dict = {}
+    for i, k in enumerate(ks):
+        key = (k.alpha, k.beta, k.sectors.V.tobytes(), k.sectors.B.tobytes())
+        groups.setdefault(key, []).append(i)
+    values, errors = np.empty(len(ks)), {}
+    for idx in groups.values():
+        group = [ks[i] for i in idx]
+        v, e = _ber_batch(group)[:2] if metric == "ber" else _outage_batch(group, gamma_th)
+        values[idx] = v
+        errors.update({idx[n]: reason for n, reason in e.items()})
+    return values, errors
+
+
+def _outage_batch(ks, gamma_th: float) -> tuple[np.ndarray, dict]:
+    """`metric_batch`'s outages of one group ks, and its failures."""
     values = np.zeros(len(ks))
     if gamma_th == 0:
         return values, {}
+    k0 = ks[0]
     x = np.sqrt(gamma_th / np.array([k.upsilon_1 for k in ks]))
     pos = np.flatnonzero(x > 0)   # the CDF is 0 at and below h = 0
     scale = np.array([ks[i].scale for i in pos])
@@ -257,8 +257,8 @@ def metric_batch(ks, metric: str, gamma_th: float) -> tuple[np.ndarray, dict]:
 
 
 def _ber_batch(ks) -> tuple[np.ndarray, dict, np.ndarray]:
-    """`metric_batch`'s bit error rates of ks, its failures, and the indices
-    that took the quadrature fallback."""
+    """`metric_batch`'s bit error rates of one group ks, its failures, and
+    the indices that took the quadrature fallback."""
     k0 = ks[0]
     scale = np.array([k.scale for k in ks])
     ups = np.array([k.upsilon_1 for k in ks])

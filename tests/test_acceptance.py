@@ -253,7 +253,7 @@ def test_c04b_simplified_form_regime_boundary(fig8_cfg):
         lo, hi = _central_band(k)
         grid = np.geomspace(lo, hi, 25)
         full = pdf_h_strong(grid, k)
-        simple = pdf_h_strong_simple(grid, k, h_c_reinstated=True)
+        simple = pdf_h_strong_simple(grid, k)
         rel = np.abs(simple / full - 1.0)
         worst = float(np.max(rel))
         case_ok = (worst <= tol) if expect_within else (worst > tol)

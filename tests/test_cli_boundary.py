@@ -1,5 +1,6 @@
-"""Property test at the CLI boundary: any link value a user can type ends in
-a usage error, a model failure named in the errors, or finite output.
+"""Property tests at the CLI boundary: any link value a user can type ends in
+a usage error, a model failure named in the errors, or finite output, and
+any `run` grid range ends in a sweep or a config error naming its line.
 
 Commands x link keys x values from {0, -1, 1e-300 ... 1e300}, with tiny
 sample counts and 2x2 heatmaps.  Every run must exit 0, 1 or 2 without a
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 
 from mrrlink.cli import main
 from mrrlink.config import LINK_KEYS
+from mrrlink.errors import ConfigError
 from mrrlink.recipes import RECIPES
 
 _MAP = ("heatmap", "--sigma-e-points", "2", "--w-z-points", "2")
@@ -96,3 +98,29 @@ def test_any_link_value_ends_cleanly(command, key, value):
             assert math.isfinite(result["value"]) and math.isfinite(result["theta_opt_mrad"]), argv
         else:
             assert _unnamed_sweep_values(out) == [], argv
+
+
+GRID_ENDS = st.sampled_from(["0", "1", "-1", "1e300", "-1e300"])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore::UserWarning")
+@seed(20261020)
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(start=GRID_ENDS, stop=GRID_ENDS, count=st.sampled_from(["0", "1", "2.5", "4"]),
+       spacing=st.sampled_from(["", "lin", "log"]), unit=st.sampled_from(["", "W", "dBm"]))
+def test_any_run_grid_range_ends_cleanly(start, stop, count, spacing, unit):
+    # counts stay small: each example sweeps at most 4 analytic outages
+    grid = f"{start}:{stop}:{count} {spacing} {unit}".strip()
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = os.path.join(tmp, "sweep.cfg"), os.path.join(tmp, "out")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            fh.write(f"sweep = Pt\nmetrics = outage\nengines = analytic\ngrid = {grid}\n")
+        try:
+            status, _, stderr = _run(["run", cfg, "--out", out])
+        except ConfigError as exc:
+            assert exc.line == 4, (grid, exc)
+            return
+        assert status in (0, 2), (grid, status, stderr)
+        assert "Traceback" not in stderr
+        if os.path.exists(out):
+            assert _unnamed_sweep_values(out) == [], grid

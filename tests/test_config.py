@@ -106,6 +106,18 @@ class TestGrid:
     def test_log_spacing(self):
         raw = parse_config("grid = 1:100:3 log")
         assert raw.experiment["grid"] == pytest.approx((1.0, 10.0, 100.0))
+        raw = parse_config("grid = -100:-1e-300:3 log")   # one sign, however small
+        assert raw.experiment["grid"] == pytest.approx((-100.0, -1e-149, -1e-300))
+
+    @pytest.mark.parametrize("line,match", [
+        ("grid = 0:30:4.5 dBm", "grid count 4.5 is not a whole number"),
+        ("grid = 0:30:4 log dBm", "log grid ends .* need one sign"),
+        ("grid = -10:30:4 log dBm", "log grid ends .* need one sign"),
+    ])
+    def test_bad_range_names_its_line(self, line, match):
+        with pytest.raises(UnitMismatchError, match=match) as e:
+            parse_config(f"sweep = Pt\n{line}\n")
+        assert e.value.line == 2
 
 
 class TestBuildLinkConfig:

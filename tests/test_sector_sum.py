@@ -370,8 +370,16 @@ class TestHeatmapBatch:
                 for s in se]
         assert np.array_equal(mat, want)
 
-    def test_models_must_share_the_channel(self):
-        k1 = _map_cell(0, 0)[1]
-        k2 = _strong(_MAP_CFG.with_(cn2_0=5e-14))
-        with pytest.raises(ValueError, match="share alpha, beta"):
-            strong.metric_batch([k1, k2], "outage", _MAP_CFG.gamma_th)
+    @pytest.mark.parametrize("metric", ["outage", "ber"])
+    def test_mixed_channels_equal_each_group_alone(self, metric):
+        # models of two Cn2 values, interleaved: each shares alpha and beta
+        # only with its own Cn2, and is evaluated in that group's call
+        cells = ((0, 0), (3, 5), (7, 19))
+        ks = [_map_cell(i, j)[1] for i, j in cells]
+        others = [_strong(_map_cell(i, j)[0].with_(cn2_0=5e-14)) for i, j in cells]
+        mixed = [k for pair in zip(ks, others) for k in pair]
+        values, errors = strong.metric_batch(mixed, metric, _MAP_CFG.gamma_th)
+        assert errors == {}
+        for group, got in ((ks, values[0::2]), (others, values[1::2])):
+            want, _ = strong.metric_batch(group, metric, _MAP_CFG.gamma_th)
+            assert np.array_equal(got, want)

@@ -1,7 +1,7 @@
 """Draw-once Monte-Carlo and batched outage: a transmit-power curve draws
 its channel once, curves that share (seed, n_samples) share one stream
-pass, a jitter grid draws its tilt normals once, and a transmit-power
-curve evaluates its analytic outage in one call.  The outputs are the
+pass, a jitter grid draws its tilt normals once, and a curve evaluates
+each analytic outage or BER in one call.  The outputs are the
 bytes of one draw and one evaluation per grid point and per jitter;
 `TestPinnedOutputs` pins them."""
 
@@ -64,6 +64,20 @@ def passes(monkeypatch):
     return cfgs
 
 
+@pytest.fixture
+def mb_orders(monkeypatch):
+    """(m, n, number of arguments) of each strong `meijer_g_sum` call made."""
+    orders = []
+    real = strong.meijer_g_sum
+
+    def recording(spec, weights, lo, hi, p, s, pole=None):
+        orders.append((spec.m, spec.n, np.size(s)))
+        return real(spec, weights, lo, hi, p, s, pole=pole)
+
+    monkeypatch.setattr(strong, "meijer_g_sum", recording)
+    return orders
+
+
 class TestChannelDrawPerCurve:
     @FADINGS
     def test_pt_sweep_draws_once(self, passes, cfg, regime):
@@ -85,9 +99,11 @@ class TestChannelDrawPerCurve:
         # what each pool task runs when --workers > 1
         spec = ExperimentSpec(base_cfg(), "Pt", PT_GRID, metrics=("outage",),
                               engines=("montecarlo",), regime="weak", n_samples=1_000)
-        h = draw_channel(experiments._curve_plan(spec))
+        first = experiments._point_model(spec, PT_GRID[0])
+        h = draw_channel(experiments._curve_plan(spec, first))
         assert len(passes) == 1
-        rows, _, _ = experiments._grid_point_rows(spec, PT_GRID[2], h)
+        rows, _, _ = experiments._grid_point_rows(spec, PT_GRID[2], h,
+                                                  experiments._point_model(spec, PT_GRID[2]), {})
         assert len(passes) == 1 and len(rows) == 1
 
     @FADINGS
@@ -187,6 +203,33 @@ class TestOnePassPerRecipe:
         res = run_experiment(spec)
         assert not res.errors and len(res.rows) == len(spec.grid)
         assert orders == [(4, 1, len(spec.grid))]   # the CDF order, every P_t at once
+
+    def test_strong_jitter_curve_evaluates_each_metric_in_one_call(self, mb_orders):
+        # the tracking jitter moves K alone, so the grid points share alpha,
+        # beta and the sectors: one Mellin-Barnes call per metric, each point
+        # within the quadrature tolerance of its standalone value
+        cfg = base_cfg(sigma_theta_o=6 * DEG, cn2_0=1e-13)   # the mc-oracle run's link
+        grid = tuple(np.linspace(50e-6, 400e-6, 8))
+        spec = ExperimentSpec(cfg, "sigma_theta_e", grid, metrics=("outage", "ber"),
+                              engines=("analytic",))
+        res = run_experiment(spec)
+        assert not res.errors and len(res.rows) == 2 * len(grid)
+        assert mb_orders == [(4, 1, len(grid)), (8, 2, len(grid))]
+        for row in res.rows:
+            point = apply_axis(cfg, "sigma_theta_e", row["sweep_value"])
+            want = experiments._design_metric(point, row["metric"], None)
+            assert row["value"] == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_strong_pt_run_evaluates_its_ber_in_one_call(self, mb_orders, tmp_path, capsys):
+        # the benchmark's Gamma-Gamma run: its outage and its BER are one
+        # call each over the whole P_t grid
+        cfg = tmp_path / "gammagamma.cfg"
+        cfg.write_text("Z = 1000 m\nw_z = 40 cm\nsigma_theta_o = 6 deg\n"
+                       "sigma_theta_e = 100 urad\nCn2 = 1e-13\nsweep = Pt\n"
+                       "grid = 0:30:4 dBm\nmetrics = outage, ber\n"
+                       "engines = analytic, montecarlo\nsamples = 2000\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "run.csv")]) in (0, 2)
+        assert mb_orders == [(4, 1, 4), (8, 2, 4)]
 
     def test_failed_batch_falls_back_to_points(self, monkeypatch):
         spec = build_recipe("fig9")[0]

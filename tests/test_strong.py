@@ -130,17 +130,8 @@ class TestSimplifiedForms:
         top = _h_support(k)
         for h in np.geomspace(top * 0.05, top * 0.9, 6):
             full = pdf_h_strong(h, k)
-            simple = pdf_h_strong_simple(h, k, h_c_reinstated=True)
+            simple = pdf_h_strong_simple(h, k)
             assert full == pytest.approx(simple, rel=0.01)
-
-    def test_bare_form_omits_deterministic_loss(self, k6):
-        # printed simplified form misses h_c in its argument scale; the
-        # two variants are related by f_reinstated(h) = f_bare(h/h_c)/h_c
-        top = _h_support(k6)
-        for h in (top * 0.1, top * 0.5):
-            bare_shifted = pdf_h_strong_simple(h / k6.h_c, k6, h_c_reinstated=False) / k6.h_c
-            reinstated = pdf_h_strong_simple(h, k6, h_c_reinstated=True)
-            assert reinstated == pytest.approx(bare_shifted, rel=1e-9)
 
     def test_simple_cdf_normalizes(self):
         k, _ = make_constants(1.0)
