@@ -54,8 +54,8 @@ def _add_common(p: argparse.ArgumentParser, samples: bool, link: bool) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="output path")
     p.add_argument("--workers", type=_count, default=1,
-                   help="worker processes; every command accepts it, only run and "
-                        "the link recipes use it")
+                   help="accepted by every command and has no effect; every command "
+                        "computes in one process")
     if samples:
         p.add_argument("--samples", type=_count, default=None,
                        help="Monte-Carlo samples per grid point (default 1e6; mc-tables 5e6)")
@@ -67,7 +67,7 @@ def _add_common(p: argparse.ArgumentParser, samples: bool, link: bool) -> None:
 def cmd_sweep(args) -> int:
     """Sweep `args.specs`, one curve for `run`, into one CSV and sidecar."""
     rows, flags, errors = [], [], []
-    for spec, res in zip(args.specs, run_experiments(args.specs, workers=args.workers)):
+    for spec, res in zip(args.specs, run_experiments(args.specs)):
         tag = f"[{spec.label}] " if spec.label else ""
         rows.extend(res.rows)
         flags.extend(tag + f for f in res.flags)

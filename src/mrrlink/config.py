@@ -142,7 +142,11 @@ def _parse_grid(text: str, line_no: int) -> tuple[np.ndarray, str | None]:
     if spacing == "log" and not (min(start, stop) > 0 or max(start, stop) < 0):
         raise UnitMismatchError(f"log grid ends {start:g}, {stop:g} need one sign", line_no)
     space = np.geomspace if spacing == "log" else np.linspace
-    return space(start, stop, int(count)), unit
+    with np.errstate(over="ignore", invalid="ignore"):   # a span that overflows
+        values = space(start, stop, int(count))
+    if not np.isfinite(values).all():
+        raise UnitMismatchError(f"grid range {start:g}:{stop:g} has non-finite values", line_no)
+    return values, unit
 
 
 def config_entries(text: str):

@@ -7,29 +7,26 @@ then a call through that model's `pdf_h`/`cdf_h`/`pdf_snr`/`cdf_snr`/
 `outage`/`ber`.  The Monte-Carlo side draws its fading from the same
 turbulence statistics.
 
-Grid points may be computed by one worker pool per `run_experiments` call;
-rows are always emitted in grid order and all randomness is seed-keyed, so
-output files are byte-identical for any worker count.  Each grid point's
-link, turbulence statistics and model constants are built once, in the
-calling process (`_point_model`); the statistics feed both engines.  Every
-set of analytic outages or BERs (a sweep curve, a heatmap, an optimizer
-step) is one `_metric_values` call, which batches the strong models in
-`strong.metric_batch`.  P_t reaches the model only through upsilon_1
-(gamma = upsilon_1 h^2), so a transmit-power curve draws one Monte-Carlo
-channel at its first grid value and sends it to the pool with each task.
-`run_experiments` draws the curves of a recipe that share (seed,
-n_samples) in one `draw_channel` call, before the first of them is
-evaluated, and drops each curve's h after its rows.  Every other axis
-moves h, so each of its grid points draws its own.  A grid point records
+Rows are emitted in grid order and all randomness is seed-keyed, so
+output files are byte-identical from run to run.  Each grid point's
+link, turbulence statistics and model constants are built once
+(`_point_model`); the statistics feed both engines.  Every set of
+analytic outages or BERs (a sweep curve, a heatmap, an optimizer step) is
+one `_metric_values` call, which batches the strong models in
+`strong.metric_batch`.  Every Monte-Carlo channel of a sweep is drawn in
+`_draw_group`: the curves that share (seed, n_samples) are one
+`draw_channel` pass, made just before the first of them is evaluated, and
+each curve's h is dropped after its rows.  P_t reaches the model only
+through upsilon_1 (gamma = upsilon_1 h^2), so the grid points of a
+transmit-power curve share one h; every other axis moves h, so each of
+its grid points has a row of its own in the pass.  A grid point records
 each model failure (`MODEL_FAILURES`) and the sweep goes on.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -167,29 +164,32 @@ def _point_model(spec: ExperimentSpec, value: float) -> tuple:
     return cfg, stats, k, []
 
 
-def _curve_plan(spec: ExperimentSpec, first: tuple) -> SimPlan | None:
-    """The Monte-Carlo draw every grid point of a P_t curve shares, from the
-    link and statistics of its first grid point (`_point_model`); None when
-    the curve has no Monte-Carlo engine, sweeps an axis that moves h, or
-    that point's link or statistics failed (each point then draws)."""
-    cfg, stats, _, _ = first
-    if spec.sweep_axis != "Pt" or "montecarlo" not in spec.engines or stats is None:
-        return None
-    return SimPlan(cfg, n_samples=spec.n_samples, seed=spec.seed, stats=stats)
+def _curve_plan(spec: ExperimentSpec, points: list) -> list:
+    """Each grid point's Monte-Carlo draw, from its link and statistics
+    (`_point_model`), so the simulated fading follows the analytic regime;
+    None where they failed or without the Monte-Carlo engine.  A P_t
+    curve's points share the first plan, since P_t does not move h."""
+    mc = "montecarlo" in spec.engines
+    plans = [SimPlan(cfg, n_samples=spec.n_samples, seed=spec.seed, stats=stats)
+             if mc and stats is not None else None for cfg, stats, _, _ in points]
+    first = next((p for p in plans if p), None)
+    return [first if p else None for p in plans] if spec.sweep_axis == "Pt" else plans
 
 
 def _draw_group(plans, i: int) -> dict:
-    """{j: h} for curve i and each later curve that shares its (seed,
-    n_samples), the rows of one `draw_channel` pass; i is the first of them.
-    If the pass fails, each of them maps to the exception instead, which
-    every grid point of those curves records as its channel failure."""
-    key = (plans[i].seed, plans[i].n_samples)
-    idx = [j for j in range(i, len(plans))
-           if plans[j] is not None and (plans[j].seed, plans[j].n_samples) == key]
+    """{j: [h of each grid point]} for curve i and each later curve that
+    shares its (seed, n_samples), from one `draw_channel` pass over their
+    distinct plans (`plans[j]` is curve j's `_curve_plan`); a point without
+    a plan gets None.  If the pass fails, each h is its exception instead."""
+    keys = [{(p.seed, p.n_samples) for p in curve if p} for curve in plans]
+    idx = [j for j in range(i, len(plans)) if keys[j] == keys[i]]
+    distinct = list({id(p): p for j in idx for p in plans[j] if p}.values())
     try:
-        return dict(zip(idx, np.atleast_2d(draw_channel(*(plans[j] for j in idx)))))
+        drawn = np.atleast_2d(draw_channel(*distinct))
     except MODEL_FAILURES as exc:
-        return dict.fromkeys(idx, exc)
+        drawn = [exc] * len(distinct)
+    h = {id(p): row for p, row in zip(distinct, drawn)}
+    return {j: [h[id(p)] if p else None for p in plans[j]] for j in idx}
 
 
 def _grid_point_rows(spec: ExperimentSpec, value: float, h, point: tuple, scalars: dict):
@@ -197,12 +197,12 @@ def _grid_point_rows(spec: ExperimentSpec, value: float, h, point: tuple, scalar
     function of its inputs: `point` is the value's model (`_point_model`),
     `scalars` its analytic outage/BER from the curve's `_metric_values`
     calls (metric -> value, or the exception of its failure), and `h` the
-    curve's shared channel draw (`_draw_group`), the exception of its failed
-    draw, or None."""
+    value's channel draw from its curve's pass (`_draw_group`), the
+    exception of that failed pass, or None without one."""
     where = f"{spec.sweep_axis}={value:g}"
     rows: list[dict] = []
     flags: list[str] = []
-    cfg, stats, k, errors = point
+    cfg, _, k, errors = point
     errors = list(errors)
     if cfg is None:
         return rows, flags, errors
@@ -221,13 +221,9 @@ def _grid_point_rows(spec: ExperimentSpec, value: float, h, point: tuple, scalar
     mc = None
     if isinstance(h, Exception):
         errors.append(f"{where}: montecarlo channel failed: {h}")
-    elif "montecarlo" in spec.engines and (h is not None or stats is not None):
-        # one draw feeds every MC metric; the simulated fading follows the
-        # regime of the analytic side
+    elif h is not None:
+        # one draw feeds every MC metric
         try:
-            if h is None:
-                h = draw_channel(SimPlan(cfg, n_samples=spec.n_samples, seed=spec.seed,
-                                         stats=stats))
             # gamma = (upsilon_1 h) h, sample_channel's operation order, so it is bit-identical
             snr = upsilon_1(cfg) * h
             snr *= h
@@ -309,34 +305,32 @@ def _grid_point_rows(spec: ExperimentSpec, value: float, h, point: tuple, scalar
     return rows, flags, errors
 
 
-def run_experiments(specs, workers: int = 1) -> list[ExperimentResult]:
-    """Evaluate the sweeps in order, one result each, on one pool of `workers`
-    processes if `workers` > 1.  Every grid point's model is built first
-    (`_point_model`).  A P_t curve's Monte-Carlo channel is drawn just
-    before the curve is evaluated, with those of the later curves that
-    share its (seed, n_samples) (`_draw_group`), and dropped after its rows."""
+def run_experiments(specs) -> list[ExperimentResult]:
+    """Evaluate the sweeps in order, one result each.  Every grid point's
+    model is built first (`_point_model`).  A curve's Monte-Carlo channels,
+    n_samples floats per grid point (one per P_t curve), are drawn just
+    before it is evaluated, with those of the later curves that share its
+    (seed, n_samples) (`_draw_group`), and dropped after its rows."""
     points = [[_point_model(spec, v) for v in spec.grid] for spec in specs]
-    plans = [_curve_plan(spec, curve[0]) for spec, curve in zip(specs, points)]
+    plans = [_curve_plan(spec, curve) for spec, curve in zip(specs, points)]
     channels: dict = {}
     results = []
-    with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
-        for i, spec in enumerate(specs):
-            if plans[i] is not None and i not in channels:
-                channels.update(_draw_group(plans, i))
-            results.append(_run_curve(spec, points[i], channels.pop(i, None),
-                                      pool.map if pool else map))
+    for i, spec in enumerate(specs):
+        if i not in channels and any(plans[i]):
+            channels.update(_draw_group(plans, i))
+        results.append(_run_curve(spec, points[i], channels.pop(i, [None] * len(points[i]))))
     return results
 
 
-def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
+def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Evaluate one sweep: its rows in grid order, flags and errors."""
-    return run_experiments([spec], workers)[0]
+    return run_experiments([spec])[0]
 
 
-def _run_curve(spec: ExperimentSpec, points: list, h, map_fn) -> ExperimentResult:
-    """One sweep's grid points, in grid order through `map_fn`, given their
-    models and the curve's channel draw.  Each analytic outage/BER of the
-    curve is one `_metric_values` call over the points that have a model."""
+def _run_curve(spec: ExperimentSpec, points: list, hs: list) -> ExperimentResult:
+    """One sweep's grid points, in grid order, given their models and their
+    channel draws.  Each analytic outage/BER of the curve is one
+    `_metric_values` call over the points that have a model."""
     models = {i: k for i, (_, _, k, _) in enumerate(points) if k is not None}
     scalars = [{} for _ in points]
     for metric in spec.metrics:
@@ -344,10 +338,9 @@ def _run_curve(spec: ExperimentSpec, points: list, h, map_fn) -> ExperimentResul
             values, failures = _metric_values(list(models.values()), metric, spec.base.gamma_th)
             for j, i in enumerate(models):
                 scalars[i][metric] = failures.get(j, float(values[j]))
-    n = len(spec.grid)
     result = ExperimentResult()
-    for rows, flags, errors in map_fn(_grid_point_rows, [spec] * n, spec.grid, [h] * n,
-                                      points, scalars):   # grid order preserved
+    for args in zip(spec.grid, hs, points, scalars):
+        rows, flags, errors = _grid_point_rows(spec, *args)
         result.rows.extend(rows)
         result.flags.extend(flags)
         result.errors.extend(errors)

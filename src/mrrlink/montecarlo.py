@@ -3,7 +3,7 @@
 Every random draw is keyed by (seed, block-index) through a
 counter-based Philox generator, with a fixed internal block size, so
 the sample stream -- and everything accumulated from it -- is
-bit-identical for any chunking of blocks across workers.  A run of n
+bit-identical for any chunking of blocks.  A run of n
 samples draws n rows, a prefix of any longer run.  Per sample the
 engine draws a fixed layout of nine uniforms: three mirror tilts (slots
 0-2), two tracking angles (3-4) and two log-normal fading variates
@@ -21,11 +21,11 @@ three uniforms per sample from `block_uniforms` too.
 A draw depends on the seed and the sample count, never on who asks for
 it, so callers share one where their grid points would repeat it: a
 transmit-power curve forms each point's gamma = upsilon_1 h^2 from one h
-array (`experiments.run_experiments`), and a jitter grid scales one set of
-tilt normals (`mrr.hmrr_from_normals`).  Links that share (seed,
-n_samples) share one pass of the stream (`draw_channel(plan, *more)`, the
-curves of a recipe such as fig7 or fig8): per block the uniforms and the
-tilt and tracking normals are drawn once, and the fading once per distinct
+array, and a jitter grid scales one set of tilt normals
+(`mrr.hmrr_from_normals`).  Links that share (seed, n_samples) share one
+pass of the stream (`draw_channel(plan, *more)`; a sweep's grid points in
+`experiments._draw_group`): per block the uniforms and the tilt and
+tracking normals are drawn once, and the fading once per distinct
 (model, parameters); each link's h is then formed as in a pass of its own.
 `draw_channel` keeps h only; `sample_channel`, the one block loop, also
 yields gamma unless asked not to.

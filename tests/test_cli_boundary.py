@@ -100,7 +100,7 @@ def test_any_link_value_ends_cleanly(command, key, value):
             assert _unnamed_sweep_values(out) == [], argv
 
 
-GRID_ENDS = st.sampled_from(["0", "1", "-1", "1e300", "-1e300"])
+GRID_ENDS = st.sampled_from(["0", "1", "-1", "1e300", "-1e300", "1e308", "-1e308"])
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore::UserWarning")

@@ -113,6 +113,9 @@ class TestGrid:
         ("grid = 0:30:4.5 dBm", "grid count 4.5 is not a whole number"),
         ("grid = 0:30:4 log dBm", "log grid ends .* need one sign"),
         ("grid = -10:30:4 log dBm", "log grid ends .* need one sign"),
+        ("grid = -1e308:1e308:3", "grid range .* non-finite"),
+        ("grid = -1e308:1e308:2", "grid range .* non-finite"),
+        ("grid = -1e308:1e308:1", "grid range .* non-finite"),
     ])
     def test_bad_range_names_its_line(self, line, match):
         with pytest.raises(UnitMismatchError, match=match) as e:

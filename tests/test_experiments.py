@@ -222,30 +222,36 @@ class TestRunExperiment:
         points = {(r["sweep_value"], r["engine"]) for r in res.rows}
         assert points == {(0.0, "montecarlo"), (100e-6, "analytic"), (100e-6, "montecarlo")}
 
-    def test_csv_deterministic_across_workers(self, tmp_path):
-        grid = tuple(10 ** (p / 10) / 1000 for p in (0.0, 15.0, 30.0))
-        outs = {}
-        for workers in (1, 2):
-            path = tmp_path / f"w{workers}.csv"
-            spec = ExperimentSpec(base_cfg(), "Pt", grid, metrics=("outage", "ber"),
-                                  engines=("analytic", "montecarlo"), regime="weak",
-                                  n_samples=60_000, seed=7)
-            write_outputs(run_experiment(spec, workers=workers).rows, str(path), {})
-            outs[workers] = path.read_bytes()
-        assert outs[1] == outs[2]
+    def run_per_worker_count(self, tmp_path, text):
+        """The CSV and sidecar bytes of `mrrlink run` on config `text` with
+        --workers 1 and 2."""
+        from mrrlink.cli import main
 
-    def test_strong_csv_deterministic_across_workers(self, tmp_path):
-        # Gamma-Gamma fading draws from its own per-block substream
-        grid = tuple(10 ** (p / 10) / 1000 for p in (0.0, 15.0, 30.0))
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(text)
         outs = {}
-        for workers in (1, 2):
+        for workers in ("1", "2"):
             path = tmp_path / f"w{workers}.csv"
-            spec = ExperimentSpec(base_cfg(cn2_0=1e-13), "Pt", grid, metrics=("outage", "ber"),
-                                  engines=("analytic", "montecarlo"), regime="strong",
-                                  n_samples=BLOCK + 5_000, seed=7)
-            write_outputs(run_experiment(spec, workers=workers).rows, str(path), {})
-            outs[workers] = path.read_bytes()
-        assert outs[1] == outs[2]
+            assert main(["run", str(cfg), "--workers", workers, "--out", str(path)]) == 0
+            outs[workers] = path.read_bytes(), Path(f"{path}.json").read_bytes()
+        return outs
+
+    def test_csv_deterministic_across_workers(self, tmp_path, capsys):
+        outs = self.run_per_worker_count(tmp_path, (
+            "Z = 1000 m\ntheta_div = 0.4 mrad\nsigma_theta_e = 100 urad\n"
+            "sigma_theta_o = 5 deg\nCn2 = 5e-15\nsweep = Pt\ngrid = 0, 15, 30 dBm\n"
+            "metrics = outage, ber\nengines = analytic, montecarlo\nregime = weak\n"
+            "samples = 60000\nseed = 7\n"))
+        assert outs["1"] == outs["2"]
+
+    def test_strong_csv_deterministic_across_workers(self, tmp_path, capsys):
+        # Gamma-Gamma fading draws from its own per-block substream
+        outs = self.run_per_worker_count(tmp_path, (
+            "Z = 1000 m\ntheta_div = 0.4 mrad\nsigma_theta_e = 100 urad\n"
+            "sigma_theta_o = 5 deg\nCn2 = 1e-13\nsweep = Pt\ngrid = 0, 15, 30 dBm\n"
+            "metrics = outage, ber\nengines = analytic, montecarlo\nregime = strong\n"
+            f"samples = {BLOCK + 5_000}\nseed = 7\n"))
+        assert outs["1"] == outs["2"]
 
     def test_sidecar_written(self, tmp_path):
         path = tmp_path / "run.csv"
@@ -431,47 +437,29 @@ class TestCli:
         names = capsys.readouterr().out.split()
         assert "fig9" in names and "fig15" in names
 
-    def test_recipe_opens_one_worker_pool(self, tmp_path, monkeypatch, capsys):
-        # fig15's eight curves share one pool, and its bytes are those of one worker
-        from concurrent.futures import ProcessPoolExecutor
-
-        import mrrlink.experiments as experiments
-        from mrrlink.cli import main
-
-        pools = []
-
-        class Counting(ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(self)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", Counting)
-        outs = {}
-        for workers in ("2", "1"):
-            outs[workers] = tmp_path / f"fig15-w{workers}.csv"
-            assert main(["recipe", "fig15", "--workers", workers,
-                         "--out", str(outs[workers])]) == 0
-            assert len(pools) == 1
-        for suffix in ("", ".json"):
-            assert (Path(f"{outs['1']}{suffix}").read_bytes()
-                    == Path(f"{outs['2']}{suffix}").read_bytes())
-
-    @pytest.mark.parametrize("argv,outputs", [
-        (["optimize", "--set", "Pt=20 dBm"], ("",)),
-        (["heatmap", "--sigma-e-points", "2", "--w-z-points", "2"], ("",)),
-        (["mc-tables", "--samples", "10000"], ("_moments.csv", "_sectors.csv")),
-        (["recipe", "fig13", "--samples", "20000"], ("", ".json")),
-    ], ids=["optimize", "heatmap", "mc-tables", "fig13"])
-    def test_worker_count_is_accepted_and_changes_nothing(self, argv, outputs, tmp_path,
+    @pytest.mark.parametrize("argv,outputs,code", [
+        (["optimize", "--set", "Pt=20 dBm"], ("",), 0),
+        (["heatmap", "--sigma-e-points", "2", "--w-z-points", "2"], ("",), 0),
+        (["mc-tables", "--samples", "10000"], ("_moments.csv", "_sectors.csv"), 0),
+        (["recipe", "fig13", "--samples", "20000"], ("", ".json"), 0),
+        (["recipe", "fig15"], ("", ".json"), 0),
+        (["recipe", "fig7", "--samples", "20000"], ("", ".json"), 2),
+        (["run", "sigma_o.cfg"], ("", ".json"), 2),
+    ], ids=["optimize", "heatmap", "mc-tables", "fig13", "fig15", "fig7", "run-sigma_o"])
+    def test_worker_count_is_accepted_and_changes_nothing(self, argv, outputs, code, tmp_path,
                                                           capsys):
         # every command takes --workers, so one command line form serves all;
-        # these ones compute in one process whatever its value
+        # every command computes in one process whatever its value
         from mrrlink.cli import main
 
+        (tmp_path / "sigma_o.cfg").write_text(
+            "sweep = sigma_theta_o\ngrid = 2, 5, 8 deg\nmetrics = outage, ber, cdf_h\n"
+            "engines = analytic, montecarlo\nsamples = 20000\n")
+        argv = [str(tmp_path / a) if a.endswith(".cfg") else a for a in argv]
         files = {}
         for workers in ("1", "3"):
             out = tmp_path / f"w{workers}"
-            assert main([*argv, "--workers", workers, "--out", str(out)]) == 0
+            assert main([*argv, "--workers", workers, "--out", str(out)]) == code
             files[workers] = [Path(f"{out}{suffix}").read_bytes() for suffix in outputs]
         assert files["1"] == files["3"]
 

@@ -1,6 +1,7 @@
 """Draw-once Monte-Carlo and batched outage: a transmit-power curve draws
-its channel once, curves that share (seed, n_samples) share one stream
-pass, a jitter grid draws its tilt normals once, and a curve evaluates
+its channel once, a curve on any other axis draws its grid points in one
+stream pass, curves that share (seed, n_samples) share that pass, a
+jitter grid draws its tilt normals once, and a curve evaluates
 each analytic outage or BER in one call.  The outputs are the
 bytes of one draw and one evaluation per grid point and per jitter;
 `TestPinnedOutputs` pins them."""
@@ -88,34 +89,49 @@ class TestChannelDrawPerCurve:
         assert passes[0].P_t == PT_GRID[0]
         assert [r["sweep_value"] for r in res.rows] == [v for v in PT_GRID for _ in range(2)]
 
-    def test_jitter_sweep_draws_per_point(self, passes):
+    def test_jitter_sweep_draws_in_one_pass(self, passes, monkeypatch):
+        # the orientation jitter moves h: each grid point has a plan of its
+        # own, and the curve draws them all in one pass
+        drawn = []
+        monkeypatch.setattr(experiments, "draw_channel",
+                            lambda *plans: drawn.append(plans) or draw_channel(*plans))
         grid = tuple(d * DEG for d in (2.0, 5.0, 8.0))
         spec = ExperimentSpec(base_cfg(), "sigma_theta_o", grid, metrics=("outage",),
                               engines=("montecarlo",), regime="weak", n_samples=N, seed=7)
         run_experiment(spec)
-        assert [c.sigma_theta_o for c in passes] == list(grid)
+        assert len(passes) == 1
+        assert [[p.cfg.sigma_theta_o for p in plans] for plans in drawn] == [list(grid)]
 
     def test_point_with_shared_draw_makes_no_pass(self, passes):
-        # what each pool task runs when --workers > 1
+        # a grid point given its curve's h draws nothing itself
         spec = ExperimentSpec(base_cfg(), "Pt", PT_GRID, metrics=("outage",),
                               engines=("montecarlo",), regime="weak", n_samples=1_000)
-        first = experiments._point_model(spec, PT_GRID[0])
-        h = draw_channel(experiments._curve_plan(spec, first))
+        plans = experiments._curve_plan(
+            spec, [experiments._point_model(spec, v) for v in PT_GRID])
+        assert all(p is plans[0] for p in plans)
+        h = draw_channel(plans[0])
         assert len(passes) == 1
         rows, _, _ = experiments._grid_point_rows(spec, PT_GRID[2], h,
                                                   experiments._point_model(spec, PT_GRID[2]), {})
         assert len(passes) == 1 and len(rows) == 1
 
-    @FADINGS
-    def test_rows_equal_per_point_draw(self, cfg, regime, monkeypatch):
+    @pytest.mark.parametrize("cfg,regime,axis", [
+        (cfg, regime, axis) for axis in ("Pt", "sigma_theta_o", "Cn2")
+        for cfg, regime in ((base_cfg(), "weak"), (base_cfg(cn2_0=1e-13), "strong"))
+    ], ids=["lognormal", "gammagamma", "lognormal-sigma_o", "gammagamma-sigma_o",
+            "lognormal-Cn2", "gammagamma-Cn2"])
+    def test_rows_equal_per_point_draw(self, cfg, regime, axis, monkeypatch):
+        # sigma_o moves the mirror tilts of each point, Cn2 its fading
         snr = []   # the gamma array each point hands to the estimators
         original = experiments.mc_ber
         monkeypatch.setattr(experiments, "mc_ber", lambda g: snr.append(g) or original(g))
-        spec = ExperimentSpec(cfg, "Pt", PT_GRID, metrics=("outage", "ber"),
+        grid = {"Pt": PT_GRID, "sigma_theta_o": tuple(d * DEG for d in (2.0, 5.0, 8.0)),
+                "Cn2": (cfg.cn2_0 / 2, cfg.cn2_0, 2 * cfg.cn2_0)}[axis]
+        spec = ExperimentSpec(cfg, axis, grid, metrics=("outage", "ber"),
                               engines=("montecarlo",), regime=regime, n_samples=N, seed=7)
         rows = run_experiment(spec).rows
-        for i, pt in enumerate(PT_GRID):
-            point = apply_axis(cfg, "Pt", pt)
+        for i, value in enumerate(grid):
+            point = apply_axis(cfg, axis, value)
             h = draw_channel(SimPlan(point, n_samples=N, seed=7,
                                      stats=turbulence_stats(point, regime=regime)))
             gamma = upsilon_1(point) * h * h
@@ -335,6 +351,26 @@ class TestPinnedOutputs:
         out = tmp_path / "recipe.csv"
         assert main([*argv, "--out", str(out)]) == code
         assert digest(out.read_bytes(), (tmp_path / "recipe.csv.json").read_bytes()) == want
+
+    @pytest.mark.parametrize("cfg,axis,grid,regime,want", [
+        (base_cfg(), "sigma_theta_o", tuple(d * DEG for d in (2.0, 5.0, 8.0)), "weak",
+         "e254bad0513618103f6037e7ccb6664d5ca5c93abddac52746034b3d442c7bbb"),
+        # sigma_e = 0 has no closed form: an analytic error, Monte-Carlo rows kept
+        (base_cfg(cn2_0=1e-13), "sigma_theta_e", (0.0, 100e-6, 300e-6), "strong",
+         "888c0cfd08d8d8eb3837de3fbe4b215485fa2d1c733305bd97a4b145be797e65"),
+        # Cn2 moves alpha and beta, so each point has fading of its own
+        (base_cfg(), "Cn2", (5e-14, 1e-13, 3e-13), "strong",
+         "5cb501de678ca566e3b75025c13de79c52daa4cd432e79d573c9e8a95aa2795f"),
+    ], ids=["lognormal-sigma_o", "gammagamma-sigma_e", "strong-Cn2"])
+    def test_mc_sweep_csv(self, tmp_path, cfg, axis, grid, regime, want):
+        # axes other than P_t move h: every grid point has a draw of its own
+        spec = ExperimentSpec(cfg, axis, grid, metrics=("outage", "ber", "pdf_h", "cdf_snr"),
+                              engines=("analytic", "montecarlo"), regime=regime,
+                              n_samples=N, seed=7, bins=20)
+        res = run_experiment(spec)
+        path = tmp_path / "sweep.csv"
+        write_outputs(res.rows, str(path), {"flags": res.flags, "errors": res.errors})
+        assert digest(path.read_bytes(), (tmp_path / "sweep.csv.json").read_bytes()) == want
 
     def test_strong_pt_run(self, tmp_path, capsys):
         cfg = tmp_path / "strong.cfg"
