@@ -163,8 +163,9 @@ def _usage_problem(args) -> str | None:
 
     On the way it builds `args.link` (the default or config-file link with
     every --set applied) and, for `run` and `recipe`, the `args.specs` to
-    sweep.  Faults on a config file's lines raise; a link that the file's
-    values make invalid is a usage problem.
+    sweep.  A fault on a config file's line raises `ConfigError`, which
+    `main` reports as a usage error; a link that the file's values make
+    invalid is a usage problem.
     """
     if args.command == "recipe":
         if args.list:
@@ -299,7 +300,10 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_mc_tables, samples=5_000_000)
 
     args = parser.parse_args(argv)
-    problem = _usage_problem(args)
+    try:
+        problem = _usage_problem(args)
+    except ConfigError as e:   # only `run` reads a config file
+        problem = f"{args.spec_file}: {e}"
     if problem:
         sub.choices[args.command].error(problem)
     return args.fn(args)

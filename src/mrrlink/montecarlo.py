@@ -3,20 +3,21 @@
 Every random draw is keyed by (seed, block-index) through a
 counter-based Philox generator, with a fixed internal block size, so
 the sample stream -- and everything accumulated from it -- is
-bit-identical for any chunking of blocks.  A run of n
-samples draws n rows, a prefix of any longer run.  Per sample the
-engine draws a fixed layout of nine uniforms: three mirror tilts (slots
-0-2), two tracking angles (3-4) and two log-normal fading variates
-(5-6), each mapped to a normal by inversion.  Slots 7-8 are drawn but
-unused, so the layout -- and with it the geometry and log-normal
-streams -- does not move.  Gamma-Gamma fading draws its four gamma
-variates per sample (alpha, alpha, beta, beta) with
-`Generator.standard_gamma` from a separate Philox substream of the same
-(seed, block) key, whose counter starts 2**192 steps in
-(`_FADING_SUBSTREAM`), so it never overlaps the uniforms.  The same
-seed therefore produces the same geometry draws under either fading
-model.  The reflection coefficient's tilts (`mrr.tilt_normals`) take
-three uniforms per sample from `block_uniforms` too.
+bit-identical for any chunking of blocks.  A run of n samples draws n
+rows, a prefix of any longer run.  Per sample the engine draws six
+standard normals (`Generator.standard_normal`, numpy's ziggurat)
+straight from the block's Philox stream: three mirror tilts (slots 0-2),
+two tracking angles (3-4) and the log-normal fading (5).  The two
+passes' log-normal fading normals are independent, so their sum is drawn
+as one normal of doubled variance, which is exact in distribution.
+Gamma-Gamma fading draws its four gamma variates per sample (alpha,
+alpha, beta, beta) with `Generator.standard_gamma` from a separate
+Philox substream of the same (seed, block) key, whose counter starts
+2**192 steps in (`_FADING_SUBSTREAM`), so it never overlaps the normals.
+The six-normal layout does not depend on the fading model, so the same
+seed produces the same geometry draws under either.  The reflection
+coefficient's tilts (`mrr.tilt_normals`) are three normals per sample
+from the same (seed, block) key.
 
 A draw depends on the seed and the sample count, never on who asks for
 it, so callers share one where their grid points would repeat it: a
@@ -24,9 +25,9 @@ transmit-power curve forms each point's gamma = upsilon_1 h^2 from one h
 array, and a jitter grid scales one set of tilt normals
 (`mrr.hmrr_from_normals`).  Links that share (seed, n_samples) share one
 pass of the stream (`draw_channel(plan, *more)`; a sweep's grid points in
-`experiments._draw_group`): per block the uniforms and the tilt and
-tracking normals are drawn once, and the fading once per distinct
-(model, parameters); each link's h is then formed as in a pass of its own.
+`experiments._draw_group`): per block the six normals are drawn once,
+and the fading formed once per distinct (model, parameters); each link's
+h is then formed as in a pass of its own.
 `draw_channel` keeps h only; `sample_channel`, the one block loop, also
 yields gamma unless asked not to.
 
@@ -34,8 +35,8 @@ A block's arithmetic makes one pass per operation: products and sums
 across a row's few columns are taken column by column (f[:, 0] * f[:, 1]
 * f[:, 2]) rather than as small-axis reductions, and ufunc chains run in
 place on one working array.  Each sample sees the same operations in the
-same order as the row-wise form, so the byte contract above is unchanged;
-the pinned digests in the tests hold it.
+same order as the row-wise form; the pinned digests in the tests hold
+the byte contract above.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from enum import Enum
 from typing import Iterator, NamedTuple
 
 import numpy as np
-from scipy import special as sp
 
 from .channel import (
     LinkConfig,
@@ -86,7 +86,7 @@ BLOCK = 1 << 16  # samples per deterministic substream (fixed; not a tuning knob
 # analysis describe the same channel.
 POINTING_DISPLACEMENT_FACTOR = 0.5
 
-_UNIFORM_SLOTS = 9
+_CHANNEL_NORMALS = 6   # per row: tilts 0-2, tracking 3-4, log-normal fading 5
 # Top counter word of the Gamma-Gamma fading substream within a block's key.
 _FADING_SUBSTREAM = 1
 
@@ -136,17 +136,11 @@ def _block_generator(seed: int, index: int, substream: int = 0) -> np.random.Gen
     return np.random.Generator(np.random.Philox(key=key, counter=[0, 0, 0, substream]))
 
 
-def block_uniforms(seed: int, index: int, cols: int, rows: int) -> np.ndarray:
-    """The first min(rows, BLOCK) rows of `cols` uniforms in the Philox
-    stream keyed by (seed, block index), whatever the block scheduling."""
-    return _block_generator(seed, index).random((min(rows, BLOCK), cols))
-
-
-def normals(u: np.ndarray) -> np.ndarray:
-    """Standard normals by inversion.  Uniforms lie in [0, 1), so only the
-    lower end is clipped, which keeps ndtri off -inf."""
-    x = np.maximum(u, 1e-17)
-    return sp.ndtri(x, out=x)
+def block_normals(seed: int, index: int, out: np.ndarray) -> np.ndarray:
+    """Fill `out`, a C-contiguous (rows, cols) array with rows <= BLOCK,
+    with the first rows of `cols` standard normals in the Philox stream
+    keyed by (seed, block index), whatever the block scheduling."""
+    return _block_generator(seed, index).standard_normal(out=out)
 
 
 def _mirror_factor(theta, scale: float = 1.0):
@@ -183,24 +177,24 @@ def _fading_key(plan: SimPlan) -> tuple:
     return plan.fading, stats.alpha, stats.beta
 
 
-def _fading_pair(plan: SimPlan, u: np.ndarray, block: int) -> np.ndarray:
+def _fading_pair(plan: SimPlan, z: np.ndarray, block: int) -> np.ndarray:
     """Product of the two per-pass fading coefficients (unit mean each) for
-    the rows of `u`, the log-normal fading uniforms of block `block`.
-    Gamma-Gamma draws from the block's fading substream instead, row by
-    row, so a shorter block is a prefix of the full one."""
+    the rows of `z`, the log-normal fading normals of block `block`: the two
+    passes' log-amplitudes sum to a normal of variance 8 sigma_L^2, drawn as
+    2 sqrt(2 sigma_L^2) z.  Gamma-Gamma draws from the block's fading
+    substream instead, row by row, so a shorter block is a prefix of the
+    full one."""
     model, *params = _fading_key(plan)
     if model is FadingModel.LOG_NORMAL:
         (s_l2,) = params
         if s_l2 == 0.0:
-            return np.ones(len(u))
-        x = normals(u)
-        out = x[:, 0] + x[:, 1]
-        out *= 2.0 * math.sqrt(s_l2)
+            return np.ones(len(z))
+        out = z * (2.0 * math.sqrt(2.0 * s_l2))
         out -= 4.0 * s_l2
         return np.exp(out, out=out)
     alpha, beta = params
     shapes = np.array([alpha, alpha, beta, beta])
-    g = _block_generator(plan.seed, block, _FADING_SUBSTREAM).standard_gamma(shapes, (len(u), 4))
+    g = _block_generator(plan.seed, block, _FADING_SUBSTREAM).standard_gamma(shapes, (len(z), 4))
     g /= shapes
     out = g[:, 0] * g[:, 1]
     out *= g[:, 2]
@@ -213,9 +207,9 @@ def sample_channel(plan: SimPlan, *more: SimPlan, with_snr: bool = True) -> Iter
     of `plan` and of each further plan, followed with `with_snr` by each
     plan's gamma = upsilon_1 h^2.  Alone, `plan` yields (h, gamma) blocks.
 
-    The plans must share seed and sample count.  Per block the uniforms
-    and the tilt and tracking normals are drawn once, and the fading once
-    per distinct (model, parameters); each plan's h is then formed from
+    The plans must share seed and sample count.  Per block the six normals
+    are drawn once, and the fading formed once per distinct (model,
+    parameters); each plan's h is then formed from
     them with its own link, in the operation order of a single-plan pass,
     so a plan's samples do not depend on the plans drawn beside it.
     """
@@ -226,9 +220,10 @@ def sample_channel(plan: SimPlan, *more: SimPlan, with_snr: bool = True) -> Iter
     links = [(p, _fading_key(p), beer_lambert(p.cfg), geometric_loss_gs(p.cfg),
               POINTING_DISPLACEMENT_FACTOR * p.cfg.Z) for p in plans]
     u1 = [upsilon_1(p.cfg) for p in plans]
+    buf = np.empty((min(n, BLOCK), _CHANNEL_NORMALS))   # refilled block by block
     for b, pos in enumerate(range(0, n, BLOCK)):
-        u = block_uniforms(seed, b, _UNIFORM_SLOTS, n - pos)
-        tilt, track = normals(u[:, 0:3]), normals(u[:, 3:5])
+        z = block_normals(seed, b, buf[:n - pos])
+        tilt, track = z[:, 0:3], z[:, 3:5]
         fading: dict = {}
         hs = []
         for p, key, hl, h_pg, scale in links:
@@ -237,7 +232,7 @@ def sample_channel(plan: SimPlan, *more: SimPlan, with_snr: bool = True) -> Iter
             np.sin(d, out=d)
             d *= scale
             if key not in fading:
-                fading[key] = _fading_pair(p, u[:, 5:7], b)
+                fading[key] = _fading_pair(p, z[:, 5], b)
             # (hl^2 h_pg) * fading * h_pu * h_mrr, left to right
             h = fading[key] * (hl * hl * h_pg)
             h *= pointing_loss_approx(cfg, d[:, 0], d[:, 1])

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientSamplesError, NonPositiveBreakpointError
-from .montecarlo import BLOCK, _mirror_factor, _mirror_product, block_uniforms, normals
+from .montecarlo import BLOCK, _mirror_factor, _mirror_product, block_normals
 from .specfun import at_positive
 
 __all__ = [
@@ -122,7 +122,7 @@ def tilt_normals(n: int, seed: int = 0) -> np.ndarray:
         raise ValueError("need n >= 1")
     z = np.empty((n, 3))
     for block, pos in enumerate(range(0, n, BLOCK)):
-        z[pos:pos + BLOCK] = normals(block_uniforms(seed, block, 3, n - pos))
+        block_normals(seed, block, z[pos:pos + BLOCK])
     return z
 
 

@@ -7,7 +7,8 @@ import mrrlink.montecarlo as montecarlo
 
 @pytest.fixture
 def block_rows(monkeypatch):
-    """Rows of uniforms asked of the Philox block generators, in call order."""
+    """Rows of standard normals asked of the Philox block generators, in
+    call order: one entry per block of a channel pass or a tilt draw."""
     rows = []
     original = montecarlo._block_generator
 
@@ -15,9 +16,9 @@ def block_rows(monkeypatch):
         def __init__(self, gen):
             self.gen = gen
 
-        def random(self, shape):
-            rows.append(shape[0])
-            return self.gen.random(shape)
+        def standard_normal(self, size=None, *, out=None):
+            rows.append(len(out) if out is not None else size[0])
+            return self.gen.standard_normal(size, out=out)
 
         def __getattr__(self, name):   # the Gamma-Gamma substream's standard_gamma
             return getattr(self.gen, name)

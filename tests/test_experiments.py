@@ -507,18 +507,21 @@ class TestCli:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("key", ["samples", "bins"])
-    def test_config_count_below_one_fails_before_sweep(self, tmp_path, monkeypatch, key):
+    def test_config_count_below_one_fails_before_sweep(self, tmp_path, monkeypatch, key,
+                                                       capsys):
         import mrrlink.experiments as experiments
         from mrrlink.cli import main
-        from mrrlink.errors import ConfigError
 
         monkeypatch.setattr(experiments, "_grid_point_rows", None)   # must not be reached
         spec = tmp_path / "sweep.cfg"
         spec.write_text("sweep = Pt\ngrid = 0:30:3 dBm\nmetrics = outage\n"
                         f"engines = analytic\nregime = weak\n{key} = 0\n")
-        with pytest.raises(ConfigError, match=">= 1") as e:
+        with pytest.raises(SystemExit) as exc:
             main(["run", str(spec), "--out", str(tmp_path / "out.csv")])
-        assert e.value.line == 6
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: {spec}: line 6: " in err and ">= 1" in err
+        assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("argv", [["recipe"], ["recipe", "nosuch"]])
     def test_recipe_name_missing_or_unknown_is_usage_error(self, argv, capsys):
@@ -587,14 +590,15 @@ class TestCli:
         assert exc.value.code == 2
         assert "--bracket needs 0 < LO_MRAD < HI_MRAD" in capsys.readouterr().err
 
-    def test_unknown_config_key_fails_cleanly(self, tmp_path):
+    def test_unknown_config_key_fails_cleanly(self, tmp_path, capsys):
         from mrrlink.cli import main
-        from mrrlink.errors import UnknownKeyError
 
         spec = tmp_path / "bad.cfg"
         spec.write_text("foo = 1\n")
-        with pytest.raises(UnknownKeyError):
+        with pytest.raises(SystemExit) as exc:
             main(["run", str(spec)])
+        assert exc.value.code == 2
+        assert f"error: {spec}: line 1: unknown key 'foo'" in capsys.readouterr().err
 
 
 class TestCliInput:
@@ -670,17 +674,13 @@ class TestCliInput:
         ("w_z = 40 cm", "theta_div", "0.2:1:3 mrad"),
     ])
     def test_run_config_line_the_sweep_overwrites_is_config_error(self, line, sweep, grid,
-                                                                 tmp_path):
-        from mrrlink.cli import main
-        from mrrlink.errors import ConfigError
-
+                                                                 tmp_path, capsys):
         spec = tmp_path / "sweep.cfg"
         spec.write_text(f"Z = 1000 m\n{line}\nsweep = {sweep}\ngrid = {grid}\n"
                         "metrics = outage\nengines = analytic\nregime = weak\n")
-        with pytest.raises(ConfigError, match="has no effect: the config's sweep sets") as e:
-            main(["run", str(spec), "--out", str(tmp_path / "out")])
-        assert e.value.line == 2
-        assert not list(tmp_path.glob("out*"))
+        err = self.usage_error(["run", str(spec)], tmp_path, capsys)
+        assert f"error: {spec}: line 2: " in err
+        assert "has no effect: the config's sweep sets" in err
 
     @pytest.mark.parametrize("line,match", [
         ("metrics = outage, foo", "metrics must be"),
@@ -689,16 +689,13 @@ class TestCliInput:
         ("sweep = foo", "sweep axis must be"),
         ("grid = 3, 2, 1", "sorted ascending"),
     ])
-    def test_bad_run_config_value_names_its_line(self, line, match, tmp_path):
-        from mrrlink.cli import main
-        from mrrlink.errors import ConfigError
-
+    def test_bad_run_config_value_names_its_line(self, line, match, tmp_path, capsys):
         spec = tmp_path / "sweep.cfg"
         spec.write_text("sweep = Pt\ngrid = 1, 2, 3\nmetrics = outage\n"
                         f"engines = analytic\nregime = weak\n{line}\n")
-        with pytest.raises(ConfigError, match=match) as e:
-            main(["run", str(spec), "--out", str(tmp_path / "out")])
-        assert e.value.line == 6
+        err = self.usage_error(["run", str(spec)], tmp_path, capsys)
+        assert f"error: {spec}: line 6: " in err
+        assert match in err
 
     def test_run_sidecar_is_a_one_curve_recipe_sidecar(self, tmp_path, capsys):
         from mrrlink.cli import main

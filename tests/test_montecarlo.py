@@ -2,10 +2,12 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import special as sp
+from scipy import stats
 
 import mrrlink.montecarlo as montecarlo
 from mrrlink.channel import (
@@ -140,20 +142,25 @@ class TestSharedPass:
             assert np.array_equal(h, draw_channel(plan))
 
     def test_shared_normals_not_written(self, monkeypatch):
-        # the tilt and tracking normals of a block serve every plan of the
-        # pass; each plan's h and gamma are those of a pass of its own
+        # the normals of a block serve every plan of the pass; each plan's h
+        # and gamma are those of a pass of its own.  The pass refills one
+        # buffer block by block, so each block is checked at its yield.
         drawn = []
-        original = montecarlo.normals
+        original = montecarlo.block_normals
 
-        def recording(u):
-            out = original(u)
+        def recording(*args):
+            out = original(*args)
             drawn.append((out, out.copy()))
             return out
 
-        monkeypatch.setattr(montecarlo, "normals", recording)
+        monkeypatch.setattr(montecarlo, "block_normals", recording)
         plans = self.plans()
-        blocks = list(montecarlo.sample_channel(*plans))
-        assert drawn and all(np.array_equal(x, kept) for x, kept in drawn)
+        blocks = []
+        for shared in montecarlo.sample_channel(*plans):
+            z, kept = drawn[-1]
+            assert np.array_equal(z, kept)
+            blocks.append(shared)
+        assert len(drawn) == len(blocks) == 2
         monkeypatch.undo()
         for i, plan in enumerate(plans):
             own = list(montecarlo.sample_channel(plan))
@@ -165,9 +172,9 @@ class TestSharedPass:
         drawn = []
         original = montecarlo._fading_pair
 
-        def recording(plan, u, block):
+        def recording(plan, z, block):
             drawn.append(plan.fading)
-            return original(plan, u, block)
+            return original(plan, z, block)
 
         monkeypatch.setattr(montecarlo, "_fading_pair", recording)
         draw_channel(*self.plans())
@@ -192,7 +199,7 @@ class TestSharedPass:
 
 class TestRowsDrawn:
     """A run of n samples asks the block generators for exactly n rows of
-    uniforms, the last block included."""
+    normals, the last block included."""
 
     N = BLOCK + 1_000
 
@@ -206,13 +213,108 @@ class TestRowsDrawn:
         assert block_rows == [BLOCK, 1_000]
 
 
+class TestStreamContract:
+    """Stream contract v3: per (seed, block) a channel row is six standard
+    normals from the block's Philox stream (tilts 0-2, tracking 3-4,
+    log-normal fading 5) and a tilt row three; the log-normal pair is one
+    normal of doubled variance.  KS tests run at p = 0.001."""
+
+    N = BLOCK + 1_000
+
+    @staticmethod
+    def recorded(monkeypatch, fn, *args):
+        """The value of fn(*args) and a copy of every block of normals it drew."""
+        drawn = []
+        original = montecarlo.block_normals
+
+        def recording(*a):
+            out = original(*a)
+            drawn.append(out.copy())
+            return out
+
+        monkeypatch.setattr(montecarlo, "block_normals", recording)
+        value = fn(*args)
+        monkeypatch.undo()
+        return value, np.concatenate(drawn)
+
+    def test_channel_columns_are_standard_normal(self, monkeypatch):
+        _, z = self.recorded(monkeypatch, draw_channel, SimPlan(weak_cfg(), self.N, seed=31))
+        assert z.shape == (self.N, 6)
+        for col in z.T:
+            assert stats.kstest(col, "norm").pvalue > 1e-3
+
+    def test_tilt_columns_are_standard_normal(self):
+        z = tilt_normals(self.N, seed=31)
+        for col in z.T:
+            assert stats.kstest(col, "norm").pvalue > 1e-3
+
+    def test_lognormal_pair_has_doubled_variance(self, monkeypatch):
+        plan = SimPlan(weak_cfg(), self.N, seed=31, fading=FadingModel.LOG_NORMAL).resolved()
+        fading = []
+        original = montecarlo._fading_pair
+
+        def recording(*args):
+            fading.append(original(*args))
+            return fading[-1]
+
+        monkeypatch.setattr(montecarlo, "_fading_pair", recording)
+        draw_channel(plan)
+        s_l2 = plan.stats.sigma_L2
+        assert s_l2 > 0
+        x = np.log(np.concatenate(fading))
+        assert len(x) == self.N
+        assert stats.kstest(x, "norm", args=(-4 * s_l2, math.sqrt(8 * s_l2))).pvalue > 1e-3
+
+    @pytest.mark.parametrize("cols", [3, 6])
+    @pytest.mark.parametrize("rows", [1, 1_000, BLOCK - 1])
+    def test_partial_block_is_a_prefix_of_the_full_block(self, cols, rows):
+        full = montecarlo.block_normals(9, 1, np.empty((BLOCK, cols)))
+        part = montecarlo.block_normals(9, 1, np.empty((rows, cols)))
+        assert np.array_equal(part, full[:rows])
+
+    def test_fading_models_share_geometry_bit_for_bit(self, monkeypatch):
+        cfg = weak_cfg()
+        ln = SimPlan(cfg, self.N, seed=3, fading=FadingModel.LOG_NORMAL)
+        gg = SimPlan(cfg, self.N, seed=3, fading=FadingModel.GAMMA_GAMMA,
+                     stats=turbulence_stats(cfg, regime="strong"))
+        _, z_ln = self.recorded(monkeypatch, draw_channel, ln)
+        _, z_gg = self.recorded(monkeypatch, draw_channel, gg)
+        assert np.array_equal(z_ln[:, :5], z_gg[:, :5])   # tilts and tracking
+
+    def test_tilt_rows_are_the_keys_first_normals(self):
+        # a tilt row reads three normals of the same key a channel row reads six of
+        z = tilt_normals(2, seed=4)
+        head = montecarlo.block_normals(4, 0, np.empty((1, 6)))
+        assert np.array_equal(z.ravel(), head.ravel())
+
+
+class TestWorkingSet:
+    """Peak traced allocation of one warm call at two blocks: the block's
+    six normals are drawn into one buffer that every block refills, and a
+    tilt draw writes straight into its output."""
+
+    @staticmethod
+    def peak_mb(fn, *args) -> float:
+        fn(*args)   # warm: imports and caches are not the working set
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+
+    def test_lognormal_draw_channel(self):
+        plan = SimPlan(weak_cfg(), 2 * BLOCK, seed=3, fading=FadingModel.LOG_NORMAL)
+        assert self.peak_mb(draw_channel, plan) < 10.0   # the output is 1 MB of it
+
+    def test_tilt_normals(self):
+        assert self.peak_mb(tilt_normals, 2 * BLOCK) < 5.0   # the output is 3.1 MB of it
+
+
 class TestPinnedStreams:
     """sha256 of streams the Monte-Carlo kernel must not move (numpy 2.4,
-    x86-64 Linux); each draw crosses a block boundary.  The log-normal and
-    `sample_hmrr` digests were recorded before the Gamma-Gamma sampler
-    replaced inverse-CDF fading; the Gamma-Gamma, shared-pass and
-    jitter-grid digests before the block arithmetic went column-wise and
-    in place."""
+    x86-64 Linux); each draw crosses a block boundary.  Recorded with
+    stream contract v3 (`TestStreamContract`)."""
 
     @staticmethod
     def digest(*arrays) -> str:
@@ -223,18 +325,18 @@ class TestPinnedStreams:
                        fading=FadingModel.LOG_NORMAL)
         h = draw_channel(plan)
         assert self.digest(h, upsilon_1(plan.cfg) * h * h) == (
-            "a049cae50aea49167764c36c8f5b06a3fae96812cc23e17a46c80675e2d66f52")
+            "712b5e771bb2886e54ca8dd5af6da393eb18df8c7e1677cba1d087c7a63caa44")
 
     def test_sample_hmrr(self):
         assert self.digest(sample_hmrr(0.1, BLOCK + 1_000, seed=5)) == (
-            "859c79de4b246cdc696922688d364184392d8dd661da2f8486929831d1757940")
+            "f1d5c8322b73622445500151ea3e0f04e0a43e4eefddfc7ba1ce68cfe42ef846")
 
     def test_gammagamma_channel(self):
         plan = SimPlan(strong_cfg(), n_samples=BLOCK + 1_000, seed=5)
         assert plan.resolved().fading is FadingModel.GAMMA_GAMMA
         h = draw_channel(plan)
         assert self.digest(h, upsilon_1(plan.cfg) * h * h) == (
-            "f0eb0605307d5638cfa60ed6f60965aa93293a9c0d25c38af36600f3e71f6206")
+            "1b9d1f340cf1c6af5f0ca8e0e8f0570ba54d95a5b46f926802ceb810f54374a0")
 
     def test_shared_pass(self):
         # two orientation jitters, one log-normal fading key
@@ -242,12 +344,12 @@ class TestPinnedStreams:
         plans = (SimPlan(weak_cfg(), n, seed=5),
                  SimPlan(weak_cfg(sigma_theta_o=8 * DEG), n, seed=5))
         assert self.digest(draw_channel(*plans)) == (
-            "ed23f7541a106637eed0904f28280d876567de8f88e73e82cdf401b3b7740a33")
+            "a5005084bfedc83941dfd7a5aa2816e3da85246230ccf4ea1e9ef34f2f86d91b")
 
     def test_hmrr_jitter_grid(self):
         z = tilt_normals(BLOCK + 1_000, seed=5)
         assert self.digest(hmrr_from_normals(0.05, z), hmrr_from_normals(0.1, z)) == (
-            "d7479104051275d0da7333ad8f54fd8c6b6ab724a4d61ed9e66a2e33bc3cea1c")
+            "34a780f5ee3d209fa48716a4ec2b874abe3dfa74ea19d454cf43c5b7e13dd1ac")
 
 
 def gg_moment(a: float, b: float, k: float) -> float:
@@ -267,8 +369,8 @@ class TestGammaGammaSampler:
         a, b = request.param
         plan = SimPlan(weak_cfg(), seed=11, fading=FadingModel.GAMMA_GAMMA,
                        stats=TurbulenceStats(1.0, 0.25, a, b, Regime.MODERATE_TO_STRONG))
-        u = np.empty((BLOCK, 2))
-        return a, b, np.concatenate([montecarlo._fading_pair(plan, u, blk) for blk in range(16)])
+        z = np.empty(BLOCK)   # the log-normal column; Gamma-Gamma reads its length
+        return a, b, np.concatenate([montecarlo._fading_pair(plan, z, blk) for blk in range(16)])
 
     def test_mean(self, draws):
         a, b, x = draws

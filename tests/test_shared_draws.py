@@ -279,25 +279,22 @@ class TestFig13:
 
 
 class TestPinnedOutputs:
-    """sha256 of outputs recorded with one channel draw per grid point and
-    one tilt draw per jitter (numpy 2.4, x86-64 Linux); each draw crosses a
-    block boundary.  The recipe and `run` digests (CSV then sidecar) were
-    recorded with one stream pass per curve and one outage evaluation per
-    grid point.  Sharing the draws and the outage call must not move a byte."""
+    """sha256 of outputs (numpy 2.4, x86-64 Linux); each draw crosses a
+    block boundary.  The Monte-Carlo digests were recorded with stream
+    contract v3, one channel draw per grid point and one tilt draw per
+    jitter, and the recipe and `run` digests (CSV then sidecar) with one
+    stream pass per curve and one outage evaluation per grid point.  Sharing
+    the draws and the outage call must not move a byte."""
 
     @pytest.mark.parametrize("cfg,regime,want", [
-        # weak re-recorded with the weak CDF's second Q term standing alone:
-        # six analytic cdf_snr rows near saturation moved by 3e-14, e.g.
-        # 0.9998897228534999 -> ...5298 (mpmath ...52987), which prints
-        # 0.999889722853 instead of ...854
-        (base_cfg(), "weak", "19ba9f4d7b9b52555cbff5121dc18f82a54169826dcbb9ea94e58dc461480096"),
+        (base_cfg(), "weak", "9d87ed1f634c6a2fc4a8395d89a3f677af11e4807312528ad62141bb525a1958"),
         (base_cfg(cn2_0=1e-13), "strong",
-         "7dc33b8c7427d834d577c9466a7cb1346366a5685b72a8c48d2f21d34db2990d"),
+         "40891bf2ad415f285d70277982d7f814423e6a8a06336053c1188f4ea44a7889"),
         # 2.5 deg lies between rows of both reflection tables: interpolated values
         (base_cfg(sigma_theta_o=2.5 * DEG), "weak",
-         "70a79a4c6f6faf57f0021bc71c9083e665a073c5b7556c52071a0ced6a5505e5"),
+         "572ba083d8532dd9db01ac0a82e1f07af3af9115f41064f5c349aa524365ac0a"),
         (base_cfg(sigma_theta_o=2.5 * DEG, cn2_0=1e-13), "strong",
-         "db37f57a62a2a564dc569ab1636a7b008401c98e30f50be6218e923ee48a7164"),
+         "4b1bd942be824c2dd3f0e4ae33d3a49fd70d4561ec6bd5915249c0c4a2c9293f"),
     ], ids=["weak", "strong", "weak-2.5deg", "strong-2.5deg"])
     def test_pt_sweep_csv(self, tmp_path, cfg, regime, want):
         grid = tuple(10 ** (p / 10) / 1000 for p in (0.0, 15.0, 30.0))
@@ -315,33 +312,22 @@ class TestPinnedOutputs:
         assert main(["mc-tables", "--samples", "70000", "--seed", "7", "--out", str(out)]) == 0
         assert digest((tmp_path / "tables_moments.csv").read_bytes(),
                       (tmp_path / "tables_sectors.csv").read_bytes()) == (
-            "b887c5e1ca67a771f99655a9a37e9ef768e53c7ebc20185f5be83fa027f5fd49")
+            "6dd56af037e6b489b66adc4ea5b9eeae48433133fed81a23eac85e9ead305fe5")
 
     def test_fig13(self, tmp_path, capsys):
         out = tmp_path / "fig13.csv"
         assert main(["recipe", "fig13", "--samples", "65537", "--seed", "7",
                      "--out", str(out)]) == 0
         assert digest(out.read_bytes()) == (
-            "462c529e012750f74a3e3d83fb65e12393e1ac0af12d4450c9ba9b3689a0d5a3")
+            "fa3cf971cab4a41caa30b8562a4672482f6d1a42c9604c2607c7c46724e6cf10")
 
     @pytest.mark.parametrize("argv,code,want", [
-        # fig7 re-recorded with the weak CDF's second Q term standing alone:
-        # eight analytic cdf_h/cdf_snr rows moved by up to 4.5e-14, each now
-        # within 7e-15 of 40-digit mpmath; e.g. the 2 deg cdf_h at h =
-        # 2.745e-5 went 0.9581931715704612 -> ...5014 (mpmath ...50156)
         (["recipe", "fig7", "--samples", "70000", "--seed", "7"], 2,
-         "2220e44a1e47ec68d3dbcc0e292af8d0c52f64dfffb5bcbb74c969f890e98e50"),
-        # fig8 re-recorded with the pointing exponent as a pole: two cells
-        # on a 12-digit rounding boundary moved, each within 4e-15 of 30-digit
-        # mpmath before and after.  The 2 deg analytic pdf_h at h = 2.9849e-6
-        # went 77214.81490224967 -> ...5015 (mpmath ...4985), which prints
-        # 77214.8149023 instead of ...022; the 8 deg cdf_h at h = 2.7127e-4
-        # went 0.9999208819024988 -> ...5002 (mpmath ...4998), which prints
-        # 0.999920881903 instead of ...902
+         "235f6c3b7108b151cbd2438d1e7436101fde043d56e2829854b57e483c137fd7"),
         (["recipe", "fig8", "--samples", "70000", "--seed", "7"], 0,
-         "4263ce0e26dfd88f9eeef720dc8feb0e399baf9d3ede5b5956966ee64eb2f129"),
+         "f18aed4e4400891c13950a1332402baaa8e4d2442a586650302e474082f10d3a"),
         (["recipe", "fig8", "--samples", "70000", "--seed", "7", "--workers", "2"], 0,
-         "4263ce0e26dfd88f9eeef720dc8feb0e399baf9d3ede5b5956966ee64eb2f129"),
+         "f18aed4e4400891c13950a1332402baaa8e4d2442a586650302e474082f10d3a"),
         (["recipe", "fig9"], 0,
          "3077b93e04eaef23ff503b7f21c1cd80cd86ecec5ab9ffd3e9ffb7e758175d6b"),
         (["recipe", "fig10"], 0,
@@ -354,13 +340,13 @@ class TestPinnedOutputs:
 
     @pytest.mark.parametrize("cfg,axis,grid,regime,want", [
         (base_cfg(), "sigma_theta_o", tuple(d * DEG for d in (2.0, 5.0, 8.0)), "weak",
-         "e254bad0513618103f6037e7ccb6664d5ca5c93abddac52746034b3d442c7bbb"),
+         "ff9e703427df1b0df55f0435381e8f319ba00d7f3759b7a6724d6627a1622a11"),
         # sigma_e = 0 has no closed form: an analytic error, Monte-Carlo rows kept
         (base_cfg(cn2_0=1e-13), "sigma_theta_e", (0.0, 100e-6, 300e-6), "strong",
-         "888c0cfd08d8d8eb3837de3fbe4b215485fa2d1c733305bd97a4b145be797e65"),
+         "4a06589f94de98b88b5639a684f4a352a6a25bcb455f9f9eb9e64a53eb5c2920"),
         # Cn2 moves alpha and beta, so each point has fading of its own
         (base_cfg(), "Cn2", (5e-14, 1e-13, 3e-13), "strong",
-         "5cb501de678ca566e3b75025c13de79c52daa4cd432e79d573c9e8a95aa2795f"),
+         "9cb84dfc6fcdae7f2faf68424f3af74301bd0c7cbe1b6e15330b0e792ba48cc2"),
     ], ids=["lognormal-sigma_o", "gammagamma-sigma_e", "strong-Cn2"])
     def test_mc_sweep_csv(self, tmp_path, cfg, axis, grid, regime, want):
         # axes other than P_t move h: every grid point has a draw of its own
@@ -382,4 +368,4 @@ class TestPinnedOutputs:
         out = tmp_path / "run.csv"
         assert main(["run", str(cfg), "--out", str(out)]) == 0
         assert digest(out.read_bytes(), (tmp_path / "run.csv.json").read_bytes()) == (
-            "6e0f7701d5997b91be2fee3dfa4cab736e0101421e2c225bbb225eb6b12b7e9b")
+            "6cfc95dadd11e95ea7810f5737c1c7ddbd2eee632857ce288353b9c72ece6dd4")
