@@ -43,7 +43,6 @@ from .montecarlo import (
     MCEstimate,
     SimPlan,
     draw_channel,
-    empirical_cdf,
     empirical_pdf,
     mc_ber,
     mc_outage,
@@ -52,9 +51,7 @@ from .montecarlo import (
 from .mrr import (
     SectorModel,
     fit_sector_model,
-    hmrr_component,
     lognormal_hmrr_pdf,
-    model_moments,
     mrr_moments,
     sample_hmrr,
     sector_table,

@@ -118,11 +118,21 @@ def _to_si(value: float, unit: str | None, dimension: str, what: str, line_no: i
     return si
 
 
+def _is_float(word: str) -> bool:
+    try:
+        float(word)
+    except ValueError:
+        return False
+    return True
+
+
 def _parse_grid(text: str, line_no: int) -> tuple[np.ndarray, str | None]:
-    """`start:stop:count` or `v1, v2, ...`, then optional `lin`/`log` and unit words."""
+    """`start:stop:count` or `v1, v2, ...`, then optional `lin`/`log` and unit
+    words.  Values are separated by commas; `nan` and `inf` are numbers, not
+    unit words, so they fail as not finite."""
     parts = text.split()
     spacing, unit = "lin", None
-    while parts and parts[-1][0].isalpha():
+    while parts and parts[-1][0].isalpha() and not _is_float(parts[-1]):
         word = parts.pop()
         if word in ("lin", "log"):
             spacing = word
@@ -130,10 +140,11 @@ def _parse_grid(text: str, line_no: int) -> tuple[np.ndarray, str | None]:
             unit = word
         else:
             raise UnitMismatchError("grid takes at most one unit", line_no)
-    body = "".join(parts)
+    body = " ".join(parts)   # a space left inside a value makes it unparseable
     if ":" not in body:
-        return np.array([_parse_number(v, line_no) for v in body.split(",") if v]), unit
-    pieces = body.split(":")
+        values = [v.strip() for v in body.split(",")]
+        return np.array([_parse_number(v, line_no) for v in values if v]), unit
+    pieces = [p.strip() for p in body.split(":")]
     if len(pieces) != 3:
         raise UnitMismatchError("grid range must be start:stop:count", line_no)
     start, stop, count = (_parse_number(p, line_no) for p in pieces)

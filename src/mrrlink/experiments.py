@@ -39,6 +39,7 @@ from .montecarlo import (
     draw_channel,
     mc_ber,
     mc_outage,
+    snr_from_channel,
     sorted_cdf,
     sorted_pdf,
 )
@@ -221,15 +222,8 @@ def _grid_point_rows(spec: ExperimentSpec, value: float, h, point: tuple, scalar
     mc = None
     if isinstance(h, Exception):
         errors.append(f"{where}: montecarlo channel failed: {h}")
-    elif h is not None:
-        # one draw feeds every MC metric
-        try:
-            # gamma = (upsilon_1 h) h, sample_channel's operation order, so it is bit-identical
-            snr = upsilon_1(cfg) * h
-            snr *= h
-            mc = {"h": h, "snr": snr}
-        except MODEL_FAILURES as exc:
-            errors.append(f"{where}: montecarlo channel failed: {exc}")
+    elif h is not None:   # one draw feeds every MC metric
+        mc = {"h": h, "snr": snr_from_channel(upsilon_1(cfg), h)}
 
     def add(*columns, **named):
         rows.append(output_row(spec.sweep_axis, value, spec.label, *columns, **named))

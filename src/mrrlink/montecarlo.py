@@ -66,8 +66,8 @@ __all__ = [
     "MCEstimate",
     "sample_channel",
     "draw_channel",
+    "snr_from_channel",
     "empirical_pdf",
-    "empirical_cdf",
     "sorted_pdf",
     "sorted_cdf",
     "mc_outage",
@@ -146,8 +146,9 @@ def block_normals(seed: int, index: int, out: np.ndarray) -> np.ndarray:
 def _mirror_factor(theta, scale: float = 1.0):
     """Power fraction a mirror tilted by scale * theta reflects: 1 - tan|tilt|
     clamped at 0, with the tilt capped at pi/2, past which tan turns
-    negative.  Computed in place on one working array, so `theta` is never
-    written; a float or 0-d theta gives a float."""
+    negative.  The loss is symmetric: reflectance cannot grow with a
+    misalignment of either sign.  Computed in place on one working array,
+    so `theta` is never written; a float or 0-d theta gives a float."""
     x = np.multiply(theta, scale, out=np.empty(np.shape(theta)))
     np.abs(x, out=x)
     np.minimum(x, math.pi / 2, out=x)
@@ -239,18 +240,25 @@ def sample_channel(plan: SimPlan, *more: SimPlan, with_snr: bool = True) -> Iter
             h *= _mirror_product(tilt, cfg.sigma_theta_o)
             hs.append(h)
         if with_snr:
-            for c, h in zip(u1, hs[:len(plans)]):
-                g = c * h
-                g *= h
-                hs.append(g)
+            hs += [snr_from_channel(c, h) for c, h in zip(u1, hs)]
         yield tuple(hs)
+
+
+def snr_from_channel(u1: float, h: np.ndarray) -> np.ndarray:
+    """SNR samples gamma = upsilon_1 h^2 of channel samples h at SNR scale
+    u1, formed as (u1 h) h: every SNR sample, in a `sample_channel` block or
+    at a sweep point, is formed here, so the two agree bit for bit."""
+    g = u1 * h
+    g *= h
+    return g
 
 
 def draw_channel(plan: SimPlan, *more: SimPlan) -> np.ndarray:
     """The full h sample array of `plan`, or with further plans one row per
     plan, filled block by block from one pass of `sample_channel`; the plans
     share seed and sample count.  A plan's SNR samples are
-    upsilon_1(cfg) * h * h, bit for bit those of `sample_channel`."""
+    `snr_from_channel(upsilon_1(cfg), h)`, bit for bit those of
+    `sample_channel`."""
     n = plan.n_samples
     out = np.empty((1 + len(more), n))
     for pos, blocks in zip(range(0, n, BLOCK), sample_channel(plan, *more, with_snr=False)):
@@ -266,13 +274,9 @@ def empirical_pdf(samples, bins=80) -> tuple[np.ndarray, np.ndarray]:
     return counts / counts.sum() / np.diff(edges), edges
 
 
-def empirical_cdf(samples, x) -> np.ndarray:
-    """Right-continuous ECDF of the samples at x: the fraction <= x."""
-    return sorted_cdf(np.sort(np.asarray(samples, dtype=float)), x)
-
-
 def sorted_cdf(sorted_samples, x) -> np.ndarray:
-    """`empirical_cdf` of samples already sorted ascending."""
+    """Right-continuous empirical CDF at x of samples sorted ascending:
+    the fraction <= x."""
     return np.searchsorted(sorted_samples, x, side="right") / len(sorted_samples)
 
 

@@ -21,17 +21,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientSamplesError, NonPositiveBreakpointError
-from .montecarlo import BLOCK, _mirror_factor, _mirror_product, block_normals
+from .montecarlo import BLOCK, _mirror_product, block_normals
 from .specfun import at_positive
 
 __all__ = [
     "SectorModel",
-    "hmrr_component",
     "sample_hmrr",
     "tilt_normals",
     "hmrr_from_normals",
     "mrr_moments",
-    "model_moments",
     "lognormal_hmrr_pdf",
     "fit_sector_model",
     "sector_table",
@@ -92,26 +90,6 @@ class SectorModel:
         if abs(mass - 1.0) > 0.02:
             raise ValueError(f"sector densities integrate to {mass:.4f}, not 1")
 
-    def pdf(self, h):
-        h = np.asarray(h, dtype=float)
-        idx = np.searchsorted(self.V, h, side="right") - 1
-        ok = (idx >= 0) & (idx < len(self.B)) & (h <= 1.0)
-        out = np.where(ok, self.B[np.clip(idx, 0, len(self.B) - 1)], 0.0)
-        return float(out) if out.ndim == 0 else out
-
-
-def hmrr_component(theta):
-    """Directly-reflected power fraction of one mirror tilted by theta.
-
-    1 - tan|theta|, clamped at zero.  Without the absolute value the
-    factor would exceed one for negative tilts; reflectance cannot grow
-    with misalignment of either sign, so the loss is symmetric.
-    """
-    theta = np.asarray(theta, dtype=float)
-    if np.any(np.abs(theta) >= math.pi / 2):
-        raise ValueError("|theta| must be below pi/2")
-    return _mirror_factor(theta)
-
 
 def tilt_normals(n: int, seed: int = 0) -> np.ndarray:
     """The (n, 3) standard normals behind `sample_hmrr` at one seed: one
@@ -168,36 +146,6 @@ def mrr_moments(sigma_theta_o: float):
         )
     return (float(np.interp(deg, _MOM_SIGMA_DEG, _MOM_MU)),   # clamps at the end rows
             float(np.interp(deg, _MOM_SIGMA_DEG, _MOM_SD)))
-
-
-def model_moments(sigma_theta_o: float) -> tuple[float, float]:
-    """Exact (mu, sd) of the sampled product model by quadrature.
-
-    Useful as a self-consistent alternative to the tabulated moments: the
-    published table differs from its own printed generative model by up
-    to 0.036 in the mean at large jitter.
-    """
-    from scipy.integrate import quad
-
-    if sigma_theta_o == 0.0:
-        return 1.0, 0.0
-    s = sigma_theta_o
-
-    def half_normal_moment(power: int) -> float:
-        # E[max(0, 1 - tan theta)^power] over theta ~ |N(0, s^2)|
-        def f(t):
-            dens = math.sqrt(2.0 / math.pi) / s * math.exp(-t * t / (2 * s * s))
-            return max(0.0, 1.0 - math.tan(t)) ** power * dens
-
-        hi = min(math.pi / 4, 12.0 * s)   # component hits zero at pi/4
-        val, _ = quad(f, 0.0, hi, epsabs=1e-14, epsrel=1e-12, limit=300)
-        return val
-
-    m1 = half_normal_moment(1)
-    m2 = half_normal_moment(2)
-    mu = m1 ** 3
-    var = m2 ** 3 - mu ** 2
-    return mu, math.sqrt(max(var, 0.0))
 
 
 def lognormal_hmrr_pdf(h, mu: float, sd: float):

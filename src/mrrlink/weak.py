@@ -150,27 +150,6 @@ def cdf_h_weak(h, k: WeakModelConstants):
     return at_positive(h, cdf)
 
 
-def _ber_weak_quadrature(k: WeakModelConstants) -> float:
-    """Direct integral of Q(sqrt(gamma)) against the SNR density (a test oracle)."""
-    from scipy.integrate import quad   # only the tests integrate numerically
-
-    ln_knee = math.log(k.upsilon_1) - 2.0 * k.C5
-
-    def f(y):
-        # f_gamma(gamma) gamma = f_h(h) h / 2 under gamma = upsilon_1 h^2
-        g = math.exp(y)
-        h = math.sqrt(g / k.upsilon_1)
-        return float(q_function(math.sqrt(g)) * pdf_h_weak(h, k) * h / 2.0)
-
-    total = 0.0
-    cuts = [-80.0, -20.0, 0.0, math.log(40.0), max(math.log(60.0), ln_knee + 10.0)]
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        if b > a:
-            val, _ = quad(f, a, b, epsabs=1e-300, epsrel=1e-10, limit=500)
-            total += val
-    return total
-
-
 @functools.cache
 def _hermite_rule() -> tuple[np.ndarray, np.ndarray]:
     """Standard-normal abscissae z_i and log weights of the Gauss-Hermite

@@ -27,7 +27,6 @@ from mrrlink.mrr import (
     TABLE_SECTORS,
     fit_sector_model,
     lognormal_hmrr_pdf,
-    model_moments,
     mrr_moments,
     sample_hmrr,
     sector_table,
@@ -41,6 +40,7 @@ from mrrlink.strong import (
     strong_constants,
 )
 from mrrlink.weak import ber_weak, cdf_h_weak, weak_constants
+from oracles import ber_weak_quadrature, model_moments
 
 DEG = math.pi / 180.0
 DESK_SAMPLES = 1_000_000
@@ -270,11 +270,6 @@ def test_c04b_simplified_form_regime_boundary(fig8_cfg):
 # criterion 5 — BER consistency
 # ----------------------------------------------------------------------
 
-def _weak_ber_quadrature(k):
-    from mrrlink.weak import _ber_weak_quadrature
-    return _ber_weak_quadrature(k)
-
-
 def test_c05a_weak_ber_stated_truncation():
     """Closed-form OOK error rate at the stated truncation (M=20,
     gamma_max=4) against quadrature of the error integral, 5% relative,
@@ -294,7 +289,7 @@ def test_c05a_weak_ber_stated_truncation():
                          sigma_theta_o=2 * DEG, cn2_0=5e-15, P_t=dbm(p))
         k = weak_constants(cfg, mrr_moments(cfg.sigma_theta_o), turbulence_stats(cfg))
         stated = ber_weak(k, M=20, gamma_max=4.0)
-        oracle = _weak_ber_quadrature(k)
+        oracle = ber_weak_quadrature(k)
         converged = ber_weak(k, M=60, gamma_max=40.0)
         point_ok = abs(stated / oracle - 1.0) <= 0.05
         ok &= point_ok

@@ -1,6 +1,7 @@
 """Experiment-config parser tests."""
 
 import math
+from pathlib import Path
 
 import pytest
 
@@ -56,7 +57,8 @@ class TestErrors:
             parse_config("theta_div = 0.4 dBm")
 
     @pytest.mark.parametrize("line", ["sigma_theta_o = nan deg", "Z = inf", "Cn2 = -inf",
-                                      "Z = 1e400", "grid = nan, 1", "grid = 0:30:inf"])
+                                      "Z = 1e400", "grid = nan, 1", "grid = 0:30:inf",
+                                      "grid = 1, nan", "grid = 1, inf"])
     def test_non_finite_number_names_its_line(self, line):
         with pytest.raises(UnitMismatchError, match="not finite") as e:
             parse_config(f"sweep = Pt\n{line}\n")
@@ -102,6 +104,21 @@ class TestGrid:
         with pytest.raises(UnitMismatchError) as e:
             parse_config("grid = 0.1:2:3 mrad\nmetrics = outage")
         assert e.value.line == 1
+
+    @pytest.mark.parametrize("line,bad", [("grid = 1 2 3", "1 2 3"),
+                                          ("grid = 10 20 W", "10 20"),
+                                          ("grid = 0:10 20:3", "10 20")])
+    def test_space_separated_values_refused(self, line, bad):
+        with pytest.raises(UnitMismatchError, match=f"cannot parse number '{bad}'") as e:
+            parse_config(f"sweep = Pt\n{line}\n")
+        assert e.value.line == 2
+
+    def test_spaces_around_separators(self):
+        dbm = tuple(10.0 ** (v / 10.0) / 1000.0 for v in (0.0, 10.0, 20.0, 30.0))
+        assert parse_config("sweep = Pt\ngrid = 0 : 30 : 4 dBm").experiment["grid"] == dbm
+        assert parse_config("grid = 1 ,2, 3").experiment["grid"] == (1.0, 2.0, 3.0)
+        cfg = Path(__file__).resolve().parents[1] / "perfbench" / "mc_oracle.cfg"
+        assert parse_config(cfg.read_text()).experiment["grid"] == dbm
 
     def test_log_spacing(self):
         raw = parse_config("grid = 1:100:3 log")

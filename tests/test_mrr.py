@@ -12,52 +12,43 @@ from mrrlink.mrr import (
     _MOM_SD,
     SectorModel,
     fit_sector_model,
-    hmrr_component,
     hmrr_from_normals,
     lognormal_hmrr_pdf,
-    model_moments,
     mrr_moments,
     sample_hmrr,
     sector_table,
     tilt_normals,
 )
-from mrrlink.montecarlo import BLOCK
+from mrrlink.montecarlo import BLOCK, _mirror_factor
+from oracles import model_moments
 
 DEG = math.pi / 180.0
 
 
 class TestComponent:
+    """The mirror factor the samplers run, `montecarlo._mirror_factor`."""
+
     def test_perfect_alignment(self):
-        assert hmrr_component(0.0) == 1.0
+        assert _mirror_factor(0.0) == 1.0
 
     def test_quarter_pi(self):
-        assert hmrr_component(math.pi / 4) == pytest.approx(0.0, abs=1e-15)
+        assert _mirror_factor(math.pi / 4) == pytest.approx(0.0, abs=1e-15)
 
     def test_negative_angle_symmetric(self):
         # -1 degree loses exactly as much as +1 degree
-        assert hmrr_component(-0.0175) == pytest.approx(1.0 - math.tan(0.0175), rel=1e-12)
-        assert hmrr_component(-0.0175) == hmrr_component(0.0175)
+        assert _mirror_factor(-0.0175) == pytest.approx(1.0 - math.tan(0.0175), rel=1e-12)
+        assert _mirror_factor(-0.0175) == _mirror_factor(0.0175)
 
     def test_clamped_at_zero(self):
-        assert hmrr_component(1.2) == 0.0
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            hmrr_component(math.pi / 2)
+        assert _mirror_factor(1.2) == 0.0
 
     @pytest.mark.parametrize("theta", [-0.3, np.array(-0.3)], ids=["float", "0-d"])
     def test_scalar_in_float_out(self, theta):
-        from mrrlink.montecarlo import _mirror_factor
-
-        want = 1.0 - math.tan(0.3)
-        for f in (hmrr_component, _mirror_factor):
-            got = f(theta)
-            assert type(got) is float and got == pytest.approx(want, rel=1e-15)
+        got = _mirror_factor(theta)
+        assert type(got) is float and got == pytest.approx(1.0 - math.tan(0.3), rel=1e-15)
         assert theta == -0.3   # the 0-d input is not written
 
     def test_array_input_not_written(self):
-        from mrrlink.montecarlo import _mirror_factor
-
         theta = np.array([[-0.3, 0.1, 2.0]])
         kept = theta.copy()
         want = [[_mirror_factor(t * 0.5) for t in kept[0]]]
@@ -215,13 +206,6 @@ class TestSectorModel:
         s = np.clip(np.random.default_rng(0).normal(0.3, 0.1, 20_000), 0, 1)
         with pytest.raises(NonPositiveBreakpointError):
             fit_sector_model(s, 8)   # sample mean < 0.5
-
-    def test_pdf_evaluation(self):
-        model = SectorModel(np.array([0.5, 0.75, 1.0]), np.array([1.0, 3.0]))
-        assert model.pdf(0.6) == 1.0
-        assert model.pdf(0.9) == 3.0
-        assert model.pdf(0.4) == 0.0
-        assert model.pdf(1.2) == 0.0
 
     @pytest.mark.parametrize("V,B", [([0.5, 0.75, 1.0], [math.nan, 3.0]),
                                      ([0.5, math.nan, 1.0], [1.0, 3.0]),
