@@ -127,14 +127,18 @@ def _is_float(word: str) -> bool:
 
 
 def _parse_grid(text: str, line_no: int) -> tuple[np.ndarray, str | None]:
-    """`start:stop:count` or `v1, v2, ...`, then optional `lin`/`log` and unit
-    words.  Values are separated by commas; `nan` and `inf` are numbers, not
-    unit words, so they fail as not finite."""
+    """`start:stop:count` or `v1, v2, ...`, then at most one unit word and,
+    for a range only, at most one `lin`/`log` word.  Values are separated by
+    commas; `nan` and `inf` are numbers, not unit words, so they fail as not
+    finite."""
     parts = text.split()
-    spacing, unit = "lin", None
+    spacing, unit = None, None
     while parts and parts[-1][0].isalpha() and not _is_float(parts[-1]):
         word = parts.pop()
         if word in ("lin", "log"):
+            if spacing is not None:
+                raise UnitMismatchError(
+                    f"grid takes at most one spacing word, got {word!r} and {spacing!r}", line_no)
             spacing = word
         elif unit is None:
             unit = word
@@ -142,6 +146,9 @@ def _parse_grid(text: str, line_no: int) -> tuple[np.ndarray, str | None]:
             raise UnitMismatchError("grid takes at most one unit", line_no)
     body = " ".join(parts)   # a space left inside a value makes it unparseable
     if ":" not in body:
+        if spacing is not None:
+            raise UnitMismatchError(
+                f"grid spacing {spacing!r} needs a start:stop:count range, not a list", line_no)
         values = [v.strip() for v in body.split(",")]
         return np.array([_parse_number(v, line_no) for v in values if v]), unit
     pieces = [p.strip() for p in body.split(":")]

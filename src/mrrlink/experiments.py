@@ -19,8 +19,10 @@ one `_metric_values` call, which batches the strong models in
 each curve's h is dropped after its rows.  P_t reaches the model only
 through upsilon_1 (gamma = upsilon_1 h^2), so the grid points of a
 transmit-power curve share one h; every other axis moves h, so each of
-its grid points has a row of its own in the pass.  A grid point records
-each model failure (`MODEL_FAILURES`) and the sweep goes on.
+its grid points has a row of its own in the pass.  A curve that asks for
+outage and BER alone keeps no h: each of its grid points sums its SNR
+block by block as the pass goes (`montecarlo.SnrSums`).  A grid point
+records each model failure (`MODEL_FAILURES`) and the sweep goes on.
 """
 
 from __future__ import annotations
@@ -36,9 +38,8 @@ from .channel import LinkConfig, Regime, beamwidth, h_constant, turbulence_stats
 from .errors import MODEL_FAILURES, NonConvergentError
 from .montecarlo import (
     SimPlan,
+    SnrSums,
     draw_channel,
-    mc_ber,
-    mc_outage,
     snr_from_channel,
     sorted_cdf,
     sorted_pdf,
@@ -67,6 +68,7 @@ _AXIS_FIELDS = {"Pt": "P_t", "theta_div": "theta_div", "sigma_theta_e": "sigma_t
 SWEEP_AXES = (*_AXIS_FIELDS, "w_z")
 METRICS = ("pdf_h", "cdf_h", "pdf_snr", "cdf_snr", "outage", "ber")
 ENGINES = ("analytic", "montecarlo")
+_SCALAR_METRICS = ("outage", "ber")
 
 # Flag thresholds for analytic-vs-MC agreement (scalar metrics are only
 # judged above their resolvable floors at desk-scale sample counts).
@@ -177,20 +179,37 @@ def _curve_plan(spec: ExperimentSpec, points: list) -> list:
     return [first if p else None for p in plans] if spec.sweep_axis == "Pt" else plans
 
 
-def _draw_group(plans, i: int) -> dict:
-    """{j: [h of each grid point]} for curve i and each later curve that
-    shares its (seed, n_samples), from one `draw_channel` pass over their
-    distinct plans (`plans[j]` is curve j's `_curve_plan`); a point without
-    a plan gets None.  If the pass fails, each h is its exception instead."""
+def _draw_group(specs, points, plans, i: int) -> dict:
+    """{j: [channel of each grid point]} for curve i and each later curve
+    that shares its (seed, n_samples), from one `draw_channel` pass over
+    their distinct plans (`plans[j]` is curve j's `_curve_plan`, `points[j]`
+    its `_point_model`s).  A grid point's channel is its h; for a curve that
+    asks for outage and BER alone, its `SnrSums` instead, fed at the point's
+    own upsilon_1 as the pass goes, so that no h is kept.  A point without a
+    plan gets None.  If the pass fails, each channel is its exception."""
     keys = [{(p.seed, p.n_samples) for p in curve if p} for curve in plans]
     idx = [j for j in range(i, len(plans)) if keys[j] == keys[i]]
     distinct = list({id(p): p for j in idx for p in plans[j] if p}.values())
+    feeds: dict = {}   # id(plan) -> the SnrSums its blocks feed
+    channels = {}
+    for j in idx:
+        metrics = specs[j].metrics
+        if set(metrics) <= set(_SCALAR_METRICS):
+            channels[j] = [SnrSums(upsilon_1(cfg), cfg.gamma_th if "outage" in metrics else None,
+                                   "ber" in metrics) if p else None
+                           for (cfg, *_), p in zip(points[j], plans[j])]
+            for p, sums in zip(plans[j], channels[j]):
+                if p:
+                    feeds.setdefault(id(p), []).append(sums)
     try:
-        drawn = np.atleast_2d(draw_channel(*distinct))
+        kept = iter(draw_channel(*distinct, sums=[feeds.get(id(p)) for p in distinct]))
+        h = {id(p): next(kept) for p in distinct if id(p) not in feeds}
     except MODEL_FAILURES as exc:
-        drawn = [exc] * len(distinct)
-    h = {id(p): row for p, row in zip(distinct, drawn)}
-    return {j: [h[id(p)] if p else None for p in plans[j]] for j in idx}
+        return {j: [exc if p else None for p in plans[j]] for j in idx}
+    for j in idx:
+        if j not in channels:
+            channels[j] = [h[id(p)] if p else None for p in plans[j]]
+    return channels
 
 
 def _grid_point_rows(spec: ExperimentSpec, value: float, h, point: tuple, scalars: dict):
@@ -198,8 +217,9 @@ def _grid_point_rows(spec: ExperimentSpec, value: float, h, point: tuple, scalar
     function of its inputs: `point` is the value's model (`_point_model`),
     `scalars` its analytic outage/BER from the curve's `_metric_values`
     calls (metric -> value, or the exception of its failure), and `h` the
-    value's channel draw from its curve's pass (`_draw_group`), the
-    exception of that failed pass, or None without one."""
+    value's channel from its curve's pass (`_draw_group`): its h, or the
+    `SnrSums` of a curve that asks for outage and BER alone, the exception
+    of that failed pass, or None without one."""
     where = f"{spec.sweep_axis}={value:g}"
     rows: list[dict] = []
     flags: list[str] = []
@@ -207,8 +227,8 @@ def _grid_point_rows(spec: ExperimentSpec, value: float, h, point: tuple, scalar
     errors = list(errors)
     if cfg is None:
         return rows, flags, errors
-    scalar_metrics = [m for m in spec.metrics if m in ("outage", "ber")]
-    dist_metrics = [m for m in spec.metrics if m not in ("outage", "ber")]
+    scalar_metrics = [m for m in spec.metrics if m in _SCALAR_METRICS]
+    dist_metrics = [m for m in spec.metrics if m not in _SCALAR_METRICS]
 
     def finite(engine, metric, values):
         """values, or None with the failure recorded if any is not finite."""
@@ -219,11 +239,15 @@ def _grid_point_rows(spec: ExperimentSpec, value: float, h, point: tuple, scalar
             return None
         return values
 
-    mc = None
+    mc = sums = None   # sums: the outage/BER estimators' (`SnrSums`)
     if isinstance(h, Exception):
         errors.append(f"{where}: montecarlo channel failed: {h}")
+    elif isinstance(h, SnrSums):
+        sums = h
     elif h is not None:   # one draw feeds every MC metric
         mc = {"h": h, "snr": snr_from_channel(upsilon_1(cfg), h)}
+        if scalar_metrics:
+            sums = SnrSums.of(mc["snr"], cfg.gamma_th, "ber" in scalar_metrics)
 
     def add(*columns, **named):
         rows.append(output_row(spec.sweep_axis, value, spec.label, *columns, **named))
@@ -233,10 +257,9 @@ def _grid_point_rows(spec: ExperimentSpec, value: float, h, point: tuple, scalar
         if isinstance(a_val, Exception):
             errors.append(f"{where}: analytic {metric} failed: {a_val}")
             a_val = None
-        if metric == "outage":
-            mc_est = mc_outage(mc["snr"], cfg.gamma_th) if mc is not None else None
-        else:
-            mc_est = mc_ber(mc["snr"]) if mc is not None else None
+        mc_est = None
+        if sums is not None:
+            mc_est = sums.outage() if metric == "outage" else sums.ber()
         if mc_est is not None and finite("montecarlo", metric, mc_est.value) is None:
             mc_est = None
         flag = ""
@@ -302,8 +325,9 @@ def _grid_point_rows(spec: ExperimentSpec, value: float, h, point: tuple, scalar
 def run_experiments(specs) -> list[ExperimentResult]:
     """Evaluate the sweeps in order, one result each.  Every grid point's
     model is built first (`_point_model`).  A curve's Monte-Carlo channels,
-    n_samples floats per grid point (one per P_t curve), are drawn just
-    before it is evaluated, with those of the later curves that share its
+    n_samples floats per grid point (one per P_t curve) or the outage and
+    BER sums of a curve that asks for nothing else, are drawn just before
+    it is evaluated, with those of the later curves that share its
     (seed, n_samples) (`_draw_group`), and dropped after its rows."""
     points = [[_point_model(spec, v) for v in spec.grid] for spec in specs]
     plans = [_curve_plan(spec, curve) for spec, curve in zip(specs, points)]
@@ -311,7 +335,7 @@ def run_experiments(specs) -> list[ExperimentResult]:
     results = []
     for i, spec in enumerate(specs):
         if i not in channels and any(plans[i]):
-            channels.update(_draw_group(plans, i))
+            channels.update(_draw_group(specs, points, plans, i))
         results.append(_run_curve(spec, points[i], channels.pop(i, [None] * len(points[i]))))
     return results
 
@@ -328,7 +352,7 @@ def _run_curve(spec: ExperimentSpec, points: list, hs: list) -> ExperimentResult
     models = {i: k for i, (_, _, k, _) in enumerate(points) if k is not None}
     scalars = [{} for _ in points]
     for metric in spec.metrics:
-        if metric in ("outage", "ber") and models:
+        if metric in _SCALAR_METRICS and models:
             values, failures = _metric_values(list(models.values()), metric, spec.base.gamma_th)
             for j, i in enumerate(models):
                 scalars[i][metric] = failures.get(j, float(values[j]))

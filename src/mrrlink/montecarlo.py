@@ -31,12 +31,25 @@ h is then formed as in a pass of its own.
 `draw_channel` keeps h only; `sample_channel`, the one block loop, also
 yields gamma unless asked not to.
 
-A block's arithmetic makes one pass per operation: products and sums
-across a row's few columns are taken column by column (f[:, 0] * f[:, 1]
-* f[:, 2]) rather than as small-axis reductions, and ufunc chains run in
-place on one working array.  Each sample sees the same operations in the
-same order as the row-wise form; the pinned digests in the tests hold
-the byte contract above.
+A block's rows are drawn and formed in sub-blocks of `SUB_BLOCK` rows,
+so a pass's temporaries are a sub-block in size whatever the block size:
+each sub-block continues the block's normal generator and, for Gamma-Gamma
+fading, its fading substream generator, and the samples are those of one
+fill of the whole block, since both fill sequentially and every operation
+on a row is elementwise.  A block's arithmetic makes one pass per
+operation: products and sums across a row's few columns are taken column
+by column (f[:, 0] * f[:, 1] * f[:, 2]) rather than as small-axis
+reductions, and ufunc chains run in place on one working array.  Each
+sample sees the same operations in the same order as the row-wise form;
+the pinned digests in the tests hold the byte contract above.
+
+The outage and BER estimators need sums over the samples, not the
+samples: `SnrSums` adds a link's SNR samples a block at a time (the count
+below gamma_th, and the sums of Q(sqrt(gamma)) and of its square), and
+its `outage()`/`ber()` finish the estimate.  `draw_channel(..., sums=)`
+feeds each block of a plan's h to its sums and keeps no h for it, so a
+pass whose links need only outage and BER holds one block per link;
+`mc_outage`/`mc_ber` feed an array's `BLOCK` slices to the same sums.
 """
 
 from __future__ import annotations
@@ -67,6 +80,7 @@ __all__ = [
     "sample_channel",
     "draw_channel",
     "snr_from_channel",
+    "SnrSums",
     "empirical_pdf",
     "sorted_pdf",
     "sorted_cdf",
@@ -77,6 +91,7 @@ __all__ = [
 ]
 
 BLOCK = 1 << 16  # samples per deterministic substream (fixed; not a tuning knob)
+SUB_BLOCK = BLOCK // 8   # rows drawn and formed at once within a block (fixed; not a knob)
 
 # Radial displacement per unit tracking angle, in units of Z.  The
 # plain geometric mapping d = Z sin(theta) yields pointing exponent
@@ -178,13 +193,14 @@ def _fading_key(plan: SimPlan) -> tuple:
     return plan.fading, stats.alpha, stats.beta
 
 
-def _fading_pair(plan: SimPlan, z: np.ndarray, block: int) -> np.ndarray:
+def _fading_pair(plan: SimPlan, z: np.ndarray, block) -> np.ndarray:
     """Product of the two per-pass fading coefficients (unit mean each) for
-    the rows of `z`, the log-normal fading normals of block `block`: the two
+    the rows of `z`, log-normal fading normals of block `block`: the two
     passes' log-amplitudes sum to a normal of variance 8 sigma_L^2, drawn as
     2 sqrt(2 sigma_L^2) z.  Gamma-Gamma draws from the block's fading
     substream instead, row by row, so a shorter block is a prefix of the
-    full one."""
+    full one: `block` is the block index, to start the substream, or the
+    substream's generator, to go on where the previous sub-block stopped."""
     model, *params = _fading_key(plan)
     if model is FadingModel.LOG_NORMAL:
         (s_l2,) = params
@@ -193,9 +209,11 @@ def _fading_pair(plan: SimPlan, z: np.ndarray, block: int) -> np.ndarray:
         out = z * (2.0 * math.sqrt(2.0 * s_l2))
         out -= 4.0 * s_l2
         return np.exp(out, out=out)
+    if isinstance(block, int):
+        block = _block_generator(plan.seed, block, _FADING_SUBSTREAM)
     alpha, beta = params
     shapes = np.array([alpha, alpha, beta, beta])
-    g = _block_generator(plan.seed, block, _FADING_SUBSTREAM).standard_gamma(shapes, (len(z), 4))
+    g = block.standard_gamma(shapes, (len(z), 4))
     g /= shapes
     out = g[:, 0] * g[:, 1]
     out *= g[:, 2]
@@ -208,8 +226,8 @@ def sample_channel(plan: SimPlan, *more: SimPlan, with_snr: bool = True) -> Iter
     of `plan` and of each further plan, followed with `with_snr` by each
     plan's gamma = upsilon_1 h^2.  Alone, `plan` yields (h, gamma) blocks.
 
-    The plans must share seed and sample count.  Per block the six normals
-    are drawn once, and the fading formed once per distinct (model,
+    The plans must share seed and sample count.  Per sub-block the six
+    normals are drawn once, and the fading formed once per distinct (model,
     parameters); each plan's h is then formed from
     them with its own link, in the operation order of a single-plan pass,
     so a plan's samples do not depend on the plans drawn beside it.
@@ -220,25 +238,31 @@ def sample_channel(plan: SimPlan, *more: SimPlan, with_snr: bool = True) -> Iter
         raise ValueError("plans drawn in one pass must share seed and n_samples")
     links = [(p, _fading_key(p), beer_lambert(p.cfg), geometric_loss_gs(p.cfg),
               POINTING_DISPLACEMENT_FACTOR * p.cfg.Z) for p in plans]
+    keys = list(dict.fromkeys(key for _, key, *_ in links))
     u1 = [upsilon_1(p.cfg) for p in plans]
-    buf = np.empty((min(n, BLOCK), _CHANNEL_NORMALS))   # refilled block by block
+    buf = np.empty((min(n, SUB_BLOCK), _CHANNEL_NORMALS))   # refilled sub-block by sub-block
     for b, pos in enumerate(range(0, n, BLOCK)):
-        z = block_normals(seed, b, buf[:n - pos])
-        tilt, track = z[:, 0:3], z[:, 3:5]
-        fading: dict = {}
-        hs = []
-        for p, key, hl, h_pg, scale in links:
-            cfg = p.cfg
-            d = np.multiply(track, cfg.sigma_theta_e)
-            np.sin(d, out=d)
-            d *= scale
-            if key not in fading:
-                fading[key] = _fading_pair(p, z[:, 5], b)
-            # (hl^2 h_pg) * fading * h_pu * h_mrr, left to right
-            h = fading[key] * (hl * hl * h_pg)
-            h *= pointing_loss_approx(cfg, d[:, 0], d[:, 1])
-            h *= _mirror_product(tilt, cfg.sigma_theta_o)
-            hs.append(h)
+        rows = min(BLOCK, n - pos)
+        normals = _block_generator(seed, b)
+        # a Gamma-Gamma key's substream runs on through the block's sub-blocks
+        streams = {key: _block_generator(seed, b, _FADING_SUBSTREAM)
+                   if key[0] is FadingModel.GAMMA_GAMMA else b for key in keys}
+        hs = [np.empty(rows) for _ in links]
+        for sub in range(0, rows, SUB_BLOCK):
+            z = normals.standard_normal(out=buf[:min(SUB_BLOCK, rows - sub)])
+            tilt, track = z[:, 0:3], z[:, 3:5]
+            fading: dict = {}
+            for (p, key, hl, h_pg, scale), h in zip(links, hs):
+                cfg = p.cfg
+                d = np.multiply(track, cfg.sigma_theta_e)
+                np.sin(d, out=d)
+                d *= scale
+                if key not in fading:
+                    fading[key] = _fading_pair(p, z[:, 5], streams[key])
+                # (hl^2 h_pg) * fading * h_pu * h_mrr, left to right
+                hv = np.multiply(fading[key], hl * hl * h_pg, out=h[sub:sub + len(z)])
+                hv *= pointing_loss_approx(cfg, d[:, 0], d[:, 1])
+                hv *= _mirror_product(tilt, cfg.sigma_theta_o)
         if with_snr:
             hs += [snr_from_channel(c, h) for c, h in zip(u1, hs)]
         yield tuple(hs)
@@ -253,18 +277,30 @@ def snr_from_channel(u1: float, h: np.ndarray) -> np.ndarray:
     return g
 
 
-def draw_channel(plan: SimPlan, *more: SimPlan) -> np.ndarray:
+def draw_channel(plan: SimPlan, *more: SimPlan, sums=None) -> np.ndarray:
     """The full h sample array of `plan`, or with further plans one row per
     plan, filled block by block from one pass of `sample_channel`; the plans
     share seed and sample count.  A plan's SNR samples are
     `snr_from_channel(upsilon_1(cfg), h)`, bit for bit those of
-    `sample_channel`."""
+    `sample_channel`.
+
+    `sums`, if given, holds one entry per plan: None keeps the plan's row,
+    and a list of `SnrSums` takes each block of its h instead
+    (`SnrSums.add_channel`), so the plan holds no row.  The result is then
+    one row per kept plan, even for one plan."""
+    plans = (plan, *more)
+    feeds = [None] * len(plans) if sums is None else list(sums)
     n = plan.n_samples
-    out = np.empty((1 + len(more), n))
-    for pos, blocks in zip(range(0, n, BLOCK), sample_channel(plan, *more, with_snr=False)):
-        for h, hb in zip(out, blocks):
-            h[pos:pos + len(hb)] = hb
-    return out if more else out[0]
+    out = np.empty((feeds.count(None), n))
+    for pos, blocks in zip(range(0, n, BLOCK), sample_channel(*plans, with_snr=False)):
+        kept = iter(out)
+        for feed, hb in zip(feeds, blocks):
+            if feed is None:
+                next(kept)[pos:pos + len(hb)] = hb
+            else:
+                for acc in feed:
+                    acc.add_channel(hb)
+    return out if more or sums is not None else out[0]
 
 
 def empirical_pdf(samples, bins=80) -> tuple[np.ndarray, np.ndarray]:
@@ -301,29 +337,70 @@ def _wilson_interval(successes: int, n: int) -> tuple[float, float]:
     return max(0.0, center - half), min(1.0, center + half)
 
 
+class SnrSums:
+    """The Monte-Carlo outage and BER of one link, summed from its SNR
+    samples a block at a time, so that no sample array is held: with
+    `gamma_th`, the count of samples below it; with `ber`, the sums of
+    Q(sqrt(gamma)) and of its square, each block's Q summed on its own and
+    the block sums added in order.  `add_channel` adds the SNR
+    gamma = (u1 h) h of a block of channel samples at the link's SNR scale
+    `u1`.  Fed `BLOCK`-sized blocks in order, as `sample_channel` yields
+    them, the estimates are bit for bit `mc_outage` and `mc_ber` of the
+    whole array, which feed its BLOCK slices to one of these."""
+
+    def __init__(self, u1: float, gamma_th: float | None, ber: bool):
+        if gamma_th is not None and gamma_th < 0:
+            raise ValueError("gamma_th must be non-negative")
+        self.u1, self.gamma_th, self.with_ber = u1, gamma_th, ber
+        self.n = self.below = 0
+        self.q_sum = self.q_sq_sum = 0.0
+
+    @classmethod
+    def of(cls, gamma, gamma_th: float | None = None, ber: bool = False) -> "SnrSums":
+        """The sums of an SNR sample array, added a BLOCK slice at a time."""
+        gamma = np.asarray(gamma, dtype=float)
+        sums = cls(1.0, gamma_th, ber)
+        for i in range(0, len(gamma), BLOCK):
+            sums.add(gamma[i:i + BLOCK])
+        return sums
+
+    def add_channel(self, h: np.ndarray) -> None:
+        self.add(snr_from_channel(self.u1, h))
+
+    def add(self, gamma: np.ndarray) -> None:
+        self.n += len(gamma)
+        if self.gamma_th is not None:
+            self.below += int(np.count_nonzero(gamma < self.gamma_th))
+        if self.with_ber:
+            q = q_function(np.sqrt(gamma))
+            self.q_sum += q.sum()
+            self.q_sq_sum += (q * q).sum()
+
+    def outage(self) -> MCEstimate:
+        """Fraction of the samples below gamma_th, with 95% Wilson interval."""
+        if self.gamma_th is None:
+            raise ValueError("these sums count no outage: no gamma_th was given")
+        lo, hi = _wilson_interval(self.below, self.n)
+        return MCEstimate(self.below / self.n, lo, hi, self.n)
+
+    def ber(self) -> MCEstimate:
+        """Sample mean of Q(sqrt(SNR)) -- the OOK bit error rate -- with a
+        95% normal interval."""
+        if not self.with_ber:
+            raise ValueError("these sums hold no BER: they were made with ber=False")
+        mean = self.q_sum / self.n
+        var = max(self.q_sq_sum / self.n - mean * mean, 0.0)
+        half = 1.959963984540054 * math.sqrt(var / self.n)
+        return MCEstimate(mean, max(0.0, mean - half), min(0.5, mean + half), self.n)
+
+
 def mc_outage(gamma, gamma_th: float) -> MCEstimate:
     """Fraction of SNR samples below gamma_th, with 95% interval."""
-    if gamma_th < 0:
-        raise ValueError("gamma_th must be non-negative")
-    n = len(gamma)
-    below = int(np.count_nonzero(np.asarray(gamma) < gamma_th))
-    lo, hi = _wilson_interval(below, n)
-    return MCEstimate(below / n, lo, hi, n)
+    return SnrSums.of(gamma, gamma_th=gamma_th).outage()
 
 
 def mc_ber(gamma) -> MCEstimate:
     """Sample mean of Q(sqrt(SNR)) -- the OOK bit error rate -- with a
-    95% normal interval.  Q is summed over BLOCK-sized slices, reduced in
-    block order: the arithmetic of accumulating block by block from the
-    sampler, without a second array the size of the samples."""
-    gamma = np.asarray(gamma, dtype=float)
-    n = len(gamma)
-    total = total_sq = 0.0
-    for i in range(0, n, BLOCK):
-        q = q_function(np.sqrt(gamma[i:i + BLOCK]))
-        total += q.sum()
-        total_sq += (q * q).sum()
-    mean = total / n
-    var = max(total_sq / n - mean * mean, 0.0)
-    half = 1.959963984540054 * math.sqrt(var / n)
-    return MCEstimate(mean, max(0.0, mean - half), min(0.5, mean + half), n)
+    95% normal interval, summed block by block (`SnrSums`) without a second
+    array the size of the samples."""
+    return SnrSums.of(gamma, ber=True).ber()

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientSamplesError, NonPositiveBreakpointError
-from .montecarlo import BLOCK, _mirror_product, block_normals
+from .montecarlo import BLOCK, SUB_BLOCK, _mirror_product, block_normals
 from .specfun import at_positive
 
 __all__ = [
@@ -107,11 +107,11 @@ def tilt_normals(n: int, seed: int = 0) -> np.ndarray:
 def hmrr_from_normals(sigma_theta_o: float, z: np.ndarray) -> np.ndarray:
     """Reflection coefficients for jitter SD sigma_theta_o (radians) from
     `tilt_normals` rows z: the product of the three mirror factors at tilts
-    sigma_theta_o * z, evaluated BLOCK rows at a time so that the
-    temporaries stay one block in size."""
+    sigma_theta_o * z, evaluated SUB_BLOCK rows at a time so that the
+    temporaries stay one sub-block in size."""
     out = np.empty(len(z))
-    for pos in range(0, len(z), BLOCK):
-        out[pos:pos + BLOCK] = _mirror_product(z[pos:pos + BLOCK], sigma_theta_o)
+    for pos in range(0, len(z), SUB_BLOCK):
+        out[pos:pos + SUB_BLOCK] = _mirror_product(z[pos:pos + SUB_BLOCK], sigma_theta_o)
     return out
 
 

@@ -202,6 +202,14 @@ def _ber_weak_gauss_hermite(k: WeakModelConstants) -> float:
     return math.exp(peak) * float(np.exp(terms - peak).sum())
 
 
+@functools.cache
+def _series_prefixes(M: int) -> tuple:
+    """The model-free part of the BER series' m-th coefficient in log space,
+    -ln m! - ln(pi)/2 - ln(2m + 1) - (m - 1/2) ln 2, for m = 0..M."""
+    return tuple(-sp.gammaln(m + 1) - 0.5 * math.log(math.pi) - math.log(2 * m + 1)
+                 - (m - 0.5) * math.log(2.0) for m in range(M + 1))
+
+
 def ber_weak(k: WeakModelConstants, M: int = 20, gamma_max: float = 4.0,
              with_method: bool = False):
     """OOK bit error rate from the erfc-series closed form.
@@ -219,8 +227,10 @@ def ber_weak(k: WeakModelConstants, M: int = 20, gamma_max: float = 4.0,
     a = 1.0 / (2.0 * math.sqrt(2.0 * k.C1))
     b = k.K / 2.0
     L3 = math.log(gamma_max) - math.log(k.upsilon_1) + 2.0 * k.C5
+    log_u = math.log(k.upsilon_1) - 2.0 * k.C5
     log_L1 = k.log_C4 - math.log(4.0) - (k.K / 2.0) * math.log(k.upsilon_1)
-    log_L2 = math.log(0.5) + k.K * (math.log(k.upsilon_1) - 2.0 * k.C5) / 2.0
+    log_L2 = math.log(0.5) + k.K * log_u / 2.0
+    log_erfc_aL3 = log_erfc(a * L3)
 
     def log_bracket(bm: float) -> float:
         # e^{bm^2/(4a^2)} erfc(bm/(2a) - a L3) + e^{bm L3} erfc(a L3);
@@ -228,18 +238,16 @@ def ber_weak(k: WeakModelConstants, M: int = 20, gamma_max: float = 4.0,
         # with the CDF's e^{K^2 C1/2} term and by quadrature.
         x1 = bm / (2.0 * a) - a * L3
         lt1 = bm * bm / (4.0 * a * a) + log_erfc(x1)
-        lt2 = bm * L3 + log_erfc(a * L3)
+        lt2 = bm * L3 + log_erfc_aL3
         m = max(lt1, lt2)
         return m + math.log(math.exp(lt1 - m) + math.exp(lt2 - m))
 
     try:
         logs = [-math.log(b) + log_bracket(b)]
         signs = [1.0]
-        for m_ in range(M + 1):
+        for m_, prefix in enumerate(_series_prefixes(M)):
             bm = b + m_ + 0.5
-            log_l1m = (-sp.gammaln(m_ + 1) - 0.5 * math.log(math.pi)
-                       - math.log(2 * m_ + 1) - (m_ - 0.5) * math.log(2.0)
-                       + (2 * m_ + 1) * (math.log(k.upsilon_1) - 2.0 * k.C5) / 2.0)
+            log_l1m = prefix + (2 * m_ + 1) * log_u / 2.0
             term = log_l1m - math.log(bm) + log_bracket(bm)
             if term + log_L1 + log_L2 > _MAX_LOG:
                 raise NumericalOverflowError(

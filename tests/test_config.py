@@ -126,6 +126,23 @@ class TestGrid:
         raw = parse_config("grid = -100:-1e-300:3 log")   # one sign, however small
         assert raw.experiment["grid"] == pytest.approx((-100.0, -1e-149, -1e-300))
 
+    def test_spacing_word_in_either_place(self):
+        assert parse_config("sweep = Pt\ngrid = 1:100:3 dBm log").experiment["grid"] == (
+            parse_config("sweep = Pt\ngrid = 1:100:3 log dBm").experiment["grid"])
+
+    @pytest.mark.parametrize("line,match", [
+        ("grid = 1:100:3 log lin", "at most one spacing word, got 'log' and 'lin'"),
+        ("grid = 1:100:3 lin log", "at most one spacing word, got 'lin' and 'log'"),
+        ("grid = 1:100:3 log log", "at most one spacing word"),
+        ("grid = 1:100:3 log dBm lin", "at most one spacing word"),
+        ("grid = 1, 10, 100 log", "spacing 'log' needs a start:stop:count range"),
+        ("grid = 1, 10, 100 lin dBm", "spacing 'lin' needs a start:stop:count range"),
+    ])
+    def test_spacing_word_refused_unless_one_on_a_range(self, line, match):
+        with pytest.raises(UnitMismatchError, match=match) as e:
+            parse_config(f"sweep = Pt\n{line}\n")
+        assert e.value.line == 2
+
     @pytest.mark.parametrize("line,match", [
         ("grid = 0:30:4.5 dBm", "grid count 4.5 is not a whole number"),
         ("grid = 0:30:4 log dBm", "log grid ends .* need one sign"),

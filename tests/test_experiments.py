@@ -120,9 +120,10 @@ class TestRunExperiment:
         passes = []
         sample_channel = montecarlo.sample_channel
 
-        def recording(plan):
-            drawn.append(draw_channel(plan))
-            return drawn[-1]
+        def recording(plan, **kw):
+            rows = draw_channel(plan, **kw)   # one row per plan that keeps its h
+            drawn.append(rows[0])
+            return rows
 
         def counting(plan, *more, **kw):
             passes.append(plan)

@@ -2,8 +2,10 @@
 
 The numerical-integration oracles live in `tests/oracles.py`; under
 `src/mrrlink` only the Rytov path integral (`channel.py`) integrates
-with scipy.  The README's library quick tour is run as written, so a
-trimmed export cannot break the documented example.
+with scipy.  Every random draw is keyed by (seed, block), so only
+`montecarlo._block_generator` calls into `numpy.random`.  The README's
+library quick tour is run as written, so a trimmed export cannot break the
+documented example.
 """
 
 import ast
@@ -39,6 +41,54 @@ def test_scan_sees_every_import_form():
                    "from scipy import integrate", "def f():\n    from scipy.integrate import quad"):
         assert imports_scipy_integrate(ast.parse(source)), source
     assert not imports_scipy_integrate(ast.parse("from scipy import special"))
+
+
+def numpy_random_calls(tree: ast.AST) -> list[tuple[str, str]]:
+    """(enclosing function, callee) of each call into `numpy.random`: through
+    the `np`/`numpy` module, an alias of `numpy.random`, or a name imported
+    from it."""
+    modules, names = {"np.random", "numpy.random"}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {a.asname for a in node.names if a.name == "numpy.random" and a.asname}
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy.random":
+            names |= {a.asname or a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            modules |= {a.asname or a.name for a in node.names if a.name == "random"}
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}".lstrip("."))
+                continue
+            if isinstance(child, ast.Call):
+                callee = ast.unparse(child.func)
+                if callee in names or callee.rpartition(".")[0] in modules:
+                    found.append((where, callee))
+            visit(child, where)
+
+    visit(tree, "")
+    return found
+
+
+def test_only_the_block_generator_calls_numpy_random():
+    calls = sorted((p.name, *call) for p in PACKAGE.rglob("*.py")
+                   for call in numpy_random_calls(ast.parse(p.read_text(encoding="utf-8"))))
+    assert calls == [("montecarlo.py", "_block_generator", "np.random.Generator"),
+                     ("montecarlo.py", "_block_generator", "np.random.Philox")]
+
+
+def test_random_scan_sees_every_call_form():
+    for source, want in (
+            ("import numpy as np\nx = np.random.default_rng(1)", [("", "np.random.default_rng")]),
+            ("def f():\n    return numpy.random.normal()", [("f", "numpy.random.normal")]),
+            ("import numpy.random as npr\nclass A:\n    def g(self):\n        npr.PCG64(0)",
+             [("A.g", "npr.PCG64")]),
+            ("from numpy.random import Philox as P\nP(3)", [("", "P")]),
+            ("from numpy import random\nrandom.seed(0)", [("", "random.seed")])):
+        assert numpy_random_calls(ast.parse(source)) == want, source
+    assert numpy_random_calls(ast.parse("def f(g: np.random.Generator):\n    g.normal()")) == []
 
 
 def test_readme_quick_tour_runs(capsys):

@@ -30,6 +30,7 @@ from mrrlink.montecarlo import (
 )
 from mrrlink.mrr import hmrr_from_normals, sample_hmrr, tilt_normals
 from mrrlink.weak import weak_constants
+from conftest import watch_normal_fills
 from oracles import model_moments
 
 DEG = math.pi / 180.0
@@ -141,25 +142,25 @@ class TestSharedPass:
             assert np.array_equal(h, draw_channel(plan))
 
     def test_shared_normals_not_written(self, monkeypatch):
-        # the normals of a block serve every plan of the pass; each plan's h
-        # and gamma are those of a pass of its own.  The pass refills one
-        # buffer block by block, so each block is checked at its yield.
+        # the normals of a sub-block serve every plan of the pass; each
+        # plan's h and gamma are those of a pass of its own.  The pass
+        # refills one buffer sub-block by sub-block, so each sub-block is
+        # read-only until the next fill, and checked at the block's yield.
         drawn = []
-        original = montecarlo.block_normals
 
-        def recording(*args):
-            out = original(*args)
-            drawn.append((out, out.copy()))
-            return out
+        def freeze(gen, z):
+            drawn.append((z, z.copy()))
+            z.flags.writeable = False   # a write while the plans are formed raises
 
-        monkeypatch.setattr(montecarlo, "block_normals", recording)
+        watch_normal_fills(monkeypatch, freeze)
         plans = self.plans()
         blocks = []
         for shared in montecarlo.sample_channel(*plans):
             z, kept = drawn[-1]
             assert np.array_equal(z, kept)
             blocks.append(shared)
-        assert len(drawn) == len(blocks) == 2
+        assert len(blocks) == 2
+        assert len(drawn) == -(-BLOCK // montecarlo.SUB_BLOCK) + 1   # the short block is one
         monkeypatch.undo()
         for i, plan in enumerate(plans):
             own = list(montecarlo.sample_channel(plan))
@@ -177,7 +178,8 @@ class TestSharedPass:
 
         monkeypatch.setattr(montecarlo, "_fading_pair", recording)
         draw_channel(*self.plans())
-        assert drawn == [FadingModel.LOG_NORMAL, FadingModel.GAMMA_GAMMA] * 2   # per block
+        sub_blocks = -(-BLOCK // montecarlo.SUB_BLOCK) + 1   # the short block is one
+        assert drawn == [FadingModel.LOG_NORMAL, FadingModel.GAMMA_GAMMA] * sub_blocks
 
     def test_snr_blocks_follow_the_h_blocks(self):
         plans = self.plans()[:2]
@@ -222,16 +224,9 @@ class TestStreamContract:
 
     @staticmethod
     def recorded(monkeypatch, fn, *args):
-        """The value of fn(*args) and a copy of every block of normals it drew."""
+        """The value of fn(*args) and a copy of every (sub-)block of normals it drew."""
         drawn = []
-        original = montecarlo.block_normals
-
-        def recording(*a):
-            out = original(*a)
-            drawn.append(out.copy())
-            return out
-
-        monkeypatch.setattr(montecarlo, "block_normals", recording)
+        watch_normal_fills(monkeypatch, lambda gen, z: drawn.append(z.copy()))
         value = fn(*args)
         monkeypatch.undo()
         return value, np.concatenate(drawn)
@@ -287,10 +282,52 @@ class TestStreamContract:
         assert np.array_equal(z.ravel(), head.ravel())
 
 
+class TestSubBlocks:
+    """A block is drawn and formed `SUB_BLOCK` rows at a time, each sub-block
+    going on with the block's normal and fading generators: the bytes do
+    not depend on the sub-block size."""
+
+    N = BLOCK + 1_000
+
+    def plans(self, case):
+        weak, strong = weak_cfg(), strong_cfg()
+        return {"lognormal": [SimPlan(weak, self.N, seed=5)],
+                "gammagamma": [SimPlan(strong, self.N, seed=5)],
+                "two-plans": [SimPlan(weak, self.N, seed=5), SimPlan(strong, self.N, seed=5)],
+                "two-gammagamma-keys": [SimPlan(strong, self.N, seed=5),
+                                        SimPlan(strong.with_(cn2_0=3e-13), self.N, seed=5)],
+                }[case]
+
+    @pytest.mark.parametrize("case", ["lognormal", "gammagamma", "two-plans",
+                                      "two-gammagamma-keys"])
+    @pytest.mark.parametrize("size", [7, 1_000, BLOCK])
+    def test_channel_blocks(self, monkeypatch, case, size):
+        plans = self.plans(case)
+        keys = {montecarlo._fading_key(p.resolved()) for p in plans}
+        assert len(keys) == len(plans)   # each plan's fading drawn on its own
+        want = list(montecarlo.sample_channel(*plans))
+        monkeypatch.setattr(montecarlo, "SUB_BLOCK", size)
+        got = list(montecarlo.sample_channel(*plans))
+        assert len(got) == len(want) == 2
+        for g, w in zip(got, want):   # each plan's h, then its gamma
+            assert len(g) == len(w) == 2 * len(plans)
+            assert all(np.array_equal(a, b) for a, b in zip(g, w))
+
+    @pytest.mark.parametrize("size", [7, 1_000, BLOCK])
+    def test_hmrr_from_normals(self, monkeypatch, size):
+        import mrrlink.mrr as mrr
+
+        z = tilt_normals(self.N, seed=5)
+        want = hmrr_from_normals(0.1, z)
+        monkeypatch.setattr(mrr, "SUB_BLOCK", size)
+        assert np.array_equal(hmrr_from_normals(0.1, z), want)
+
+
 class TestWorkingSet:
-    """Peak traced allocation of one warm call at two blocks: the block's
-    six normals are drawn into one buffer that every block refills, and a
-    tilt draw writes straight into its output."""
+    """Peak traced allocation of one warm call at two blocks: a block's
+    rows are drawn and formed a sub-block at a time in one buffer that
+    every sub-block refills, and a tilt draw writes straight into its
+    output."""
 
     @staticmethod
     def peak_mb(fn, *args) -> float:
@@ -304,7 +341,12 @@ class TestWorkingSet:
 
     def test_lognormal_draw_channel(self):
         plan = SimPlan(weak_cfg(), 2 * BLOCK, seed=3, fading=FadingModel.LOG_NORMAL)
-        assert self.peak_mb(draw_channel, plan) < 10.0   # the output is 1 MB of it
+        assert self.peak_mb(draw_channel, plan) < 4.0   # the output is 1 MB of it
+
+    def test_gammagamma_draw_channel(self):
+        plan = SimPlan(strong_cfg(), 2 * BLOCK, seed=3)
+        assert plan.resolved().fading is FadingModel.GAMMA_GAMMA
+        assert self.peak_mb(draw_channel, plan) < 4.0   # the output is 1 MB of it
 
     def test_tilt_normals(self):
         assert self.peak_mb(tilt_normals, 2 * BLOCK) < 5.0   # the output is 3.1 MB of it

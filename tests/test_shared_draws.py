@@ -1,7 +1,8 @@
 """Draw-once Monte-Carlo and batched outage: a transmit-power curve draws
 its channel once, a curve on any other axis draws its grid points in one
 stream pass, curves that share (seed, n_samples) share that pass, a
-jitter grid draws its tilt normals once, and a curve evaluates
+jitter grid draws its tilt normals once, a curve that asks for outage and
+BER alone sums them block by block without keeping h, and a curve evaluates
 each analytic outage or BER in one call.  The outputs are the
 bytes of one draw and one evaluation per grid point and per jitter;
 `TestPinnedOutputs` pins them."""
@@ -9,6 +10,7 @@ bytes of one draw and one evaluation per grid point and per jitter;
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -94,7 +96,7 @@ class TestChannelDrawPerCurve:
         # own, and the curve draws them all in one pass
         drawn = []
         monkeypatch.setattr(experiments, "draw_channel",
-                            lambda *plans: drawn.append(plans) or draw_channel(*plans))
+                            lambda *plans, **kw: drawn.append(plans) or draw_channel(*plans, **kw))
         grid = tuple(d * DEG for d in (2.0, 5.0, 8.0))
         spec = ExperimentSpec(base_cfg(), "sigma_theta_o", grid, metrics=("outage",),
                               engines=("montecarlo",), regime="weak", n_samples=N, seed=7)
@@ -122,14 +124,19 @@ class TestChannelDrawPerCurve:
             "lognormal-Cn2", "gammagamma-Cn2"])
     def test_rows_equal_per_point_draw(self, cfg, regime, axis, monkeypatch):
         # sigma_o moves the mirror tilts of each point, Cn2 its fading
-        snr = []   # the gamma array each point hands to the estimators
-        original = experiments.mc_ber
-        monkeypatch.setattr(experiments, "mc_ber", lambda g: snr.append(g) or original(g))
+        # the gamma each point hands to the estimators: an outage/BER curve
+        # streams it, one block at a time, into the point's SnrSums
+        blocks = {}   # SnrSums -> its gamma blocks, in grid order
+        original = montecarlo.SnrSums.add
+        monkeypatch.setattr(montecarlo.SnrSums, "add", lambda sums, g: blocks.setdefault(
+            sums, []).append(g.copy()) or original(sums, g))
         grid = {"Pt": PT_GRID, "sigma_theta_o": tuple(d * DEG for d in (2.0, 5.0, 8.0)),
                 "Cn2": (cfg.cn2_0 / 2, cfg.cn2_0, 2 * cfg.cn2_0)}[axis]
         spec = ExperimentSpec(cfg, axis, grid, metrics=("outage", "ber"),
                               engines=("montecarlo",), regime=regime, n_samples=N, seed=7)
         rows = run_experiment(spec).rows
+        snr = [np.concatenate(b) for b in blocks.values()]
+        assert len(snr) == len(grid)
         for i, value in enumerate(grid):
             point = apply_axis(cfg, axis, value)
             h = draw_channel(SimPlan(point, n_samples=N, seed=7,
@@ -169,7 +176,7 @@ class TestOnePassPerRecipe:
         # points records it once and keeps the rows of an analytic-only run
         calls = []
 
-        def failing(*plans):
+        def failing(*plans, **kw):
             calls.append(len(plans))
             raise ValueError("injected")
 
@@ -200,8 +207,8 @@ class TestOnePassPerRecipe:
                                   n_samples=1_000, seed=seed)
 
         monkeypatch.setattr(experiments, "_grid_point_rows", point)
-        monkeypatch.setattr(experiments, "draw_channel", lambda *plans: events.append(
-            ("draw", [p.seed for p in plans])) or draw_channel(*plans))
+        monkeypatch.setattr(experiments, "draw_channel", lambda *plans, **kw: events.append(
+            ("draw", [p.seed for p in plans])) or draw_channel(*plans, **kw))
         run_experiments([curve(1), curve(2), curve(1)])
         assert events == [("draw", [1, 1]), ("point", 1), ("draw", [2]), ("point", 2),
                           ("point", 1)]
@@ -264,6 +271,49 @@ class TestOnePassPerRecipe:
         assert calls == [len(spec.grid)] + [1] * len(spec.grid)
         assert res.errors == [f"Pt={spec.grid[2]:g}: analytic outage failed: injected"]
         assert res.rows == want[:2] + want[3:]
+
+
+class TestStreamedScalars:
+    """A curve that asks for outage and BER alone keeps no h: each grid
+    point sums its SNR block by block as the pass goes."""
+
+    GRID = tuple(d * DEG for d in (2.0, 5.0, 8.0))
+
+    def curve(self, metrics, n=N):
+        return ExperimentSpec(base_cfg(), "sigma_theta_o", self.GRID, metrics=metrics,
+                              engines=("montecarlo",), regime="weak", n_samples=n, seed=7)
+
+    def test_sigma_o_curve_holds_no_sample_array(self):
+        grid = tuple(d * DEG for d in range(1, 9))
+        n = 8 * BLOCK
+        spec = dataclasses.replace(self.curve(("outage", "ber"), n), grid=grid)
+        run_experiment(spec)   # warm: imports and caches are not the working set
+        tracemalloc.start()
+        try:
+            res = run_experiment(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not res.errors and len(res.rows) == 2 * len(grid)
+        assert peak < len(grid) * n * 8 / 2   # half of one (n_points, n_samples) array
+
+    def test_streamed_and_kept_curves_share_a_pass(self, passes):
+        # one pass: the outage/BER curve streams, the distribution curve keeps h
+        specs = [self.curve(("outage", "ber")), self.curve(("outage", "cdf_h"))]
+        results = run_experiments(specs)
+        assert len(passes) == 1
+        for spec, res in zip(specs, results):
+            assert res.rows == run_experiment(spec).rows
+
+    def test_failed_pass_is_recorded_at_every_point(self, monkeypatch):
+        def failing(*plans, **kw):
+            raise ValueError("injected")
+
+        monkeypatch.setattr(experiments, "draw_channel", failing)
+        res = run_experiment(self.curve(("outage", "ber")))
+        assert res.rows == []
+        assert res.errors == [f"sigma_theta_o={v:g}: montecarlo channel failed: injected"
+                              for v in self.GRID]
 
 
 class TestFig13:
@@ -332,7 +382,12 @@ class TestPinnedOutputs:
          "3077b93e04eaef23ff503b7f21c1cd80cd86ecec5ab9ffd3e9ffb7e758175d6b"),
         (["recipe", "fig10"], 0,
          "1368231c110bf7fb085cad30eb727d1a6bbef10fe63d48e34b10cc2519af418f"),
-    ], ids=["fig7", "fig8", "fig8-workers2", "fig9", "fig10"])
+        # the weak BER series (`weak.ber_weak`) over two P_t grids
+        (["recipe", "fig11"], 0,
+         "9689abb045f414bf5192be981dd3cf7a788986570c20a2545d5e6491fa35f961"),
+        (["recipe", "fig12"], 0,
+         "61abd08716c130a987ac9fb08b646d8351564f144b1997d270b1f70896a50cf0"),
+    ], ids=["fig7", "fig8", "fig8-workers2", "fig9", "fig10", "fig11", "fig12"])
     def test_recipe(self, tmp_path, capsys, argv, code, want):
         out = tmp_path / "recipe.csv"
         assert main([*argv, "--out", str(out)]) == code
