@@ -228,16 +228,17 @@ def beamwidth(cfg: LinkConfig) -> float:
     return cfg.theta_div * cfg.Z
 
 
-def pointing_loss_approx(cfg: LinkConfig, d_px, d_py):
+def pointing_loss_approx(cfg: LinkConfig, d_px, d_py, out=None, work=None):
     """Collected-power fraction at the retroreflector, plane-wave reading.
 
     (2 A_r / (pi w_z^2)) exp(-2 d_p^2 / w_z^2) for displacement
     (d_px, d_py) of the beam center from the aperture center, computed in
-    place on one working array; the displacements are never written.
+    place on one working array, `out` if given, with `work` for d_py^2; the
+    displacements are written only where passed as `out` or `work`.
     """
     w_z = beamwidth(cfg)
-    out = np.square(d_px, out=np.empty(np.shape(d_px)), dtype=float)
-    out += np.square(d_py, dtype=float)
+    out = np.square(d_px, out=np.empty(np.shape(d_px)) if out is None else out, dtype=float)
+    out += np.square(d_py, out=work, dtype=float)
     out *= -2.0
     out /= w_z ** 2
     np.exp(out, out=out)

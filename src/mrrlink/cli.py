@@ -30,6 +30,7 @@ from .experiments import (
     spec_meta,
     write_outputs,
 )
+from .montecarlo import mean_sd_in_place
 from .mrr import (
     _MIN_FIT_SAMPLES,
     _MIN_MOMENT_SAMPLES,
@@ -136,9 +137,11 @@ def cmd_mc_tables(args) -> int:
         z = tilt_normals(n, args.seed)   # one set of tilts for every jitter
         for d in _MOM_SIGMA_DEG:
             s = hmrr_from_normals(math.radians(d), z)
-            mom.write(f"{d:g},{s.mean():.6g},{s.std():.6g}\n")
-            if d in TABLE_SECTORS:
-                model = fit_sector_model(s, 8)
+            model = fit_sector_model(s, 8) if d in TABLE_SECTORS else None
+            mu, sd = mean_sd_in_place(s)   # overwrites s, so after the sector fit
+            del s
+            mom.write(f"{d:g},{mu:.6g},{sd:.6g}\n")
+            if model is not None:
                 sec.write(f"{d:g}," + ",".join(f"{b:.6g}" for b in model.B) + "\n")
     print(f"wrote {mom_path} and {sec_path} ({n} samples per row)")
     return 0

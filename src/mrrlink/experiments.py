@@ -239,15 +239,16 @@ def _grid_point_rows(spec: ExperimentSpec, value: float, h, point: tuple, scalar
             return None
         return values
 
-    mc = sums = None   # sums: the outage/BER estimators' (`SnrSums`)
+    drawn = sums = None   # the kept h samples; the outage/BER estimators' (`SnrSums`)
     if isinstance(h, Exception):
         errors.append(f"{where}: montecarlo channel failed: {h}")
     elif isinstance(h, SnrSums):
         sums = h
     elif h is not None:   # one draw feeds every MC metric
-        mc = {"h": h, "snr": snr_from_channel(upsilon_1(cfg), h)}
+        drawn = h
         if scalar_metrics:
-            sums = SnrSums.of(mc["snr"], cfg.gamma_th, "ber" in scalar_metrics)
+            sums = SnrSums.of(snr_from_channel(upsilon_1(cfg), h), cfg.gamma_th,
+                              "ber" in scalar_metrics)
 
     def add(*columns, **named):
         rows.append(output_row(spec.sweep_axis, value, spec.label, *columns, **named))
@@ -277,13 +278,17 @@ def _grid_point_rows(spec: ExperimentSpec, value: float, h, point: tuple, scalar
         if mc_est is not None:
             add(metric, "montecarlo", math.nan, mc_est.value, mc_est.ci_low, mc_est.ci_high)
 
-    ordered = {}   # each sample array sorted once, for its pdf and its cdf
+    # h sorted once, for its pdf and its cdf; the sorted SNR is formed from
+    # it, bit for bit the SNR sorted, since (u1 h) h is monotone in h >= 0
+    ordered = {}
     for metric in dist_metrics:
         samples = None
-        if mc is not None:
+        if drawn is not None:
+            if not ordered:
+                ordered["h"] = np.sort(drawn)
             key = metric.split("_")[1]
             if key not in ordered:
-                ordered[key] = np.sort(mc[key])
+                ordered[key] = snr_from_channel(upsilon_1(cfg), ordered["h"])
             samples = ordered[key]
             edges = np.linspace(0.0, float(samples[-1]) * 1.001, spec.bins + 1)
         elif k is not None:

@@ -48,16 +48,33 @@ samples: `SnrSums` adds a link's SNR samples a block at a time (the count
 below gamma_th, and the sums of Q(sqrt(gamma)) and of its square), and
 its `outage()`/`ber()` finish the estimate.  `draw_channel(..., sums=)`
 feeds each block of a plan's h to its sums and keeps no h for it, so a
-pass whose links need only outage and BER holds one block per link;
+pass whose links need only outage and BER holds `THREADS` blocks per link;
 `mc_outage`/`mc_ber` feed an array's `BLOCK` slices to the same sums.
+
+The blocks of a pass, of a tilt draw and of a jitter evaluation are
+independent by construction, so each runs as one block task on a small
+persistent thread pool (`_in_order`): up to `THREADS` tasks at once, their
+results taken in block order, and task i + THREADS started only once
+block i has been consumed, so that it reuses slot i mod THREADS.  numpy
+releases the GIL in the Philox fills and the ufuncs, so the blocks overlap.
+The tasks allocate no arrays: the calling thread allocates each block's
+destination (a slice of a kept row, a fresh array, or a recycled per-slot
+block) and one sub-block scratch set per slot, and the kernels write into
+them (`out=`/`work=`).  Everything that adds across blocks (`SnrSums`)
+adds on the calling thread in block order, so every sum and every output
+byte is the same for any `THREADS`.  With one thread or one block the
+tasks run inline.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -82,6 +99,7 @@ __all__ = [
     "snr_from_channel",
     "SnrSums",
     "empirical_pdf",
+    "mean_sd_in_place",
     "sorted_pdf",
     "sorted_cdf",
     "mc_outage",
@@ -91,7 +109,11 @@ __all__ = [
 ]
 
 BLOCK = 1 << 16  # samples per deterministic substream (fixed; not a tuning knob)
-SUB_BLOCK = BLOCK // 8   # rows drawn and formed at once within a block (fixed; not a knob)
+SUB_BLOCK = BLOCK // 16   # rows drawn and formed at once within a block (fixed; not a knob)
+# Block tasks run at once: the CPUs this process may run on, at most 4
+# (fixed; not a knob).  The bytes do not depend on it.
+THREADS = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count() or 1, 4)
 
 # Radial displacement per unit tracking angle, in units of Z.  The
 # plain geometric mapping d = Z sin(theta) yields pointing exponent
@@ -158,13 +180,64 @@ def block_normals(seed: int, index: int, out: np.ndarray) -> np.ndarray:
     return _block_generator(seed, index).standard_normal(out=out)
 
 
-def _mirror_factor(theta, scale: float = 1.0):
+_POOL: list = []   # [((pid, threads), executor)], made at the first run of two or more blocks
+
+
+def _executor():
+    """The persistent pool of `THREADS` threads that runs block tasks; the
+    only place the package starts threads.  A forked child, which has none
+    of its parent's threads, makes a pool of its own."""
+    key = os.getpid(), THREADS
+    if _POOL and _POOL[0][0] != key:
+        (pid, _), pool = _POOL.pop()
+        if pid == key[0]:
+            pool.shutdown()
+    if not _POOL:
+        from concurrent.futures.thread import ThreadPoolExecutor
+        _POOL.append((key, ThreadPoolExecutor(THREADS, thread_name_prefix="mrrlink-block")))
+    return _POOL[0][1]
+
+
+def _slots(blocks: int) -> int:
+    """How many block tasks of a `blocks`-block run are in flight at once:
+    each has a slot of scratch of its own, slot i mod `_slots(blocks)`."""
+    return max(1, min(THREADS, blocks))
+
+
+def _in_order(tasks: Iterator[Callable], slots: int) -> Iterator:
+    """The result of each task, in order, with up to `slots` running at once
+    on the pool.  The next task is taken from `tasks` (on the calling thread,
+    which allocates what it writes) only once the result `slots` places
+    before it has been consumed, so tasks i and i + slots can share slot
+    i mod slots.  With one slot the tasks run inline.  A task's exception
+    is raised here in its turn, once the tasks still running have ended,
+    so that none writes after the run is over."""
+    if slots == 1:
+        for task in tasks:
+            yield task()
+        return
+    pool = _executor()
+    pending: deque = deque()
+    try:
+        for task in tasks:
+            pending.append(pool.submit(task))
+            if len(pending) == slots:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        from concurrent.futures import wait
+        wait([f for f in pending if not f.cancel()])
+
+
+def _mirror_factor(theta, scale: float = 1.0, out=None):
     """Power fraction a mirror tilted by scale * theta reflects: 1 - tan|tilt|
     clamped at 0, with the tilt capped at pi/2, past which tan turns
     negative.  The loss is symmetric: reflectance cannot grow with a
     misalignment of either sign.  Computed in place on one working array,
-    so `theta` is never written; a float or 0-d theta gives a float."""
-    x = np.multiply(theta, scale, out=np.empty(np.shape(theta)))
+    `out` if given, so `theta` is never written; a float or 0-d theta gives
+    a float."""
+    x = np.multiply(theta, scale, out=np.empty(np.shape(theta)) if out is None else out)
     np.abs(x, out=x)
     np.minimum(x, math.pi / 2, out=x)
     np.tan(x, out=x)
@@ -173,13 +246,14 @@ def _mirror_factor(theta, scale: float = 1.0):
     return x if x.ndim else float(x)
 
 
-def _mirror_product(z: np.ndarray, scale: float) -> np.ndarray:
+def _mirror_product(z: np.ndarray, scale: float, out=None, work=None) -> np.ndarray:
     """Reflection coefficient per row of the (n, 3) tilt normals z at jitter
     SD `scale`: the three mirror factors multiplied column by column, in the
-    order of a row-wise product."""
-    f = _mirror_factor(z, scale)
-    out = f[:, 0] * f[:, 1]
-    out *= f[:, 2]
+    order of a row-wise product.  `out` and `work`, (n,) arrays if given,
+    take the product and each further factor."""
+    out = _mirror_factor(z[:, 0], scale, out)
+    out *= _mirror_factor(z[:, 1], scale, work)
+    out *= _mirror_factor(z[:, 2], scale, work)
     return out
 
 
@@ -193,35 +267,42 @@ def _fading_key(plan: SimPlan) -> tuple:
     return plan.fading, stats.alpha, stats.beta
 
 
-def _fading_pair(plan: SimPlan, z: np.ndarray, block) -> np.ndarray:
+def _fading_pair(plan: SimPlan, z: np.ndarray, block: int, stream=None, out=None,
+                 work=None) -> np.ndarray:
     """Product of the two per-pass fading coefficients (unit mean each) for
     the rows of `z`, log-normal fading normals of block `block`: the two
     passes' log-amplitudes sum to a normal of variance 8 sigma_L^2, drawn as
     2 sqrt(2 sigma_L^2) z.  Gamma-Gamma draws from the block's fading
     substream instead, row by row, so a shorter block is a prefix of the
-    full one: `block` is the block index, to start the substream, or the
-    substream's generator, to go on where the previous sub-block stopped."""
+    full one: `stream` goes on with that substream's generator where the
+    previous sub-block stopped, and without it the substream starts.  The
+    product goes to `out`, and Gamma-Gamma's (len(z), 4) variates to
+    `work`, where given."""
     model, *params = _fading_key(plan)
+    if out is None:
+        out = np.empty(len(z))
     if model is FadingModel.LOG_NORMAL:
         (s_l2,) = params
         if s_l2 == 0.0:
-            return np.ones(len(z))
-        out = z * (2.0 * math.sqrt(2.0 * s_l2))
+            out.fill(1.0)
+            return out
+        np.multiply(z, 2.0 * math.sqrt(2.0 * s_l2), out=out)
         out -= 4.0 * s_l2
         return np.exp(out, out=out)
-    if isinstance(block, int):
-        block = _block_generator(plan.seed, block, _FADING_SUBSTREAM)
+    if stream is None:
+        stream = _block_generator(plan.seed, block, _FADING_SUBSTREAM)
     alpha, beta = params
     shapes = np.array([alpha, alpha, beta, beta])
-    g = block.standard_gamma(shapes, (len(z), 4))
+    g = stream.standard_gamma(shapes, (len(z), 4), out=work)
     g /= shapes
-    out = g[:, 0] * g[:, 1]
+    np.multiply(g[:, 0], g[:, 1], out=out)
     out *= g[:, 2]
     out *= g[:, 3]
     return out
 
 
-def sample_channel(plan: SimPlan, *more: SimPlan, with_snr: bool = True) -> Iterator[tuple]:
+def sample_channel(plan: SimPlan, *more: SimPlan, with_snr: bool = True,
+                   out=None) -> Iterator[tuple]:
     """One pass over the sample stream: yield, block by block, the h samples
     of `plan` and of each further plan, followed with `with_snr` by each
     plan's gamma = upsilon_1 h^2.  Alone, `plan` yields (h, gamma) blocks.
@@ -231,48 +312,89 @@ def sample_channel(plan: SimPlan, *more: SimPlan, with_snr: bool = True) -> Iter
     parameters); each plan's h is then formed from
     them with its own link, in the operation order of a single-plan pass,
     so a plan's samples do not depend on the plans drawn beside it.
+
+    `out`, if given, holds one entry per plan, where its h blocks go: None
+    for a fresh array per block (as without `out`, and as every gamma
+    block), a length-n row, whose slice each block is, or a
+    (`_slots(blocks)`, min(n, BLOCK)) array, whose row block mod slots
+    each block is: such a block is overwritten once `_slots(blocks)` more
+    blocks have been taken.
     """
     plans = [p.resolved() for p in (plan, *more)]
     seed, n = plans[0].seed, plans[0].n_samples
     if any((p.seed, p.n_samples) != (seed, n) for p in plans):
         raise ValueError("plans drawn in one pass must share seed and n_samples")
-    links = [(p, _fading_key(p), beer_lambert(p.cfg), geometric_loss_gs(p.cfg),
+    keys = list(dict.fromkeys(_fading_key(p) for p in plans))
+    links = [(p, keys.index(_fading_key(p)), beer_lambert(p.cfg), geometric_loss_gs(p.cfg),
               POINTING_DISPLACEMENT_FACTOR * p.cfg.Z) for p in plans]
-    keys = list(dict.fromkeys(key for _, key, *_ in links))
     u1 = [upsilon_1(p.cfg) for p in plans]
-    buf = np.empty((min(n, SUB_BLOCK), _CHANNEL_NORMALS))   # refilled sub-block by sub-block
-    for b, pos in enumerate(range(0, n, BLOCK)):
-        rows = min(BLOCK, n - pos)
-        normals = _block_generator(seed, b)
+    slots = _slots(-(-n // BLOCK))
+    # one scratch set per slot, allocated here: the block tasks allocate nothing
+    sub = min(n, SUB_BLOCK)
+    normals = np.empty((slots, sub, _CHANNEL_NORMALS))   # refilled sub-block by sub-block
+    pair = np.empty((slots, 2, sub))        # displacements, then pointing and mirror factors
+    fading = np.empty((slots, len(keys), sub))
+    gammas = (np.empty((slots, sub, 4))
+              if any(key[0] is FadingModel.GAMMA_GAMMA for key in keys) else None)
+
+    def form(b: int, slot: int, hs: list, gs: list) -> tuple:
+        """Block b's h into hs and gamma into gs, with slot's scratch."""
+        z_gen = _block_generator(seed, b)
         # a Gamma-Gamma key's substream runs on through the block's sub-blocks
-        streams = {key: _block_generator(seed, b, _FADING_SUBSTREAM)
-                   if key[0] is FadingModel.GAMMA_GAMMA else b for key in keys}
-        hs = [np.empty(rows) for _ in links]
-        for sub in range(0, rows, SUB_BLOCK):
-            z = normals.standard_normal(out=buf[:min(SUB_BLOCK, rows - sub)])
-            tilt, track = z[:, 0:3], z[:, 3:5]
-            fading: dict = {}
-            for (p, key, hl, h_pg, scale), h in zip(links, hs):
+        streams = [_block_generator(seed, b, _FADING_SUBSTREAM)
+                   if key[0] is FadingModel.GAMMA_GAMMA else None for key in keys]
+        rows = len(hs[0])
+        for pos in range(0, rows, SUB_BLOCK):
+            m = min(SUB_BLOCK, rows - pos)
+            z = z_gen.standard_normal(out=normals[slot, :m])
+            dx, dy = pair[slot, :, :m]
+            formed = [None] * len(keys)
+            for (p, k, hl, h_pg, scale), h in zip(links, hs):
                 cfg = p.cfg
-                d = np.multiply(track, cfg.sigma_theta_e)
-                np.sin(d, out=d)
-                d *= scale
-                if key not in fading:
-                    fading[key] = _fading_pair(p, z[:, 5], streams[key])
+                for d, col in ((dx, 3), (dy, 4)):
+                    np.multiply(z[:, col], cfg.sigma_theta_e, out=d)
+                    np.sin(d, out=d)
+                    d *= scale
+                if formed[k] is None:
+                    formed[k] = _fading_pair(
+                        p, z[:, 5], b, streams[k], out=fading[slot, k, :m],
+                        work=None if gammas is None else gammas[slot, :m])
                 # (hl^2 h_pg) * fading * h_pu * h_mrr, left to right
-                hv = np.multiply(fading[key], hl * hl * h_pg, out=h[sub:sub + len(z)])
-                hv *= pointing_loss_approx(cfg, d[:, 0], d[:, 1])
-                hv *= _mirror_product(tilt, cfg.sigma_theta_o)
-        if with_snr:
-            hs += [snr_from_channel(c, h) for c, h in zip(u1, hs)]
-        yield tuple(hs)
+                hv = np.multiply(formed[k], hl * hl * h_pg, out=h[pos:pos + m])
+                hv *= pointing_loss_approx(cfg, dx, dy, out=dx, work=dy)
+                hv *= _mirror_product(z, cfg.sigma_theta_o, out=dx, work=dy)
+        return (*hs, *(snr_from_channel(c, h, out=g) for c, h, g in zip(u1, hs, gs)))
+
+    def block_of(dest, b: int, pos: int, rows: int) -> np.ndarray:
+        if dest is None:
+            return np.empty(rows)
+        return dest[pos:pos + rows] if dest.ndim == 1 else dest[b % slots, :rows]
+
+    dests = out or [None] * len(plans)
+
+    def tasks():   # run on the calling thread, which allocates each block's arrays
+        for b, pos in enumerate(range(0, n, BLOCK)):
+            rows = min(BLOCK, n - pos)
+            hs = [block_of(dest, b, pos, rows) for dest in dests]
+            gs = [np.empty(rows) for _ in plans] if with_snr else []
+            yield functools.partial(form, b, b % slots, hs, gs)
+
+    yield from _in_order(tasks(), slots)
 
 
-def snr_from_channel(u1: float, h: np.ndarray) -> np.ndarray:
+def snr_from_channel(u1: float, h: np.ndarray, out=None) -> np.ndarray:
     """SNR samples gamma = upsilon_1 h^2 of channel samples h at SNR scale
-    u1, formed as (u1 h) h: every SNR sample, in a `sample_channel` block or
-    at a sweep point, is formed here, so the two agree bit for bit."""
-    g = u1 * h
+    u1, formed as (u1 h) h, into `out` if given: every SNR sample, in a
+    `sample_channel` block or at a sweep point, is formed here, so the two
+    agree bit for bit.  `out` may be h itself, which is then overwritten a
+    sub-block at a time through one sub-block of scratch."""
+    if out is h:
+        work = np.empty(min(len(h), SUB_BLOCK))
+        for pos in range(0, len(h), SUB_BLOCK):
+            part = h[pos:pos + SUB_BLOCK]
+            np.multiply(np.multiply(u1, part, out=work[:len(part)]), part, out=part)
+        return h
+    g = np.multiply(u1, h, out=out)
     g *= h
     return g
 
@@ -286,20 +408,21 @@ def draw_channel(plan: SimPlan, *more: SimPlan, sums=None) -> np.ndarray:
 
     `sums`, if given, holds one entry per plan: None keeps the plan's row,
     and a list of `SnrSums` takes each block of its h instead
-    (`SnrSums.add_channel`), so the plan holds no row.  The result is then
-    one row per kept plan, even for one plan."""
+    (`SnrSums.add_channel`), so the plan holds no row: its blocks recycle
+    one array per slot (`_slots`), which its last sums overwrite.  The
+    result is then one row per kept plan, even for one plan."""
     plans = (plan, *more)
     feeds = [None] * len(plans) if sums is None else list(sums)
     n = plan.n_samples
     out = np.empty((feeds.count(None), n))
-    for pos, blocks in zip(range(0, n, BLOCK), sample_channel(*plans, with_snr=False)):
-        kept = iter(out)
+    kept = iter(out)
+    slots = _slots(-(-n // BLOCK))
+    dest = [next(kept) if feed is None else np.empty((slots, min(n, BLOCK))) for feed in feeds]
+    spare = np.empty(min(n, BLOCK)) if any(feed and len(feed) > 1 for feed in feeds) else None
+    for blocks in sample_channel(*plans, with_snr=False, out=dest):
         for feed, hb in zip(feeds, blocks):
-            if feed is None:
-                next(kept)[pos:pos + len(hb)] = hb
-            else:
-                for acc in feed:
-                    acc.add_channel(hb)
+            for i, acc in enumerate(feed or ()):
+                acc.add_channel(hb, out=hb if i == len(feed) - 1 else spare[:len(hb)])
     return out if more or sums is not None else out[0]
 
 
@@ -308,6 +431,17 @@ def empirical_pdf(samples, bins=80) -> tuple[np.ndarray, np.ndarray]:
     bins, and the bin edges; `bins` as in numpy.histogram."""
     counts, edges = np.histogram(np.asarray(samples, dtype=float), bins=bins)
     return counts / counts.sum() / np.diff(edges), edges
+
+
+def mean_sd_in_place(samples: np.ndarray) -> tuple[float, float]:
+    """(samples.mean(), samples.std()) bit for bit, in numpy's operation
+    order, with the deviations formed in `samples` itself, which this
+    overwrites: no array the size of the samples is allocated."""
+    n = len(samples)
+    mean = np.add.reduce(samples) / n
+    np.subtract(samples, mean, out=samples)
+    np.square(samples, out=samples)
+    return float(mean), float(np.sqrt(np.add.reduce(samples) / n))
 
 
 def sorted_cdf(sorted_samples, x) -> np.ndarray:
@@ -364,17 +498,24 @@ class SnrSums:
             sums.add(gamma[i:i + BLOCK])
         return sums
 
-    def add_channel(self, h: np.ndarray) -> None:
-        self.add(snr_from_channel(self.u1, h))
+    def add_channel(self, h: np.ndarray, out=None) -> None:
+        """Add the SNR of a block of channel samples h.  `out`, an array of
+        h's length that may be h itself, takes the SNR and then its Q values,
+        so that nothing is allocated."""
+        gamma = snr_from_channel(self.u1, h, out=out)
+        self.add(gamma, out=gamma)
 
-    def add(self, gamma: np.ndarray) -> None:
+    def add(self, gamma: np.ndarray, out=None) -> None:
+        """Add a block of SNR samples.  Its Q values go to `out` if given (it
+        may be gamma itself), else to one fresh array."""
         self.n += len(gamma)
         if self.gamma_th is not None:
             self.below += int(np.count_nonzero(gamma < self.gamma_th))
         if self.with_ber:
-            q = q_function(np.sqrt(gamma))
+            q = np.sqrt(gamma, out=out)
+            q_function(q, out=q)
             self.q_sum += q.sum()
-            self.q_sq_sum += (q * q).sum()
+            self.q_sq_sum += np.multiply(q, q, out=q).sum()
 
     def outage(self) -> MCEstimate:
         """Fraction of the samples below gamma_th, with 95% Wilson interval."""

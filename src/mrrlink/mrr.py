@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientSamplesError, NonPositiveBreakpointError
-from .montecarlo import BLOCK, SUB_BLOCK, _mirror_product, block_normals
+from .montecarlo import BLOCK, SUB_BLOCK, _in_order, _mirror_product, _slots, block_normals
 from .specfun import at_positive
 
 __all__ = [
@@ -95,23 +95,40 @@ def tilt_normals(n: int, seed: int = 0) -> np.ndarray:
     """The (n, 3) standard normals behind `sample_hmrr` at one seed: one
     row of three mirror tilts per sample, in units of the jitter SD.  A
     jitter grid draws them once and evaluates every jitter from them
-    (`hmrr_from_normals`); a shorter draw is a prefix of a longer one."""
+    (`hmrr_from_normals`); a shorter draw is a prefix of a longer one.
+    Each block is filled by a block task, straight into the output."""
     if n < 1:
         raise ValueError("need n >= 1")
     z = np.empty((n, 3))
-    for block, pos in enumerate(range(0, n, BLOCK)):
-        block_normals(seed, block, z[pos:pos + BLOCK])
+    tasks = (functools.partial(block_normals, seed, block, z[pos:pos + BLOCK])
+             for block, pos in enumerate(range(0, n, BLOCK)))
+    for _ in _in_order(tasks, _slots(-(-n // BLOCK))):
+        pass
     return z
 
 
 def hmrr_from_normals(sigma_theta_o: float, z: np.ndarray) -> np.ndarray:
     """Reflection coefficients for jitter SD sigma_theta_o (radians) from
     `tilt_normals` rows z: the product of the three mirror factors at tilts
-    sigma_theta_o * z, evaluated SUB_BLOCK rows at a time so that the
-    temporaries stay one sub-block in size."""
-    out = np.empty(len(z))
-    for pos in range(0, len(z), SUB_BLOCK):
-        out[pos:pos + SUB_BLOCK] = _mirror_product(z[pos:pos + SUB_BLOCK], sigma_theta_o)
+    sigma_theta_o * z.  Each `BLOCK` of rows is a block task, which works
+    SUB_BLOCK rows at a time into the output with one sub-block of its
+    slot's scratch."""
+    n = len(z)
+    out = np.empty(n)
+    slots = _slots(-(-n // BLOCK))
+    work = np.empty((slots, min(n, SUB_BLOCK)))
+
+    def block(start: int, slot: int) -> None:
+        end = min(start + BLOCK, n)
+        for pos in range(start, end, SUB_BLOCK):
+            rows = slice(pos, min(pos + SUB_BLOCK, end))
+            _mirror_product(z[rows], sigma_theta_o, out=out[rows],
+                            work=work[slot, :rows.stop - pos])
+
+    tasks = (functools.partial(block, pos, b % slots)
+             for b, pos in enumerate(range(0, n, BLOCK)))
+    for _ in _in_order(tasks, slots):
+        pass
     return out
 
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from .channel import LinkConfig
 from .experiments import ExperimentSpec, output_row
-from .montecarlo import empirical_pdf
+from .montecarlo import empirical_pdf, mean_sd_in_place
 from .mrr import _MIN_MOMENT_SAMPLES, hmrr_from_normals, lognormal_hmrr_pdf, tilt_normals
 
 __all__ = ["RECIPES", "build_recipe", "recipe_names"]
@@ -146,8 +146,9 @@ def build_fig13_rows(seed: int = 0, n_samples: int = 1_000_000) -> list[dict]:
     for deg in (1.0, 5.0, 10.0):
         s = hmrr_from_normals(deg * _DEG, z)
         dens, edges = empirical_pdf(s, bins=60)
+        mu, sd = mean_sd_in_place(s)
+        del s   # overwritten; gone before the next jitter's samples
         centers = 0.5 * (edges[:-1] + edges[1:])
-        mu, sd = float(s.mean()), float(s.std())
         ana = lognormal_hmrr_pdf(centers, mu, sd)
         label = f"sigma_o={deg:g}deg"
         for engine, vals in (("montecarlo", dens), ("analytic", ana)):

@@ -53,9 +53,11 @@ __all__ = [
 _EPS_REL = 1e-11
 
 
-def q_function(x):
-    """Gaussian tail probability Q(x) = P(N(0,1) > x) = erfc(x/sqrt(2))/2."""
-    return 0.5 * sp.erfc(np.asarray(x, dtype=float) / np.sqrt(2.0))
+def q_function(x, out=None):
+    """Gaussian tail probability Q(x) = P(N(0,1) > x) = erfc(x/sqrt(2))/2,
+    into `out` if given (it may be x itself)."""
+    y = sp.erfc(np.divide(np.asarray(x, dtype=float), np.sqrt(2.0), out=out), out=out)
+    return np.multiply(0.5, y, out=out)
 
 
 def log_q(x):

@@ -3,7 +3,8 @@
 The numerical-integration oracles live in `tests/oracles.py`; under
 `src/mrrlink` only the Rytov path integral (`channel.py`) integrates
 with scipy.  Every random draw is keyed by (seed, block), so only
-`montecarlo._block_generator` calls into `numpy.random`.  The README's
+`montecarlo._block_generator` calls into `numpy.random`, and block tasks
+run on one thread pool, which only `montecarlo._executor` makes.  The README's
 library quick tour is run as written, so a trimmed export cannot break the
 documented example.
 """
@@ -89,6 +90,50 @@ def test_random_scan_sees_every_call_form():
             ("from numpy import random\nrandom.seed(0)", [("", "random.seed")])):
         assert numpy_random_calls(ast.parse(source)) == want, source
     assert numpy_random_calls(ast.parse("def f(g: np.random.Generator):\n    g.normal()")) == []
+
+
+# What starts a thread or a process, by the last part of the called name
+_STARTERS = {"Thread", "Timer", "start_new_thread", "ThreadPoolExecutor", "ThreadPool",
+             "ProcessPoolExecutor", "Pool", "Process", "Popen", "fork"}
+
+
+def thread_starts(tree: ast.AST) -> list[tuple[str, str]]:
+    """(enclosing function, callee) of each call that starts threads or
+    processes: a thread, a timer, a pool or executor of either, a process."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}".lstrip("."))
+                continue
+            if isinstance(child, ast.Call):
+                callee = ast.unparse(child.func)
+                if callee.rpartition(".")[2] in _STARTERS:
+                    found.append((where, callee))
+            visit(child, where)
+
+    visit(tree, "")
+    return found
+
+
+def test_only_the_block_pool_starts_threads():
+    # block tasks run on one pool, made in one function
+    calls = sorted((p.name, *call) for p in PACKAGE.rglob("*.py")
+                   for call in thread_starts(ast.parse(p.read_text(encoding="utf-8"))))
+    assert calls == [("montecarlo.py", "_executor", "ThreadPoolExecutor")]
+
+
+def test_thread_scan_sees_every_call_form():
+    for source, want in (
+            ("import threading\nthreading.Thread(target=f).start()", [("", "threading.Thread")]),
+            ("def f():\n    return concurrent.futures.ProcessPoolExecutor(2)",
+             [("f", "concurrent.futures.ProcessPoolExecutor")]),
+            ("from multiprocessing import Pool\nclass A:\n    def g(self):\n        Pool(2)",
+             [("A.g", "Pool")]),
+            ("import _thread\n_thread.start_new_thread(f, ())", [("", "_thread.start_new_thread")])):
+        assert thread_starts(ast.parse(source)) == want, source
+    assert thread_starts(ast.parse("pool.submit(task)\nthreading.active_count()")) == []
 
 
 def test_readme_quick_tour_runs(capsys):

@@ -2,10 +2,15 @@
 
 import hashlib
 import math
+import multiprocessing
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 from scipy import special as sp
 from scipy import stats
 
@@ -30,7 +35,7 @@ from mrrlink.montecarlo import (
 )
 from mrrlink.mrr import hmrr_from_normals, sample_hmrr, tilt_normals
 from mrrlink.weak import weak_constants
-from conftest import watch_normal_fills
+from conftest import by_block, watch_normal_fills
 from oracles import model_moments
 
 DEG = math.pi / 180.0
@@ -75,12 +80,12 @@ class TestDeterminism:
         # same seed => same pointing/orientation draws: h divided by its
         # fading product is the same under either fading model, while the
         # fading itself differs
-        fading = []
+        fading = []   # (block, a copy of the fading formed): a slot's scratch is reused
         original = montecarlo._fading_pair
 
-        def recording(*args):
-            out = original(*args)
-            fading.append(out)
+        def recording(plan, z, block, *args, **kw):
+            out = original(plan, z, block, *args, **kw)
+            fading.append((block, out.copy()))
             return out
 
         monkeypatch.setattr(montecarlo, "_fading_pair", recording)
@@ -90,10 +95,10 @@ class TestDeterminism:
         plan_gg = SimPlan(cfg, n_samples=n, seed=3, fading=FadingModel.GAMMA_GAMMA,
                           stats=turbulence_stats(cfg, regime="strong"))
         h_ln = draw_channel(plan_ln)
-        f_ln = np.concatenate(fading)
+        f_ln = np.concatenate(by_block(fading))
         fading.clear()
         h_gg = draw_channel(plan_gg)
-        f_gg = np.concatenate(fading)
+        f_gg = np.concatenate(by_block(fading))
         assert len(f_ln) == len(f_gg) == n
         assert not np.any(f_ln == f_gg)
         assert not np.any(f_gg[:1_000] == f_gg[BLOCK:])  # each block has its own fading
@@ -143,20 +148,21 @@ class TestSharedPass:
 
     def test_shared_normals_not_written(self, monkeypatch):
         # the normals of a sub-block serve every plan of the pass; each
-        # plan's h and gamma are those of a pass of its own.  The pass
-        # refills one buffer sub-block by sub-block, so each sub-block is
-        # read-only until the next fill, and checked at the block's yield.
+        # plan's h and gamma are those of a pass of its own.  A block task
+        # refills its slot's buffer sub-block by sub-block, so each sub-block
+        # is read-only until the next fill, and the block's last is checked
+        # at its yield, before the slot is refilled.
         drawn = []
 
         def freeze(gen, z):
-            drawn.append((z, z.copy()))
+            drawn.append((gen.block, z, z.copy()))
             z.flags.writeable = False   # a write while the plans are formed raises
 
         watch_normal_fills(monkeypatch, freeze)
         plans = self.plans()
         blocks = []
-        for shared in montecarlo.sample_channel(*plans):
-            z, kept = drawn[-1]
+        for b, shared in enumerate(montecarlo.sample_channel(*plans)):
+            _, z, kept = [d for d in drawn if d[0] == b][-1]
             assert np.array_equal(z, kept)
             blocks.append(shared)
         assert len(blocks) == 2
@@ -172,14 +178,14 @@ class TestSharedPass:
         drawn = []
         original = montecarlo._fading_pair
 
-        def recording(plan, z, block):
-            drawn.append(plan.fading)
-            return original(plan, z, block)
+        def recording(plan, z, block, *args, **kw):
+            drawn.append((block, plan.fading))
+            return original(plan, z, block, *args, **kw)
 
         monkeypatch.setattr(montecarlo, "_fading_pair", recording)
         draw_channel(*self.plans())
         sub_blocks = -(-BLOCK // montecarlo.SUB_BLOCK) + 1   # the short block is one
-        assert drawn == [FadingModel.LOG_NORMAL, FadingModel.GAMMA_GAMMA] * sub_blocks
+        assert by_block(drawn) == [FadingModel.LOG_NORMAL, FadingModel.GAMMA_GAMMA] * sub_blocks
 
     def test_snr_blocks_follow_the_h_blocks(self):
         plans = self.plans()[:2]
@@ -224,12 +230,13 @@ class TestStreamContract:
 
     @staticmethod
     def recorded(monkeypatch, fn, *args):
-        """The value of fn(*args) and a copy of every (sub-)block of normals it drew."""
+        """The value of fn(*args) and a copy of every (sub-)block of normals it
+        drew, in block order."""
         drawn = []
-        watch_normal_fills(monkeypatch, lambda gen, z: drawn.append(z.copy()))
+        watch_normal_fills(monkeypatch, lambda gen, z: drawn.append((gen.block, z.copy())))
         value = fn(*args)
         monkeypatch.undo()
-        return value, np.concatenate(drawn)
+        return value, np.concatenate(by_block(drawn))
 
     def test_channel_columns_are_standard_normal(self, monkeypatch):
         _, z = self.recorded(monkeypatch, draw_channel, SimPlan(weak_cfg(), self.N, seed=31))
@@ -244,18 +251,19 @@ class TestStreamContract:
 
     def test_lognormal_pair_has_doubled_variance(self, monkeypatch):
         plan = SimPlan(weak_cfg(), self.N, seed=31, fading=FadingModel.LOG_NORMAL).resolved()
-        fading = []
+        fading = []   # (block, a copy of the fading formed): a slot's scratch is reused
         original = montecarlo._fading_pair
 
-        def recording(*args):
-            fading.append(original(*args))
-            return fading[-1]
+        def recording(plan, z, block, *args, **kw):
+            out = original(plan, z, block, *args, **kw)
+            fading.append((block, out.copy()))
+            return out
 
         monkeypatch.setattr(montecarlo, "_fading_pair", recording)
         draw_channel(plan)
         s_l2 = plan.stats.sigma_L2
         assert s_l2 > 0
-        x = np.log(np.concatenate(fading))
+        x = np.log(np.concatenate(by_block(fading)))
         assert len(x) == self.N
         assert stats.kstest(x, "norm", args=(-4 * s_l2, math.sqrt(8 * s_l2))).pvalue > 1e-3
 
@@ -325,9 +333,13 @@ class TestSubBlocks:
 
 class TestWorkingSet:
     """Peak traced allocation of one warm call at two blocks: a block's
-    rows are drawn and formed a sub-block at a time in one buffer that
-    every sub-block refills, and a tilt draw writes straight into its
-    output."""
+    rows are drawn and formed a sub-block at a time in one buffer per slot
+    that every sub-block refills, and a tilt draw writes straight into its
+    output.  Two threads, so that the bounds do not depend on the host."""
+
+    @pytest.fixture(autouse=True)
+    def two_threads(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "THREADS", 2)
 
     @staticmethod
     def peak_mb(fn, *args) -> float:
@@ -350,6 +362,127 @@ class TestWorkingSet:
 
     def test_tilt_normals(self):
         assert self.peak_mb(tilt_normals, 2 * BLOCK) < 5.0   # the output is 3.1 MB of it
+
+
+class TestThreads:
+    """Block tasks run on up to `THREADS` threads; every byte is that of one
+    thread.  Four blocks, so that three threads have a block each."""
+
+    N = 3 * BLOCK + 1_000
+
+    def plans(self, case):
+        weak, strong = weak_cfg(), strong_cfg()
+        return {"lognormal": [SimPlan(weak, self.N, seed=5)],
+                "gammagamma": [SimPlan(strong, self.N, seed=5)],
+                "two-plans": [SimPlan(weak, self.N, seed=5),
+                              SimPlan(strong.with_(sigma_theta_o=6 * DEG), self.N, seed=5)],
+                }[case]
+
+    @staticmethod
+    def each_thread_count(monkeypatch, fn):
+        """fn() with THREADS at 1, 2 and 3."""
+        values = []
+        for threads in (1, 2, 3):
+            monkeypatch.setattr(montecarlo, "THREADS", threads)
+            values.append(fn())
+        return values
+
+    @pytest.mark.parametrize("case", ["lognormal", "gammagamma", "two-plans"])
+    def test_draw_channel(self, monkeypatch, case):
+        plans = self.plans(case)
+        one, *more = self.each_thread_count(monkeypatch, lambda: draw_channel(*plans))
+        assert all(np.array_equal(h, one) for h in more)
+
+    def test_fed_sums(self, monkeypatch):
+        # a fed plan's blocks recycle one array per slot, which its last sums
+        # overwrite; a kept plan beside it is not disturbed
+        plans = self.plans("two-plans")
+
+        def fed():
+            cfg = plans[1].cfg
+            sums = [montecarlo.SnrSums(upsilon_1(cfg) * f, cfg.gamma_th, True)
+                    for f in (1.0, 10.0, 100.0)]
+            h = draw_channel(*plans, sums=[None, sums])
+            return h, [(s.n, s.below, s.q_sum, s.q_sq_sum) for s in sums]
+
+        runs = self.each_thread_count(monkeypatch, fed)
+        for h, sums in runs:
+            assert np.array_equal(h, runs[0][0]) and sums == runs[0][1]
+        cfg = plans[1].cfg
+        h = draw_channel(plans[1])
+        for f, got in zip((1.0, 10.0, 100.0), runs[0][1]):
+            want = montecarlo.SnrSums.of(upsilon_1(cfg) * f * h * h, cfg.gamma_th, True)
+            assert got == (want.n, want.below, want.q_sum, want.q_sq_sum)
+
+    def test_kept_sample_channel_blocks(self, monkeypatch):
+        # a consumer that keeps the blocks keeps fresh arrays, not slot scratch
+        plans = self.plans("two-plans")
+        one, *more = self.each_thread_count(
+            monkeypatch, lambda: list(montecarlo.sample_channel(*plans)))
+        assert len(one) == 4
+        for blocks in more:
+            for got, want in zip(blocks, one):
+                assert len(got) == len(want) == 4
+                assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_tilts_and_jitters(self, monkeypatch):
+        def tilts():
+            z = tilt_normals(self.N, seed=5)
+            return z, hmrr_from_normals(0.05, z), hmrr_from_normals(0.1, z)
+
+        one, *more = self.each_thread_count(monkeypatch, tilts)
+        for arrays in more:
+            assert all(np.array_equal(a, b) for a, b in zip(arrays, one))
+
+    def test_more_threads_than_cores_under_fast_switching(self, monkeypatch):
+        # four threads on a short switch interval: a slot reused before its
+        # block was consumed, or a block handed over out of order, moves bytes
+        plans = self.plans("two-plans")
+        cfg = plans[1].cfg
+        want = draw_channel(*plans)
+        sums = montecarlo.SnrSums.of(snr_samples(plans[1]), cfg.gamma_th, True)
+        monkeypatch.setattr(montecarlo, "THREADS", 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                fed = [montecarlo.SnrSums(upsilon_1(cfg), cfg.gamma_th, True)]
+                assert np.array_equal(draw_channel(*plans, sums=[None, fed]), want[:1])
+                assert (fed[0].below, fed[0].q_sum, fed[0].q_sq_sum) == (
+                    sums.below, sums.q_sum, sums.q_sq_sum)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_block_task_exception_surfaces(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "THREADS", 2)
+        original = montecarlo._fading_pair
+
+        def failing(plan, z, block, *args, **kw):
+            if block == 2:
+                raise FloatingPointError("injected in block 2")
+            return original(plan, z, block, *args, **kw)
+
+        monkeypatch.setattr(montecarlo, "_fading_pair", failing)
+        with pytest.raises(FloatingPointError, match="injected in block 2"):
+            draw_channel(*self.plans("two-plans"))
+
+    def test_forked_child_draws(self, monkeypatch):
+        # a child forked after a pass has none of the pool's threads: it
+        # makes a pool of its own, where the parent's would never run a task
+        monkeypatch.setattr(montecarlo, "THREADS", 2)
+        plan = SimPlan(weak_cfg(), 2 * BLOCK, seed=1)
+        want = draw_channel(plan)
+        ctx = multiprocessing.get_context("fork")
+        with ctx.Pool(1) as pool:
+            got = pool.apply_async(draw_channel, (plan,)).get(timeout=60)
+        assert np.array_equal(got, want)
+
+    def test_no_thread_leaks(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "THREADS", 2)
+        plan = SimPlan(weak_cfg(), 2 * BLOCK, seed=1)
+        for _ in range(50):
+            draw_channel(plan)
+        assert threading.active_count() <= 1 + montecarlo.THREADS
 
 
 class TestPinnedStreams:
@@ -515,6 +648,29 @@ class TestEmpirical:
         assert np.allclose(F, [1 / 3, 2 / 3, 1.0])
         # right-continuous: the jump belongs to the sample value itself
         assert np.allclose(montecarlo.sorted_cdf(s, [0.5, 1.5, 9.0]), [0.0, 1 / 3, 1.0])
+
+
+@seed(20261022)
+@settings(max_examples=200, deadline=None)
+@given(u1=st.floats(1e-300, 1e300),
+       h=st.lists(st.one_of(st.just(0.0), st.floats(5e-324, 2.2e-308),
+                            st.floats(0.0, 1e300)), min_size=1, max_size=50))
+def test_sorted_snr_is_the_snr_of_sorted_h(u1, h):
+    # (u1 h) h is monotone in h >= 0 under rounding, so a sweep point forms
+    # its sorted SNR from its sorted h, bit for bit
+    h = np.array(h)
+    with np.errstate(over="ignore", under="ignore"):   # inf and 0 are in order too
+        want = np.sort(montecarlo.snr_from_channel(u1, h))
+        got = montecarlo.snr_from_channel(u1, np.sort(h))
+    assert want.tobytes() == got.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 65_537, 400_000])
+def test_mean_sd_in_place_is_numpys(n):
+    s = sample_hmrr(0.1, n, seed=n)
+    want = (s.mean(), s.std())
+    got = montecarlo.mean_sd_in_place(s.copy())
+    assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 class TestEstimates:

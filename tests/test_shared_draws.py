@@ -128,8 +128,8 @@ class TestChannelDrawPerCurve:
         # streams it, one block at a time, into the point's SnrSums
         blocks = {}   # SnrSums -> its gamma blocks, in grid order
         original = montecarlo.SnrSums.add
-        monkeypatch.setattr(montecarlo.SnrSums, "add", lambda sums, g: blocks.setdefault(
-            sums, []).append(g.copy()) or original(sums, g))
+        monkeypatch.setattr(montecarlo.SnrSums, "add", lambda sums, g, **kw: blocks.setdefault(
+            sums, []).append(g.copy()) or original(sums, g, **kw))
         grid = {"Pt": PT_GRID, "sigma_theta_o": tuple(d * DEG for d in (2.0, 5.0, 8.0)),
                 "Cn2": (cfg.cn2_0 / 2, cfg.cn2_0, 2 * cfg.cn2_0)}[axis]
         spec = ExperimentSpec(cfg, axis, grid, metrics=("outage", "ber"),
@@ -283,10 +283,8 @@ class TestStreamedScalars:
         return ExperimentSpec(base_cfg(), "sigma_theta_o", self.GRID, metrics=metrics,
                               engines=("montecarlo",), regime="weak", n_samples=n, seed=7)
 
-    def test_sigma_o_curve_holds_no_sample_array(self):
-        grid = tuple(d * DEG for d in range(1, 9))
-        n = 8 * BLOCK
-        spec = dataclasses.replace(self.curve(("outage", "ber"), n), grid=grid)
+    @staticmethod
+    def peak(spec):
         run_experiment(spec)   # warm: imports and caches are not the working set
         tracemalloc.start()
         try:
@@ -294,8 +292,41 @@ class TestStreamedScalars:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert not res.errors and len(res.rows) == 2 * len(grid)
-        assert peak < len(grid) * n * 8 / 2   # half of one (n_points, n_samples) array
+        assert not res.errors and len(res.rows) == 2 * len(spec.grid)
+        return peak
+
+    def test_sigma_o_curve_holds_no_sample_array(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "THREADS", 2)   # a bound that does not depend on the host
+        grid = tuple(d * DEG for d in range(1, 9))
+        n = 8 * BLOCK
+        spec = dataclasses.replace(self.curve(("outage", "ber"), n), grid=grid)
+        assert self.peak(spec) < len(grid) * n * 8 / 2   # half of one (n_points, n_samples) array
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_each_point_holds_threads_blocks(self, monkeypatch, threads):
+        # a fed plan's blocks recycle one array per slot: THREADS blocks per
+        # grid point, and less than half a block per point besides
+        monkeypatch.setattr(montecarlo, "THREADS", threads)
+        grid = tuple(d * DEG for d in range(1, 9))
+        spec = dataclasses.replace(self.curve(("outage", "ber"), 8 * BLOCK), grid=grid)
+        assert self.peak(spec) < (threads + 0.5) * len(grid) * BLOCK * 8
+
+    def test_failed_block_task_is_recorded_at_every_point(self, monkeypatch):
+        # a block task's exception ends the pass in its turn, and every point
+        # the pass feeds records it
+        monkeypatch.setattr(montecarlo, "THREADS", 2)
+        original = montecarlo._fading_pair
+
+        def failing(plan, z, block, *args, **kw):
+            if block == 1:
+                raise FloatingPointError("injected in block 1")
+            return original(plan, z, block, *args, **kw)
+
+        monkeypatch.setattr(montecarlo, "_fading_pair", failing)
+        res = run_experiment(self.curve(("outage", "ber"), 3 * BLOCK))
+        assert res.rows == []
+        assert res.errors == [f"sigma_theta_o={v:g}: montecarlo channel failed: "
+                              "injected in block 1" for v in self.GRID]
 
     def test_streamed_and_kept_curves_share_a_pass(self, passes):
         # one pass: the outage/BER curve streams, the distribution curve keeps h
@@ -326,6 +357,30 @@ class TestFig13:
     def test_too_few_samples_rejected(self, n):
         with pytest.raises(ValueError, match="at least 2"):
             build_fig13_rows(seed=0, n_samples=n)
+
+
+@pytest.mark.parametrize("argv,files", [
+    (["recipe", "fig7", "--samples", "200000"], ("out", "out.json")),
+    (["recipe", "fig13", "--samples", "200000"], ("out", "out.json")),
+    (["mc-tables", "--samples", "200000"], ("out_moments.csv", "out_sectors.csv")),
+    (["run", "CFG"], ("out", "out.json")),
+], ids=["fig7", "fig13", "mc-tables", "run"])
+def test_cli_bytes_do_not_depend_on_threads(tmp_path, capsys, monkeypatch, argv, files):
+    # four blocks, so that three threads have a block each
+    cfg = tmp_path / "gammagamma.cfg"
+    cfg.write_text("Z = 1000 m\nw_z = 40 cm\nsigma_theta_o = 6 deg\n"
+                   "sigma_theta_e = 100 urad\nCn2 = 1e-13\nsweep = Pt\n"
+                   "grid = 0:30:4 dBm\nmetrics = outage, ber\n"
+                   "engines = analytic, montecarlo\nsamples = 200000\n")
+    digests = []
+    for threads in (1, 2, 3):
+        monkeypatch.setattr(montecarlo, "THREADS", threads)
+        out = tmp_path / str(threads)
+        out.mkdir()
+        args = [str(cfg) if a == "CFG" else a for a in argv]
+        assert main([*args, "--seed", "7", "--out", str(out / "out")]) in (0, 2)
+        digests.append(digest(*((out / f).read_bytes() for f in files)))
+    assert digests[1] == digests[2] == digests[0]
 
 
 class TestPinnedOutputs:
