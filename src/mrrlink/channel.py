@@ -72,12 +72,15 @@ class LinkConfig:
     gamma_th: float = 10 ** 0.5    # SNR threshold, linear (5 dB)
 
     def __post_init__(self):
-        if self.Z <= 0 or self.theta_div <= 0 or self.A_r <= 0 or self.r_g <= 0:
+        # each check is written so that nan fails it
+        if not (self.Z > 0 and self.theta_div > 0 and self.A_r > 0 and self.r_g > 0):
             raise ValueError("Z, theta_div, A_r and r_g must be positive")
         if not (self.Z_hu > self.Z_hg >= 0):
             raise ValueError("need Z_hu > Z_hg >= 0")
-        if self.sigma_theta_e < 0 or self.sigma_theta_o < 0:
+        if not (self.sigma_theta_e >= 0 and self.sigma_theta_o >= 0):
             raise ValueError("angle SDs must be non-negative")
+        if not self.cn2_0 >= 0:
+            raise ValueError(f"cn2_0={self.cn2_0:g} must be non-negative")
         if (self.zeta is None) == (self.h_l is None):
             raise ValueError("give exactly one of zeta or h_l")
         if self.h_l is not None and not (0 < self.h_l <= 1):
@@ -92,7 +95,7 @@ class LinkConfig:
         if not math.isfinite(wind_term):
             raise ValueError(f"the Cn2 profile overflows at wind_v={self.wind_v:g}, "
                              f"Z_hu={self.Z_hu:g}")
-        if self.P_t <= 0 or self.R_pd <= 0 or self.sigma_n2 <= 0 or self.gamma_th < 0:
+        if not (self.P_t > 0 and self.R_pd > 0 and self.sigma_n2 > 0 and self.gamma_th >= 0):
             raise ValueError("P_t, R_pd, sigma_n2 must be positive; gamma_th >= 0")
         if not self.wavelength > 0:
             raise ValueError(f"wavelength={self.wavelength:g} m must be positive")

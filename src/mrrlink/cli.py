@@ -30,15 +30,13 @@ from .experiments import (
     spec_meta,
     write_outputs,
 )
-from .montecarlo import mean_sd_in_place
+from .montecarlo import hmrr_from_normals, mean_sd_in_place, tilt_normals
 from .mrr import (
     _MIN_FIT_SAMPLES,
     _MIN_MOMENT_SAMPLES,
     _MOM_SIGMA_DEG,
     TABLE_SECTORS,
     fit_sector_model,
-    hmrr_from_normals,
-    tilt_normals,
 )
 from .recipes import build_fig13_rows, build_recipe, recipe_names
 

@@ -16,14 +16,14 @@ Philox substream of the same (seed, block) key, whose counter starts
 2**192 steps in (`_FADING_SUBSTREAM`), so it never overlaps the normals.
 The six-normal layout does not depend on the fading model, so the same
 seed produces the same geometry draws under either.  The reflection
-coefficient's tilts (`mrr.tilt_normals`) are three normals per sample
-from the same (seed, block) key.
+coefficient's tilts (`tilt_normals`, behind `mrr.sample_hmrr`) are three
+normals per sample from the same (seed, block) key.
 
 A draw depends on the seed and the sample count, never on who asks for
 it, so callers share one where their grid points would repeat it: a
 transmit-power curve forms each point's gamma = upsilon_1 h^2 from one h
 array, and a jitter grid scales one set of tilt normals
-(`mrr.hmrr_from_normals`).  Links that share (seed, n_samples) share one
+(`hmrr_from_normals`).  Links that share (seed, n_samples) share one
 pass of the stream (`draw_channel(plan, *more)`; a sweep's grid points in
 `experiments._draw_group`): per block the six normals are drawn once,
 and the fading formed once per distinct (model, parameters); each link's
@@ -47,23 +47,25 @@ The outage and BER estimators need sums over the samples, not the
 samples: `SnrSums` adds a link's SNR samples a block at a time (the count
 below gamma_th, and the sums of Q(sqrt(gamma)) and of its square), and
 its `outage()`/`ber()` finish the estimate.  `draw_channel(..., sums=)`
-feeds each block of a plan's h to its sums and keeps no h for it, so a
-pass whose links need only outage and BER holds `THREADS` blocks per link;
-`mc_outage`/`mc_ber` feed an array's `BLOCK` slices to the same sums.
+feeds each block of a plan's h to its sums and keeps no h for it: every
+sums forms its SNR and Q values in the pass's one spare block, so a pass
+whose links need only outage and BER holds `THREADS` blocks per link and
+one more; `mc_outage`/`mc_ber` feed an array's `BLOCK` slices to the same
+sums.
 
 The blocks of a pass, of a tilt draw and of a jitter evaluation are
-independent by construction, so each runs as one block task on a small
-persistent thread pool (`_in_order`): up to `THREADS` tasks at once, their
-results taken in block order, and task i + THREADS started only once
-block i has been consumed, so that it reuses slot i mod THREADS.  numpy
-releases the GIL in the Philox fills and the ufuncs, so the blocks overlap.
-The tasks allocate no arrays: the calling thread allocates each block's
-destination (a slice of a kept row, a fresh array, or a recycled per-slot
-block) and one sub-block scratch set per slot, and the kernels write into
-them (`out=`/`work=`).  Everything that adds across blocks (`SnrSums`)
-adds on the calling thread in block order, so every sum and every output
-byte is the same for any `THREADS`.  With one thread or one block the
-tasks run inline.
+independent by construction, so each runs as one block task on a thread
+pool that the run makes and shuts down (`_in_order`): up to `THREADS`
+tasks at once, their results taken in block order, and task i + THREADS
+started only once block i has been consumed, so that it reuses slot i mod
+THREADS.  numpy releases the GIL in the Philox fills and the ufuncs, so
+the blocks overlap.  The tasks allocate no arrays: the calling thread
+allocates each block's destination (a slice of a kept row, a fresh array,
+or a recycled per-slot block) and one sub-block scratch set per slot, and
+the kernels write into them (`out=`/`work=`).  Everything that adds
+across blocks (`SnrSums`) adds on the calling thread in block order, so
+every sum and every output byte is the same for any `THREADS`.  With one
+thread or one block the tasks run inline.
 """
 
 from __future__ import annotations
@@ -96,6 +98,8 @@ __all__ = [
     "MCEstimate",
     "sample_channel",
     "draw_channel",
+    "tilt_normals",
+    "hmrr_from_normals",
     "snr_from_channel",
     "SnrSums",
     "empirical_pdf",
@@ -180,43 +184,27 @@ def block_normals(seed: int, index: int, out: np.ndarray) -> np.ndarray:
     return _block_generator(seed, index).standard_normal(out=out)
 
 
-_POOL: list = []   # [((pid, threads), executor)], made at the first run of two or more blocks
-
-
-def _executor():
-    """The persistent pool of `THREADS` threads that runs block tasks; the
-    only place the package starts threads.  A forked child, which has none
-    of its parent's threads, makes a pool of its own."""
-    key = os.getpid(), THREADS
-    if _POOL and _POOL[0][0] != key:
-        (pid, _), pool = _POOL.pop()
-        if pid == key[0]:
-            pool.shutdown()
-    if not _POOL:
-        from concurrent.futures.thread import ThreadPoolExecutor
-        _POOL.append((key, ThreadPoolExecutor(THREADS, thread_name_prefix="mrrlink-block")))
-    return _POOL[0][1]
-
-
-def _slots(blocks: int) -> int:
-    """How many block tasks of a `blocks`-block run are in flight at once:
-    each has a slot of scratch of its own, slot i mod `_slots(blocks)`."""
-    return max(1, min(THREADS, blocks))
+def _slots(n: int) -> int:
+    """How many block tasks of an n-row run are in flight at once: each has
+    a slot of scratch of its own, slot i mod `_slots(n)`."""
+    return max(1, min(THREADS, -(-n // BLOCK)))
 
 
 def _in_order(tasks: Iterator[Callable], slots: int) -> Iterator:
     """The result of each task, in order, with up to `slots` running at once
-    on the pool.  The next task is taken from `tasks` (on the calling thread,
+    on a thread pool of the run's own, the only place the package starts
+    threads.  The next task is taken from `tasks` (on the calling thread,
     which allocates what it writes) only once the result `slots` places
     before it has been consumed, so tasks i and i + slots can share slot
     i mod slots.  With one slot the tasks run inline.  A task's exception
-    is raised here in its turn, once the tasks still running have ended,
-    so that none writes after the run is over."""
+    is raised here in its turn; the pool is shut down once the tasks still
+    running have ended, so that none writes after the run is over."""
     if slots == 1:
         for task in tasks:
             yield task()
         return
-    pool = _executor()
+    from concurrent.futures.thread import ThreadPoolExecutor
+    pool = ThreadPoolExecutor(slots, thread_name_prefix="mrrlink-block")
     pending: deque = deque()
     try:
         for task in tasks:
@@ -226,8 +214,7 @@ def _in_order(tasks: Iterator[Callable], slots: int) -> Iterator:
         while pending:
             yield pending.popleft().result()
     finally:
-        from concurrent.futures import wait
-        wait([f for f in pending if not f.cancel()])
+        pool.shutdown(cancel_futures=True)
 
 
 def _mirror_factor(theta, scale: float = 1.0, out=None):
@@ -254,6 +241,47 @@ def _mirror_product(z: np.ndarray, scale: float, out=None, work=None) -> np.ndar
     out = _mirror_factor(z[:, 0], scale, out)
     out *= _mirror_factor(z[:, 1], scale, work)
     out *= _mirror_factor(z[:, 2], scale, work)
+    return out
+
+
+def tilt_normals(n: int, seed: int = 0) -> np.ndarray:
+    """The (n, 3) standard normals behind `mrr.sample_hmrr` at one seed: one
+    row of three mirror tilts per sample, in units of the jitter SD.  A
+    jitter grid draws them once and evaluates every jitter from them
+    (`hmrr_from_normals`); a shorter draw is a prefix of a longer one.
+    Each block is filled by a block task, straight into the output."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    z = np.empty((n, 3))
+    tasks = (functools.partial(block_normals, seed, block, z[pos:pos + BLOCK])
+             for block, pos in enumerate(range(0, n, BLOCK)))
+    for _ in _in_order(tasks, _slots(n)):
+        pass
+    return z
+
+
+def hmrr_from_normals(sigma_theta_o: float, z: np.ndarray) -> np.ndarray:
+    """Reflection coefficients for jitter SD sigma_theta_o (radians) from
+    `tilt_normals` rows z: the product of the three mirror factors at tilts
+    sigma_theta_o * z.  Each `BLOCK` of rows is a block task, which works
+    SUB_BLOCK rows at a time into the output with one sub-block of its
+    slot's scratch."""
+    n = len(z)
+    out = np.empty(n)
+    slots = _slots(n)
+    work = np.empty((slots, min(n, SUB_BLOCK)))
+
+    def block(start: int, slot: int) -> None:
+        end = min(start + BLOCK, n)
+        for pos in range(start, end, SUB_BLOCK):
+            rows = slice(pos, min(pos + SUB_BLOCK, end))
+            _mirror_product(z[rows], sigma_theta_o, out=out[rows],
+                            work=work[slot, :rows.stop - pos])
+
+    tasks = (functools.partial(block, pos, b % slots)
+             for b, pos in enumerate(range(0, n, BLOCK)))
+    for _ in _in_order(tasks, slots):
+        pass
     return out
 
 
@@ -316,19 +344,21 @@ def sample_channel(plan: SimPlan, *more: SimPlan, with_snr: bool = True,
     `out`, if given, holds one entry per plan, where its h blocks go: None
     for a fresh array per block (as without `out`, and as every gamma
     block), a length-n row, whose slice each block is, or a
-    (`_slots(blocks)`, min(n, BLOCK)) array, whose row block mod slots
-    each block is: such a block is overwritten once `_slots(blocks)` more
-    blocks have been taken.
+    (`_slots(n)`, min(n, BLOCK)) array, whose row block mod slots each
+    block is: such a block is overwritten once `_slots(n)` more blocks
+    have been taken.
     """
     plans = [p.resolved() for p in (plan, *more)]
     seed, n = plans[0].seed, plans[0].n_samples
     if any((p.seed, p.n_samples) != (seed, n) for p in plans):
         raise ValueError("plans drawn in one pass must share seed and n_samples")
+    if out is not None and len(out) != len(plans):
+        raise ValueError(f"need one entry per plan, got {len(out)} for {len(plans)}")
     keys = list(dict.fromkeys(_fading_key(p) for p in plans))
     links = [(p, keys.index(_fading_key(p)), beer_lambert(p.cfg), geometric_loss_gs(p.cfg),
               POINTING_DISPLACEMENT_FACTOR * p.cfg.Z) for p in plans]
     u1 = [upsilon_1(p.cfg) for p in plans]
-    slots = _slots(-(-n // BLOCK))
+    slots = _slots(n)
     # one scratch set per slot, allocated here: the block tasks allocate nothing
     sub = min(n, SUB_BLOCK)
     normals = np.empty((slots, sub, _CHANNEL_NORMALS))   # refilled sub-block by sub-block
@@ -386,14 +416,7 @@ def snr_from_channel(u1: float, h: np.ndarray, out=None) -> np.ndarray:
     """SNR samples gamma = upsilon_1 h^2 of channel samples h at SNR scale
     u1, formed as (u1 h) h, into `out` if given: every SNR sample, in a
     `sample_channel` block or at a sweep point, is formed here, so the two
-    agree bit for bit.  `out` may be h itself, which is then overwritten a
-    sub-block at a time through one sub-block of scratch."""
-    if out is h:
-        work = np.empty(min(len(h), SUB_BLOCK))
-        for pos in range(0, len(h), SUB_BLOCK):
-            part = h[pos:pos + SUB_BLOCK]
-            np.multiply(np.multiply(u1, part, out=work[:len(part)]), part, out=part)
-        return h
+    agree bit for bit.  `out` must not be h itself."""
     g = np.multiply(u1, h, out=out)
     g *= h
     return g
@@ -409,20 +432,21 @@ def draw_channel(plan: SimPlan, *more: SimPlan, sums=None) -> np.ndarray:
     `sums`, if given, holds one entry per plan: None keeps the plan's row,
     and a list of `SnrSums` takes each block of its h instead
     (`SnrSums.add_channel`), so the plan holds no row: its blocks recycle
-    one array per slot (`_slots`), which its last sums overwrite.  The
-    result is then one row per kept plan, even for one plan."""
+    one array per slot (`_slots`), and every sums forms its SNR and Q
+    values in the pass's one spare block.  The result is then one row per
+    kept plan, even for one plan."""
     plans = (plan, *more)
     feeds = [None] * len(plans) if sums is None else list(sums)
     n = plan.n_samples
     out = np.empty((feeds.count(None), n))
     kept = iter(out)
-    slots = _slots(-(-n // BLOCK))
+    slots = _slots(n)
     dest = [next(kept) if feed is None else np.empty((slots, min(n, BLOCK))) for feed in feeds]
-    spare = np.empty(min(n, BLOCK)) if any(feed and len(feed) > 1 for feed in feeds) else None
+    spare = np.empty(min(n, BLOCK)) if any(feeds) else None
     for blocks in sample_channel(*plans, with_snr=False, out=dest):
         for feed, hb in zip(feeds, blocks):
-            for i, acc in enumerate(feed or ()):
-                acc.add_channel(hb, out=hb if i == len(feed) - 1 else spare[:len(hb)])
+            for acc in feed or ():
+                acc.add_channel(hb, out=spare[:len(hb)])
     return out if more or sums is not None else out[0]
 
 
@@ -483,8 +507,8 @@ class SnrSums:
     whole array, which feed its BLOCK slices to one of these."""
 
     def __init__(self, u1: float, gamma_th: float | None, ber: bool):
-        if gamma_th is not None and gamma_th < 0:
-            raise ValueError("gamma_th must be non-negative")
+        if gamma_th is not None and not gamma_th >= 0:
+            raise ValueError(f"gamma_th={gamma_th!r} must be non-negative")
         self.u1, self.gamma_th, self.with_ber = u1, gamma_th, ber
         self.n = self.below = 0
         self.q_sum = self.q_sq_sum = 0.0
@@ -500,7 +524,7 @@ class SnrSums:
 
     def add_channel(self, h: np.ndarray, out=None) -> None:
         """Add the SNR of a block of channel samples h.  `out`, an array of
-        h's length that may be h itself, takes the SNR and then its Q values,
+        h's length other than h itself, takes the SNR and then its Q values,
         so that nothing is allocated."""
         gamma = snr_from_channel(self.u1, h, out=out)
         self.add(gamma, out=gamma)

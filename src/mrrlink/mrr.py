@@ -5,10 +5,11 @@ mirror whose plane is tilted by theta away from the incoming beam
 returns the fraction 1 - tan|theta| of the power it collects, and the
 three tilt angles are independent zero-mean normals with the UAV
 orientation-jitter SD.  The module provides exact sampling of the
-product coefficient, its measured-moment table, the moment-matched
-log-normal density used by the weak-turbulence statistics, and the
-piecewise-constant (sectorized) density used by the strong-turbulence
-statistics.
+product coefficient (`sample_hmrr`, on the Monte-Carlo engine's block
+loops `montecarlo.tilt_normals` and `montecarlo.hmrr_from_normals`), its
+measured-moment table, the moment-matched log-normal density used by the
+weak-turbulence statistics, and the piecewise-constant (sectorized)
+density used by the strong-turbulence statistics.
 """
 
 from __future__ import annotations
@@ -21,14 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientSamplesError, NonPositiveBreakpointError
-from .montecarlo import BLOCK, SUB_BLOCK, _in_order, _mirror_product, _slots, block_normals
+from .montecarlo import hmrr_from_normals, tilt_normals
 from .specfun import at_positive
 
 __all__ = [
     "SectorModel",
     "sample_hmrr",
-    "tilt_normals",
-    "hmrr_from_normals",
     "mrr_moments",
     "lognormal_hmrr_pdf",
     "fit_sector_model",
@@ -91,54 +90,14 @@ class SectorModel:
             raise ValueError(f"sector densities integrate to {mass:.4f}, not 1")
 
 
-def tilt_normals(n: int, seed: int = 0) -> np.ndarray:
-    """The (n, 3) standard normals behind `sample_hmrr` at one seed: one
-    row of three mirror tilts per sample, in units of the jitter SD.  A
-    jitter grid draws them once and evaluates every jitter from them
-    (`hmrr_from_normals`); a shorter draw is a prefix of a longer one.
-    Each block is filled by a block task, straight into the output."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    z = np.empty((n, 3))
-    tasks = (functools.partial(block_normals, seed, block, z[pos:pos + BLOCK])
-             for block, pos in enumerate(range(0, n, BLOCK)))
-    for _ in _in_order(tasks, _slots(-(-n // BLOCK))):
-        pass
-    return z
-
-
-def hmrr_from_normals(sigma_theta_o: float, z: np.ndarray) -> np.ndarray:
-    """Reflection coefficients for jitter SD sigma_theta_o (radians) from
-    `tilt_normals` rows z: the product of the three mirror factors at tilts
-    sigma_theta_o * z.  Each `BLOCK` of rows is a block task, which works
-    SUB_BLOCK rows at a time into the output with one sub-block of its
-    slot's scratch."""
-    n = len(z)
-    out = np.empty(n)
-    slots = _slots(-(-n // BLOCK))
-    work = np.empty((slots, min(n, SUB_BLOCK)))
-
-    def block(start: int, slot: int) -> None:
-        end = min(start + BLOCK, n)
-        for pos in range(start, end, SUB_BLOCK):
-            rows = slice(pos, min(pos + SUB_BLOCK, end))
-            _mirror_product(z[rows], sigma_theta_o, out=out[rows],
-                            work=work[slot, :rows.stop - pos])
-
-    tasks = (functools.partial(block, pos, b % slots)
-             for b, pos in enumerate(range(0, n, BLOCK)))
-    for _ in _in_order(tasks, slots):
-        pass
-    return out
-
-
 def sample_hmrr(sigma_theta_o: float, n: int, seed: int = 0) -> np.ndarray:
     """Draw n reflection coefficients for jitter SD sigma_theta_o (radians).
 
-    Product of three independent mirror factors: `hmrr_from_normals` of
-    `tilt_normals(n, seed)`, so it holds the (n, 3) normals, 24 bytes per
-    sample, while it runs.  A shorter draw is a prefix of a longer one at
-    one seed, and zero jitter gives exactly 1.
+    Product of three independent mirror factors:
+    `montecarlo.hmrr_from_normals` of `montecarlo.tilt_normals(n, seed)`,
+    so it holds the (n, 3) normals, 24 bytes per sample, while it runs.  A
+    shorter draw is a prefix of a longer one at one seed, and zero jitter
+    gives exactly 1.
     """
     return hmrr_from_normals(sigma_theta_o, tilt_normals(n, seed))
 

@@ -12,8 +12,8 @@ import numpy as np
 
 from .channel import LinkConfig
 from .experiments import ExperimentSpec, output_row
-from .montecarlo import empirical_pdf, mean_sd_in_place
-from .mrr import _MIN_MOMENT_SAMPLES, hmrr_from_normals, lognormal_hmrr_pdf, tilt_normals
+from .montecarlo import empirical_pdf, hmrr_from_normals, mean_sd_in_place, tilt_normals
+from .mrr import _MIN_MOMENT_SAMPLES, lognormal_hmrr_pdf
 
 __all__ = ["RECIPES", "build_recipe", "recipe_names"]
 

@@ -4,6 +4,7 @@ Derived expectations are frozen from mpmath quadrature at 30 digits and
 fine-grid Riemann sums (see values marked 'oracle').
 """
 
+import dataclasses
 import math
 
 import mpmath
@@ -382,6 +383,21 @@ class TestRegime:
             LinkConfig(zeta=1e-4, h_l=0.7)
         with pytest.raises(ValueError):
             LinkConfig(zeta=None, h_l=None)
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(LinkConfig)])
+def test_nan_field_rejected(field):
+    kw = {field: math.nan}
+    if field == "zeta":
+        kw["h_l"] = None   # zeta and h_l are exclusive
+    with pytest.raises(ValueError):
+        LinkConfig(**kw)
+
+
+def test_negative_cn2_rejected():
+    with pytest.raises(ValueError, match="cn2_0"):
+        LinkConfig(cn2_0=-1e-15)
+    assert LinkConfig(cn2_0=0.0).cn2_0 == 0.0
 
 
 def test_h_constant_composition():

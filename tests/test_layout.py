@@ -3,10 +3,12 @@
 The numerical-integration oracles live in `tests/oracles.py`; under
 `src/mrrlink` only the Rytov path integral (`channel.py`) integrates
 with scipy.  Every random draw is keyed by (seed, block), so only
-`montecarlo._block_generator` calls into `numpy.random`, and block tasks
-run on one thread pool, which only `montecarlo._executor` makes.  The README's
-library quick tour is run as written, so a trimmed export cannot break the
-documented example.
+`montecarlo._block_generator` calls into `numpy.random`; block tasks run
+on a thread pool per run, which only `montecarlo._in_order` makes; and
+the block machinery (`BLOCK`, `SUB_BLOCK`, `THREADS` and the private
+helpers) is used by `montecarlo.py` alone.  The README's library quick
+tour is run as written, so a trimmed export cannot break the documented
+example.
 """
 
 import ast
@@ -118,10 +120,10 @@ def thread_starts(tree: ast.AST) -> list[tuple[str, str]]:
 
 
 def test_only_the_block_pool_starts_threads():
-    # block tasks run on one pool, made in one function
+    # block tasks run on a pool per run, made in one function
     calls = sorted((p.name, *call) for p in PACKAGE.rglob("*.py")
                    for call in thread_starts(ast.parse(p.read_text(encoding="utf-8"))))
-    assert calls == [("montecarlo.py", "_executor", "ThreadPoolExecutor")]
+    assert calls == [("montecarlo.py", "_in_order", "ThreadPoolExecutor")]
 
 
 def test_thread_scan_sees_every_call_form():
@@ -134,6 +136,59 @@ def test_thread_scan_sees_every_call_form():
             ("import _thread\n_thread.start_new_thread(f, ())", [("", "_thread.start_new_thread")])):
         assert thread_starts(ast.parse(source)) == want, source
     assert thread_starts(ast.parse("pool.submit(task)\nthreading.active_count()")) == []
+
+
+# The block machinery's names, which no module but montecarlo.py may use
+_BLOCK_MACHINERY = {"BLOCK", "SUB_BLOCK", "THREADS"}
+
+
+def montecarlo_internals(tree: ast.AST) -> list[str]:
+    """Each block-machinery or underscore name a module takes from the
+    `montecarlo` module: imported from it, or read as an attribute of a name
+    bound to it."""
+    def internal(name):
+        return name in _BLOCK_MACHINERY or name.startswith("_")
+
+    def is_montecarlo(module, level):
+        return module == "montecarlo" if level else module == "mrrlink.montecarlo"
+
+    found, aliases = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if is_montecarlo(node.module, node.level):
+                found += [a.name for a in node.names if internal(a.name)]
+            elif (node.module, node.level) in ((None, 1), ("mrrlink", 0)):
+                aliases |= {a.asname or a.name for a in node.names if a.name == "montecarlo"}
+        elif isinstance(node, ast.Import):
+            aliases |= {a.asname for a in node.names
+                        if a.name == "mrrlink.montecarlo" and a.asname}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and internal(node.attr):
+            owner = ast.unparse(node.value)
+            if owner in aliases or owner == "mrrlink.montecarlo":
+                found.append(node.attr)
+    return found
+
+
+def test_only_montecarlo_uses_the_block_machinery():
+    users = sorted((p.name, name) for p in PACKAGE.rglob("*.py") if p.name != "montecarlo.py"
+                   for name in montecarlo_internals(ast.parse(p.read_text(encoding="utf-8"))))
+    assert users == []
+
+
+def test_machinery_scan_sees_every_use_form():
+    for source, want in (
+            ("from .montecarlo import BLOCK, SimPlan, _slots", ["BLOCK", "_slots"]),
+            ("from mrrlink.montecarlo import SUB_BLOCK", ["SUB_BLOCK"]),
+            ("from . import montecarlo\ndef f():\n    return montecarlo.THREADS", ["THREADS"]),
+            ("from mrrlink import montecarlo as mc\nmc._in_order(t, 2)", ["_in_order"]),
+            ("import mrrlink.montecarlo as mc\nmc.block_normals, mc._mirror_product",
+             ["_mirror_product"]),
+            ("import mrrlink.montecarlo\nmrrlink.montecarlo._POOL", ["_POOL"])):
+        assert montecarlo_internals(ast.parse(source)) == want, source
+    for source in ("from .montecarlo import SimPlan, draw_channel", "from .mrr import _MOM_MU",
+                   "from . import montecarlo\nmontecarlo.draw_channel(p)"):
+        assert montecarlo_internals(ast.parse(source)) == [], source
 
 
 def test_readme_quick_tour_runs(capsys):

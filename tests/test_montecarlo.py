@@ -5,6 +5,7 @@ import math
 import multiprocessing
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -30,10 +31,12 @@ from mrrlink.montecarlo import (
     SimPlan,
     draw_channel,
     empirical_pdf,
+    hmrr_from_normals,
     mc_ber,
     mc_outage,
+    tilt_normals,
 )
-from mrrlink.mrr import hmrr_from_normals, sample_hmrr, tilt_normals
+from mrrlink.mrr import sample_hmrr
 from mrrlink.weak import weak_constants
 from conftest import by_block, watch_normal_fills
 from oracles import model_moments
@@ -203,6 +206,18 @@ class TestSharedPass:
         with pytest.raises(ValueError, match="share seed and n_samples"):
             draw_channel(plan, SimPlan(**{**vars(plan), **other}))
 
+    @pytest.mark.parametrize("n_plans,sums,counts", [
+        (2, [None], "got 1 for 2"),
+        (1, [None, None], "got 2 for 1"),
+        (2, [[montecarlo.SnrSums(1.0, 1.0, False)]], "got 1 for 2"),
+    ], ids=["one-row-for-two", "two-rows-for-one", "one-feed-for-two"])
+    def test_one_sums_entry_per_plan(self, n_plans, sums, counts):
+        # a short list would drop a plan, and a long one return a row of
+        # uninitialised memory
+        plans = self.plans()[:n_plans]
+        with pytest.raises(ValueError, match=f"one entry per plan, {counts}"):
+            draw_channel(*plans, sums=sums)
+
 
 class TestRowsDrawn:
     """A run of n samples asks the block generators for exactly n rows of
@@ -323,11 +338,9 @@ class TestSubBlocks:
 
     @pytest.mark.parametrize("size", [7, 1_000, BLOCK])
     def test_hmrr_from_normals(self, monkeypatch, size):
-        import mrrlink.mrr as mrr
-
         z = tilt_normals(self.N, seed=5)
         want = hmrr_from_normals(0.1, z)
-        monkeypatch.setattr(mrr, "SUB_BLOCK", size)
+        monkeypatch.setattr(montecarlo, "SUB_BLOCK", size)
         assert np.array_equal(hmrr_from_normals(0.1, z), want)
 
 
@@ -394,8 +407,8 @@ class TestThreads:
         assert all(np.array_equal(h, one) for h in more)
 
     def test_fed_sums(self, monkeypatch):
-        # a fed plan's blocks recycle one array per slot, which its last sums
-        # overwrite; a kept plan beside it is not disturbed
+        # a fed plan's blocks recycle one array per slot, and its sums share
+        # the pass's spare block; a kept plan beside it is not disturbed
         plans = self.plans("two-plans")
 
         def fed():
@@ -467,8 +480,7 @@ class TestThreads:
             draw_channel(*self.plans("two-plans"))
 
     def test_forked_child_draws(self, monkeypatch):
-        # a child forked after a pass has none of the pool's threads: it
-        # makes a pool of its own, where the parent's would never run a task
+        # a child forked after a pass draws on a pool of its own
         monkeypatch.setattr(montecarlo, "THREADS", 2)
         plan = SimPlan(weak_cfg(), 2 * BLOCK, seed=1)
         want = draw_channel(plan)
@@ -483,6 +495,43 @@ class TestThreads:
         for _ in range(50):
             draw_channel(plan)
         assert threading.active_count() <= 1 + montecarlo.THREADS
+
+    @staticmethod
+    def block_threads() -> list:
+        return [t for t in threading.enumerate() if t.name.startswith("mrrlink-block")]
+
+    def test_pool_ends_with_the_run(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "THREADS", 2)
+        draw_channel(SimPlan(weak_cfg(), 2 * BLOCK, seed=1))
+        assert self.block_threads() == []
+
+    def test_closed_pass_leaves_nothing_running(self, monkeypatch):
+        # a consumer that stops after one block: closing the pass waits for
+        # the task in flight, starts no other, and ends the pool's threads
+        monkeypatch.setattr(montecarlo, "THREADS", 2)
+        started, running, lock = [], [0], threading.Lock()
+        original = montecarlo._in_order
+
+        def counted(task):
+            def run():
+                with lock:
+                    started.append(task)
+                    running[0] += 1
+                try:
+                    time.sleep(0.05)   # so that a task is still running at close()
+                    return task()
+                finally:
+                    with lock:
+                        running[0] -= 1
+            return run
+
+        monkeypatch.setattr(montecarlo, "_in_order",
+                            lambda tasks, slots: original(map(counted, tasks), slots))
+        blocks = montecarlo.sample_channel(SimPlan(weak_cfg(), 4 * BLOCK, seed=1))
+        next(blocks)
+        blocks.close()
+        assert running[0] == 0 and len(started) <= 2   # none started after the close
+        assert self.block_threads() == []
 
 
 class TestPinnedStreams:
@@ -674,6 +723,13 @@ def test_mean_sd_in_place_is_numpys(n):
 
 
 class TestEstimates:
+    def test_nan_threshold_rejected(self):
+        # no sample is below a nan threshold, so its outage would read 0
+        with pytest.raises(ValueError, match="gamma_th"):
+            montecarlo.SnrSums(1.0, math.nan, False)
+        with pytest.raises(ValueError, match="gamma_th"):
+            mc_outage(np.ones(10), math.nan)
+
     def test_outage_trivial_thresholds(self):
         g = snr_samples(SimPlan(weak_cfg(), n_samples=20_000, seed=1))
         assert mc_outage(g, 0.0).value == 0.0

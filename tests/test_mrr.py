@@ -12,14 +12,12 @@ from mrrlink.mrr import (
     _MOM_SD,
     SectorModel,
     fit_sector_model,
-    hmrr_from_normals,
     lognormal_hmrr_pdf,
     mrr_moments,
     sample_hmrr,
     sector_table,
-    tilt_normals,
 )
-from mrrlink.montecarlo import BLOCK, _mirror_factor
+from mrrlink.montecarlo import BLOCK, _mirror_factor, hmrr_from_normals, tilt_normals
 from oracles import model_moments
 
 DEG = math.pi / 180.0
